@@ -31,8 +31,7 @@ to the config file's directory. Keys:
   latency_c, latency_alpha, latency_beta   latency model (1.0, 1.5, 0.5)
   recycle_semi_resolved      keep semi-resolved for training (default true)
   verifier           stub | oracle (default stub)
-  summary_observations       observation excerpts per summary (default 5)
-  workers, seed      worker pool size and RNG seed (defaults 1, 0)
+  seed               RNG seed (default 0)
   hack_patterns, error_patterns, phase_patterns   registry overrides
 """
 
@@ -42,8 +41,7 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, fields, replace as dc_replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -52,6 +50,7 @@ from . import error_taxonomy, patch_analysis, repo_sanitizer, sft_masking, task_
 from .errors import ForgeError
 from .registries import load_error_patterns, load_hack_patterns, load_phase_patterns
 from .schema import (
+    DEFAULT_MAX_TURNS,
     Rejection,
     TaskInstance,
     TestReport,
@@ -69,31 +68,6 @@ EXIT_INTERNAL = 1
 EXIT_MISSING_INPUT = 2
 EXIT_VALIDATION = 3
 
-PIPELINE_ORDER = (
-    "build-tasks",
-    "inject",
-    "sanitize",
-    "curate",
-    "mask",
-    "curriculum",
-    "classify-errors",
-    "tts-select",
-    "stats",
-)
-
-_REPORT_NAMES = {
-    "build-tasks": "build_tasks_report.json",
-    "inject": "inject_report.json",
-    "sanitize": "sanitize_report.json",
-    "curate": "curation_report.json",
-    "mask": "mask_report.json",
-    "curriculum": "curriculum_report.json",
-    "classify-errors": "classify_errors_report.json",
-    "tts-select": "tts_select_report.json",
-    "stats": "corpus_stats.json",
-}
-
-
 class MissingInputError(ForgeError):
     pass
 
@@ -110,9 +84,10 @@ class ValidationFailure(ForgeError):
 
 @dataclass
 class PipelineConfig:
-    base_dir: Path
+    """Every field but `config_path` is a config key, parsed by its annotation."""
+
     config_path: Path
-    out_dir: Path
+    out_dir: Path = Path("out")
     repo: str = ""
     base_commit: str = ""
     real_inputs: Path | None = None
@@ -125,66 +100,57 @@ class PipelineConfig:
     rollouts: Path | None = None
     surface: Path | None = None
     latency_budget: float | None = None
-    max_turns: int = 100
+    max_turns: int = DEFAULT_MAX_TURNS
     context_limit: int = 128000
-    easy_upper: int = 50
-    medium_upper: int = 70
+    easy_upper: int = curriculum_mod.EASY_UPPER
+    medium_upper: int = curriculum_mod.MEDIUM_UPPER
     bucket_width: int = 10
     latency_c: float = 1.0
     latency_alpha: float = 1.5
     latency_beta: float = 0.5
     recycle_semi_resolved: bool = True
     verifier: str = "stub"
-    summary_observations: int = 5
-    workers: int = 1
     seed: int = 0
     hack_patterns: Path | None = None
     error_patterns: Path | None = None
     phase_patterns: Path | None = None
 
     def bins(self) -> tuple[curriculum_mod.DifficultyBin, ...]:
-        return (
-            curriculum_mod.DifficultyBin("easy", 0, self.easy_upper),
-            curriculum_mod.DifficultyBin("medium", self.easy_upper, self.medium_upper),
-            curriculum_mod.DifficultyBin("hard", self.medium_upper, self.max_turns),
-        )
+        return curriculum_mod.default_bins(self.max_turns, self.easy_upper, self.medium_upper)
 
     def latency_model(self) -> tts.LatencyModel:
         return tts.LatencyModel(c=self.latency_c, alpha=self.latency_alpha, beta=self.latency_beta)
 
+    def allocates(self) -> bool:
+        """tts-select plans a latency allocation only when both are set."""
+        return self.surface is not None and self.latency_budget is not None
 
-_PATH_KEYS = {
-    "real_inputs",
-    "snapshot_dir",
-    "mutations",
-    "histories",
-    "trajectories",
-    "final_reports",
-    "instances",
-    "rollouts",
-    "surface",
-    "hack_patterns",
-    "error_patterns",
-    "phase_patterns",
-}
-_INT_KEYS = {
-    "max_turns",
-    "context_limit",
-    "easy_upper",
-    "medium_upper",
-    "bucket_width",
-    "summary_observations",
-    "workers",
-    "seed",
-}
-_FLOAT_KEYS = {"latency_c", "latency_alpha", "latency_beta", "latency_budget"}
-_BOOL_KEYS = {"recycle_semi_resolved"}
-_STR_KEYS = {"repo", "base_commit", "verifier", "out_dir"}
+
+_KEY_TYPES = {f.name: f.type for f in fields(PipelineConfig) if f.name != "config_path"}
+
+
+def _parse_bool(value: str) -> bool:
+    lowered = value.lower()
+    if lowered in ("true", "yes", "1"):
+        return True
+    if lowered in ("false", "no", "0"):
+        return False
+    raise ValueError(f"bad boolean {value!r}")
+
+
+def _parse_value(annotation: str, value: str, base_dir: Path):
+    if annotation.endswith(" | None") and not value:
+        return None
+    kind = annotation.removesuffix(" | None")
+    if kind == "Path":
+        return (base_dir / value).resolve()
+    return {"str": str, "int": int, "float": float, "bool": _parse_bool}[kind](value)
 
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse the key-value config file and validate the invariants that can
-    be checked at load time (bin partition, registry files, enums)."""
+    be checked at load time (value types, bin partition, registry files,
+    enums)."""
     config_path = Path(path).resolve()
     try:
         text = config_path.read_text(encoding="utf-8")
@@ -200,27 +166,14 @@ def load_config(path: str | Path) -> PipelineConfig:
             raise ForgeError(f"{config_path}:{line_no}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key in _PATH_KEYS:
-            values[key] = (base_dir / value).resolve() if value else None
-        elif key in _INT_KEYS:
-            values[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(value)
-        elif key in _BOOL_KEYS:
-            lowered = value.lower()
-            if lowered in ("true", "yes", "1"):
-                values[key] = True
-            elif lowered in ("false", "no", "0"):
-                values[key] = False
-            else:
-                raise ForgeError(f"{config_path}:{line_no}: bad boolean {value!r}")
-        elif key in _STR_KEYS:
-            values[key] = value
-        else:
+        if key not in _KEY_TYPES:
             raise ForgeError(f"{config_path}:{line_no}: unknown key {key!r}")
-    out_dir = (base_dir / values.pop("out_dir", "out")).resolve()
-    cfg = PipelineConfig(base_dir=base_dir, config_path=config_path, out_dir=out_dir, **values)
+        try:
+            values[key] = _parse_value(_KEY_TYPES[key], value.strip(), base_dir)
+        except ValueError as exc:
+            raise ForgeError(f"{config_path}:{line_no}: bad value for {key!r}: {exc}") from None
+    cfg = PipelineConfig(config_path=config_path, **values)
+    cfg.out_dir = (base_dir / cfg.out_dir).resolve()
     if not 0 < cfg.easy_upper < cfg.medium_upper < cfg.max_turns:
         raise ForgeError(
             "bin boundaries must satisfy 0 < easy_upper < medium_upper < max_turns"
@@ -244,14 +197,6 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 def _dump_report(report: dict) -> str:
     return json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
-
-
-def _pmap(fn: Callable, items: Sequence, workers: int) -> list:
-    """Order-preserving map, fanned out to a bounded pool when workers > 1."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _require_input(path: Path | None, what: str) -> Path:
@@ -290,14 +235,15 @@ def _fail_on_rejections(
     )
 
 
-def _load_instances_union(cfg: PipelineConfig, stage: str) -> dict[str, TaskInstance]:
-    sources = [
-        cfg.out_dir / "instances_real.jsonl",
-        cfg.out_dir / "instances_synth.jsonl",
-    ]
+def _instance_sources(cfg: PipelineConfig) -> list[Path]:
+    sources = [cfg.out_dir / "instances_real.jsonl", cfg.out_dir / "instances_synth.jsonl"]
     if cfg.instances is not None:
         sources.append(cfg.instances)
-    existing = [p for p in sources if p.exists()]
+    return sources
+
+
+def _load_instances_union(cfg: PipelineConfig, stage: str) -> dict[str, TaskInstance]:
+    existing = [p for p in _instance_sources(cfg) if p.exists()]
     if not existing:
         raise MissingInputError(
             "no instance corpus found (run build-tasks/inject or set `instances`)"
@@ -439,9 +385,12 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
     error_patterns = load_error_patterns(cfg.error_patterns)
     phase_rules = load_phase_patterns(cfg.phase_patterns)
 
-    def curate_one(traj: Trajectory) -> dict:
-        repaired_count = 0
-        unrepairable_notes: list[dict] = []
+    curated: list[Trajectory] = []
+    unrepairable: list[dict] = []
+    notes: list[dict] = []
+    repaired_calls = 0
+    hack_invalidated = 0
+    for traj in result.records:
         steps = []
         for step in traj.steps:
             action = step.action
@@ -449,9 +398,9 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
                 try:
                     action, repaired = trajectory_curation.repair_tool_call(action)
                     if repaired:
-                        repaired_count += 1
+                        repaired_calls += 1
                 except trajectory_curation.UnrepairableCallError as exc:
-                    unrepairable_notes.append(
+                    unrepairable.append(
                         {"trajectory_id": traj.trajectory_id, "step": step.index, "reason": str(exc)}
                     )
             steps.append(dc_replace(step, action=action))
@@ -462,38 +411,22 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
         findings = repo_sanitizer.detect_git_hacking(work, hack_patterns)
 
         inst = instances.get(work.instance_id)
-        report = reports_by_tid.get(work.trajectory_id)
-        note = None
-        demoted_by_hack = False
-        if inst is None or report is None:
+        final = reports_by_tid.get(work.trajectory_id)
+        if inst is None or final is None:
             outcome = "unclassified"
-            note = {
+            notes.append({
                 "trajectory_id": work.trajectory_id,
                 "reason": "missing instance" if inst is None else "missing final report",
-            }
+            })
         else:
             outcome = trajectory_curation.classify_outcome(
-                work, inst, report, hack_findings=findings
+                work, inst, final, hack_findings=findings
             )
-            if outcome == "unresolved" and repo_sanitizer.has_high_finding(findings):
-                demoted_by_hack = all(
-                    report.results.get(t) == "pass"
-                    for t in (*inst.fail_to_pass, *inst.pass_to_pass)
-                )
-        return {
-            "trajectory": dc_replace(work, outcome=outcome),
-            "repaired": repaired_count,
-            "unrepairable": unrepairable_notes,
-            "note": note,
-            "demoted_by_hack": demoted_by_hack,
-        }
-
-    results = _pmap(curate_one, result.records, cfg.workers)
-    curated = [r["trajectory"] for r in results]
-    repaired_calls = sum(r["repaired"] for r in results)
-    unrepairable = [entry for r in results for entry in r["unrepairable"]]
-    notes = [r["note"] for r in results if r["note"] is not None]
-    hack_invalidated = sum(1 for r in results if r["demoted_by_hack"])
+            if outcome == "unresolved" and repo_sanitizer.has_high_finding(findings) and all(
+                final.results.get(t) == "pass" for t in (*inst.fail_to_pass, *inst.pass_to_pass)
+            ):
+                hack_invalidated += 1
+        curated.append(dc_replace(work, outcome=outcome))
 
     save_corpus(curated, cfg.out_dir / "curated.jsonl")
     stats = trajectory_curation.rollout_stats(
@@ -509,8 +442,12 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
     return report
 
 
+def _curated_path(cfg: PipelineConfig) -> Path:
+    return cfg.out_dir / "curated.jsonl"
+
+
 def _curated(cfg: PipelineConfig, stage: str) -> list[Trajectory]:
-    path = cfg.out_dir / "curated.jsonl"
+    path = _curated_path(cfg)
     _require_input(path, "curated corpus (run the curate stage first)")
     result = load_corpus(path, "trajectories")
     _fail_on_rejections(cfg, stage, path, result.rejections)
@@ -518,32 +455,30 @@ def _curated(cfg: PipelineConfig, stage: str) -> list[Trajectory]:
 
 
 def _stage_mask(cfg: PipelineConfig) -> dict:
-    curated = _curated(cfg, "mask")
-    wanted = {"resolved"}
-    if cfg.recycle_semi_resolved:
-        wanted.add("semi_resolved")
-    selected = [t for t in curated if t.outcome in wanted]
+    selected = curriculum_mod.select_for_training(
+        _curated(cfg, "mask"), recycle_semi_resolved=cfg.recycle_semi_resolved
+    )
 
-    def render(traj: Trajectory):
+    samples: list[dict] = []
+    drops: list[dict] = []
+    for traj in selected:
         try:
             sample = sft_masking.build_loss_mask(traj)
         except sft_masking.EmptySampleError as exc:
-            return {"trajectory_id": traj.trajectory_id, "reason": f"empty: {exc}"}
+            drops.append({"trajectory_id": traj.trajectory_id, "reason": f"empty: {exc}"})
+            continue
         emitted = sft_masking.serialize_sample(sample, cfg.context_limit)
         if isinstance(emitted, sft_masking.Overflow):
-            return {
+            drops.append({
                 "trajectory_id": emitted.trajectory_id,
                 "reason": "overflow",
                 "token_estimate": emitted.token_estimate,
                 "context_limit": emitted.context_limit,
-            }
-        if not any(seg["in_loss"] for seg in emitted["rendered"]):
-            return {"trajectory_id": traj.trajectory_id, "reason": "fully_masked"}
-        return emitted
-
-    outcomes = _pmap(render, selected, cfg.workers)
-    samples = [o for o in outcomes if "rendered" in o]
-    drops = [o for o in outcomes if "rendered" not in o]
+            })
+        elif not any(seg["in_loss"] for seg in emitted["rendered"]):
+            drops.append({"trajectory_id": traj.trajectory_id, "reason": "fully_masked"})
+        else:
+            samples.append(emitted)
     save_jsonl(samples, cfg.out_dir / "samples.jsonl")
     save_jsonl(drops, cfg.out_dir / "mask_drops.jsonl")
     return {
@@ -588,29 +523,18 @@ def _stage_classify_errors(cfg: PipelineConfig) -> dict:
     instances = _load_instances_union(cfg, "classify-errors")
     failed = [t for t in curated if t.outcome in ("unresolved", "error", "empty_patch")]
 
-    def label_one(traj: Trajectory) -> dict:
+    failures: list[dict] = []
+    skipped: list[dict] = []
+    labels_by_tag: dict[str, list[str]] = {}
+    for traj in failed:
         inst = instances.get(traj.instance_id)
         if inst is None:
-            return {"trajectory_id": traj.trajectory_id, "reason": "missing instance"}
+            skipped.append({"trajectory_id": traj.trajectory_id, "reason": "missing instance"})
+            continue
         evidence = error_taxonomy.explain_failure(traj, inst)
-        return {
-            "trajectory_id": traj.trajectory_id,
-            "label": evidence.pop("label"),
-            "evidence": evidence,
-            "tag": str(traj.extra.get("checkpoint", "all")),
-        }
-
-    labeled = _pmap(label_one, failed, cfg.workers)
-    failures = [
-        {"trajectory_id": r["trajectory_id"], "label": r["label"], "evidence": r["evidence"]}
-        for r in labeled
-        if "label" in r
-    ]
-    skipped = [r for r in labeled if "label" not in r]
-    labels_by_tag: dict[str, list[str]] = {}
-    for r in labeled:
-        if "label" in r:
-            labels_by_tag.setdefault(r["tag"], []).append(r["label"])
+        label = evidence.pop("label")
+        failures.append({"trajectory_id": traj.trajectory_id, "label": label, "evidence": evidence})
+        labels_by_tag.setdefault(str(traj.extra.get("checkpoint", "all")), []).append(label)
     save_jsonl(failures, cfg.out_dir / "failures.jsonl")
     distribution = {
         tag: error_taxonomy.failure_distribution(labels)
@@ -643,9 +567,7 @@ def _stage_tts_select(cfg: PipelineConfig) -> dict:
     verifier = tts.StubVerifier(cfg.seed) if cfg.verifier == "stub" else tts.OracleVerifier()
 
     instance_ids = sorted(grouped)
-    scored = _pmap(
-        lambda iid: [verifier.score(c) for c in grouped[iid]], instance_ids, cfg.workers
-    )
+    scored = [[verifier.score(c) for c in grouped[iid]] for iid in instance_ids]
     selection_lines = []
     pairs = []
     for instance_id, scores in zip(instance_ids, scored):
@@ -675,7 +597,7 @@ def _stage_tts_select(cfg: PipelineConfig) -> dict:
     atomic_write_text(cfg.out_dir / "tts_metrics.json", _dump_report(metrics_report))
 
     report = {"stage": "tts-select", "instances": len(pairs), "k": k}
-    if cfg.surface is not None and cfg.latency_budget is not None:
+    if cfg.allocates():
         surface_path = _require_input(cfg.surface, "surface")
         surface: dict[tuple[int, int], float] = {}
         for record in load_jsonl(surface_path):
@@ -738,17 +660,45 @@ def _stage_stats(cfg: PipelineConfig) -> dict:
     return report
 
 
-_STAGE_FNS = {
-    "build-tasks": _stage_build_tasks,
-    "inject": _stage_inject,
-    "sanitize": _stage_sanitize,
-    "curate": _stage_curate,
-    "mask": _stage_mask,
-    "curriculum": _stage_curriculum,
-    "classify-errors": _stage_classify_errors,
-    "tts-select": _stage_tts_select,
-    "stats": _stage_stats,
-}
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage: `inputs` are the paths whose content decides a
+    re-run; `outputs` are the file names it writes in out_dir besides its
+    `report`."""
+
+    name: str
+    run: Callable[[PipelineConfig], dict]
+    inputs: Callable[[PipelineConfig], list[Path | None]]
+    outputs: Callable[[PipelineConfig], list[str]]
+    report: str
+
+
+# Dependency order: `pipeline` runs these top to bottom.
+STAGES = (
+    Stage("build-tasks", _stage_build_tasks, lambda cfg: [cfg.real_inputs],
+          lambda cfg: ["instances_real.jsonl"], "build_tasks_report.json"),
+    Stage("inject", _stage_inject, lambda cfg: [cfg.snapshot_dir, cfg.mutations],
+          lambda cfg: ["instances_synth.jsonl"], "inject_report.json"),
+    Stage("sanitize", _stage_sanitize, lambda cfg: [cfg.histories],
+          lambda cfg: ["sanitized_histories.jsonl"], "sanitize_report.json"),
+    Stage("curate", _stage_curate,
+          lambda cfg: [cfg.trajectories, cfg.final_reports, *_instance_sources(cfg)],
+          lambda cfg: ["curated.jsonl"], "curation_report.json"),
+    Stage("mask", _stage_mask, lambda cfg: [_curated_path(cfg)],
+          lambda cfg: ["samples.jsonl", "mask_drops.jsonl"], "mask_report.json"),
+    Stage("curriculum", _stage_curriculum, lambda cfg: [_curated_path(cfg)],
+          lambda cfg: [*(f"stage{n}.jsonl" for n in range(1, len(cfg.bins()) + 1)),
+                       "correlation_report.json"],
+          "curriculum_report.json"),
+    Stage("classify-errors", _stage_classify_errors,
+          lambda cfg: [_curated_path(cfg), *_instance_sources(cfg)],
+          lambda cfg: ["failures.jsonl", "distribution.json"], "classify_errors_report.json"),
+    Stage("tts-select", _stage_tts_select, lambda cfg: [cfg.rollouts, cfg.surface],
+          lambda cfg: ["selection.jsonl", "tts_metrics.json",
+                       *(["allocation.json"] if cfg.allocates() else [])],
+          "tts_select_report.json"),
+    Stage("stats", _stage_stats, _instance_sources, lambda cfg: [], "corpus_stats.json"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -758,10 +708,11 @@ _STAGE_FNS = {
 def run_stage(stage: str, cfg: PipelineConfig) -> tuple[int, dict]:
     """Run one stage; returns (exit_code, report). The report is also
     written to the stage's report file in out_dir."""
-    if stage not in _STAGE_FNS:
+    spec = next((s for s in STAGES if s.name == stage), None)
+    if spec is None:
         raise ValueError(f"unknown stage {stage!r}")
     try:
-        report = _STAGE_FNS[stage](cfg)
+        report = spec.run(cfg)
         code = EXIT_OK
     except MissingInputError as exc:
         report = {"stage": stage, "error": str(exc)}
@@ -775,7 +726,7 @@ def run_stage(stage: str, cfg: PipelineConfig) -> tuple[int, dict]:
         report = {"stage": stage, "error": str(exc)}
         code = EXIT_INTERNAL
     report["exit_code"] = code
-    atomic_write_text(cfg.out_dir / _REPORT_NAMES[stage], _dump_report(report))
+    atomic_write_text(cfg.out_dir / spec.report, _dump_report(report))
     return code, report
 
 
@@ -791,57 +742,24 @@ def _hash_path(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _stage_inputs(stage: str, cfg: PipelineConfig) -> list[Path]:
-    out = cfg.out_dir
-    instance_sources = [out / "instances_real.jsonl", out / "instances_synth.jsonl"]
-    if cfg.instances is not None:
-        instance_sources.append(cfg.instances)
-    table: dict[str, list[Path | None]] = {
-        "build-tasks": [cfg.real_inputs],
-        "inject": [cfg.snapshot_dir, cfg.mutations],
-        "sanitize": [cfg.histories],
-        "curate": [cfg.trajectories, cfg.final_reports, *instance_sources],
-        "mask": [out / "curated.jsonl"],
-        "curriculum": [out / "curated.jsonl"],
-        "classify-errors": [out / "curated.jsonl", *instance_sources],
-        "tts-select": [cfg.rollouts, cfg.surface],
-        "stats": instance_sources,
-    }
-    return [p for p in table[stage] if p is not None]
-
-
-def _stage_outputs(stage: str, cfg: PipelineConfig) -> list[Path]:
-    out = cfg.out_dir
-    table = {
-        "build-tasks": [out / "instances_real.jsonl"],
-        "inject": [out / "instances_synth.jsonl"],
-        "sanitize": [out / "sanitized_histories.jsonl"],
-        "curate": [out / "curated.jsonl"],
-        "mask": [out / "samples.jsonl", out / "mask_drops.jsonl"],
-        "curriculum": [
-            out / "stage1.jsonl",
-            out / "stage2.jsonl",
-            out / "stage3.jsonl",
-            out / "correlation_report.json",
-        ],
-        "classify-errors": [out / "failures.jsonl", out / "distribution.json"],
-        "tts-select": [out / "selection.jsonl", out / "tts_metrics.json"],
-        "stats": [],
-    }
-    outputs = list(table[stage])
-    outputs.append(out / _REPORT_NAMES[stage])
-    return outputs
-
-
-def _input_fingerprint(stage: str, cfg: PipelineConfig) -> str:
+def _input_fingerprint(stage: Stage, cfg: PipelineConfig) -> str:
     digest = hashlib.sha256()
-    digest.update(stage.encode())
+    digest.update(stage.name.encode())
     digest.update(cfg.config_path.read_bytes())
-    for path in _stage_inputs(stage, cfg):
-        if path.exists():
+    for path in stage.inputs(cfg):
+        if path is not None and path.exists():
             digest.update(path.name.encode())
             digest.update(_hash_path(path).encode())
     return digest.hexdigest()
+
+
+def _read_state(path: Path) -> dict:
+    """The recorded fingerprints; a missing or undecodable (say, truncated)
+    state file counts as empty, so every stage re-runs."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (FileNotFoundError, ValueError):
+        return {}
 
 
 def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> int:
@@ -849,37 +767,37 @@ def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> in
     content hashes match the recorded state and whose outputs are intact.
     Propagates the first failing stage's exit code."""
     state_path = cfg.out_dir / ".forge_state.json"
-    state: dict = {}
-    if state_path.exists():
-        state = json.loads(state_path.read_text(encoding="utf-8"))
+    state = _read_state(state_path)
 
     def save_state():
         atomic_write_text(state_path, _dump_report(state))
 
-    def output_key(path: Path) -> str:
-        return path.relative_to(cfg.out_dir).as_posix()
-
-    for stage in PIPELINE_ORDER:
+    for stage in STAGES:
         fingerprint = _input_fingerprint(stage, cfg)
-        recorded = state.get(stage, {})
-        outputs = _stage_outputs(stage, cfg)
-        intact = all(p.exists() for p in outputs) and all(
-            recorded.get("outputs", {}).get(output_key(p)) == _hash_path(p) for p in outputs
+        recorded = state.get(stage.name, {})
+        outputs = [*stage.outputs(cfg), stage.report]
+        intact = all((cfg.out_dir / name).exists() for name in outputs) and all(
+            recorded.get("outputs", {}).get(name) == _hash_path(cfg.out_dir / name)
+            for name in outputs
         )
         if recorded.get("inputs") == fingerprint and intact:
-            echo(f"[skip] {stage}: inputs unchanged")
+            echo(f"[skip] {stage.name}: inputs unchanged")
             continue
-        code, report = run_stage(stage, cfg)
+        code, report = run_stage(stage.name, cfg)
         if code != EXIT_OK:
-            echo(f"[fail] {stage}: {report.get('error', 'unknown error')} (exit {code})")
-            state.pop(stage, None)
+            echo(f"[fail] {stage.name}: {report.get('error', 'unknown error')} (exit {code})")
+            state.pop(stage.name, None)
             save_state()
             return code
-        state[stage] = {
+        state[stage.name] = {
             "inputs": fingerprint,
-            "outputs": {output_key(p): _hash_path(p) for p in outputs if p.exists()},
+            "outputs": {
+                name: _hash_path(cfg.out_dir / name)
+                for name in outputs
+                if (cfg.out_dir / name).exists()
+            },
         }
-        echo(f"[ok]   {stage}")
+        echo(f"[ok]   {stage.name}")
     save_state()
     return EXIT_OK
 
@@ -903,11 +821,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "stage",
-        choices=[*PIPELINE_ORDER, "pipeline", "export-history"],
+        choices=[*(s.name for s in STAGES), "pipeline", "export-history"],
         help="pipeline stage to run ('pipeline' runs all stages in order)",
     )
     parser.add_argument("--config", help="path to the key-value config file")
-    parser.add_argument("--workers", type=int, help="override worker pool size")
     parser.add_argument("--seed", type=int, help="override RNG seed (wildcard mutations, stub verifier)")
     parser.add_argument("--repo", help="repository path (export-history only)")
     parser.add_argument("--out", help="output file (export-history only)")
@@ -935,8 +852,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    if args.workers is not None:
-        cfg = dc_replace(cfg, workers=args.workers)
     if args.seed is not None:
         cfg = dc_replace(cfg, seed=args.seed)
 

@@ -46,11 +46,20 @@ class CorrelationReport:
     bins: tuple[tuple[float, float], ...]  # (bucket midpoint, resolve rate)
 
 
-def default_bins(max_turns: int = DEFAULT_MAX_TURNS) -> tuple[DifficultyBin, ...]:
+EASY_UPPER = 50
+MEDIUM_UPPER = 70
+
+
+def default_bins(
+    max_turns: int = DEFAULT_MAX_TURNS,
+    easy_upper: int = EASY_UPPER,
+    medium_upper: int = MEDIUM_UPPER,
+) -> tuple[DifficultyBin, ...]:
+    """The easy/medium/hard partition of [0, max_turns] at the given bounds."""
     return (
-        DifficultyBin("easy", 0, 50),
-        DifficultyBin("medium", 50, 70),
-        DifficultyBin("hard", 70, max_turns),
+        DifficultyBin("easy", 0, easy_upper),
+        DifficultyBin("medium", easy_upper, medium_upper),
+        DifficultyBin("hard", medium_upper, max_turns),
     )
 
 

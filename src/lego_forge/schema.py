@@ -1,7 +1,7 @@
 """Data model and JSON Lines corpus I/O shared by every pipeline stage.
 
-All record types are immutable values: build them once and share them freely
-across workers. Corpora are JSON Lines files (one record per line) with a
+All record types are immutable values: build them once and share them
+freely. Corpora are JSON Lines files (one record per line) with a
 canonical field order, so identical inputs always serialize to identical
 bytes. Unknown fields found on disk are kept on the record (`extra`) and
 written back verbatim, in their original order, for forward compatibility.

@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import os
+import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -52,10 +55,14 @@ def test_config_rejects_bad_bins(tmp_path):
 
 
 def test_config_rejects_unknown_key(tmp_path):
+    # Unknown keys and values that do not parse as the key's type are both
+    # rejected with the file and line, never as a bare ValueError.
     bad = tmp_path / "forge.cfg"
-    bad.write_text("not_a_key = 1\n", encoding="utf-8")
-    with pytest.raises(ForgeError):
-        load_config(bad)
+    for line in ("not_a_key = 1", "max_turns = abc", "latency_c = fast",
+                 "recycle_semi_resolved = maybe"):
+        bad.write_text(f"# comment\n{line}\n", encoding="utf-8")
+        with pytest.raises(ForgeError, match=re.escape(f"{bad.resolve()}:2: ")):
+            load_config(bad)
 
 
 def test_config_missing_registry_is_missing_input(tmp_path):
@@ -133,6 +140,27 @@ def test_mask_stage_emits_loss_masked_samples(corpus):
         for segment in sample["rendered"]:
             if segment["in_loss"]:
                 assert segment["source"] == "assistant"
+
+
+def test_truncated_trajectories_are_never_trained_on(tmp_path):
+    # One selection rule for mask and curriculum: a resolved trajectory that
+    # used its whole turn budget is excluded from both.
+    from conftest import bash_step, finish_step, make_traj
+    from lego_forge.schema import save_corpus
+
+    steps = [bash_step(0, "python -m pytest", "3 passed"), finish_step(1)]
+    kept = make_traj(steps, trajectory_id="kept", outcome="resolved")
+    truncated = make_traj(steps, trajectory_id="truncated", outcome="resolved", max_turns=2)
+    assert truncated.turn_count == truncated.max_turns
+    (tmp_path / "out").mkdir()
+    save_corpus([kept, truncated], tmp_path / "out" / "curated.jsonl")
+    (tmp_path / "forge.cfg").write_text("out_dir = out\n", encoding="utf-8")
+    cfg = load_config(tmp_path / "forge.cfg")
+    run_stages(cfg, "mask", "curriculum")
+    assert [s["trajectory_id"] for s in load_jsonl(cfg.out_dir / "samples.jsonl")] == ["kept"]
+    for n in (1, 2, 3):
+        staged = load_corpus(cfg.out_dir / f"stage{n}.jsonl", "trajectories").records
+        assert [t.trajectory_id for t in staged] == ["kept"]
 
 
 def test_mask_stage_drops_fully_masked_samples(tmp_path):
@@ -398,6 +426,63 @@ def test_second_run_skips_every_stage(corpus, capsys):
     assert all(line.startswith("[skip]") for line in lines)
 
 
+def test_deleted_allocation_reruns_tts_select(corpus):
+    cfg = load_config(corpus)
+    assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+    allocation = cfg.out_dir / "allocation.json"
+    original = allocation.read_bytes()
+    allocation.unlink()
+    lines = []
+    assert run_pipeline(cfg, echo=lines.append) == EXIT_OK
+    assert "[ok]   tts-select" in lines
+    assert allocation.read_bytes() == original
+
+
+def test_without_allocation_second_run_skips_tts_select(corpus):
+    text = corpus.read_text(encoding="utf-8")
+    corpus.write_text(
+        "".join(l for l in text.splitlines(keepends=True)
+                if not l.startswith(("surface", "latency_budget"))),
+        encoding="utf-8",
+    )
+    cfg = load_config(corpus)
+    assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+    assert not (cfg.out_dir / "allocation.json").exists()
+    lines = []
+    assert run_pipeline(cfg, echo=lines.append) == EXIT_OK
+    assert "[skip] tts-select: inputs unchanged" in lines
+
+
+def test_each_stage_writes_exactly_its_declared_outputs(tmp_path):
+    # Guards the stage table against drift: run each stage alone into a
+    # fresh out_dir holding only the upstream outputs it declares as inputs.
+    full = load_config(build_integration_corpus(tmp_path / "corpus"))
+    assert run_pipeline(full, echo=lambda s: None) == EXIT_OK
+    for n, stage in enumerate(cli.STAGES):
+        cfg = dataclasses.replace(full, out_dir=tmp_path / f"fresh{n}")
+        cfg.out_dir.mkdir()
+        for path in stage.inputs(full):
+            if path is not None and path.parent == full.out_dir and path.exists():
+                shutil.copy(path, cfg.out_dir / path.name)
+        before = set(os.listdir(cfg.out_dir))
+        code, report = run_stage(stage.name, cfg)
+        assert code == EXIT_OK, report
+        written = set(os.listdir(cfg.out_dir)) - before
+        assert written == {*stage.outputs(cfg), stage.report}, stage.name
+
+
+def test_corrupt_state_file_reruns_every_stage(corpus):
+    cfg = load_config(corpus)
+    assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+    state = cfg.out_dir / ".forge_state.json"
+    state.write_bytes(state.read_bytes()[: state.stat().st_size // 2])
+    lines = []
+    assert run_pipeline(cfg, echo=lines.append) == EXIT_OK
+    assert len(lines) == 9
+    assert all(line.startswith("[ok]") for line in lines)
+    assert set(read(state)) == {stage.name for stage in cli.STAGES}
+
+
 def test_corrupting_one_input_reruns_only_downstream(corpus):
     cfg = load_config(corpus)
     run_pipeline(cfg, echo=lambda s: None)
@@ -485,7 +570,7 @@ def test_main_runs_single_stage(corpus, capsys):
 
 
 def test_main_pipeline_and_seed_override(corpus):
-    assert cli.main(["pipeline", "--config", str(corpus), "--workers", "2"]) == EXIT_OK
+    assert cli.main(["pipeline", "--config", str(corpus), "--seed", "7"]) == EXIT_OK
 
 
 def test_main_reports_missing_config(tmp_path, capsys):

@@ -51,7 +51,9 @@ from .errors import ForgeError
 from .registries import load_error_patterns, load_hack_patterns, load_phase_patterns
 from .schema import (
     DEFAULT_MAX_TURNS,
+    CorpusError,
     Rejection,
+    Step,
     TaskInstance,
     TestReport,
     ToolCall,
@@ -378,9 +380,7 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
     instances = _load_instances_union(cfg, "curate")
     result = load_corpus(traj_path, "trajectories")
     _fail_on_rejections(cfg, "curate", traj_path, result.rejections)
-    reports_by_tid = {
-        rec["trajectory_id"]: TestReport.from_record(rec) for rec in load_jsonl(reports_path)
-    }
+    reports_by_tid = _load_final_reports(cfg, reports_path)
     hack_patterns = load_hack_patterns(cfg.hack_patterns)
     error_patterns = load_error_patterns(cfg.error_patterns)
     phase_rules = load_phase_patterns(cfg.phase_patterns)
@@ -391,9 +391,14 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
     repaired_calls = 0
     hack_invalidated = 0
     for traj in result.records:
-        steps = []
+        # One pass per trajectory: prune, repair, phase and error-flag each
+        # step, building it once (the same as prune_toolset, assign_phases
+        # and detect_step_errors over the repaired steps).
+        steps: list[Step] = []
         for step in traj.steps:
             action = step.action
+            if not trajectory_curation.kept_by_toolset(action):
+                continue
             if isinstance(action, ToolCall):
                 try:
                     action, repaired = trajectory_curation.repair_tool_call(action)
@@ -403,11 +408,14 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
                     unrepairable.append(
                         {"trajectory_id": traj.trajectory_id, "step": step.index, "reason": str(exc)}
                     )
-            steps.append(dc_replace(step, action=action))
-        work = dc_replace(traj, steps=tuple(steps))
-        work = trajectory_curation.prune_toolset(work)
-        work = sft_masking.assign_phases(work, phase_rules)
-        work = sft_masking.detect_step_errors(work, error_patterns)
+            steps.append(Step(
+                index=len(steps),
+                action=action,
+                observation=step.observation,
+                phase=sft_masking.step_phase(action, phase_rules),
+                error_flag=sft_masking.has_execution_error(step.observation, error_patterns),
+            ))
+        work = dc_replace(traj, steps=tuple(steps), turn_count=len(steps))
         findings = repo_sanitizer.detect_git_hacking(work, hack_patterns)
 
         inst = instances.get(work.instance_id)
@@ -440,6 +448,38 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
     report["unrepairable_calls"] = unrepairable
     report["notes"] = notes
     return report
+
+
+def _load_final_reports(cfg: PipelineConfig, path: Path) -> dict[str, TestReport]:
+    """Final test reports by trajectory id. Blank lines are skipped; any
+    other line that is not a `{trajectory_id, code_state, results}` object
+    is a rejection, and the stage fails with a rejection report."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CorpusError(f"cannot read {path}: {exc}") from exc
+    by_tid: dict[str, TestReport] = {}
+    rejections: list[Rejection] = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            rejections.append(Rejection(line_no, ("BAD_JSON",), str(exc)))
+            continue
+        if not isinstance(record, dict):
+            rejections.append(Rejection(line_no, ("BAD_JSON",), "record is not an object"))
+            continue
+        tid = record.get("trajectory_id")
+        try:
+            if not isinstance(tid, str):
+                raise ValueError("field 'trajectory_id' is missing or not a string")
+            by_tid[tid] = TestReport.from_record(record)
+        except ValueError as exc:
+            rejections.append(Rejection(line_no, ("BAD_RECORD",), str(exc)))
+    _fail_on_rejections(cfg, "curate", path, rejections)
+    return by_tid
 
 
 def _curated_path(cfg: PipelineConfig) -> Path:

@@ -23,6 +23,7 @@ import shlex
 from typing import Sequence
 
 from . import patch_analysis
+from .registries import ErrorPattern
 from .schema import TaskInstance, ToolCall, Trajectory
 
 FAILURE_LABELS = (
@@ -34,14 +35,14 @@ FAILURE_LABELS = (
 )
 
 # Observation text that evidences a reproduced failure.
-_FAILURE_SIGNATURE_RE = re.compile(
+_FAILURE_SIGNATURE = ErrorPattern("FAILURE_SIGNATURE", re.compile(
     r"Traceback \(most recent call last\)"
     r"|\bFAILED\b"
     r"|\bFAIL\b"
     r"|\bAssertionError\b"
     r"|\b[A-Z][A-Za-z]*Error\b"
     r"|\bassert(?:ion)? failed\b"
-)
+))
 
 # Bash commands whose file arguments count as "inspecting" a file.
 READER_COMMANDS = (
@@ -62,7 +63,7 @@ READER_COMMANDS = (
 
 
 def _exhibits_failure(observation: str, fail_to_pass: Sequence[str]) -> bool:
-    if _FAILURE_SIGNATURE_RE.search(observation):
+    if _FAILURE_SIGNATURE.search(observation):
         return True
     lower = observation.lower()
     return any(t in observation and "fail" in lower for t in fail_to_pass)

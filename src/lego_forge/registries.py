@@ -3,13 +3,27 @@
 Registries are plain text files, one entry per line, with `#` comments and
 blank lines ignored. Shipping them as data rather than code keeps the
 pattern sets auditable and lets a corpus directory pin its own copies.
+
+Error patterns are matched through `ErrorPattern.search`, which first
+checks for the literals every match must contain (`required_literals`, the
+prefilter RE2 and ripgrep use) and runs the regex only when one is
+present. The guards are derived automatically from the parsed regex, so a
+registry entry is written as a plain regex. `IGNORECASE` (global or
+inline), an empty alternative, or a construct the derivation does not know
+disables the guard for that entry, which then always runs its regex.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+
+try:  # Python 3.11+; importing sre_parse there warns that it is deprecated.
+    from re import _parser as _sre
+except ImportError:  # Python 3.10
+    import sre_parse as _sre
 
 from .errors import ForgeError
 
@@ -38,11 +52,83 @@ class ErrorPattern:
     pattern_id: str
     regex: re.Pattern
 
+    @cached_property
+    def guards(self) -> tuple[str, ...] | None:
+        """Literals one of which every match contains; None means unguarded."""
+        return required_literals(self.regex)
+
+    def search(self, text: str) -> re.Match | None:
+        """`regex.search(text)`, skipped when `text` holds no guard literal."""
+        guards = self.guards
+        if guards is not None and not any(lit in text for lit in guards):
+            return None
+        return self.regex.search(text)
+
 
 @dataclass(frozen=True)
 class PhaseRule:
     phase: str
     regex: re.Pattern
+
+
+# Ops that consume text the walk cannot turn into a literal: they end a
+# literal run. AT ops (`\b`, `^`, `$`) are zero-width and do not.
+_RUN_BREAKERS = frozenset({_sre.ANY, _sre.IN, _sre.NOT_LITERAL, _sre.MAX_REPEAT, _sre.MIN_REPEAT})
+
+
+class _NoGuard(Exception):
+    """The walk met a construct under which no literal is required."""
+
+
+def required_literals(regex: re.Pattern) -> tuple[str, ...] | None:
+    """Literals such that every match of `regex` contains at least one.
+
+    Returns None when no such set is found: under IGNORECASE (global or
+    inline), when the only literals sit in a branch with an empty or
+    literal-free alternative, or for any construct the walk does not handle.
+    """
+    if regex.flags & re.IGNORECASE:
+        return None
+    try:
+        return _guards(_sre.parse(regex.pattern, regex.flags))
+    except _NoGuard:
+        return None
+
+
+def _guards(items) -> tuple[str, ...] | None:
+    """Best guard of one sequence: a literal run, a branch, or a group."""
+    candidates: list[tuple[str, ...]] = []
+    run: list[str] = []
+    for op, av in items:
+        if op is _sre.LITERAL:
+            run.append(chr(av))
+            continue
+        if op is _sre.AT:
+            continue
+        if run:
+            candidates.append(("".join(run),))
+            run = []
+        if op is _sre.BRANCH:
+            alternatives = [_guards(alt) for alt in av[1]]
+            if None not in alternatives:
+                candidates.append(_minimal([lit for alt in alternatives for lit in alt]))
+        elif op is _sre.SUBPATTERN:
+            if av[1] & _sre.SRE_FLAG_IGNORECASE:
+                raise _NoGuard
+            inner = _guards(av[-1])
+            if inner is not None:
+                candidates.append(inner)
+        elif op not in _RUN_BREAKERS:
+            raise _NoGuard
+    if run:
+        candidates.append(("".join(run),))
+    return max(candidates, key=lambda g: min(map(len, g)), default=None)
+
+
+def _minimal(literals: list[str]) -> tuple[str, ...]:
+    """Drop duplicates and any literal that contains another one."""
+    unique = list(dict.fromkeys(literals))
+    return tuple(lit for lit in unique if not any(o != lit and o in lit for o in unique))
 
 
 def _registry_lines(path: str | Path) -> list[tuple[int, str]]:

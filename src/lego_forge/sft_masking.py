@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 from .errors import ForgeError
 from .registries import ErrorPattern, PhaseRule, load_error_patterns, load_phase_patterns
-from .schema import Step, ToolCall, Trajectory
+from .schema import ToolCall, Trajectory
 
 LOSS_EXEMPT_PHASES = ("reproduction", "testing")
 
@@ -65,22 +65,20 @@ def whitespace_token_count(text: str) -> int:
 
 
 def assign_phases(traj: Trajectory, rules: Sequence[PhaseRule] | None = None) -> Trajectory:
-    """Tag each step with a phase.
+    """Tag each step with its `step_phase`."""
+    if rules is None:
+        rules = load_phase_patterns()
+    steps = tuple(replace(step, phase=step_phase(step.action, rules)) for step in traj.steps)
+    return replace(traj, steps=steps)
+
+
+def step_phase(action: ToolCall | str, rules: Sequence[PhaseRule]) -> str:
+    """The phase of one step's action.
 
     Editor calls are phased structurally (view -> exploration, any edit ->
     editing); bash commands go through the phase-pattern registry, first
     match wins; think/finish and plain messages are "other".
     """
-    if rules is None:
-        rules = load_phase_patterns()
-    steps = []
-    for step in traj.steps:
-        steps.append(replace(step, phase=_phase_for(step, rules)))
-    return replace(traj, steps=tuple(steps))
-
-
-def _phase_for(step: Step, rules: Sequence[PhaseRule]) -> str:
-    action = step.action
     if not isinstance(action, ToolCall):
         return "other"
     if action.tool == "str_replace_editor":
@@ -99,18 +97,20 @@ def _phase_for(step: Step, rules: Sequence[PhaseRule]) -> str:
 def detect_step_errors(
     traj: Trajectory, patterns: Sequence[ErrorPattern] | None = None
 ) -> Trajectory:
-    """Set each step's error_flag from its observation.
-
-    A step is flagged exactly when its observation matches at least one
-    registry pattern. Deterministic; returns a new trajectory.
-    """
+    """Set each step's error_flag with `has_execution_error`. Deterministic;
+    returns a new trajectory."""
     if patterns is None:
         patterns = load_error_patterns()
     steps = tuple(
-        replace(step, error_flag=any(p.regex.search(step.observation) for p in patterns))
+        replace(step, error_flag=has_execution_error(step.observation, patterns))
         for step in traj.steps
     )
     return replace(traj, steps=steps)
+
+
+def has_execution_error(observation: str, patterns: Sequence[ErrorPattern]) -> bool:
+    """True exactly when the observation matches at least one registry pattern."""
+    return any(p.search(observation) for p in patterns)
 
 
 # ---------------------------------------------------------------------------

@@ -136,13 +136,14 @@ def prune_toolset(traj: Trajectory) -> Trajectory:
     Plain assistant messages are kept. The observation of a pruned step is
     removed with it. Pruning twice equals pruning once.
     """
-    kept = [
-        step
-        for step in traj.steps
-        if not (isinstance(step.action, ToolCall) and step.action.tool not in ALLOWED_TOOLS)
-    ]
+    kept = [step for step in traj.steps if kept_by_toolset(step.action)]
     steps = tuple(replace(step, index=i) for i, step in enumerate(kept))
     return replace(traj, steps=steps, turn_count=len(steps))
+
+
+def kept_by_toolset(action: ToolCall | str) -> bool:
+    """True for plain assistant messages and calls to the four-tool set."""
+    return not isinstance(action, ToolCall) or action.tool in ALLOWED_TOOLS
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ def tracker_step(index: int) -> Step:
 def make_traj(steps, trajectory_id: str = "traj-1", instance_id: str = "inst-1",
               final_patch: str = "", outcome: str = "unclassified",
               max_turns: int = 100, extra: dict | None = None) -> Trajectory:
-    steps = tuple(replace(s, index=i) for i, s in enumerate(steps))
+    steps = tuple(s if s.index == i else replace(s, index=i) for i, s in enumerate(steps))
     return Trajectory(
         trajectory_id=trajectory_id,
         instance_id=instance_id,

@@ -17,7 +17,10 @@ from lego_forge.cli import (
     run_stage,
 )
 from lego_forge.errors import ForgeError
-from lego_forge.schema import load_corpus, load_jsonl
+from lego_forge.registries import load_error_patterns, load_phase_patterns
+from lego_forge.schema import ToolCall, load_corpus, load_jsonl
+from lego_forge.sft_masking import assign_phases, detect_step_errors
+from lego_forge.trajectory_curation import UnrepairableCallError, prune_toolset, repair_tool_call
 
 from conftest import build_integration_corpus
 
@@ -224,6 +227,52 @@ def test_curate_without_final_report_marks_unclassified(corpus):
     assert semi.outcome == "unclassified"
     assert sum(report["counts"].values()) == 7
     assert any(n["reason"] == "missing final report" for n in report["notes"])
+
+
+def test_curate_single_pass_equals_the_library_chain(corpus):
+    """curate's one loop over each trajectory builds the same steps as
+    prune_toolset -> assign_phases -> detect_step_errors over the repaired
+    steps."""
+    cfg = load_config(corpus)
+    text = cfg.trajectories.read_text(encoding="utf-8")
+    cfg.trajectories.write_text(text.replace('"FAILED ', '"Command failed with: FAILED '), encoding="utf-8")
+    run_stages(cfg, "build-tasks", "inject", "curate")
+    curated = load_corpus(cfg.out_dir / "curated.jsonl", "trajectories").records
+    rules = load_phase_patterns(cfg.phase_patterns)
+    patterns = load_error_patterns(cfg.error_patterns)
+    pruned = flagged = 0
+    for traj, got in zip(load_corpus(cfg.trajectories, "trajectories").records, curated, strict=True):
+        steps = []
+        for step in traj.steps:
+            action = step.action
+            if isinstance(action, ToolCall):
+                try:
+                    action, _ = repair_tool_call(action)
+                except UnrepairableCallError:
+                    pass
+            steps.append(dataclasses.replace(step, action=action))
+        chain = prune_toolset(dataclasses.replace(traj, steps=tuple(steps)))
+        chain = detect_step_errors(assign_phases(chain, rules), patterns)
+        assert got == dataclasses.replace(chain, outcome=got.outcome)
+        pruned += len(traj.steps) - len(got.steps)
+        flagged += sum(s.error_flag for s in got.steps)
+    assert pruned and flagged  # the corpus exercises pruning and flagging
+
+
+@pytest.mark.parametrize("line, codes", [
+    ('{"results": {}}', ["BAD_RECORD"]),
+    ("[1,2]", ["BAD_JSON"]),
+    ('{"trajectory_id": "traj-resolved", "code_st', ["BAD_JSON"]),
+], ids=["no-trajectory-id", "array", "truncated"])
+def test_malformed_final_report_line_exits_3_with_rejection_report(corpus, capsys, line, codes):
+    cfg = load_config(corpus)
+    run_stages(cfg, "build-tasks", "inject")
+    with open(cfg.final_reports, "a", encoding="utf-8") as f:
+        f.write(line + "\n")
+    assert cli.main(["curate", "--config", str(corpus)]) == EXIT_VALIDATION
+    entries = load_jsonl(cfg.out_dir / "curate_rejections.jsonl")
+    assert [(e["line_no"], e["codes"]) for e in entries] == [(8, codes)]
+    assert not (cfg.out_dir / "curated.jsonl").exists()
 
 
 def test_tts_select_with_oracle_attains_pass(corpus):

@@ -1,10 +1,17 @@
-import pytest
+import re
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lego_forge import error_taxonomy
 from lego_forge.registries import (
+    ErrorPattern,
     RegistryError,
     load_error_patterns,
     load_hack_patterns,
     load_phase_patterns,
+    required_literals,
 )
 
 
@@ -64,3 +71,65 @@ def test_comments_and_blanks_ignored(tmp_path):
     path.write_text("# header\n\nOOPS oops\n  # indented comment\n", encoding="utf-8")
     patterns = load_error_patterns(path)
     assert [p.pattern_id for p in patterns] == ["OOPS"]
+
+
+# ---------------------------------------------------------------------------
+# Literal guards
+
+
+def guards_of(pattern: str, flags: int = 0):
+    return required_literals(re.compile(pattern, flags))
+
+
+@pytest.mark.parametrize("pattern", [r"(?i)foo", r"a(?i:b)c", r"foo|", r"[ab]+"])
+def test_no_guard_when_a_match_need_not_contain_a_literal(pattern):
+    assert guards_of(pattern) is None
+
+
+def test_global_ignorecase_flag_disables_the_guard():
+    assert guards_of("foo", re.IGNORECASE) is None
+    assert guards_of("foo") == ("foo",)
+
+
+def test_zero_width_assertions_do_not_break_a_literal_run():
+    assert guards_of(r"^ERROR:", re.MULTILINE) == ("ERROR:",)
+    assert guards_of(r"\bfoo\b bar$") == ("foo bar",)
+
+
+def test_guard_survives_the_parser_factoring_out_a_common_prefix():
+    # sre parses this as `\bpy(?:test\b|\.test\b)`: the branch keeps only the
+    # suffixes, and ".test" contains "test".
+    guards = guards_of(r"\bpytest\b|\bpy\.test\b")
+    assert guards == ("test",)
+    pattern = ErrorPattern("PYTEST", re.compile(r"\bpytest\b|\bpy\.test\b"))
+    assert pattern.search("run pytest -x") and pattern.search("py.test tests/")
+    assert not pattern.search("python -m unittest")
+
+
+def test_optional_prefix_is_skipped_for_the_following_literal():
+    assert guards_of(r"x{0,3}foo") == ("foo",)
+
+
+def test_branch_yields_one_literal_per_alternative():
+    assert guards_of(r"[Rr]eturned non-zero|[Ee]xit code [1-9]") == ("eturned non-zero", "xit code ")
+
+
+SHIPPED = [*load_error_patterns(), error_taxonomy._FAILURE_SIGNATURE]
+
+
+def test_every_shipped_error_pattern_is_guarded():
+    assert all(p.guards for p in SHIPPED)
+
+
+@pytest.mark.parametrize("pattern", SHIPPED, ids=lambda p: p.pattern_id)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_guarded_search_agrees_with_the_regex(pattern, data):
+    noise = st.text(alphabet=st.sampled_from("aeErRoO:_ \n`'\"(-09"), max_size=6)
+    piece = st.one_of(
+        st.sampled_from(pattern.guards),
+        st.from_regex(pattern.regex),
+        noise,
+    )
+    text = "".join(data.draw(st.lists(piece, max_size=6)))
+    assert bool(pattern.search(text)) == bool(pattern.regex.search(text))

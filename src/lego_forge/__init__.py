@@ -1,81 +1,5 @@
 """lego-forge: SWE-agent task construction and trajectory curation toolkit."""
 
 from .errors import ForgeError
-from .schema import (
-    TaskInstance,
-    TestReport,
-    ToolCall,
-    Step,
-    Trajectory,
-    load_corpus,
-    save_corpus,
-    validate_instance,
-    validate_trajectory,
-)
-from .patch_analysis import (
-    Patch,
-    FileDiff,
-    Hunk,
-    PatchStats,
-    apply_patch,
-    invert_patch,
-    line_overlap,
-    make_patch,
-    parse_patch,
-    patch_stats,
-    render_patch,
-)
-from .task_builder import (
-    MutationSpec,
-    NodeLocator,
-    PythonAstProvider,
-    TemplateStatementProvider,
-    build_real_instance,
-    build_synthetic_instance,
-    derive_test_labels,
-    inject_bug,
-)
-from .repo_sanitizer import (
-    CommitRecord,
-    HackFinding,
-    detect_git_hacking,
-    sanitize_real_history,
-    sanitize_synthetic_history,
-)
-from .trajectory_curation import (
-    CurationReport,
-    classify_outcome,
-    detect_test_modification,
-    prune_toolset,
-    repair_tool_call,
-    rollout_stats,
-)
-from .sft_masking import (
-    Segment,
-    TrainingSample,
-    assign_phases,
-    build_loss_mask,
-    detect_step_errors,
-    serialize_sample,
-)
-from .curriculum import (
-    DifficultyBin,
-    StagePlan,
-    bin_by_turns,
-    build_stages,
-    turn_resolve_correlation,
-)
-from .error_taxonomy import classify_failure, failure_distribution
-from .tts import (
-    AllocationPlan,
-    Candidate,
-    LatencyModel,
-    VerifierScore,
-    allocate,
-    generative_score,
-    latency,
-    select_top1,
-    tts_at_k,
-)
 
 __version__ = "0.1.0"

@@ -4,7 +4,10 @@ Stages run over corpora on disk, write their outputs atomically (temp file
 plus rename, so an interrupted stage leaves nothing partial), and are
 deterministic: identical inputs produce byte-identical outputs. The
 `pipeline` command runs every configured stage in dependency order and
-skips stages whose recorded input content hashes are unchanged.
+skips stages whose recorded input content hashes are unchanged. Within one
+`pipeline` run the curated records pass from `curate` to the stages that
+read `curated.jsonl` in memory, and each file is hashed once per content;
+a single-stage run (`forge mask`) reads and hashes from disk.
 
 Exit codes: 0 success, 1 internal error, 2 missing input, 3 validation
 failure (a rejection report is written next to the stage outputs).
@@ -43,7 +46,7 @@ import json
 import sys
 from dataclasses import dataclass, fields, replace as dc_replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from . import curriculum as curriculum_mod
 from . import error_taxonomy, patch_analysis, repo_sanitizer, sft_masking, task_builder, trajectory_curation, tts
@@ -63,12 +66,16 @@ from .schema import (
     load_jsonl,
     save_corpus,
     save_jsonl,
+    validate_trajectory,
 )
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_MISSING_INPUT = 2
 EXIT_VALIDATION = 3
+
+T = TypeVar("T")
+
 
 class MissingInputError(ForgeError):
     pass
@@ -237,6 +244,61 @@ def _fail_on_rejections(
     )
 
 
+# Per-run state of run_pipeline, emptied when the run ends: the sha256 of
+# each path hashed so far, and the records a stage wrote to a path, keyed by
+# (path, sha256 of the written file). Outside a run nothing is kept.
+_in_run = False
+_digests: dict[Path, str] = {}
+_handoff: dict[tuple[Path, str], list[Trajectory]] = {}
+
+# What str.splitlines() breaks a line at besides \n and \r, UTF-8 encoded;
+# json.dumps escapes the other breaks.
+_LINE_BREAKS = tuple(ch.encode() for ch in "\x85\u2028\u2029")
+
+
+def _hand_off(path: Path, records: list[Trajectory]) -> None:
+    """Within a run, pass the trajectories just written to `path` to the
+    later stages that read it, if reloading them would return the same
+    records: every record is valid and every line reads back as one line."""
+    if not _in_run or any(validate_trajectory(t) for t in records):
+        return
+    data = path.read_bytes()
+    if not any(brk in data for brk in _LINE_BREAKS):
+        _handoff[(path, _hash_path(path))] = records
+
+
+def _load_records(
+    cfg: PipelineConfig, stage: str, path: Path, parse: Callable[[dict], T]
+) -> list[T]:
+    """Each non-blank line of an auxiliary JSON Lines file, through `parse`.
+    A line that is not a JSON object is BAD_JSON and one that `parse`
+    refuses with ValueError is BAD_RECORD; any rejection fails `stage` with a
+    rejection report."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CorpusError(f"cannot read {path}: {exc}") from exc
+    parsed: list[T] = []
+    rejections: list[Rejection] = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            rejections.append(Rejection(line_no, ("BAD_JSON",), str(exc)))
+            continue
+        if not isinstance(record, dict):
+            rejections.append(Rejection(line_no, ("BAD_JSON",), "record is not an object"))
+            continue
+        try:
+            parsed.append(parse(record))
+        except ValueError as exc:
+            rejections.append(Rejection(line_no, ("BAD_RECORD",), str(exc)))
+    _fail_on_rejections(cfg, stage, path, rejections)
+    return parsed
+
+
 def _instance_sources(cfg: PipelineConfig) -> list[Path]:
     sources = [cfg.out_dir / "instances_real.jsonl", cfg.out_dir / "instances_synth.jsonl"]
     if cfg.instances is not None:
@@ -281,6 +343,9 @@ def _stage_build_tasks(cfg: PipelineConfig) -> dict:
     instances: list[TaskInstance] = []
     skipped: list[dict] = []
     for idx, record in enumerate(load_jsonl(source)):
+        if not isinstance(record, dict):
+            skipped.append({"record": idx, "reason": "record is not an object"})
+            continue
         try:
             pre = TestReport.from_record(record["pre_report"])
             post = TestReport.from_record(record["post_report"])
@@ -296,33 +361,14 @@ def _stage_inject(cfg: PipelineConfig) -> dict:
     mutations_path = _require_input(cfg.mutations, "mutations")
     if not cfg.repo or not cfg.base_commit:
         raise MissingInputError("inject needs `repo` and `base_commit` in the config")
+    mutations = _load_records(cfg, "inject", mutations_path, lambda r: _mutation(r, cfg.seed))
     snapshot = _read_snapshot(snapshot_dir)
     statements = task_builder.TemplateStatementProvider()
     instances: list[TaskInstance] = []
     invisible: list[dict] = []
     bad_specs: list[dict] = []
-    for idx, record in enumerate(load_jsonl(mutations_path)):
-        target = None
-        if record.get("target"):
-            t = record["target"]
-            target = task_builder.NodeLocator(
-                path=t["path"],
-                start_line=t["start_line"],
-                start_col=t["start_col"],
-                end_line=t["end_line"],
-                end_col=t["end_col"],
-            )
-        spec = task_builder.MutationSpec(
-            mutator=record["mutator"],
-            target=target,
-            seed=record.get("seed", cfg.seed),
-            path=record.get("path"),
-        )
+    for idx, (spec, reports) in enumerate(mutations):
         try:
-            reports = (
-                TestReport.from_record(record["buggy_report"]),
-                TestReport.from_record(record["restored_report"]),
-            )
             instances.append(
                 task_builder.build_synthetic_instance(
                     snapshot,
@@ -345,6 +391,34 @@ def _stage_inject(cfg: PipelineConfig) -> dict:
         )
     save_corpus(instances, cfg.out_dir / "instances_synth.jsonl")
     return {"stage": "inject", "built": len(instances), "invisible_bugs": invisible}
+
+
+_LOCATOR_FIELDS = {"path": str, "start_line": int, "start_col": int, "end_line": int, "end_col": int}
+
+
+def _mutation(
+    record: dict, default_seed: int
+) -> tuple[task_builder.MutationSpec, tuple[TestReport, TestReport]]:
+    """One mutations line: the spec and its (buggy, restored) test reports."""
+    mutator = record.get("mutator")
+    if not isinstance(mutator, str):
+        raise ValueError("field 'mutator' is missing or not a string")
+    target = record.get("target") or None
+    if target is not None:
+        if not isinstance(target, dict) or not all(
+            isinstance(target.get(key), kind) for key, kind in _LOCATOR_FIELDS.items()
+        ):
+            raise ValueError(f"field 'target' must be an object with {', '.join(_LOCATOR_FIELDS)}")
+        target = task_builder.NodeLocator(**{key: target[key] for key in _LOCATOR_FIELDS})
+    reports = []
+    for key in ("buggy_report", "restored_report"):
+        if not isinstance(record.get(key), dict):
+            raise ValueError(f"field {key!r} is missing or not an object")
+        reports.append(TestReport.from_record(record[key]))
+    spec = task_builder.MutationSpec(
+        mutator=mutator, target=target, seed=record.get("seed", default_seed), path=record.get("path")
+    )
+    return spec, tuple(reports)
 
 
 def _stage_sanitize(cfg: PipelineConfig) -> dict:
@@ -380,7 +454,7 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
     instances = _load_instances_union(cfg, "curate")
     result = load_corpus(traj_path, "trajectories")
     _fail_on_rejections(cfg, "curate", traj_path, result.rejections)
-    reports_by_tid = _load_final_reports(cfg, reports_path)
+    reports_by_tid = dict(_load_records(cfg, "curate", reports_path, _final_report))
     hack_patterns = load_hack_patterns(cfg.hack_patterns)
     error_patterns = load_error_patterns(cfg.error_patterns)
     phase_rules = load_phase_patterns(cfg.phase_patterns)
@@ -436,7 +510,9 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
                 hack_invalidated += 1
         curated.append(dc_replace(work, outcome=outcome))
 
-    save_corpus(curated, cfg.out_dir / "curated.jsonl")
+    curated_path = _curated_path(cfg)
+    save_corpus(curated, curated_path)
+    _hand_off(curated_path, curated)
     stats = trajectory_curation.rollout_stats(
         curated,
         recycle_semi_resolved=cfg.recycle_semi_resolved,
@@ -450,36 +526,12 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
     return report
 
 
-def _load_final_reports(cfg: PipelineConfig, path: Path) -> dict[str, TestReport]:
-    """Final test reports by trajectory id. Blank lines are skipped; any
-    other line that is not a `{trajectory_id, code_state, results}` object
-    is a rejection, and the stage fails with a rejection report."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
-    by_tid: dict[str, TestReport] = {}
-    rejections: list[Rejection] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            rejections.append(Rejection(line_no, ("BAD_JSON",), str(exc)))
-            continue
-        if not isinstance(record, dict):
-            rejections.append(Rejection(line_no, ("BAD_JSON",), "record is not an object"))
-            continue
-        tid = record.get("trajectory_id")
-        try:
-            if not isinstance(tid, str):
-                raise ValueError("field 'trajectory_id' is missing or not a string")
-            by_tid[tid] = TestReport.from_record(record)
-        except ValueError as exc:
-            rejections.append(Rejection(line_no, ("BAD_RECORD",), str(exc)))
-    _fail_on_rejections(cfg, "curate", path, rejections)
-    return by_tid
+def _final_report(record: dict) -> tuple[str, TestReport]:
+    """One final_reports line: `{trajectory_id, code_state, results}`."""
+    tid = record.get("trajectory_id")
+    if not isinstance(tid, str):
+        raise ValueError("field 'trajectory_id' is missing or not a string")
+    return tid, TestReport.from_record(record)
 
 
 def _curated_path(cfg: PipelineConfig) -> Path:
@@ -489,6 +541,10 @@ def _curated_path(cfg: PipelineConfig) -> Path:
 def _curated(cfg: PipelineConfig, stage: str) -> list[Trajectory]:
     path = _curated_path(cfg)
     _require_input(path, "curated corpus (run the curate stage first)")
+    if _handoff:
+        records = _handoff.get((path, _hash_path(path)))
+        if records is not None:
+            return records
     result = load_corpus(path, "trajectories")
     _fail_on_rejections(cfg, stage, path, result.rejections)
     return result.records
@@ -639,11 +695,7 @@ def _stage_tts_select(cfg: PipelineConfig) -> dict:
     report = {"stage": "tts-select", "instances": len(pairs), "k": k}
     if cfg.allocates():
         surface_path = _require_input(cfg.surface, "surface")
-        surface: dict[tuple[int, int], float] = {}
-        for record in load_jsonl(surface_path):
-            turns = record.get("turns", record.get("T"))
-            rollouts = record.get("rollouts", record.get("K"))
-            surface[(int(turns), int(rollouts))] = float(record["rate"])
+        surface = dict(_load_records(cfg, "tts-select", surface_path, _surface_point))
         try:
             plan, contour = tts.allocate(cfg.latency_model(), cfg.latency_budget, surface)
         except tts.InfeasibleBudgetError as exc:
@@ -661,6 +713,19 @@ def _stage_tts_select(cfg: PipelineConfig) -> dict:
         atomic_write_text(cfg.out_dir / "allocation.json", _dump_report(allocation_report))
         report["allocation"] = allocation_report["plan"]
     return report
+
+
+def _surface_point(record: dict) -> tuple[tuple[int, int], float]:
+    """One surface line: ((turns, rollouts), rate); `T` and `K` alias the
+    first two."""
+    turns = record.get("turns", record.get("T"))
+    rollouts = record.get("rollouts", record.get("K"))
+    if "rate" not in record:
+        raise ValueError("field 'rate' is missing")
+    try:
+        return (int(turns), int(rollouts)), float(record["rate"])
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"turns, rollouts and rate must be numbers: {exc}") from None
 
 
 def _stage_stats(cfg: PipelineConfig) -> dict:
@@ -771,6 +836,17 @@ def run_stage(stage: str, cfg: PipelineConfig) -> tuple[int, dict]:
 
 
 def _hash_path(path: Path) -> str:
+    """sha256 of a file, or of a directory's relative names and contents;
+    within a run each path is hashed once until a stage rewrites it."""
+    digest = _digests.get(path)
+    if digest is None:
+        digest = _sha256(path)
+        if _in_run:
+            _digests[path] = digest
+    return digest
+
+
+def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     if path.is_dir():
         for file_path in sorted(path.rglob("*")):
@@ -806,40 +882,49 @@ def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> in
     """Run every stage in dependency order, skipping stages whose input
     content hashes match the recorded state and whose outputs are intact.
     Propagates the first failing stage's exit code."""
+    global _in_run
     state_path = cfg.out_dir / ".forge_state.json"
     state = _read_state(state_path)
 
     def save_state():
         atomic_write_text(state_path, _dump_report(state))
 
-    for stage in STAGES:
-        fingerprint = _input_fingerprint(stage, cfg)
-        recorded = state.get(stage.name, {})
-        outputs = [*stage.outputs(cfg), stage.report]
-        intact = all((cfg.out_dir / name).exists() for name in outputs) and all(
-            recorded.get("outputs", {}).get(name) == _hash_path(cfg.out_dir / name)
-            for name in outputs
-        )
-        if recorded.get("inputs") == fingerprint and intact:
-            echo(f"[skip] {stage.name}: inputs unchanged")
-            continue
-        code, report = run_stage(stage.name, cfg)
-        if code != EXIT_OK:
-            echo(f"[fail] {stage.name}: {report.get('error', 'unknown error')} (exit {code})")
-            state.pop(stage.name, None)
-            save_state()
-            return code
-        state[stage.name] = {
-            "inputs": fingerprint,
-            "outputs": {
-                name: _hash_path(cfg.out_dir / name)
-                for name in outputs
-                if (cfg.out_dir / name).exists()
-            },
-        }
-        echo(f"[ok]   {stage.name}")
-    save_state()
-    return EXIT_OK
+    _in_run = True
+    try:
+        for n, stage in enumerate(STAGES):
+            # Keep a hand-off only while a stage still to come reads its path.
+            wanted = {path for later in STAGES[n:] for path in later.inputs(cfg)}
+            for key in [key for key in _handoff if key[0] not in wanted]:
+                del _handoff[key]
+            fingerprint = _input_fingerprint(stage, cfg)
+            recorded = state.get(stage.name, {})
+            outputs = [cfg.out_dir / name for name in (*stage.outputs(cfg), stage.report)]
+            intact = all(path.exists() for path in outputs) and all(
+                recorded.get("outputs", {}).get(path.name) == _hash_path(path) for path in outputs
+            )
+            if recorded.get("inputs") == fingerprint and intact:
+                echo(f"[skip] {stage.name}: inputs unchanged")
+                continue
+            # The stage rewrites its outputs; it hashes one only after writing it.
+            for path in outputs:
+                _digests.pop(path, None)
+            code, report = run_stage(stage.name, cfg)
+            if code != EXIT_OK:
+                echo(f"[fail] {stage.name}: {report.get('error', 'unknown error')} (exit {code})")
+                state.pop(stage.name, None)
+                save_state()
+                return code
+            state[stage.name] = {
+                "inputs": fingerprint,
+                "outputs": {path.name: _hash_path(path) for path in outputs if path.exists()},
+            }
+            echo(f"[ok]   {stage.name}")
+        save_state()
+        return EXIT_OK
+    finally:
+        _in_run = False
+        _digests.clear()
+        _handoff.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from lego_forge.cli import (
 )
 from lego_forge.errors import ForgeError
 from lego_forge.registries import load_error_patterns, load_phase_patterns
-from lego_forge.schema import ToolCall, load_corpus, load_jsonl
+from lego_forge import schema as schema_mod
+from lego_forge.schema import ToolCall, Trajectory, load_corpus, load_jsonl
 from lego_forge.sft_masking import assign_phases, detect_step_errors
 from lego_forge.trajectory_curation import UnrepairableCallError, prune_toolset, repair_tool_call
 
@@ -273,6 +274,35 @@ def test_malformed_final_report_line_exits_3_with_rejection_report(corpus, capsy
     entries = load_jsonl(cfg.out_dir / "curate_rejections.jsonl")
     assert [(e["line_no"], e["codes"]) for e in entries] == [(8, codes)]
     assert not (cfg.out_dir / "curated.jsonl").exists()
+
+
+@pytest.mark.parametrize("key, stage, line, codes", [
+    ("mutations", "inject", '{"x": 1}', ["BAD_RECORD"]),
+    ("mutations", "inject", "[1,2]", ["BAD_JSON"]),
+    ("surface", "tts-select", '{"x": 1}', ["BAD_RECORD"]),
+    ("surface", "tts-select", "[1,2]", ["BAD_JSON"]),
+    ("real_inputs", "build-tasks", "[1,2]", None),
+], ids=["mutations-object", "mutations-array", "surface-object", "surface-array",
+        "real-inputs-array"])
+def test_malformed_auxiliary_line_is_rejected_or_skipped(corpus, capsys, key, stage, line, codes):
+    # A bad mutations or surface line fails its stage with a rejection
+    # report; a real_inputs line that is no object is skipped, as a
+    # wrong-shaped object already was.
+    cfg = load_config(corpus)
+    path = getattr(cfg, key)
+    line_no = len(path.read_text(encoding="utf-8").splitlines()) + 1
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(line + "\n")
+    code = cli.main([stage, "--config", str(corpus)])
+    report = read(cfg.out_dir / next(s.report for s in cli.STAGES if s.name == stage))
+    if codes is None:
+        assert code == EXIT_OK
+        assert {"record": line_no - 1, "reason": "record is not an object"} in report["skipped"]
+        return
+    assert code == EXIT_VALIDATION
+    entries = load_jsonl(Path(report["rejection_report"]))
+    assert Path(report["rejection_report"]).name == f"{stage.replace('-', '_')}_rejections.jsonl"
+    assert [(e["line_no"], e["codes"]) for e in entries] == [(line_no, codes)]
 
 
 def test_tts_select_with_oracle_attains_pass(corpus):
@@ -561,6 +591,154 @@ def test_two_fresh_runs_are_byte_identical(tmp_path):
     tree_a = tree_bytes(tmp_path / "one" / "out")
     tree_b = tree_bytes(tmp_path / "two" / "out")
     assert tree_a == tree_b
+
+
+# ---------------------------------------------------------------------------
+# In-memory hand-off within one pipeline run
+
+
+def assert_run_state_empty():
+    assert not cli._in_run and cli._digests == {} and cli._handoff == {}
+
+
+def test_curated_records_equal_their_reload(corpus, monkeypatch):
+    # The hand-off gives later stages curate's records in place of a reload,
+    # so a reload must return exactly those records.
+    written = {}
+    real_save = cli.save_corpus
+
+    def capturing_save(records, path):
+        written[Path(path).name] = records
+        real_save(records, path)
+
+    monkeypatch.setattr(cli, "save_corpus", capturing_save)
+    cfg = run_stages(load_config(corpus), "build-tasks", "inject", "curate")
+    curated = written["curated.jsonl"]
+    assert len(curated) == 7
+    for traj in curated:
+        assert Trajectory.from_record(traj.to_record()) == traj
+    assert load_corpus(cfg.out_dir / "curated.jsonl", "trajectories").records == curated
+
+
+def test_pipeline_tree_equals_single_stage_runs(tmp_path, capsys):
+    piped = build_integration_corpus(tmp_path / "piped")
+    alone = build_integration_corpus(tmp_path / "alone")
+    assert run_pipeline(load_config(piped), echo=lambda s: None) == EXIT_OK
+    for stage in cli.STAGES:
+        assert cli.main([stage.name, "--config", str(alone)]) == EXIT_OK, stage.name
+    tree = tree_bytes(tmp_path / "piped" / "out")
+    assert tree.pop(".forge_state.json")
+    assert tree == tree_bytes(tmp_path / "alone" / "out")
+
+
+def test_invalid_curated_record_still_fails_mask_in_pipeline(corpus, monkeypatch):
+    # A record the reload would reject is not handed off: mask reloads and
+    # rejects it, exactly as without the hand-off.
+    real_validate = schema_mod.validate_trajectory
+
+    def validate(traj):
+        codes = real_validate(traj)
+        return codes + ["BAD_OUTCOME"] if traj.outcome == "semi_resolved" else codes
+
+    monkeypatch.setattr(cli, "validate_trajectory", validate)
+    monkeypatch.setitem(schema_mod._KINDS, "trajectories", (Trajectory, validate))
+    cfg = load_config(corpus)
+    lines = []
+    assert run_pipeline(cfg, echo=lines.append) == EXIT_VALIDATION
+    assert lines[-1].startswith("[fail] mask:")
+    entries = load_jsonl(cfg.out_dir / "mask_rejections.jsonl")
+    assert [e["codes"] for e in entries] == [["BAD_OUTCOME"]]
+    assert_run_state_empty()
+
+
+def test_curated_line_that_reloads_split_is_not_handed_off(tmp_path):
+    # curate writes U+2028 raw, and str.splitlines() breaks a line there: a
+    # pipeline run and a single-stage mask must still agree.
+    results = []
+    for name in ("piped", "alone"):
+        config = build_integration_corpus(tmp_path / name)
+        cfg = load_config(config)
+        text = cfg.trajectories.read_text(encoding="utf-8")
+        cfg.trajectories.write_text(text.replace("edited", "edi\\u2028ted", 1), encoding="utf-8")
+        if name == "piped":
+            code = run_pipeline(cfg, echo=lambda s: None)
+        else:
+            for stage in ("build-tasks", "inject", "sanitize", "curate", "mask"):
+                code, _ = run_stage(stage, cfg)
+        entries = load_jsonl(cfg.out_dir / "mask_rejections.jsonl")
+        results.append((code, [(e["line_no"], e["codes"], e["message"]) for e in entries]))
+    assert results[0] == results[1]
+    assert results[0][0] == EXIT_VALIDATION
+
+
+def test_hand_off_lives_from_curate_to_its_last_reader(corpus, monkeypatch):
+    held = {}
+    real_run_stage = cli.run_stage
+
+    def recording_run_stage(stage, cfg):
+        held[stage] = [path.name for path, _ in cli._handoff]
+        return real_run_stage(stage, cfg)
+
+    monkeypatch.setattr(cli, "run_stage", recording_run_stage)
+    assert run_pipeline(load_config(corpus), echo=lambda s: None) == EXIT_OK
+    readers = {"mask", "curriculum", "classify-errors"}
+    assert {stage for stage, names in held.items() if names} == readers
+    assert all(held[stage] == ["curated.jsonl"] for stage in readers)
+    assert_run_state_empty()
+
+
+def test_failed_run_leaves_no_run_state(corpus, monkeypatch):
+    def boom(traj, inst):
+        raise ForgeError("boom")
+
+    monkeypatch.setattr(cli.error_taxonomy, "explain_failure", boom)
+    lines = []
+    assert run_pipeline(load_config(corpus), echo=lines.append) == cli.EXIT_INTERNAL
+    assert lines[-1].startswith("[fail] classify-errors: boom")
+    assert_run_state_empty()
+
+
+def test_rerun_records_the_digests_of_rewritten_outputs(corpus):
+    # tts-select's outputs are hashed before it re-runs; the state must
+    # record the digests of what it then writes.
+    cfg = load_config(corpus)
+    assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+    text = cfg.rollouts.read_text(encoding="utf-8")
+    cfg.rollouts.write_text(text.replace('"resolved":false', '"resolved":true'), encoding="utf-8")
+    before = (cfg.out_dir / "selection.jsonl").read_bytes()
+    assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+    assert (cfg.out_dir / "selection.jsonl").read_bytes() != before
+    lines = []
+    assert run_pipeline(cfg, echo=lines.append) == EXIT_OK
+    assert all(line.startswith("[skip]") for line in lines)
+
+
+def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, monkeypatch):
+    # Counts, not timings: within one run, nothing reloads curated.jsonl
+    # and no file is hashed twice while its content is unchanged.
+    loaded, hashed = [], []
+    real_load, real_sha256 = cli.load_corpus, cli._sha256
+
+    def counting_load(path, kind):
+        loaded.append(Path(path))
+        return real_load(path, kind)
+
+    def counting_sha256(path):
+        digest = real_sha256(path)
+        hashed.append((path, digest))
+        return digest
+
+    monkeypatch.setattr(cli, "load_corpus", counting_load)
+    monkeypatch.setattr(cli, "_sha256", counting_sha256)
+    cfg = load_config(corpus)
+    for run in ("cold", "no-change"):
+        loaded.clear()
+        hashed.clear()
+        assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK, run
+        assert cfg.out_dir / "curated.jsonl" not in loaded, run
+        assert len(hashed) == len(set(hashed)), run
+        assert_run_state_empty()
+    assert cfg.out_dir / "curated.jsonl" in {path for path, _ in hashed}
 
 
 def test_interrupted_stage_leaves_no_partial_output(corpus, monkeypatch):

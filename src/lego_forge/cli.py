@@ -10,7 +10,9 @@ read `curated.jsonl` in memory, and each file is hashed once per content;
 a single-stage run (`forge mask`) reads and hashes from disk.
 
 Exit codes: 0 success, 1 internal error, 2 missing input, 3 validation
-failure (a rejection report is written next to the stage outputs).
+failure (a rejection report is written next to the stage outputs). Every
+JSON Lines input is read by `schema.load_jsonl`, so a malformed line is a
+rejection, except in `real_inputs`, where it is skipped with its reason.
 
 The config file is a plain `key = value` text file; paths resolve relative
 to the config file's directory. Keys:
@@ -54,7 +56,6 @@ from .errors import ForgeError
 from .registries import load_error_patterns, load_hack_patterns, load_phase_patterns
 from .schema import (
     DEFAULT_MAX_TURNS,
-    CorpusError,
     Rejection,
     Step,
     TaskInstance,
@@ -64,6 +65,8 @@ from .schema import (
     atomic_write_text,
     load_corpus,
     load_jsonl,
+    parse_timestamp,
+    require,
     save_corpus,
     save_jsonl,
     validate_trajectory,
@@ -251,52 +254,20 @@ _in_run = False
 _digests: dict[Path, str] = {}
 _handoff: dict[tuple[Path, str], list[Trajectory]] = {}
 
-# What str.splitlines() breaks a line at besides \n and \r, UTF-8 encoded;
-# json.dumps escapes the other breaks.
-_LINE_BREAKS = tuple(ch.encode() for ch in "\x85\u2028\u2029")
-
 
 def _hand_off(path: Path, records: list[Trajectory]) -> None:
     """Within a run, pass the trajectories just written to `path` to the
     later stages that read it, if reloading them would return the same
-    records: every record is valid and every line reads back as one line."""
-    if not _in_run or any(validate_trajectory(t) for t in records):
-        return
-    data = path.read_bytes()
-    if not any(brk in data for brk in _LINE_BREAKS):
+    records, that is, if every record is valid."""
+    if _in_run and not any(validate_trajectory(t) for t in records):
         _handoff[(path, _hash_path(path))] = records
 
 
-def _load_records(
-    cfg: PipelineConfig, stage: str, path: Path, parse: Callable[[dict], T]
-) -> list[T]:
-    """Each non-blank line of an auxiliary JSON Lines file, through `parse`.
-    A line that is not a JSON object is BAD_JSON and one that `parse`
-    refuses with ValueError is BAD_RECORD; any rejection fails `stage` with a
-    rejection report."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
-    parsed: list[T] = []
-    rejections: list[Rejection] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            rejections.append(Rejection(line_no, ("BAD_JSON",), str(exc)))
-            continue
-        if not isinstance(record, dict):
-            rejections.append(Rejection(line_no, ("BAD_JSON",), "record is not an object"))
-            continue
-        try:
-            parsed.append(parse(record))
-        except ValueError as exc:
-            rejections.append(Rejection(line_no, ("BAD_RECORD",), str(exc)))
-    _fail_on_rejections(cfg, stage, path, rejections)
-    return parsed
+def _load_records(cfg: PipelineConfig, stage: str, path: Path, parse: Callable[[dict], T]) -> list[T]:
+    """A stage input read by load_jsonl; any rejection fails `stage` with a rejection report."""
+    result = load_jsonl(path, parse)
+    _fail_on_rejections(cfg, stage, path, result.rejections)
+    return result.records
 
 
 def _instance_sources(cfg: PipelineConfig) -> list[Path]:
@@ -340,20 +311,27 @@ def _read_snapshot(snapshot_dir: Path) -> dict[str, str]:
 
 def _stage_build_tasks(cfg: PipelineConfig) -> dict:
     source = _require_input(cfg.real_inputs, "real_inputs")
-    instances: list[TaskInstance] = []
-    skipped: list[dict] = []
-    for idx, record in enumerate(load_jsonl(source)):
-        if not isinstance(record, dict):
-            skipped.append({"record": idx, "reason": "record is not an object"})
-            continue
-        try:
-            pre = TestReport.from_record(record["pre_report"])
-            post = TestReport.from_record(record["post_report"])
-            instances.append(task_builder.build_real_instance(record, pre, post))
-        except (task_builder.InvisibleBugError, ValueError, KeyError, patch_analysis.PatchParseError) as exc:
-            skipped.append({"record": idx, "reason": str(exc)})
-    save_corpus(instances, cfg.out_dir / "instances_real.jsonl")
-    return {"stage": "build-tasks", "built": len(instances), "skipped": skipped}
+    result = load_jsonl(source, _real_instance)
+    save_corpus(result.records, cfg.out_dir / "instances_real.jsonl")
+    skipped = [{"record": r.line_no - 1, "reason": r.message} for r in result.rejections]
+    return {"stage": "build-tasks", "built": len(result.records), "skipped": skipped}
+
+
+def _real_instance(record: dict) -> TaskInstance:
+    """One real_inputs line: a merged PR with its pre/post test reports,
+    built into an instance."""
+    for key in ("repo", "base_commit", "merged_diff", "issue_text", "issue_created_at"):
+        require(record, key, str)
+    parse_timestamp(record["issue_created_at"])
+    pre, post = _reports(record, "pre_report", "post_report")
+    try:
+        return task_builder.build_real_instance(record, pre, post)
+    except (task_builder.InvisibleBugError, patch_analysis.PatchParseError) as exc:
+        raise ValueError(str(exc)) from None
+
+
+def _reports(record: dict, *keys: str) -> tuple[TestReport, ...]:
+    return tuple(TestReport.from_record(require(record, key, dict)) for key in keys)
 
 
 def _stage_inject(cfg: PipelineConfig) -> dict:
@@ -381,7 +359,7 @@ def _stage_inject(cfg: PipelineConfig) -> dict:
             )
         except task_builder.InvisibleBugError as exc:
             invisible.append({"record": idx, "reason": str(exc)})
-        except (task_builder.LocatorError, task_builder.MutatorKindError, task_builder.MutationError, KeyError, ValueError) as exc:
+        except (task_builder.LocatorError, task_builder.MutatorKindError, task_builder.MutationError, ValueError) as exc:
             bad_specs.append({"record": idx, "reason": str(exc)})
     if bad_specs:
         path = _write_rejections(cfg, "inject", bad_specs)
@@ -400,9 +378,9 @@ def _mutation(
     record: dict, default_seed: int
 ) -> tuple[task_builder.MutationSpec, tuple[TestReport, TestReport]]:
     """One mutations line: the spec and its (buggy, restored) test reports."""
-    mutator = record.get("mutator")
-    if not isinstance(mutator, str):
-        raise ValueError("field 'mutator' is missing or not a string")
+    mutator = require(record, "mutator", str)
+    if mutator not in task_builder.MUTATORS:
+        raise ValueError(f"unknown mutator {mutator!r}")
     target = record.get("target") or None
     if target is not None:
         if not isinstance(target, dict) or not all(
@@ -410,22 +388,19 @@ def _mutation(
         ):
             raise ValueError(f"field 'target' must be an object with {', '.join(_LOCATOR_FIELDS)}")
         target = task_builder.NodeLocator(**{key: target[key] for key in _LOCATOR_FIELDS})
-    reports = []
-    for key in ("buggy_report", "restored_report"):
-        if not isinstance(record.get(key), dict):
-            raise ValueError(f"field {key!r} is missing or not an object")
-        reports.append(TestReport.from_record(record[key]))
-    spec = task_builder.MutationSpec(
-        mutator=mutator, target=target, seed=record.get("seed", default_seed), path=record.get("path")
-    )
-    return spec, tuple(reports)
+    seed, path = record.get("seed", default_seed), record.get("path")
+    if not isinstance(seed, int) or not isinstance(path, (str, type(None))):
+        raise ValueError("field 'seed' must be an integer and 'path' a string")
+    spec = task_builder.MutationSpec(mutator=mutator, target=target, seed=seed, path=path)
+    return spec, _reports(record, "buggy_report", "restored_report")
 
 
 def _stage_sanitize(cfg: PipelineConfig) -> dict:
     source = _require_input(cfg.histories, "histories")
     sanitized_lines: list[dict] = []
     dropped: list[dict] = []
-    for record in load_jsonl(source):
+    for record in _load_records(cfg, "sanitize", source, _history):
+        # Built per history, so only one history's commits are alive at a time.
         commits = [repo_sanitizer.CommitRecord.from_record(c) for c in record["commits"]]
         policy = record["policy"]
         if policy == "cutoff":
@@ -434,10 +409,8 @@ def _stage_sanitize(cfg: PipelineConfig) -> dict:
             except repo_sanitizer.EmptyHistoryError as exc:
                 dropped.append({"instance_id": record["instance_id"], "reason": str(exc)})
                 continue
-        elif policy == "single_snapshot":
-            clean = repo_sanitizer.sanitize_synthetic_history(commits, record["snapshot_id"])
         else:
-            raise ValidationFailure(f"unknown history policy {policy!r}")
+            clean = repo_sanitizer.sanitize_synthetic_history(commits, record["snapshot_id"])
         out = {
             "instance_id": record["instance_id"],
             "policy": policy,
@@ -446,6 +419,28 @@ def _stage_sanitize(cfg: PipelineConfig) -> dict:
         sanitized_lines.append(out)
     save_jsonl(sanitized_lines, cfg.out_dir / "sanitized_histories.jsonl")
     return {"stage": "sanitize", "sanitized": len(sanitized_lines), "dropped": dropped}
+
+
+def _history(record: dict) -> dict:
+    """One histories line, checked so that sanitize can build its commits
+    and, under `cutoff`, compare their dates."""
+    policy = require(record, "policy", str)
+    anchor = {"cutoff": "cutoff", "single_snapshot": "snapshot_id"}.get(policy)
+    if anchor is None:
+        raise ValueError(f"unknown history policy {policy!r}")
+    require(record, "instance_id", str)
+    require(record, anchor, str)
+    if policy == "cutoff":
+        parse_timestamp(record["cutoff"])
+    for commit in require(record, "commits", list):
+        if not (isinstance(commit, dict) and isinstance(commit.get("commit_id"), str)
+                and isinstance(commit.get("author_date"), str) and isinstance(commit.get("message"), str)
+                and isinstance(commit.get("parent_ids"), list)
+                and all(isinstance(parent, str) for parent in commit["parent_ids"])):
+            raise ValueError("every commit needs string commit_id, author_date, message and list parent_ids")
+        if policy == "cutoff":
+            parse_timestamp(commit["author_date"])
+    return record
 
 
 def _stage_curate(cfg: PipelineConfig) -> dict:
@@ -528,10 +523,7 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
 
 def _final_report(record: dict) -> tuple[str, TestReport]:
     """One final_reports line: `{trajectory_id, code_state, results}`."""
-    tid = record.get("trajectory_id")
-    if not isinstance(tid, str):
-        raise ValueError("field 'trajectory_id' is missing or not a string")
-    return tid, TestReport.from_record(record)
+    return require(record, "trajectory_id", str), TestReport.from_record(record)
 
 
 def _curated_path(cfg: PipelineConfig) -> Path:
@@ -648,8 +640,7 @@ def _stage_classify_errors(cfg: PipelineConfig) -> dict:
 def _stage_tts_select(cfg: PipelineConfig) -> dict:
     rollouts_path = _require_input(cfg.rollouts, "rollouts")
     grouped: dict[str, list[tts.Candidate]] = {}
-    for record in load_jsonl(rollouts_path):
-        candidate = tts.Candidate.from_record(record)
+    for candidate in _load_records(cfg, "tts-select", rollouts_path, tts.Candidate.from_record):
         grouped.setdefault(candidate.instance_id, []).append(candidate)
     sizes = {len(v) for v in grouped.values()}
     if not grouped:
@@ -682,7 +673,6 @@ def _stage_tts_select(cfg: PipelineConfig) -> dict:
         pairs.append((candidates, scores))
     metrics = tts.tts_at_k(pairs)
     k = len(pairs[0][0])
-    save_jsonl(selection_lines, cfg.out_dir / "selection.jsonl")
     metrics_report = {
         "k": k,
         "instances": len(pairs),
@@ -690,9 +680,9 @@ def _stage_tts_select(cfg: PipelineConfig) -> dict:
         "pass": metrics["pass"],
         "verifier": cfg.verifier,
     }
-    atomic_write_text(cfg.out_dir / "tts_metrics.json", _dump_report(metrics_report))
 
     report = {"stage": "tts-select", "instances": len(pairs), "k": k}
+    # A bad surface fails the stage before it writes any output.
     if cfg.allocates():
         surface_path = _require_input(cfg.surface, "surface")
         surface = dict(_load_records(cfg, "tts-select", surface_path, _surface_point))
@@ -712,20 +702,22 @@ def _stage_tts_select(cfg: PipelineConfig) -> dict:
         }
         atomic_write_text(cfg.out_dir / "allocation.json", _dump_report(allocation_report))
         report["allocation"] = allocation_report["plan"]
+    save_jsonl(selection_lines, cfg.out_dir / "selection.jsonl")
+    atomic_write_text(cfg.out_dir / "tts_metrics.json", _dump_report(metrics_report))
     return report
 
 
 def _surface_point(record: dict) -> tuple[tuple[int, int], float]:
     """One surface line: ((turns, rollouts), rate); `T` and `K` alias the
     first two."""
-    turns = record.get("turns", record.get("T"))
-    rollouts = record.get("rollouts", record.get("K"))
-    if "rate" not in record:
-        raise ValueError("field 'rate' is missing")
     try:
-        return (int(turns), int(rollouts)), float(record["rate"])
+        point = int(record.get("turns", record.get("T"))), int(record.get("rollouts", record.get("K")))
+        rate = float(record.get("rate"))
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"turns, rollouts and rate must be numbers: {exc}") from None
+    if min(point) < 1:
+        raise ValueError("turns and rollouts must be at least 1")
+    return point, rate
 
 
 def _stage_stats(cfg: PipelineConfig) -> dict:

@@ -1,10 +1,14 @@
-"""Data model and JSON Lines corpus I/O shared by every pipeline stage.
+"""Data model and JSON Lines I/O shared by every pipeline stage.
 
 All record types are immutable values: build them once and share them
 freely. Corpora are JSON Lines files (one record per line) with a
 canonical field order, so identical inputs always serialize to identical
 bytes. Unknown fields found on disk are kept on the record (`extra`) and
 written back verbatim, in their original order, for forward compatibility.
+
+Every stage input is read by `load_jsonl`, which splits at "\n" only and
+turns each line into a record or a `Rejection`; `load_corpus` is that
+reader plus a corpus kind's record type, validator and duplicate rules.
 
 Timestamps are ISO-8601 UTC text. They are stored as strings and parsed on
 demand so that round-trips never reformat them.
@@ -18,7 +22,7 @@ import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import ForgeError
 
@@ -51,7 +55,8 @@ def parse_timestamp(text: str) -> datetime:
     return parsed
 
 
-def _require(record: dict, key: str, types: type | tuple) -> Any:
+def require(record: dict, key: str, types: type | tuple) -> Any:
+    """record[key], or ValueError when it is missing or not of `types`."""
     if key not in record:
         raise ValueError(f"missing field {key!r}")
     value = record[key]
@@ -61,7 +66,7 @@ def _require(record: dict, key: str, types: type | tuple) -> Any:
 
 
 def _string_list(record: dict, key: str) -> tuple[str, ...]:
-    value = _require(record, key, list)
+    value = require(record, key, list)
     if not all(isinstance(item, str) for item in value):
         raise ValueError(f"field {key!r} must be a list of strings")
     return tuple(value)
@@ -104,16 +109,16 @@ class TaskInstance:
         if difficulty is not None and not isinstance(difficulty, str):
             raise ValueError("field 'difficulty' must be a string or null")
         return cls(
-            instance_id=_require(record, "instance_id", str),
-            repo=_require(record, "repo", str),
-            base_commit=_require(record, "base_commit", str),
-            origin=_require(record, "origin", str),
-            problem_statement=_require(record, "problem_statement", str),
-            golden_patch=_require(record, "golden_patch", str),
+            instance_id=require(record, "instance_id", str),
+            repo=require(record, "repo", str),
+            base_commit=require(record, "base_commit", str),
+            origin=require(record, "origin", str),
+            problem_statement=require(record, "problem_statement", str),
+            golden_patch=require(record, "golden_patch", str),
             fail_to_pass=_string_list(record, "fail_to_pass"),
             pass_to_pass=_string_list(record, "pass_to_pass"),
-            image_name=_require(record, "image_name", str),
-            created_at=_require(record, "created_at", str),
+            image_name=require(record, "image_name", str),
+            created_at=require(record, "created_at", str),
             difficulty=difficulty,
             extra={k: v for k, v in record.items() if k not in cls._FIELDS},
         )
@@ -145,7 +150,7 @@ class ToolCall:
 
     @classmethod
     def from_record(cls, record: dict) -> "ToolCall":
-        tool = _require(record, "tool", str)
+        tool = require(record, "tool", str)
         arguments = record.get("arguments", {})
         if not isinstance(arguments, dict):
             raise ValueError("field 'arguments' must be an object")
@@ -167,6 +172,8 @@ class Step:
 
     @classmethod
     def from_record(cls, record: dict) -> "Step":
+        if not isinstance(record, dict):
+            raise ValueError("every step must be an object")
         raw_action = record.get("action")
         if isinstance(raw_action, dict):
             action: ToolCall | str = ToolCall.from_record(raw_action)
@@ -175,10 +182,10 @@ class Step:
         else:
             raise ValueError("field 'action' must be a tool call object or a string")
         return cls(
-            index=_require(record, "index", int),
+            index=require(record, "index", int),
             action=action,
-            observation=_require(record, "observation", str),
-            phase=_require(record, "phase", str),
+            observation=require(record, "observation", str),
+            phase=require(record, "phase", str),
             error_flag=bool(record.get("error_flag", False)),
         )
 
@@ -218,16 +225,16 @@ class Trajectory:
 
     @classmethod
     def from_record(cls, record: dict) -> "Trajectory":
-        raw_steps = _require(record, "steps", list)
+        raw_steps = require(record, "steps", list)
         steps = tuple(Step.from_record(s) for s in raw_steps)
         return cls(
-            trajectory_id=_require(record, "trajectory_id", str),
-            instance_id=_require(record, "instance_id", str),
+            trajectory_id=require(record, "trajectory_id", str),
+            instance_id=require(record, "instance_id", str),
             steps=steps,
-            final_patch=_require(record, "final_patch", str),
-            turn_count=_require(record, "turn_count", int),
-            outcome=_require(record, "outcome", str),
-            max_turns=record.get("max_turns", DEFAULT_MAX_TURNS),
+            final_patch=require(record, "final_patch", str),
+            turn_count=require(record, "turn_count", int),
+            outcome=require(record, "outcome", str),
+            max_turns=require(record, "max_turns", int) if "max_turns" in record else DEFAULT_MAX_TURNS,
             extra={k: v for k, v in record.items() if k not in cls._FIELDS},
         )
 
@@ -254,13 +261,13 @@ class TestReport:
 
     @classmethod
     def from_record(cls, record: dict) -> "TestReport":
-        results = _require(record, "results", dict)
+        results = require(record, "results", dict)
         for test_id, status in results.items():
             if not isinstance(test_id, str) or not isinstance(status, str):
                 raise ValueError("field 'results' must map test ids to status strings")
             if status not in TEST_STATUSES:
                 raise ValueError(f"unknown test status {status!r} for {test_id!r}")
-        code_state = _require(record, "code_state", str)
+        code_state = require(record, "code_state", str)
         if code_state not in CODE_STATES:
             raise ValueError(f"unknown code_state {code_state!r}")
         return cls(code_state=code_state, results=dict(results))
@@ -355,13 +362,61 @@ class Rejection:
 
 @dataclass(frozen=True)
 class LoadResult:
-    """Accepted records plus the rejection report for one corpus file.
+    """Accepted records plus the rejection report for one JSON Lines file.
 
-    len(records) + len(rejections) always equals the input line count.
+    For a corpus, len(records) + len(rejections) always equals the input
+    line count; other inputs skip blank lines, which count in neither.
     """
 
     records: list
     rejections: list[Rejection]
+
+
+class RecordRejected(ValueError):
+    """A record that parsed but breaks a rule; `codes` name the rules."""
+
+    def __init__(self, codes: Sequence[str], message: str):
+        super().__init__(message)
+        self.codes = tuple(codes)
+
+
+def load_jsonl(path: str | Path, parse: Callable[[dict], Any], *, reject_blank: bool = False) -> LoadResult:
+    """Read a JSON Lines file into `parse(record)` per line, in file order.
+
+    Lines split at "\n" only, so text that holds U+2028 and the like reads
+    back as written. A line that is not a JSON object is BAD_JSON; one that
+    `parse` refuses with ValueError is BAD_RECORD, or the codes of a
+    RecordRejected. A blank line is skipped, or is EMPTY_LINE with
+    reject_blank. An unreadable file raises CorpusError.
+    """
+    file_path = Path(path)
+    try:
+        lines = file_path.read_text(encoding="utf-8").split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CorpusError(f"cannot read {file_path}: {exc}") from exc
+    if not lines[-1]:
+        lines.pop()  # what follows the final newline is no line
+    records: list = []
+    rejections: list[Rejection] = []
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            if reject_blank:
+                rejections.append(Rejection(line_no, ("EMPTY_LINE",), "blank line"))
+            continue
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as exc:
+            rejections.append(Rejection(line_no, ("BAD_JSON",), str(exc)))
+            continue
+        if not isinstance(raw, dict):
+            rejections.append(Rejection(line_no, ("BAD_JSON",), "record is not an object"))
+            continue
+        try:
+            records.append(parse(raw))
+        except ValueError as exc:
+            codes = exc.codes if isinstance(exc, RecordRejected) else ("BAD_RECORD",)
+            rejections.append(Rejection(line_no, codes, str(exc)))
+    return LoadResult(records=records, rejections=rejections)
 
 
 _KINDS = {
@@ -375,69 +430,35 @@ def load_corpus(path: str | Path, kind: str) -> LoadResult:
 
     `kind` selects the record type: "instances" or "trajectories". Records are
     returned in file order. Every line either becomes a record or a rejection
-    entry carrying its line number and violation codes. For instances, a
-    duplicate instance_id, or a duplicate image_name among origin=real
-    records, rejects the later line.
+    entry carrying its line number and violation codes; a blank line is
+    EMPTY_LINE. For instances, a duplicate instance_id, or a duplicate
+    image_name among origin=real records, rejects the later line.
     """
     if kind not in _KINDS:
         raise CorpusError(f"unknown corpus kind {kind!r}")
     record_type, validator = _KINDS[kind]
-    file_path = Path(path)
-    try:
-        text = file_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(f"cannot read corpus {file_path}: {exc}") from exc
-
-    records: list = []
-    rejections: list[Rejection] = []
     real_images: dict[str, str] = {}
     seen_ids: set[str] = set()
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            rejections.append(Rejection(line_no, ("EMPTY_LINE",), "blank line"))
-            continue
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            rejections.append(Rejection(line_no, ("BAD_JSON",), str(exc)))
-            continue
-        if not isinstance(raw, dict):
-            rejections.append(Rejection(line_no, ("BAD_JSON",), "record is not an object"))
-            continue
-        try:
-            record = record_type.from_record(raw)
-        except ValueError as exc:
-            rejections.append(Rejection(line_no, ("BAD_RECORD",), str(exc)))
-            continue
+
+    def parse(raw: dict):
+        record = record_type.from_record(raw)
         codes = validator(record)
         if codes:
-            rejections.append(Rejection(line_no, tuple(codes), "; ".join(codes)))
-            continue
+            raise RecordRejected(codes, "; ".join(codes))
         if kind == "instances":
             if record.instance_id in seen_ids:
-                rejections.append(
-                    Rejection(
-                        line_no,
-                        ("DUPLICATE_ID",),
-                        f"instance_id {record.instance_id!r} already seen",
-                    )
-                )
-                continue
+                raise RecordRejected(("DUPLICATE_ID",), f"instance_id {record.instance_id!r} already seen")
             if record.origin == "real":
                 holder = real_images.get(record.image_name)
                 if holder is not None:
-                    rejections.append(
-                        Rejection(
-                            line_no,
-                            ("DUPLICATE_IMAGE",),
-                            f"image_name {record.image_name!r} already used by {holder}",
-                        )
+                    raise RecordRejected(
+                        ("DUPLICATE_IMAGE",), f"image_name {record.image_name!r} already used by {holder}"
                     )
-                    continue
                 real_images[record.image_name] = record.instance_id
             seen_ids.add(record.instance_id)
-        records.append(record)
-    return LoadResult(records=records, rejections=rejections)
+        return record
+
+    return load_jsonl(path, parse, reject_blank=True)
 
 
 def dumps_record(record: dict) -> str:
@@ -486,24 +507,6 @@ def save_corpus(records: Iterable, path: str | Path) -> None:
         atomic_write_text(path, text)
     except OSError as exc:
         raise CorpusError(f"cannot write corpus {path}: {exc}") from exc
-
-
-def load_jsonl(path: str | Path) -> list[dict]:
-    """Plain JSON Lines reader for auxiliary files (reports, rollouts, histories)."""
-    file_path = Path(path)
-    try:
-        text = file_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(f"cannot read {file_path}: {exc}") from exc
-    out = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            out.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{file_path}:{line_no}: {exc}") from exc
-    return out
 
 
 def save_jsonl(records: Sequence[dict], path: str | Path) -> None:

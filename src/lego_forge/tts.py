@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import ForgeError
+from .schema import require
 
 SCORE_PROVENANCES = ("generative", "regressive", "oracle", "stub")
 
@@ -44,12 +45,16 @@ class Candidate:
 
     @classmethod
     def from_record(cls, record: dict) -> "Candidate":
+        """Raises ValueError when a field is missing or has the wrong type."""
+        summary, patch = record.get("trajectory_summary", ""), record.get("final_patch", "")
+        if not isinstance(summary, str) or not isinstance(patch, str):
+            raise ValueError("fields 'trajectory_summary' and 'final_patch' must be strings")
         return cls(
-            instance_id=record["instance_id"],
-            rollout_index=record["rollout_index"],
-            trajectory_summary=record.get("trajectory_summary", ""),
-            final_patch=record.get("final_patch", ""),
-            resolved=bool(record["resolved"]),
+            instance_id=require(record, "instance_id", str),
+            rollout_index=require(record, "rollout_index", int),
+            trajectory_summary=summary,
+            final_patch=patch,
+            resolved=require(record, "resolved", bool),
         )
 
     def to_record(self) -> dict:

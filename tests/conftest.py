@@ -4,6 +4,7 @@ the CLI tests."""
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -13,6 +14,12 @@ import pytest
 from lego_forge import task_builder
 from lego_forge.patch_analysis import make_patch
 from lego_forge.schema import Step, TaskInstance, TestReport, ToolCall, Trajectory, save_jsonl
+
+def read_jsonl(path: Path) -> list[dict]:
+    """The records of a JSON Lines file the pipeline wrote, decoded
+    independently of the program's own reader."""
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").split("\n") if line]
+
 
 # ---------------------------------------------------------------------------
 # Record builders

@@ -3,9 +3,12 @@ import json
 import os
 import re
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lego_forge import cli
 from lego_forge.cli import (
@@ -19,11 +22,11 @@ from lego_forge.cli import (
 from lego_forge.errors import ForgeError
 from lego_forge.registries import load_error_patterns, load_phase_patterns
 from lego_forge import schema as schema_mod
-from lego_forge.schema import ToolCall, Trajectory, load_corpus, load_jsonl
+from lego_forge.schema import ToolCall, Trajectory, load_corpus
 from lego_forge.sft_masking import assign_phases, detect_step_errors
 from lego_forge.trajectory_curation import UnrepairableCallError, prune_toolset, repair_tool_call
 
-from conftest import build_integration_corpus
+from conftest import build_integration_corpus, read_jsonl
 
 
 def read(path: Path):
@@ -129,7 +132,7 @@ def test_mask_stage_with_tiny_context_drops_everything(corpus):
     assert code == EXIT_OK
     assert report["emitted"] == 0
     assert (load_config(tiny).out_dir / "samples.jsonl").read_bytes() == b""
-    drops = load_jsonl(load_config(tiny).out_dir / "mask_drops.jsonl")
+    drops = read_jsonl(load_config(tiny).out_dir / "mask_drops.jsonl")
     assert drops
     assert all(d["reason"] == "overflow" for d in drops)
 
@@ -137,7 +140,7 @@ def test_mask_stage_with_tiny_context_drops_everything(corpus):
 def test_mask_stage_emits_loss_masked_samples(corpus):
     cfg = load_config(corpus)
     run_stages(cfg, "build-tasks", "inject", "curate", "mask")
-    samples = load_jsonl(cfg.out_dir / "samples.jsonl")
+    samples = read_jsonl(cfg.out_dir / "samples.jsonl")
     assert {s["trajectory_id"] for s in samples} == {"traj-resolved", "traj-semi"}
     for sample in samples:
         assert any(seg["in_loss"] for seg in sample["rendered"])
@@ -161,7 +164,7 @@ def test_truncated_trajectories_are_never_trained_on(tmp_path):
     (tmp_path / "forge.cfg").write_text("out_dir = out\n", encoding="utf-8")
     cfg = load_config(tmp_path / "forge.cfg")
     run_stages(cfg, "mask", "curriculum")
-    assert [s["trajectory_id"] for s in load_jsonl(cfg.out_dir / "samples.jsonl")] == ["kept"]
+    assert [s["trajectory_id"] for s in read_jsonl(cfg.out_dir / "samples.jsonl")] == ["kept"]
     for n in (1, 2, 3):
         staged = load_corpus(cfg.out_dir / f"stage{n}.jsonl", "trajectories").records
         assert [t.trajectory_id for t in staged] == ["kept"]
@@ -187,7 +190,7 @@ def test_mask_stage_drops_fully_masked_samples(tmp_path):
     code, report = run_stage("mask", cfg)
     assert code == EXIT_OK
     assert report["emitted"] == 0
-    drops = load_jsonl(cfg.out_dir / "mask_drops.jsonl")
+    drops = read_jsonl(cfg.out_dir / "mask_drops.jsonl")
     assert [d["reason"] for d in drops] == ["fully_masked"]
 
 
@@ -271,38 +274,86 @@ def test_malformed_final_report_line_exits_3_with_rejection_report(corpus, capsy
     with open(cfg.final_reports, "a", encoding="utf-8") as f:
         f.write(line + "\n")
     assert cli.main(["curate", "--config", str(corpus)]) == EXIT_VALIDATION
-    entries = load_jsonl(cfg.out_dir / "curate_rejections.jsonl")
+    entries = read_jsonl(cfg.out_dir / "curate_rejections.jsonl")
     assert [(e["line_no"], e["codes"]) for e in entries] == [(8, codes)]
     assert not (cfg.out_dir / "curated.jsonl").exists()
 
 
-@pytest.mark.parametrize("key, stage, line, codes", [
-    ("mutations", "inject", '{"x": 1}', ["BAD_RECORD"]),
-    ("mutations", "inject", "[1,2]", ["BAD_JSON"]),
-    ("surface", "tts-select", '{"x": 1}', ["BAD_RECORD"]),
-    ("surface", "tts-select", "[1,2]", ["BAD_JSON"]),
-    ("real_inputs", "build-tasks", "[1,2]", None),
-], ids=["mutations-object", "mutations-array", "surface-object", "surface-array",
-        "real-inputs-array"])
-def test_malformed_auxiliary_line_is_rejected_or_skipped(corpus, capsys, key, stage, line, codes):
-    # A bad mutations or surface line fails its stage with a rejection
-    # report; a real_inputs line that is no object is skipped, as a
-    # wrong-shaped object already was.
+def edited(**changes):
+    """A probe line: the input's first record with `changes` applied."""
+    return lambda first: json.dumps({**first, **changes})
+
+
+PROBE_STAGES = {
+    "trajectories": "curate", "final_reports": "curate", "histories": "sanitize", "mutations": "inject",
+    "rollouts": "tts-select", "surface": "tts-select", "real_inputs": "build-tasks",
+}
+PROBE_LINES = {"object": '{"x": 1}', "truncated": '{"x": 1, "y": "tr', "array": "[1,2]", "blank": ""}
+
+
+def probes():
+    """(input, stage, line, expected) for the four kinds of bad line in each
+    input, then edits of a valid record. `expected` is the rejection codes
+    (exit 3), a skip reason (real_inputs, exit 0), or None: the line is
+    skipped without a trace (exit 0)."""
+    for key, stage in PROBE_STAGES.items():
+        for kind, line in PROBE_LINES.items():
+            if key == "final_reports" and kind != "blank":
+                continue  # test_malformed_final_report_line_exits_3_with_rejection_report
+            if key == "real_inputs":
+                expected = {"object": "missing field 'repo'", "truncated": "Unterminated string",
+                            "array": "record is not an object", "blank": None}[kind]
+            else:
+                expected = {"object": ["BAD_RECORD"], "truncated": ["BAD_JSON"], "array": ["BAD_JSON"],
+                            "blank": ["EMPTY_LINE"] if key == "trajectories" else None}[kind]
+            yield pytest.param(key, stage, line, expected, id=f"{key.replace('_', '-')}-{kind}")
+    edits = [
+        ("trajectories", edited(max_turns="100"), ["BAD_RECORD"], "max-turns-string"),
+        ("trajectories", edited(steps=[1]), ["BAD_RECORD"], "step-not-object"),
+        ("histories", edited(cutoff="yesterday"), ["BAD_RECORD"], "bad-cutoff"),
+        ("histories", edited(commits=[{"commit_id": "c1", "author_date": "soon", "message": "m",
+                                       "parent_ids": []}]), ["BAD_RECORD"], "bad-author-date"),
+        ("histories", edited(commits=[{"x": 1}]), ["BAD_RECORD"], "commit-object"),
+        ("histories", edited(policy="rewrite"), ["BAD_RECORD"], "unknown-policy"),
+        ("mutations", edited(seed=[]), ["BAD_RECORD"], "seed-array"),
+        ("mutations", edited(mutator="swap"), ["BAD_RECORD"], "unknown-mutator"),
+        ("surface", edited(rollouts=0), ["BAD_RECORD"], "rollouts-zero"),
+        ("rollouts", edited(resolved="yes"), ["BAD_RECORD"], "resolved-string"),
+        ("real_inputs", edited(issue_text=5), "field 'issue_text' has wrong type int", "issue-text-number"),
+        ("real_inputs", edited(base_commit=5), "field 'base_commit' has wrong type int", "base-commit-number"),
+        ("real_inputs", edited(issue_created_at="soon"), "invalid ISO-8601 timestamp: 'soon'",
+         "bad-issue-created-at"),
+    ]
+    for key, line, expected, name in edits:
+        yield pytest.param(key, PROBE_STAGES[key], line, expected, id=f"{key.replace('_', '-')}-{name}")
+
+
+@pytest.mark.parametrize("key, stage, line, expected", probes())
+def test_malformed_auxiliary_line_is_rejected_or_skipped(corpus, capsys, key, stage, line, expected):
+    # Every stage input goes through one reader: a malformed line fails its
+    # stage with a rejection report, a real_inputs line is skipped with its
+    # reason, and none ends in a traceback or leaves a temp file.
     cfg = load_config(corpus)
+    if stage == "curate":
+        run_stages(cfg, "build-tasks")
     path = getattr(cfg, key)
-    line_no = len(path.read_text(encoding="utf-8").splitlines()) + 1
-    with open(path, "a", encoding="utf-8") as f:
-        f.write(line + "\n")
+    text = path.read_text(encoding="utf-8")
+    if callable(line):
+        line = line(json.loads(text.split("\n", 1)[0]))
+    line_no = text.count("\n") + 1
+    path.write_text(text + line + "\n", encoding="utf-8")
     code = cli.main([stage, "--config", str(corpus)])
     report = read(cfg.out_dir / next(s.report for s in cli.STAGES if s.name == stage))
-    if codes is None:
+    assert not [p.name for p in cfg.out_dir.iterdir() if p.name.endswith(".tmp")]
+    if not isinstance(expected, list):
         assert code == EXIT_OK
-        assert {"record": line_no - 1, "reason": "record is not an object"} in report["skipped"]
+        reasons = [s["reason"] for s in report.get("skipped", []) if s["record"] == line_no - 1]
+        assert len(reasons) == (expected is not None) and all(expected in r for r in reasons), reasons
         return
     assert code == EXIT_VALIDATION
-    entries = load_jsonl(Path(report["rejection_report"]))
+    entries = read_jsonl(Path(report["rejection_report"]))
     assert Path(report["rejection_report"]).name == f"{stage.replace('-', '_')}_rejections.jsonl"
-    assert [(e["line_no"], e["codes"]) for e in entries] == [(line_no, codes)]
+    assert [(e["line_no"], e["codes"]) for e in entries] == [(line_no, expected)]
 
 
 def test_tts_select_with_oracle_attains_pass(corpus):
@@ -314,7 +365,7 @@ def test_tts_select_with_oracle_attains_pass(corpus):
     assert metrics["tts"] == metrics["pass"]
     allocation = read(cfg.out_dir / "allocation.json")
     assert allocation["plan"]["predicted_latency"] <= allocation["budget"]
-    selection = load_jsonl(cfg.out_dir / "selection.jsonl")
+    selection = read_jsonl(cfg.out_dir / "selection.jsonl")
     assert len(selection) == metrics["instances"] == 3
 
 
@@ -460,10 +511,46 @@ def test_corrupt_input_line_exits_3_with_rejection_report(corpus):
     assert code == EXIT_VALIDATION
     rejection_path = Path(report["rejection_report"])
     assert rejection_path.exists()
-    entries = load_jsonl(rejection_path)
+    entries = read_jsonl(rejection_path)
     assert entries[0]["codes"] == ["BAD_JSON"]
     # The failed stage leaves no curated corpus behind.
     assert not (cfg.out_dir / "curated.jsonl").exists()
+
+
+FUZZ_VALUES = (None, True, 7, 1.5, "x", [], {})
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(key=st.sampled_from(sorted(PROBE_STAGES)), data=st.data())
+def test_fuzzed_input_line_ends_in_a_report_never_a_traceback(key, data):
+    # One line of one stage input loses a key, changes a type, is truncated,
+    # or gets an array or blank line inserted before it; every stage then
+    # exits 0, 2 or 3 with its report written and no partial output.
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = load_config(build_integration_corpus(Path(tmp)))
+        path = getattr(cfg, key)
+        lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+        n = data.draw(st.integers(0, len(lines) - 1), label="line")
+        record = json.loads(lines[n])
+        kind = data.draw(st.sampled_from(("drop-key", "change-type", "truncate", "array", "blank")), label="kind")
+        field = data.draw(st.sampled_from(sorted(record)), label="field")
+        if kind == "drop-key":
+            del record[field]
+        elif kind == "change-type":
+            record[field] = data.draw(st.sampled_from([v for v in FUZZ_VALUES if type(v) is not type(record[field])]))
+        lines[n] = json.dumps(record)
+        if kind == "truncate":
+            lines[n] = lines[n][: data.draw(st.integers(1, len(lines[n]) - 1), label="cut")]
+        elif kind in ("array", "blank"):
+            lines.insert(n, "[1, 2]" if kind == "array" else "")
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        for stage in cli.STAGES:
+            code, _ = run_stage(stage.name, cfg)
+            assert code in (EXIT_OK, EXIT_MISSING_INPUT, EXIT_VALIDATION), stage.name
+            assert (cfg.out_dir / stage.report).exists(), stage.name
+            if code != EXIT_OK:
+                assert not [name for name in stage.outputs(cfg) if (cfg.out_dir / name).exists()], stage.name
+        assert not [p.name for p in cfg.out_dir.iterdir() if p.name.endswith(".tmp")]
 
 
 def test_unknown_stage_rejected(corpus):
@@ -646,29 +733,31 @@ def test_invalid_curated_record_still_fails_mask_in_pipeline(corpus, monkeypatch
     lines = []
     assert run_pipeline(cfg, echo=lines.append) == EXIT_VALIDATION
     assert lines[-1].startswith("[fail] mask:")
-    entries = load_jsonl(cfg.out_dir / "mask_rejections.jsonl")
+    entries = read_jsonl(cfg.out_dir / "mask_rejections.jsonl")
     assert [e["codes"] for e in entries] == [["BAD_OUTCOME"]]
     assert_run_state_empty()
 
 
-def test_curated_line_that_reloads_split_is_not_handed_off(tmp_path):
-    # curate writes U+2028 raw, and str.splitlines() breaks a line there: a
-    # pipeline run and a single-stage mask must still agree.
-    results = []
+def test_curated_line_separators_read_back_as_written(tmp_path, capsys):
+    # curate writes U+0085, U+2028 and U+2029 raw; the reader splits lines at
+    # "\n" only, so a pipeline run and single-stage runs both keep the record.
+    trees = []
     for name in ("piped", "alone"):
         config = build_integration_corpus(tmp_path / name)
         cfg = load_config(config)
         text = cfg.trajectories.read_text(encoding="utf-8")
-        cfg.trajectories.write_text(text.replace("edited", "edi\\u2028ted", 1), encoding="utf-8")
+        cfg.trajectories.write_text(text.replace("edited", "e\\u0085di\\u2028te\\u2029d", 1), encoding="utf-8")
         if name == "piped":
-            code = run_pipeline(cfg, echo=lambda s: None)
+            assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
         else:
-            for stage in ("build-tasks", "inject", "sanitize", "curate", "mask"):
-                code, _ = run_stage(stage, cfg)
-        entries = load_jsonl(cfg.out_dir / "mask_rejections.jsonl")
-        results.append((code, [(e["line_no"], e["codes"], e["message"]) for e in entries]))
-    assert results[0] == results[1]
-    assert results[0][0] == EXIT_VALIDATION
+            for stage in cli.STAGES:
+                assert cli.main([stage.name, "--config", str(config)]) == EXIT_OK, stage.name
+        curated = load_corpus(cfg.out_dir / "curated.jsonl", "trajectories")
+        assert curated.rejections == [] and len(curated.records) == 7
+        assert any("e\x85di\u2028te\u2029d" in s.observation for t in curated.records for s in t.steps)
+        trees.append(tree_bytes(cfg.out_dir))
+    assert trees[0].pop(".forge_state.json")
+    assert trees[0] == trees[1]
 
 
 def test_hand_off_lives_from_curate_to_its_last_reader(corpus, monkeypatch):
@@ -828,5 +917,5 @@ def test_export_history_command(tmp_path, capsys):
     out_file = tmp_path / "history.jsonl"
     code = cli.main(["export-history", "--repo", str(repo), "--out", str(out_file)])
     assert code == EXIT_OK
-    records = load_jsonl(out_file)
+    records = read_jsonl(out_file)
     assert records[0]["message"] == "first"

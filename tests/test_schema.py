@@ -1,12 +1,18 @@
+import ast
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+import lego_forge
 from lego_forge.schema import (
+    DEFAULT_MAX_TURNS,
     CorpusError,
+    RecordRejected,
     Trajectory,
     load_corpus,
+    load_jsonl,
     save_corpus,
     validate_instance,
     validate_trajectory,
@@ -112,6 +118,70 @@ def test_rejections_are_exhaustive_over_messy_file(tmp_path):
     assert len(result.records) + len(result.rejections) == len(lines)
 
 
+def test_load_jsonl_reports_each_bad_line_by_number(tmp_path):
+    def parse(record):
+        if record.get("n") == 0:
+            raise RecordRejected(("ZERO", "FALSY"), "ZERO; FALSY")
+        if not isinstance(record.get("n"), int):
+            raise ValueError("n must be an integer")
+        return record["n"]
+
+    path = tmp_path / "input.jsonl"
+    write_lines(path, ['{"n": 1}', "", "[1, 2]", '{"n": "two"}', '{"n": 3', '{"n": 0}', " ", '{"n": 4}'])
+    bad = [(3, ("BAD_JSON",)), (4, ("BAD_RECORD",)), (5, ("BAD_JSON",)), (6, ("ZERO", "FALSY"))]
+    lenient = load_jsonl(path, parse)
+    assert lenient.records == [1, 4]
+    assert [(r.line_no, r.codes) for r in lenient.rejections] == bad
+    strict = load_jsonl(path, parse, reject_blank=True)
+    assert strict.records == [1, 4]
+    assert [(r.line_no, r.codes) for r in strict.rejections] == sorted(
+        bad + [(2, ("EMPTY_LINE",)), (7, ("EMPTY_LINE",))]
+    )
+    with pytest.raises(CorpusError):
+        load_jsonl(tmp_path / "absent.jsonl", parse)
+
+
+def test_lines_split_at_newline_only(tmp_path):
+    # U+0085, U+2028 and U+2029 are written raw; CRLF line ends still read.
+    traj = make_traj([bash_step(0, "ls", "a\x85b\u2028c\u2029d"), finish_step(1)])
+    path = tmp_path / "trajectories.jsonl"
+    save_corpus([traj, traj], path)
+    assert "\u2028".encode() in path.read_bytes()
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    result = load_corpus(path, "trajectories")
+    assert result.rejections == []
+    assert result.records == [traj, traj]
+
+
+def test_only_the_reader_decodes_json_lines():
+    # Every stage input is decoded by schema.load_jsonl; the state file and
+    # the verifier wire protocol are the only other JSON the program reads.
+    found = []
+
+    class Finder(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope = [module]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+        def visit_Attribute(self, node):
+            if isinstance(node.value, ast.Name) and node.value.id == "json" and node.attr in ("load", "loads"):
+                found.append(".".join(self.scope))
+            self.generic_visit(node)
+
+        def visit_ImportFrom(self, node):
+            assert node.module != "json", ".".join(self.scope)
+
+    for path in sorted(Path(lego_forge.__file__).parent.glob("*.py")):
+        Finder(path.stem).visit(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(found) == ["cli._read_state", "schema.load_jsonl", "tts.decode_score_response"]
+
+
 def test_duplicate_real_image_rejected(tmp_path):
     a = make_instance(instance_id="a", origin="real", image_name="sandbox.shared")
     b = make_instance(instance_id="b", origin="real", image_name="sandbox.shared")
@@ -208,6 +278,14 @@ def test_trajectory_round_trip(tmp_path):
     result = load_corpus(path, "trajectories")
     assert result.rejections == []
     assert result.records == [traj]
+
+
+def test_trajectory_max_turns_must_be_an_integer():
+    record = make_simple_traj().to_record()
+    with pytest.raises(ValueError, match="'max_turns' has wrong type str"):
+        Trajectory.from_record({**record, "max_turns": "100"})
+    del record["max_turns"]
+    assert Trajectory.from_record(record).max_turns == DEFAULT_MAX_TURNS
 
 
 def test_trajectory_noncontiguous_steps_rejected():

@@ -7,7 +7,9 @@ deterministic: identical inputs produce byte-identical outputs. The
 skips stages whose recorded input content hashes are unchanged. Within one
 `pipeline` run the curated records pass from `curate` to the stages that
 read `curated.jsonl` in memory, and each file is hashed once per content;
-a single-stage run (`forge mask`) reads and hashes from disk.
+a single-stage run (`forge mask`) reads and hashes from disk. A stage's
+modules are imported only when the stage runs, so a re-run that skips
+every stage loads only the config, schema, registry and curriculum code.
 
 Exit codes: 0 success, 1 internal error, 2 missing input, 3 validation
 failure (a rejection report is written next to the stage outputs). Every
@@ -15,7 +17,8 @@ JSON Lines input is read by `schema.load_jsonl`, so a malformed line is a
 rejection, except in `real_inputs`, where it is skipped with its reason.
 
 The config file is a plain `key = value` text file; paths resolve relative
-to the config file's directory. Keys:
+to the config file's directory. A value of the wrong type or out of range
+fails at load with exit 1 and `path:line`. Keys:
 
   out_dir            output directory (default: out)
   repo, base_commit  repository identity for the inject stage
@@ -46,16 +49,17 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, fields, replace as dc_replace
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, NoReturn, Sequence, TypeVar
 
 from . import curriculum as curriculum_mod
-from . import error_taxonomy, patch_analysis, repo_sanitizer, sft_masking, task_builder, trajectory_curation, tts
 from .errors import ForgeError
 from .registries import load_error_patterns, load_hack_patterns, load_phase_patterns
 from .schema import (
     DEFAULT_MAX_TURNS,
+    RecordRejected,
     Rejection,
     Step,
     TaskInstance,
@@ -71,6 +75,9 @@ from .schema import (
     save_jsonl,
     validate_trajectory,
 )
+
+if TYPE_CHECKING:
+    from . import task_builder, tts
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -131,6 +138,8 @@ class PipelineConfig:
         return curriculum_mod.default_bins(self.max_turns, self.easy_upper, self.medium_upper)
 
     def latency_model(self) -> tts.LatencyModel:
+        from . import tts
+
         return tts.LatencyModel(c=self.latency_c, alpha=self.latency_alpha, beta=self.latency_beta)
 
     def allocates(self) -> bool:
@@ -159,10 +168,22 @@ def _parse_value(annotation: str, value: str, base_dir: Path):
     return {"str": str, "int": int, "float": float, "bool": _parse_bool}[kind](value)
 
 
+def _check_range(key: str, value) -> None:
+    """Raise ValueError for a value a stage would refuse mid-run. The latency
+    model checks its own ranges, so only a config that sets one of its keys
+    imports tts."""
+    if key in ("latency_budget", "bucket_width") and value is not None and not value > 0:
+        raise ValueError("must be positive")
+    if key in ("latency_c", "latency_alpha", "latency_beta"):
+        from . import tts
+
+        tts.LatencyModel(**{key.removeprefix("latency_"): value})
+
+
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse the key-value config file and validate the invariants that can
-    be checked at load time (value types, bin partition, registry files,
-    enums)."""
+    be checked at load time (value types and ranges, bin partition, registry
+    files, enums)."""
     config_path = Path(path).resolve()
     try:
         text = config_path.read_text(encoding="utf-8")
@@ -182,6 +203,7 @@ def load_config(path: str | Path) -> PipelineConfig:
             raise ForgeError(f"{config_path}:{line_no}: unknown key {key!r}")
         try:
             values[key] = _parse_value(_KEY_TYPES[key], value.strip(), base_dir)
+            _check_range(key, values[key])
         except ValueError as exc:
             raise ForgeError(f"{config_path}:{line_no}: bad value for {key!r}: {exc}") from None
     cfg = PipelineConfig(config_path=config_path, **values)
@@ -219,12 +241,11 @@ def _require_input(path: Path | None, what: str) -> Path:
     return path
 
 
-def _write_rejections(
-    cfg: PipelineConfig, stage: str, entries: list[dict]
-) -> Path:
+def _reject(cfg: PipelineConfig, stage: str, entries: list[dict], what: str) -> NoReturn:
+    """Fail `stage` with exit 3: write `entries` as its rejection report."""
     path = cfg.out_dir / f"{stage.replace('-', '_')}_rejections.jsonl"
     save_jsonl(entries, path)
-    return path
+    raise ValidationFailure(f"{what}; see {path}", rejection_path=path)
 
 
 def _fail_on_rejections(
@@ -241,10 +262,7 @@ def _fail_on_rejections(
         }
         for r in rejections
     ]
-    path = _write_rejections(cfg, stage, entries)
-    raise ValidationFailure(
-        f"{source}: {len(rejections)} rejected line(s); see {path}", rejection_path=path
-    )
+    _reject(cfg, stage, entries, f"{source}: {len(rejections)} rejected line(s)")
 
 
 # Per-run state of run_pipeline, emptied when the run ends: the sha256 of
@@ -320,6 +338,8 @@ def _stage_build_tasks(cfg: PipelineConfig) -> dict:
 def _real_instance(record: dict) -> TaskInstance:
     """One real_inputs line: a merged PR with its pre/post test reports,
     built into an instance."""
+    from . import patch_analysis, task_builder
+
     for key in ("repo", "base_commit", "merged_diff", "issue_text", "issue_created_at"):
         require(record, key, str)
     parse_timestamp(record["issue_created_at"])
@@ -335,6 +355,8 @@ def _reports(record: dict, *keys: str) -> tuple[TestReport, ...]:
 
 
 def _stage_inject(cfg: PipelineConfig) -> dict:
+    from . import task_builder
+
     snapshot_dir = _require_input(cfg.snapshot_dir, "snapshot_dir")
     mutations_path = _require_input(cfg.mutations, "mutations")
     if not cfg.repo or not cfg.base_commit:
@@ -362,11 +384,7 @@ def _stage_inject(cfg: PipelineConfig) -> dict:
         except (task_builder.LocatorError, task_builder.MutatorKindError, task_builder.MutationError, ValueError) as exc:
             bad_specs.append({"record": idx, "reason": str(exc)})
     if bad_specs:
-        path = _write_rejections(cfg, "inject", bad_specs)
-        raise ValidationFailure(
-            f"{len(bad_specs)} mutation spec(s) could not be applied; see {path}",
-            rejection_path=path,
-        )
+        _reject(cfg, "inject", bad_specs, f"{len(bad_specs)} mutation spec(s) could not be applied")
     save_corpus(instances, cfg.out_dir / "instances_synth.jsonl")
     return {"stage": "inject", "built": len(instances), "invisible_bugs": invisible}
 
@@ -378,6 +396,8 @@ def _mutation(
     record: dict, default_seed: int
 ) -> tuple[task_builder.MutationSpec, tuple[TestReport, TestReport]]:
     """One mutations line: the spec and its (buggy, restored) test reports."""
+    from . import task_builder
+
     mutator = require(record, "mutator", str)
     if mutator not in task_builder.MUTATORS:
         raise ValueError(f"unknown mutator {mutator!r}")
@@ -396,6 +416,8 @@ def _mutation(
 
 
 def _stage_sanitize(cfg: PipelineConfig) -> dict:
+    from . import repo_sanitizer
+
     source = _require_input(cfg.histories, "histories")
     sanitized_lines: list[dict] = []
     dropped: list[dict] = []
@@ -444,6 +466,8 @@ def _history(record: dict) -> dict:
 
 
 def _stage_curate(cfg: PipelineConfig) -> dict:
+    from . import repo_sanitizer, sft_masking, trajectory_curation
+
     traj_path = _require_input(cfg.trajectories, "trajectories")
     reports_path = _require_input(cfg.final_reports, "final_reports")
     instances = _load_instances_union(cfg, "curate")
@@ -543,6 +567,8 @@ def _curated(cfg: PipelineConfig, stage: str) -> list[Trajectory]:
 
 
 def _stage_mask(cfg: PipelineConfig) -> dict:
+    from . import sft_masking
+
     selected = curriculum_mod.select_for_training(
         _curated(cfg, "mask"), recycle_semi_resolved=cfg.recycle_semi_resolved
     )
@@ -607,6 +633,8 @@ def _stage_curriculum(cfg: PipelineConfig) -> dict:
 
 
 def _stage_classify_errors(cfg: PipelineConfig) -> dict:
+    from . import error_taxonomy
+
     curated = _curated(cfg, "classify-errors")
     instances = _load_instances_union(cfg, "classify-errors")
     failed = [t for t in curated if t.outcome in ("unresolved", "error", "empty_patch")]
@@ -638,19 +666,37 @@ def _stage_classify_errors(cfg: PipelineConfig) -> dict:
 
 
 def _stage_tts_select(cfg: PipelineConfig) -> dict:
+    from . import tts
+
     rollouts_path = _require_input(cfg.rollouts, "rollouts")
-    grouped: dict[str, list[tts.Candidate]] = {}
-    for candidate in _load_records(cfg, "tts-select", rollouts_path, tts.Candidate.from_record):
-        grouped.setdefault(candidate.instance_id, []).append(candidate)
-    sizes = {len(v) for v in grouped.values()}
-    if not grouped:
-        raise ValidationFailure("rollouts file holds no candidates")
-    if len(sizes) != 1:
-        raise ValidationFailure(f"ragged candidate counts per instance: {sorted(sizes)}")
-    for instance_id, candidates in grouped.items():
-        candidates.sort(key=lambda c: c.rollout_index)
-        if len({c.rollout_index for c in candidates}) != len(candidates):
-            raise ValidationFailure(f"duplicate rollout_index for {instance_id}")
+    by_index: dict[str, dict[int, tts.Candidate]] = {}
+
+    def rollout(record: dict) -> None:
+        candidate = tts.Candidate.from_record(record)
+        seen = by_index.setdefault(candidate.instance_id, {})
+        if candidate.rollout_index in seen:
+            raise RecordRejected(
+                ("DUPLICATE_ROLLOUT_INDEX",),
+                f"instance {candidate.instance_id!r} repeats rollout_index {candidate.rollout_index}",
+            )
+        seen[candidate.rollout_index] = candidate
+
+    _load_records(cfg, "tts-select", rollouts_path, rollout)
+    source = str(rollouts_path)
+    if not by_index:
+        _reject(cfg, "tts-select", [{
+            "file": source, "line_no": None, "instance_id": None,
+            "codes": ["EMPTY_ROLLOUTS"], "message": "rollouts file holds no candidates",
+        }], f"{source}: no candidates")
+    sizes = Counter(len(seen) for seen in by_index.values())
+    if len(sizes) > 1:
+        k = sizes.most_common(1)[0][0]
+        _reject(cfg, "tts-select", [
+            {"file": source, "line_no": None, "instance_id": iid, "codes": ["RAGGED_ROLLOUTS"],
+             "message": f"{len(seen)} candidate(s) where most instances have {k}"}
+            for iid, seen in by_index.items() if len(seen) != k
+        ], f"{source}: ragged candidate counts per instance: {sorted(sizes)}")
+    grouped = {iid: [seen[i] for i in sorted(seen)] for iid, seen in by_index.items()}
     verifier = tts.StubVerifier(cfg.seed) if cfg.verifier == "stub" else tts.OracleVerifier()
 
     instance_ids = sorted(grouped)
@@ -721,6 +767,8 @@ def _surface_point(record: dict) -> tuple[tuple[int, int], float]:
 
 
 def _stage_stats(cfg: PipelineConfig) -> dict:
+    from . import patch_analysis
+
     instances = _load_instances_union(cfg, "stats")
 
     def aggregate(group: list[TaskInstance]) -> dict:
@@ -950,6 +998,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.stage == "export-history":
         if not args.repo or not args.out:
             parser.error("export-history requires --repo and --out")
+        from . import repo_sanitizer
+
         try:
             records = repo_sanitizer.export_history(args.repo)
         except ForgeError as exc:

@@ -15,7 +15,6 @@ injection.
 
 from __future__ import annotations
 
-import subprocess
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -160,6 +159,8 @@ def has_high_finding(findings: Sequence[HackFinding]) -> bool:
 def export_history(repo_dir: str | Path) -> list[CommitRecord]:
     """Export a real repository's history as CommitRecords (topological,
     parents first). Plumbing for feeding sanitize_real_history."""
+    import subprocess  # only export needs it; a sanitize run does not pay its import
+
     fmt = "%H%x1f%aI%x1f%P%x1f%B%x1e"
     proc = subprocess.run(
         ["git", "log", "--topo-order", "--reverse", f"--format={fmt}"],

@@ -88,7 +88,7 @@ class LatencyModel:
     beta: float = 0.5
 
     def __post_init__(self):
-        if self.c <= 0:
+        if not self.c > 0:  # NaN too
             raise ValueError("c must be positive")
         if not 1.0 < self.alpha <= 2.0:
             raise ValueError("alpha must lie in (1, 2]")
@@ -278,7 +278,7 @@ def allocate(
     """
     if not surface:
         raise ValueError("empty allocation surface")
-    if budget <= 0:
+    if not budget > 0:  # NaN too
         raise ValueError("budget must be positive")
     best: tuple[float, float, int, int] | None = None  # (-rate, latency, K, T)
     for (turns, rollouts), rate in surface.items():

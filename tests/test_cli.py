@@ -3,6 +3,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -62,11 +64,14 @@ def test_config_rejects_bad_bins(tmp_path):
 
 
 def test_config_rejects_unknown_key(tmp_path):
-    # Unknown keys and values that do not parse as the key's type are both
-    # rejected with the file and line, never as a bare ValueError.
+    # Unknown keys, values that do not parse as the key's type and values
+    # a stage would refuse are all rejected with the file and line, never
+    # as a bare ValueError.
     bad = tmp_path / "forge.cfg"
     for line in ("not_a_key = 1", "max_turns = abc", "latency_c = fast",
-                 "recycle_semi_resolved = maybe"):
+                 "recycle_semi_resolved = maybe", "latency_budget = 0", "latency_budget = -1",
+                 "latency_budget = nan", "bucket_width = 0", "latency_c = -1", "latency_c = nan",
+                 "latency_alpha = 5", "latency_beta = 2"):
         bad.write_text(f"# comment\n{line}\n", encoding="utf-8")
         with pytest.raises(ForgeError, match=re.escape(f"{bad.resolve()}:2: ")):
             load_config(bad)
@@ -319,6 +324,7 @@ def probes():
         ("mutations", edited(mutator="swap"), ["BAD_RECORD"], "unknown-mutator"),
         ("surface", edited(rollouts=0), ["BAD_RECORD"], "rollouts-zero"),
         ("rollouts", edited(resolved="yes"), ["BAD_RECORD"], "resolved-string"),
+        ("rollouts", edited(), ["DUPLICATE_ROLLOUT_INDEX"], "duplicate-line"),
         ("real_inputs", edited(issue_text=5), "field 'issue_text' has wrong type int", "issue-text-number"),
         ("real_inputs", edited(base_commit=5), "field 'base_commit' has wrong type int", "base-commit-number"),
         ("real_inputs", edited(issue_created_at="soon"), "invalid ISO-8601 timestamp: 'soon'",
@@ -354,6 +360,23 @@ def test_malformed_auxiliary_line_is_rejected_or_skipped(corpus, capsys, key, st
     entries = read_jsonl(Path(report["rejection_report"]))
     assert Path(report["rejection_report"]).name == f"{stage.replace('-', '_')}_rejections.jsonl"
     assert [(e["line_no"], e["codes"]) for e in entries] == [(line_no, expected)]
+
+
+@pytest.mark.parametrize("kept, codes", [("none", ["EMPTY_ROLLOUTS"]), ("all but the first", ["RAGGED_ROLLOUTS"])])
+def test_unrankable_rollouts_exit_3_with_rejection_report(corpus, kept, codes):
+    # Rollouts that parse but cannot be ranked, none at all or one instance
+    # short of K, fail tts-select with a report naming the file and instance.
+    cfg = load_config(corpus)
+    lines = cfg.rollouts.read_text(encoding="utf-8").splitlines(keepends=True)
+    short = None if kept == "none" else json.loads(lines[0])["instance_id"]
+    cfg.rollouts.write_text("" if short is None else "".join(lines[1:]), encoding="utf-8")
+    code, report = run_stage("tts-select", cfg)
+    assert code == EXIT_VALIDATION
+    assert Path(report["rejection_report"]).name == "tts_select_rejections.jsonl"
+    entries = read_jsonl(Path(report["rejection_report"]))
+    assert [(e["file"], e["line_no"], e["instance_id"], e["codes"]) for e in entries] == [
+        (str(cfg.rollouts), None, short, codes)
+    ]
 
 
 def test_tts_select_with_oracle_attains_pass(corpus):
@@ -592,6 +615,30 @@ def test_second_run_skips_every_stage(corpus, capsys):
     assert all(line.startswith("[skip]") for line in lines)
 
 
+def test_skipping_rerun_imports_no_stage_module(corpus):
+    # A fresh process that loads the config and re-runs a finished pipeline
+    # skips every stage, so it never imports a stage's modules.
+    assert run_pipeline(load_config(corpus), echo=lambda s: None) == EXIT_OK
+    script = (
+        "import json, sys\n"
+        "from lego_forge import cli\n"
+        "cli.load_config(sys.argv[1])\n"
+        "code = cli.main(['pipeline', '--config', sys.argv[1]])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, str(corpus)], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    *lines, last = proc.stdout.splitlines()
+    code, modules = json.loads(last)
+    assert code == EXIT_OK and len(lines) == len(cli.STAGES)
+    assert all(line.startswith("[skip]") for line in lines)
+    stage_modules = {"patch_analysis", "task_builder", "repo_sanitizer", "trajectory_curation",
+                     "sft_masking", "error_taxonomy", "tts"}
+    assert not [m for m in modules if m.removeprefix("lego_forge.") in stage_modules]
+
+
 def test_deleted_allocation_reruns_tts_select(corpus):
     cfg = load_config(corpus)
     assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
@@ -780,7 +827,7 @@ def test_failed_run_leaves_no_run_state(corpus, monkeypatch):
     def boom(traj, inst):
         raise ForgeError("boom")
 
-    monkeypatch.setattr(cli.error_taxonomy, "explain_failure", boom)
+    monkeypatch.setattr("lego_forge.error_taxonomy.explain_failure", boom)
     lines = []
     assert run_pipeline(load_config(corpus), echo=lines.append) == cli.EXIT_INTERNAL
     assert lines[-1].startswith("[fail] classify-errors: boom")

@@ -5,11 +5,12 @@ plus rename, so an interrupted stage leaves nothing partial), and are
 deterministic: identical inputs produce byte-identical outputs. The
 `pipeline` command runs every configured stage in dependency order and
 skips stages whose recorded input content hashes are unchanged. Within one
-`pipeline` run the curated records pass from `curate` to the stages that
-read `curated.jsonl` in memory, and each file is hashed once per content;
-a single-stage run (`forge mask`) reads and hashes from disk. A stage's
-modules are imported only when the stage runs, so a re-run that skips
-every stage loads only the config, schema, registry and curriculum code.
+`pipeline` run every corpus (instances and curated records) is read once
+per content and passed to later stages in memory, and each file is hashed
+once per content; a single-stage run (`forge mask`) reads and hashes from
+disk. A stage's modules are imported only when the stage runs, so a re-run
+that skips every stage loads only the config, schema, registry and
+curriculum code.
 
 Exit codes: 0 success, 1 internal error, 2 missing input, 3 validation
 failure (a rejection report is written next to the stage outputs). Every
@@ -266,11 +267,11 @@ def _fail_on_rejections(
 
 
 # Per-run state of run_pipeline, emptied when the run ends: the sha256 of
-# each path hashed so far, and the records a stage wrote to a path, keyed by
-# (path, sha256 of the written file). Outside a run nothing is kept.
+# each path hashed so far, and the records of each corpus read or written,
+# keyed by (path, sha256 of the file). Outside a run nothing is kept.
 _in_run = False
 _digests: dict[Path, str] = {}
-_handoff: dict[tuple[Path, str], list[Trajectory]] = {}
+_handoff: dict[tuple[Path, str], list] = {}
 
 
 def _hand_off(path: Path, records: list[Trajectory]) -> None:
@@ -279,6 +280,20 @@ def _hand_off(path: Path, records: list[Trajectory]) -> None:
     records, that is, if every record is valid."""
     if _in_run and not any(validate_trajectory(t) for t in records):
         _handoff[(path, _hash_path(path))] = records
+
+
+def _corpus(cfg: PipelineConfig, stage: str, path: Path, kind: str) -> list:
+    """The records of corpus `path`, loaded once per content within a run;
+    a load with rejections fails `stage` and is never kept."""
+    key = (path, _hash_path(path)) if _in_run else None
+    records = _handoff.get(key)
+    if records is None:
+        result = load_corpus(path, kind)
+        _fail_on_rejections(cfg, stage, path, result.rejections)
+        records = result.records
+        if key is not None:
+            _handoff[key] = records
+    return records
 
 
 def _load_records(cfg: PipelineConfig, stage: str, path: Path, parse: Callable[[dict], T]) -> list[T]:
@@ -303,9 +318,7 @@ def _load_instances_union(cfg: PipelineConfig, stage: str) -> dict[str, TaskInst
         )
     by_id: dict[str, TaskInstance] = {}
     for source in existing:
-        result = load_corpus(source, "instances")
-        _fail_on_rejections(cfg, stage, source, result.rejections)
-        for inst in result.records:
+        for inst in _corpus(cfg, stage, source, "instances"):
             by_id.setdefault(inst.instance_id, inst)
     return by_id
 
@@ -416,53 +429,42 @@ def _mutation(
 
 
 def _stage_sanitize(cfg: PipelineConfig) -> dict:
+    source = _require_input(cfg.histories, "histories")
+    lines = _load_records(cfg, "sanitize", source, _sanitized_history)
+    sanitized = [line for line in lines if "reason" not in line]
+    dropped = [line for line in lines if "reason" in line]
+    save_jsonl(sanitized, cfg.out_dir / "sanitized_histories.jsonl")
+    return {"stage": "sanitize", "sanitized": len(sanitized), "dropped": dropped}
+
+
+def _sanitized_history(record: dict) -> dict:
+    """One histories line, checked and sanitized as it is read, so only one
+    history's commits are alive at a time: the output line, or
+    `{instance_id, reason}` when a cutoff keeps no commit."""
     from . import repo_sanitizer
 
-    source = _require_input(cfg.histories, "histories")
-    sanitized_lines: list[dict] = []
-    dropped: list[dict] = []
-    for record in _load_records(cfg, "sanitize", source, _history):
-        # Built per history, so only one history's commits are alive at a time.
-        commits = [repo_sanitizer.CommitRecord.from_record(c) for c in record["commits"]]
-        policy = record["policy"]
-        if policy == "cutoff":
-            try:
-                clean = repo_sanitizer.sanitize_real_history(commits, record["cutoff"])
-            except repo_sanitizer.EmptyHistoryError as exc:
-                dropped.append({"instance_id": record["instance_id"], "reason": str(exc)})
-                continue
-        else:
-            clean = repo_sanitizer.sanitize_synthetic_history(commits, record["snapshot_id"])
-        out = {
-            "instance_id": record["instance_id"],
-            "policy": policy,
-            "commits": [c.to_record() for c in clean],
-        }
-        sanitized_lines.append(out)
-    save_jsonl(sanitized_lines, cfg.out_dir / "sanitized_histories.jsonl")
-    return {"stage": "sanitize", "sanitized": len(sanitized_lines), "dropped": dropped}
-
-
-def _history(record: dict) -> dict:
-    """One histories line, checked so that sanitize can build its commits
-    and, under `cutoff`, compare their dates."""
     policy = require(record, "policy", str)
     anchor = {"cutoff": "cutoff", "single_snapshot": "snapshot_id"}.get(policy)
     if anchor is None:
         raise ValueError(f"unknown history policy {policy!r}")
-    require(record, "instance_id", str)
+    instance_id = require(record, "instance_id", str)
     require(record, anchor, str)
-    if policy == "cutoff":
-        parse_timestamp(record["cutoff"])
+    commits = []
     for commit in require(record, "commits", list):
         if not (isinstance(commit, dict) and isinstance(commit.get("commit_id"), str)
                 and isinstance(commit.get("author_date"), str) and isinstance(commit.get("message"), str)
                 and isinstance(commit.get("parent_ids"), list)
                 and all(isinstance(parent, str) for parent in commit["parent_ids"])):
             raise ValueError("every commit needs string commit_id, author_date, message and list parent_ids")
+        commits.append(repo_sanitizer.CommitRecord.from_record(commit))
+    try:
         if policy == "cutoff":
-            parse_timestamp(commit["author_date"])
-    return record
+            clean = repo_sanitizer.sanitize_real_history(commits, record["cutoff"])
+        else:
+            clean = repo_sanitizer.sanitize_synthetic_history(commits, record["snapshot_id"])
+    except repo_sanitizer.EmptyHistoryError as exc:
+        return {"instance_id": instance_id, "reason": str(exc)}
+    return {"instance_id": instance_id, "policy": policy, "commits": [c.to_record() for c in clean]}
 
 
 def _stage_curate(cfg: PipelineConfig) -> dict:
@@ -471,8 +473,7 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
     traj_path = _require_input(cfg.trajectories, "trajectories")
     reports_path = _require_input(cfg.final_reports, "final_reports")
     instances = _load_instances_union(cfg, "curate")
-    result = load_corpus(traj_path, "trajectories")
-    _fail_on_rejections(cfg, "curate", traj_path, result.rejections)
+    trajectories = _corpus(cfg, "curate", traj_path, "trajectories")
     reports_by_tid = dict(_load_records(cfg, "curate", reports_path, _final_report))
     hack_patterns = load_hack_patterns(cfg.hack_patterns)
     error_patterns = load_error_patterns(cfg.error_patterns)
@@ -483,7 +484,7 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
     notes: list[dict] = []
     repaired_calls = 0
     hack_invalidated = 0
-    for traj in result.records:
+    for traj in trajectories:
         # One pass per trajectory: prune, repair, phase and error-flag each
         # step, building it once (the same as prune_toolset, assign_phases
         # and detect_step_errors over the repaired steps).
@@ -555,15 +556,8 @@ def _curated_path(cfg: PipelineConfig) -> Path:
 
 
 def _curated(cfg: PipelineConfig, stage: str) -> list[Trajectory]:
-    path = _curated_path(cfg)
-    _require_input(path, "curated corpus (run the curate stage first)")
-    if _handoff:
-        records = _handoff.get((path, _hash_path(path)))
-        if records is not None:
-            return records
-    result = load_corpus(path, "trajectories")
-    _fail_on_rejections(cfg, stage, path, result.rejections)
-    return result.records
+    path = _require_input(_curated_path(cfg), "curated corpus (run the curate stage first)")
+    return _corpus(cfg, stage, path, "trajectories")
 
 
 def _stage_mask(cfg: PipelineConfig) -> dict:
@@ -769,17 +763,17 @@ def _surface_point(record: dict) -> tuple[tuple[int, int], float]:
 def _stage_stats(cfg: PipelineConfig) -> dict:
     from . import patch_analysis
 
-    instances = _load_instances_union(cfg, "stats")
+    everyone = list(_load_instances_union(cfg, "stats").values())
+    golden_stats = {
+        i.instance_id: patch_analysis.patch_stats(patch_analysis.parse_patch(i.golden_patch))
+        for i in everyone
+    }
 
     def aggregate(group: list[TaskInstance]) -> dict:
         if not group:
             return {"instances": 0}
-        stats = [
-            patch_analysis.patch_stats(patch_analysis.parse_patch(i.golden_patch))
-            for i in group
-        ]
         n = len(group)
-        means = patch_analysis.mean_patch_stats(stats)
+        means = patch_analysis.mean_patch_stats([golden_stats[i.instance_id] for i in group])
         return {
             "instances": n,
             "issue_words": sum(len(i.problem_statement.split()) for i in group) / n,
@@ -791,7 +785,6 @@ def _stage_stats(cfg: PipelineConfig) -> dict:
             },
         }
 
-    everyone = list(instances.values())
     report = {
         "stage": "stats",
         "conventions": {

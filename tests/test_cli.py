@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -23,8 +24,9 @@ from lego_forge.cli import (
 )
 from lego_forge.errors import ForgeError
 from lego_forge.registries import load_error_patterns, load_phase_patterns
+from lego_forge import patch_analysis
 from lego_forge import schema as schema_mod
-from lego_forge.schema import ToolCall, Trajectory, load_corpus
+from lego_forge.schema import TaskInstance, ToolCall, Trajectory, load_corpus
 from lego_forge.sft_masking import assign_phases, detect_step_errors
 from lego_forge.trajectory_curation import UnrepairableCallError, prune_toolset, repair_tool_call
 
@@ -817,9 +819,15 @@ def test_hand_off_lives_from_curate_to_its_last_reader(corpus, monkeypatch):
 
     monkeypatch.setattr(cli, "run_stage", recording_run_stage)
     assert run_pipeline(load_config(corpus), echo=lambda s: None) == EXIT_OK
-    readers = {"mask", "curriculum", "classify-errors"}
-    assert {stage for stage, names in held.items() if names} == readers
-    assert all(held[stage] == ["curated.jsonl"] for stage in readers)
+    # curate keeps the instance corpora it read and the records it wrote;
+    # each is dropped once no stage still to come reads its path.
+    instances = ["instances_real.jsonl", "instances_synth.jsonl"]
+    assert {stage: sorted(names) for stage, names in held.items()} == {
+        **{stage: [] for stage in ("build-tasks", "inject", "sanitize", "curate")},
+        **{stage: ["curated.jsonl", *instances] for stage in ("mask", "curriculum", "classify-errors")},
+        "tts-select": instances,
+        "stats": instances,
+    }
     assert_run_state_empty()
 
 
@@ -850,10 +858,14 @@ def test_rerun_records_the_digests_of_rewritten_outputs(corpus):
 
 
 def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, monkeypatch):
-    # Counts, not timings: within one run, nothing reloads curated.jsonl
-    # and no file is hashed twice while its content is unchanged.
-    loaded, hashed = [], []
-    real_load, real_sha256 = cli.load_corpus, cli._sha256
+    # Counts, not timings: within one run, nothing reloads curated.jsonl,
+    # each instance corpus is decoded once, stats parses each golden patch
+    # once, and no file is hashed twice while its content is unchanged.
+    loaded, hashed, built, parsed_in = [], [], [], []
+    running = [None]
+    real_load, real_sha256, real_run_stage = cli.load_corpus, cli._sha256, cli.run_stage
+    real_from_record = TaskInstance.from_record.__func__
+    real_parse_patch = patch_analysis.parse_patch
 
     def counting_load(path, kind):
         loaded.append(Path(path))
@@ -864,17 +876,141 @@ def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, mo
         hashed.append((path, digest))
         return digest
 
+    def counting_from_record(cls, record):
+        built.append(record.get("instance_id"))
+        return real_from_record(cls, record)
+
+    def counting_parse_patch(text):
+        parsed_in.append(running[0])
+        return real_parse_patch(text)
+
+    def recording_run_stage(stage, cfg):
+        running[0] = stage
+        try:
+            return real_run_stage(stage, cfg)
+        finally:
+            running[0] = None
+
     monkeypatch.setattr(cli, "load_corpus", counting_load)
     monkeypatch.setattr(cli, "_sha256", counting_sha256)
+    monkeypatch.setattr(cli, "run_stage", recording_run_stage)
+    monkeypatch.setattr(TaskInstance, "from_record", classmethod(counting_from_record))
+    monkeypatch.setattr(patch_analysis, "parse_patch", counting_parse_patch)
     cfg = load_config(corpus)
+    instance_files = [cfg.out_dir / "instances_real.jsonl", cfg.out_dir / "instances_synth.jsonl"]
     for run in ("cold", "no-change"):
-        loaded.clear()
-        hashed.clear()
+        for seen in (loaded, hashed, built, parsed_in):
+            seen.clear()
         assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK, run
         assert cfg.out_dir / "curated.jsonl" not in loaded, run
+        assert all(loaded.count(path) <= 1 for path in instance_files), run
+        instance_lines = sum(len(read_jsonl(path)) for path in instance_files)
+        assert len(built) <= instance_lines, run
+        expected = read(cfg.out_dir / "corpus_stats.json")["combined"]["instances"] if run == "cold" else 0
+        assert parsed_in.count("stats") == expected, run
         assert len(hashed) == len(set(hashed)), run
         assert_run_state_empty()
     assert cfg.out_dir / "curated.jsonl" in {path for path, _ in hashed}
+
+
+def test_rejected_corpus_is_never_kept(corpus, monkeypatch):
+    # A corpus with a bad line fails its first reader and is not kept for
+    # later ones; outside a run every stage reads its corpora from disk.
+    cfg = run_stages(load_config(corpus), "build-tasks")
+    external = corpus.parent / "external_instances.jsonl"
+    good = (cfg.out_dir / "instances_real.jsonl").read_text(encoding="utf-8")
+    external.write_text(good + "{not json\n", encoding="utf-8")
+    with open(corpus, "a", encoding="utf-8") as f:
+        f.write("instances = external_instances.jsonl\n")
+    cfg = load_config(corpus)
+    held_at_reject = []
+    real_reject = cli._reject
+
+    def recording_reject(cfg, stage, entries, what):
+        held_at_reject.append([path.name for path, _ in cli._handoff])
+        real_reject(cfg, stage, entries, what)
+
+    monkeypatch.setattr(cli, "_reject", recording_reject)
+    lines = []
+    assert run_pipeline(cfg, echo=lines.append) == EXIT_VALIDATION
+    assert lines[-1].startswith("[fail] curate:")
+    entries = read_jsonl(cfg.out_dir / "curate_rejections.jsonl")
+    assert [(e["file"], e["line_no"], e["codes"]) for e in entries] == [
+        (str(external), good.count("\n") + 1, ["BAD_JSON"])
+    ]
+    assert held_at_reject == [["instances_real.jsonl", "instances_synth.jsonl"]]
+    assert_run_state_empty()
+
+    external.write_text(good, encoding="utf-8")
+    assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+    loaded = []
+    real_load = cli.load_corpus
+
+    def counting_load(path, kind):
+        loaded.append(Path(path).name)
+        return real_load(path, kind)
+
+    monkeypatch.setattr(cli, "load_corpus", counting_load)
+    assert cli.main(["classify-errors", "--config", str(corpus)]) == EXIT_OK
+    assert loaded == ["curated.jsonl", "instances_real.jsonl", "instances_synth.jsonl", external.name]
+    assert_run_state_empty()
+
+
+def test_every_corpus_load_in_cli_goes_through_one_reader():
+    # cli reads each corpus through _corpus, which keeps it for the run.
+    calls = []
+
+    class Finder(ast.NodeVisitor):
+        scope = ["cli"]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Call(self, node):
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "load_corpus":
+                calls.append(".".join(self.scope))
+            self.generic_visit(node)
+
+    Finder().visit(ast.parse(Path(cli.__file__).read_text(encoding="utf-8")))
+    assert calls == ["cli._corpus"]
+
+
+def test_sanitize_parses_each_date_once(corpus, monkeypatch):
+    parsed = []
+    real_parse = schema_mod.parse_timestamp
+
+    def counting_parse(text):
+        parsed.append(text)
+        return real_parse(text)
+
+    monkeypatch.setattr("lego_forge.repo_sanitizer.parse_timestamp", counting_parse)
+    monkeypatch.setattr(cli, "parse_timestamp", counting_parse)
+    cfg = run_stages(load_config(corpus), "sanitize")
+    cutoff = [h for h in read_jsonl(cfg.histories) if h["policy"] == "cutoff"]
+    assert cutoff
+    assert sorted(parsed) == sorted(
+        date for h in cutoff for date in (h["cutoff"], *(c["author_date"] for c in h["commits"]))
+    )
+
+
+def test_sanitize_drops_a_history_the_cutoff_empties(corpus):
+    cfg = load_config(corpus)
+    late = {"instance_id": "late", "policy": "cutoff", "cutoff": "2020-01-01T00:00:00Z",
+            "commits": [{"commit_id": "c1", "author_date": "2021-01-01T00:00:00Z", "message": "m",
+                         "parent_ids": []}]}
+    with open(cfg.histories, "a", encoding="utf-8") as f:
+        f.write(json.dumps(late) + "\n")
+    code, report = run_stage("sanitize", cfg)
+    assert code == EXIT_OK
+    assert report["dropped"] == [
+        {"instance_id": "late", "reason": "no commits remain at or before 2020-01-01T00:00:00Z"}
+    ]
+    kept = read_jsonl(cfg.out_dir / "sanitized_histories.jsonl")
+    assert len(kept) == report["sanitized"] == len(read_jsonl(cfg.histories)) - 1
+    assert "late" not in [line["instance_id"] for line in kept]
 
 
 def test_interrupted_stage_leaves_no_partial_output(corpus, monkeypatch):

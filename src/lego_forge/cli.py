@@ -377,6 +377,7 @@ def _stage_inject(cfg: PipelineConfig) -> dict:
     mutations = _load_records(cfg, "inject", mutations_path, lambda r: _mutation(r, cfg.seed))
     snapshot = _read_snapshot(snapshot_dir)
     statements = task_builder.TemplateStatementProvider()
+    provider = task_builder.PythonAstProvider()  # parses each snapshot file once
     instances: list[TaskInstance] = []
     invisible: list[dict] = []
     bad_specs: list[dict] = []
@@ -390,6 +391,7 @@ def _stage_inject(cfg: PipelineConfig) -> dict:
                     statements,
                     repo=cfg.repo,
                     base_commit=cfg.base_commit,
+                    provider=provider,
                 )
             )
         except task_builder.InvisibleBugError as exc:

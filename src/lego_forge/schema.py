@@ -280,14 +280,14 @@ class TestReport:
 # Validation
 
 
-def validate_instance(inst: TaskInstance) -> list[str]:
+def validate_instance(inst: TaskInstance, *, patch_parses: bool | None = None) -> list[str]:
     """Check one instance against the schema rules.
 
     Returns a list of stable violation codes; an empty list means the
-    instance is well-formed. Violations are data, not exceptions.
+    instance is well-formed. Violations are data, not exceptions. A caller
+    that has already parsed the golden patch passes its verdict as
+    `patch_parses`; otherwise the patch is parsed here.
     """
-    from . import patch_analysis
-
     codes = []
     if not inst.instance_id:
         codes.append("EMPTY_INSTANCE_ID")
@@ -297,9 +297,15 @@ def validate_instance(inst: TaskInstance) -> list[str]:
         codes.append("EMPTY_F2P")
     if set(inst.fail_to_pass) & set(inst.pass_to_pass):
         codes.append("LABEL_OVERLAP")
-    try:
-        patch_analysis.parse_patch(inst.golden_patch)
-    except patch_analysis.PatchParseError:
+    if patch_parses is None:
+        from . import patch_analysis
+
+        try:
+            patch_analysis.parse_patch(inst.golden_patch)
+            patch_parses = True
+        except patch_analysis.PatchParseError:
+            patch_parses = False
+    if not patch_parses:
         codes.append("BAD_PATCH")
     try:
         parse_timestamp(inst.created_at)

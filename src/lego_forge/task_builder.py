@@ -5,7 +5,11 @@ bugs are injected through syntax-tree-guided source splicing: the tree
 provider parses a file, enumerates eligible nodes, and the mutator rewrites
 the exact character span of the chosen node. Splicing the original text
 (rather than re-printing the tree) keeps the round-trip lossless and the
-injection diff minimal.
+injection diff minimal. A provider parses each snapshot file once and keeps
+that tree, with its target index, line table and operator tokens, for every
+later mutation of the file. Spans are ast positions, whose columns count
+UTF-8 bytes; they are converted to character offsets on lines broken where
+the ast breaks them.
 
 Mutators and their fixed rules:
 - operator_swap: arithmetic + <-> -, * <-> /; comparison < <-> >=, > <-> <=,
@@ -24,10 +28,13 @@ from __future__ import annotations
 
 import ast
 import hashlib
-import io
 import random
+import re
 import tokenize
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
+from itertools import accumulate
 from typing import Mapping, Protocol, Sequence
 
 from .errors import ForgeError
@@ -143,55 +150,119 @@ def derive_test_labels(pre: TestReport, post: TestReport) -> tuple[list[str], li
 # Python syntax trees
 
 
+# The ast breaks lines only at \n, \r\n and \r. str.splitlines() also breaks
+# at form feeds, U+2028 and other separators, which would shift every span
+# after them.
+_LINE_END = re.compile(r"(?<=\n)|(?<=\r)(?!\n)")
+
+_KINDS = ("operator", "conditional", "loop")
+
+
 @dataclass(frozen=True)
 class PythonSyntaxTree:
     """A parsed Python file that keeps its exact source text, so rendering
-    an unmutated tree is byte-identical to the input."""
+    an unmutated tree is byte-identical to the input. The lines, targets and
+    operator tokens a mutation looks up are derived once, on first use."""
 
     path: str
     source: str
     root: ast.Module = field(repr=False, compare=False, default=None)
 
+    @cached_property
+    def lines(self) -> list[str]:
+        """Source lines with their endings, broken where the ast breaks them."""
+        lines = _LINE_END.split(self.source)
+        if not lines[-1]:
+            lines.pop()
+        return lines
+
+    @cached_property
+    def line_starts(self) -> list[int]:
+        return list(accumulate(map(len, self.lines), initial=0))
+
+    def column(self, lineno: int, col: int) -> int:
+        """The character column of an ast column, which counts UTF-8 bytes."""
+        line = self.lines[lineno - 1]
+        if line.isascii():
+            return col
+        return len(line.encode("utf-8")[:col].decode("utf-8"))
+
+    def offset(self, lineno: int, col: int) -> int:
+        """The character offset in `source` of an ast (line, column)."""
+        return self.line_starts[lineno - 1] + self.column(lineno, col)
+
+    @cached_property
+    def targets(self) -> dict[tuple[int, int, int, int], list[tuple[str, ast.AST]]]:
+        """Every mutable node as (kind, node), keyed by span, in ast.walk order."""
+        targets: dict[tuple[int, int, int, int], list[tuple[str, ast.AST]]] = {}
+        for node in ast.walk(self.root):
+            kind = _kind_of(self, node)
+            if kind is not None:
+                span = (node.lineno, node.col_offset, node.end_lineno, node.end_col_offset)
+                targets.setdefault(span, []).append((kind, node))
+        return targets
+
+    @cached_property
+    def operator_tokens(self) -> tuple[list[int], list[str]]:
+        """Start offsets and strings of the tokens a swap can rewrite, in
+        source order. Token positions never point inside comments or strings."""
+        starts: list[int] = []
+        strings: list[str] = []
+        for tok in tokenize.generate_tokens(partial(next, iter(self.lines), "")):
+            if tok.string in SWAP_TABLE and tok.type in (tokenize.OP, tokenize.NAME):
+                starts.append(self.line_starts[tok.start[0] - 1] + tok.start[1])
+                strings.append(tok.string)
+        return starts, strings
+
 
 class PythonAstProvider:
-    """Tree provider backed by the stdlib ast module with source splicing."""
+    """Tree provider backed by the stdlib ast module with source splicing.
+
+    The provider keeps the first tree it parses for each path and returns it
+    again while the source is equal, so a snapshot file is parsed, indexed
+    and tokenized once however many mutations target it. Later trees of a
+    path (the mutated sources) are returned but never kept."""
+
+    def __init__(self) -> None:
+        self._first: dict[str, PythonSyntaxTree] = {}
 
     def parse(self, path: str, source: str) -> PythonSyntaxTree:
+        kept = self._first.get(path)
+        if kept is not None and kept.source == source:
+            return kept
         try:
             root = ast.parse(source)
         except SyntaxError as exc:
             raise MutationError(f"{path}: cannot parse: {exc}") from exc
-        return PythonSyntaxTree(path=path, source=source, root=root)
+        tree = PythonSyntaxTree(path=path, source=source, root=root)
+        self._first.setdefault(path, tree)
+        return tree
 
     def render(self, tree: PythonSyntaxTree) -> str:
         return tree.source
 
     def enumerate(self, tree: PythonSyntaxTree, kind: str) -> list[NodeLocator]:
         """List mutable nodes of one kind: operator, conditional, or loop."""
-        locators = []
-        for node in ast.walk(tree.root):
-            locator = _locator_for(tree, node, kind)
-            if locator is not None:
-                locators.append(locator)
+        if kind not in _KINDS:
+            raise ValueError(f"unknown node kind {kind!r}")
+        locators = [
+            _make_locator(tree.path, node, kind, _operator_symbol(node) or "")
+            for found in tree.targets.values()
+            for node_kind, node in found
+            if node_kind == kind
+        ]
         locators.sort(key=lambda loc: loc.span())
         return locators
 
 
-def _locator_for(tree: PythonSyntaxTree, node: ast.AST, kind: str) -> NodeLocator | None:
-    if kind == "operator":
-        symbol = _operator_symbol(node)
-        if symbol is None:
-            return None
-        return _make_locator(tree.path, node, kind, symbol)
-    if kind == "conditional":
-        if isinstance(node, ast.If) and not _is_elif(tree.source, node):
-            return _make_locator(tree.path, node, kind)
-        return None
-    if kind == "loop":
-        if isinstance(node, (ast.For, ast.While, ast.AsyncFor)):
-            return _make_locator(tree.path, node, kind)
-        return None
-    raise ValueError(f"unknown node kind {kind!r}")
+def _kind_of(tree: PythonSyntaxTree, node: ast.AST) -> str | None:
+    if _operator_symbol(node) is not None:
+        return "operator"
+    if isinstance(node, ast.If):
+        return None if _is_elif(tree, node) else "conditional"
+    if isinstance(node, (ast.For, ast.While, ast.AsyncFor)):
+        return "loop"
+    return None
 
 
 def _operator_symbol(node: ast.AST) -> str | None:
@@ -216,10 +287,8 @@ def _make_locator(path: str, node: ast.AST, kind: str, detail: str = "") -> Node
     )
 
 
-def _is_elif(source: str, node: ast.If) -> bool:
-    lines = source.splitlines()
-    line = lines[node.lineno - 1]
-    return line[node.col_offset:].startswith("elif")
+def _is_elif(tree: PythonSyntaxTree, node: ast.If) -> bool:
+    return tree.source.startswith("elif", tree.offset(node.lineno, node.col_offset))
 
 
 _KIND_FOR_MUTATOR = {
@@ -233,63 +302,36 @@ _KIND_FOR_MUTATOR = {
 # Mutation application
 
 
-def _line_offsets(source: str) -> list[int]:
-    offsets = [0]
-    for line in source.splitlines(keepends=True):
-        offsets.append(offsets[-1] + len(line))
-    return offsets
-
-
-def _span_offsets(source: str, locator: NodeLocator) -> tuple[int, int]:
-    offsets = _line_offsets(source)
-    return (
-        offsets[locator.start_line - 1] + locator.start_col,
-        offsets[locator.end_line - 1] + locator.end_col,
-    )
-
-
-def _node_at(tree: PythonSyntaxTree, locator: NodeLocator, kind: str) -> ast.AST | None:
-    for node in ast.walk(tree.root):
-        candidate = _locator_for(tree, node, kind)
-        if candidate is not None and candidate.span() == locator.span():
-            return node
-    return None
-
-
-def _operator_token_start(source: str, window: tuple[int, int], symbol: str) -> int:
-    # Token positions never point inside comments or strings, unlike a raw
-    # text search over the operand gap.
-    offsets = _line_offsets(source)
-    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.string != symbol or tok.type not in (tokenize.OP, tokenize.NAME):
-            continue
-        start = offsets[tok.start[0] - 1] + tok.start[1]
-        if window[0] <= start < window[1]:
-            return start
+def _operator_token_start(tree: PythonSyntaxTree, window: tuple[int, int], symbol: str) -> int:
+    # A token, unlike a raw text search over the operand gap, is never inside
+    # a comment or a string.
+    starts, strings = tree.operator_tokens
+    i = bisect_left(starts, window[0])
+    while i < len(starts) and starts[i] < window[1]:
+        if strings[i] == symbol:
+            return starts[i]
+        i += 1
     return -1
 
 
 def _swap_operator(tree: PythonSyntaxTree, node: ast.AST) -> str:
-    source = tree.source
-    offsets = _line_offsets(source)
-
-    def offset(n: ast.AST, end: bool = False) -> int:
-        if end:
-            return offsets[n.end_lineno - 1] + n.end_col_offset
-        return offsets[n.lineno - 1] + n.col_offset
-
     if isinstance(node, ast.BinOp):
         symbol = _BINOP_SYMBOLS[type(node.op)]
-        window = (offset(node.left, end=True), offset(node.right))
+        left, right = node.left, node.right
     elif isinstance(node, ast.Compare):
         symbol = _CMP_SYMBOLS[type(node.ops[0])]
-        window = (offset(node.left, end=True), offset(node.comparators[0]))
+        left, right = node.left, node.comparators[0]
     else:
         symbol = _BOOL_SYMBOLS[type(node.op)]
-        window = (offset(node.values[0], end=True), offset(node.values[1]))
-    start = _operator_token_start(source, window, symbol)
+        left, right = node.values[0], node.values[1]
+    window = (
+        tree.offset(left.end_lineno, left.end_col_offset),
+        tree.offset(right.lineno, right.col_offset),
+    )
+    start = _operator_token_start(tree, window, symbol)
     if start < 0:
         raise MutationError(f"{tree.path}: operator {symbol!r} not found in its expression")
+    source = tree.source
     return source[:start] + SWAP_TABLE[symbol] + source[start + len(symbol):]
 
 
@@ -302,7 +344,7 @@ def _containing_block(root: ast.Module, node: ast.AST) -> tuple[ast.AST, list] |
 
 
 def _remove_statement(tree: PythonSyntaxTree, node: ast.AST) -> str:
-    lines = tree.source.splitlines(keepends=True)
+    lines = tree.lines
     replacement: list[str] = []
     if isinstance(node, ast.If) and node.orelse:
         replacement = _else_branch_lines(tree, node)
@@ -317,23 +359,21 @@ def _remove_statement(tree: PythonSyntaxTree, node: ast.AST) -> str:
 
 
 def _else_branch_lines(tree: PythonSyntaxTree, node: ast.If) -> list[str]:
-    lines = tree.source.splitlines(keepends=True)
+    lines = tree.lines
     first = node.orelse[0]
     last = node.orelse[-1]
-    if isinstance(first, ast.If) and _is_elif(tree.source, first):
+    col = tree.column(first.lineno, first.col_offset)
+    if isinstance(first, ast.If) and _is_elif(tree, first):
         # Keep the elif chain, promoting its head to a plain if.
-        out = list(lines[first.lineno - 1 : node.end_lineno])
-        head = out[0]
-        col = first.col_offset
-        out[0] = head[:col] + "if" + head[col + len("elif"):]
+        out = lines[first.lineno - 1 : node.end_lineno]
+        out[0] = out[0][:col] + "if" + out[0][col + len("elif"):]
         return out
-    prefix = lines[first.lineno - 1][: first.col_offset]
-    if prefix.strip():
+    if lines[first.lineno - 1][:col].strip():
         # Inline else ("else: stmt"): splice the statement text onto its own line.
-        start_off, _ = _span_offsets(tree.source, _make_locator(tree.path, first, "conditional"))
-        _, end_off = _span_offsets(tree.source, _make_locator(tree.path, last, "conditional"))
+        start = tree.offset(first.lineno, first.col_offset)
+        end = tree.offset(last.end_lineno, last.end_col_offset)
         indent = " " * node.col_offset
-        return [indent + tree.source[start_off:end_off].rstrip("\n") + "\n"]
+        return [indent + tree.source[start:end].rstrip("\n") + "\n"]
     dedent = first.col_offset - node.col_offset
     out = []
     for line in lines[first.lineno - 1 : last.end_lineno]:
@@ -359,34 +399,25 @@ def inject_bug(
         candidates = provider.enumerate(tree, kind)
         if not candidates:
             raise LocatorError(f"{tree.path}: no eligible {kind} targets")
-        locator = random.Random(spec.seed).choice(candidates)
+        span = random.Random(spec.seed).choice(candidates).span()
     else:
         if spec.target.path != tree.path:
             raise LocatorError(
                 f"target path {spec.target.path!r} does not match tree {tree.path!r}"
             )
-        matches = [
-            loc for loc in provider.enumerate(tree, kind) if loc.span() == spec.target.span()
-        ]
-        if matches:
-            locator = matches[0]
-        else:
-            for other_kind in ("operator", "conditional", "loop"):
-                if other_kind == kind:
-                    continue
-                if any(
-                    loc.span() == spec.target.span()
-                    for loc in provider.enumerate(tree, other_kind)
-                ):
-                    raise MutatorKindError(
-                        f"target at {spec.target.span()} is a {other_kind}, "
-                        f"not a {kind} ({spec.mutator})"
-                    )
-            raise LocatorError(f"{tree.path}: no node at span {spec.target.span()}")
+        span = spec.target.span()
 
-    node = _node_at(tree, locator, kind)
-    if node is None:
-        raise LocatorError(f"{tree.path}: no node at span {locator.span()}")
+    # The first node in walk order of the mutator's kind at that span.
+    found = tree.targets.get(span, [])
+    kinds = [node_kind for node_kind, _ in found]
+    if kind not in kinds:
+        for other_kind in _KINDS:
+            if other_kind in kinds:
+                raise MutatorKindError(
+                    f"target at {span} is a {other_kind}, not a {kind} ({spec.mutator})"
+                )
+        raise LocatorError(f"{tree.path}: no node at span {span}")
+    node = found[kinds.index(kind)][1]
     if spec.mutator == "operator_swap":
         mutated_source = _swap_operator(tree, node)
     else:
@@ -581,7 +612,7 @@ def build_real_instance(
             "history_cutoff": pr["issue_created_at"],
         },
     )
-    violations = validate_instance(instance)
+    violations = validate_instance(instance, patch_parses=True)
     if violations:
         raise ForgeError(f"built instance fails validation: {violations}")
     return instance

@@ -24,7 +24,7 @@ from lego_forge.cli import (
 )
 from lego_forge.errors import ForgeError
 from lego_forge.registries import load_error_patterns, load_phase_patterns
-from lego_forge import patch_analysis
+from lego_forge import patch_analysis, task_builder
 from lego_forge import schema as schema_mod
 from lego_forge.schema import TaskInstance, ToolCall, Trajectory, load_corpus
 from lego_forge.sft_masking import assign_phases, detect_step_errors
@@ -221,6 +221,81 @@ def test_injected_instances_have_self_consistent_golden_patches(corpus):
         assert apply_patch(parse_patch(inst.golden_patch), buggy) == snapshot
     report = read(cfg.out_dir / "inject_report.json")
     assert len(report["invisible_bugs"]) == 1
+
+
+def test_inject_parses_and_tokenizes_each_snapshot_file_once(corpus, monkeypatch):
+    # Counts, not timings: with M Python files and N mutations, inject parses
+    # at most M snapshot trees plus one mutated source per mutation, and
+    # tokenizes each snapshot file at most once.
+    import tokenize
+
+    cfg = load_config(corpus)
+    mutations = read_jsonl(cfg.mutations)
+    visible = mutations[0]
+    calc = (cfg.snapshot_dir / "calc.py").read_text(encoding="utf-8")
+    tree = task_builder.PythonAstProvider().parse("calc.py", calc)
+    for kind, mutator in (("operator", "operator_swap"), ("conditional", "conditional_removal")):
+        for loc in task_builder.PythonAstProvider().enumerate(tree, kind):
+            target = {key: getattr(loc, key) for key in cli._LOCATOR_FIELDS}
+            mutations.append({**visible, "mutator": mutator, "target": target})
+    with open(cfg.mutations, "w", encoding="utf-8") as f:
+        f.writelines(json.dumps(m) + "\n" for m in mutations)
+    parsed, tokenized = [], []
+    real_parse, real_tokenize = ast.parse, tokenize.generate_tokens
+
+    def counting_parse(source, *args, **kwargs):
+        parsed.append(source)
+        return real_parse(source, *args, **kwargs)
+
+    def counting_tokenize(readline):
+        tokenized.append(readline)
+        return real_tokenize(readline)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    monkeypatch.setattr(tokenize, "generate_tokens", counting_tokenize)
+    code, report = run_stage("inject", cfg)
+    monkeypatch.undo()
+    assert code == EXIT_OK, report
+    assert report["built"] == len(mutations) - 1  # one mutation hits dead code
+    python_files = len(list(cfg.snapshot_dir.rglob("*.py")))
+    assert len(mutations) > 2 * python_files
+    assert len(parsed) <= python_files + len(mutations)
+    assert len(tokenized) <= python_files
+
+
+def test_build_tasks_parses_each_merged_diff_once(corpus, monkeypatch):
+    cfg = load_config(corpus)
+    prs = read_jsonl(cfg.real_inputs)
+    bad_diff = "--- a/x.py\n+++ b/x.py\n@@ -1,2 +1,2 @@\n-a\n"
+    extra = [
+        {**prs[0], "number": 901, "merged_diff": bad_diff},
+        {**prs[0], "number": 902, "issue_text": " "},
+        {**prs[0], "number": 903, "issue_created_at": "not a date"},
+    ]
+    with open(cfg.real_inputs, "a", encoding="utf-8") as f:
+        f.writelines(json.dumps(pr) + "\n" for pr in extra)
+    reached, parsed = [], []
+    real_build, real_parse = task_builder.build_real_instance, patch_analysis.parse_patch
+
+    def recording_build(pr, pre, post):
+        reached.append(pr)
+        return real_build(pr, pre, post)
+
+    def counting_parse(text):
+        parsed.append(text)
+        return real_parse(text)
+
+    monkeypatch.setattr(task_builder, "build_real_instance", recording_build)
+    monkeypatch.setattr(task_builder, "parse_patch", counting_parse)
+    monkeypatch.setattr(patch_analysis, "parse_patch", counting_parse)
+    code, report = run_stage("build-tasks", cfg)
+    assert code == EXIT_OK
+    assert report["built"] == len(prs)
+    assert sorted(parsed) == sorted(pr["merged_diff"] for pr in reached if pr["issue_text"].strip())
+    assert len(parsed) == len(prs) + 1
+    with pytest.raises(patch_analysis.PatchParseError) as bad:
+        real_parse(bad_diff)
+    assert {"record": len(prs), "reason": str(bad.value)} in report["skipped"]
 
 
 def test_curate_without_final_report_marks_unclassified(corpus):

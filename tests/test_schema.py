@@ -254,6 +254,21 @@ def test_validate_corrupt_golden_patch():
     assert codes == ["BAD_PATCH"]
 
 
+def test_validate_takes_the_callers_patch_verdict(monkeypatch):
+    # A caller that has parsed the golden patch passes its verdict; the
+    # patch is then not parsed again, and BAD_PATCH still follows the verdict.
+    def no_parse(text):
+        raise AssertionError("golden patch parsed again")
+
+    monkeypatch.setattr("lego_forge.patch_analysis.parse_patch", no_parse)
+    assert validate_instance(make_instance(), patch_parses=True) == []
+    assert validate_instance(make_instance(), patch_parses=False) == ["BAD_PATCH"]
+    assert validate_instance(make_instance(fail_to_pass=()), patch_parses=False) == [
+        "EMPTY_F2P",
+        "BAD_PATCH",
+    ]
+
+
 def test_validate_bad_timestamp_and_origin():
     inst = make_instance(origin="scraped", created_at="yesterday")
     codes = validate_instance(inst)

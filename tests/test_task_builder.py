@@ -1,3 +1,4 @@
+import ast
 import random
 
 import pytest
@@ -5,8 +6,10 @@ import pytest
 from lego_forge.patch_analysis import apply_patch, parse_patch, render_patch
 from lego_forge.schema import TestReport, validate_instance
 from lego_forge.task_builder import (
+    SWAP_TABLE,
     InvisibleBugError,
     LocatorError,
+    MutationError,
     MutationSpec,
     MutatorKindError,
     NodeLocator,
@@ -242,6 +245,155 @@ def test_injection_patch_applies_and_inverts():
     assert buggy["calc.py"] == mutated.source
     restored = apply_patch(invert_patch(patch), buggy)
     assert restored["calc.py"] == TOY_CALC
+
+
+
+# Decorators holding operators, an elif chain, an inline else, operator
+# look-alikes in comments and strings, parenthesized operands and
+# expressions over several lines.
+EQUIVALENCE_MODULE = """\
+import functools
+
+
+@functools.lru_cache(maxsize=2 * 64 + 1)
+@register(priority=(1 - 2) < 0)
+def scaled(x, factor=1 - 0.5):
+    # a + b < c and d or e: look-alikes in a comment
+    label = "x + y == z or w"
+    total = (x + 1) * (factor - 2)
+    if x < 0:
+        return -x
+    elif x == 0:
+        return 0
+    elif x > 100 and factor != 1:
+        return 100
+    else:
+        pass
+    if total >= 10: total = total / 2
+    else: total = total * 2
+    for i in range(3):
+        total = (total  # + not this one
+                 + i)
+    while total > (
+        50
+        - x
+    ):
+        total -= 1
+    return (total
+            + x) <= 3 or x
+"""
+
+MUTATOR_OF_KIND = {"operator": "operator_swap", "conditional": "conditional_removal", "loop": "loop_removal"}
+
+
+def _outcome(provider, spec):
+    try:
+        mutated, patch = inject_bug(provider.parse("m.py", EQUIVALENCE_MODULE), spec, provider)
+    except (LocatorError, MutatorKindError, MutationError) as exc:
+        return type(exc).__name__, str(exc)
+    return mutated.source, render_patch(patch)
+
+
+def test_shared_provider_mutates_like_a_fresh_one():
+    shared = PythonAstProvider()
+    tree = shared.parse("m.py", EQUIVALENCE_MODULE)
+    fresh_tree = PythonAstProvider().parse("m.py", EQUIVALENCE_MODULE)
+    checked = 0
+    for kind, mutator in MUTATOR_OF_KIND.items():
+        locators = PythonAstProvider().enumerate(fresh_tree, kind)
+        assert locators, kind
+        for loc in locators:
+            spec = MutationSpec(mutator, target=loc)
+            outcome = _outcome(shared, spec)
+            assert outcome == _outcome(PythonAstProvider(), spec), loc
+            mutated = outcome[0]
+            assert mutated not in ("LocatorError", "MutatorKindError", "MutationError"), (loc, outcome)
+            ast.parse(mutated)
+            if kind == "operator":
+                # Exactly one operator token inside the node's span changes.
+                start = fresh_tree.offset(loc.start_line, loc.start_col)
+                end = fresh_tree.offset(loc.end_line, loc.end_col)
+                edits = [
+                    i for i in range(start, end)
+                    if EQUIVALENCE_MODULE.startswith(loc.detail, i)
+                    and mutated == EQUIVALENCE_MODULE[:i] + SWAP_TABLE[loc.detail]
+                    + EQUIVALENCE_MODULE[i + len(loc.detail):]
+                ]
+                assert len(edits) == 1, loc
+            for other_kind, other_mutator in MUTATOR_OF_KIND.items():
+                if other_kind == kind:
+                    continue
+                wrong = MutationSpec(other_mutator, target=loc)
+                expected = (
+                    "MutatorKindError",
+                    f"target at {loc.span()} is a {kind}, not a {other_kind} ({other_mutator})",
+                )
+                assert _outcome(shared, wrong) == _outcome(PythonAstProvider(), wrong) == expected
+            checked += 1
+    assert checked >= 20
+    ghost = MutationSpec("operator_swap", target=NodeLocator("m.py", 7, 4, 7, 9))
+    expected = ("LocatorError", "m.py: no node at span (7, 4, 7, 9)")
+    assert _outcome(shared, ghost) == _outcome(PythonAstProvider(), ghost) == expected
+    # Every mutation above ran on the one kept tree, which still holds the clean source.
+    assert shared.parse("m.py", EQUIVALENCE_MODULE) is tree
+    assert tree.source == EQUIVALENCE_MODULE
+
+
+def test_provider_parses_a_changed_source_for_a_kept_path():
+    provider = PythonAstProvider()
+    first = provider.parse("m.py", "x = a + b\n")
+    assert provider.parse("m.py", "x = a + b\n") is first
+    changed = provider.parse("m.py", "x = a - b\n")
+    assert changed.source == "x = a - b\n"
+    assert ast.dump(changed.root) == ast.dump(ast.parse("x = a - b\n"))
+    assert [loc.detail for loc in provider.enumerate(changed, "operator")] == ["-"]
+    # The first tree of a path stays the kept one.
+    assert provider.parse("m.py", "x = a + b\n") is first
+
+
+def _single_edit(source, kind, mutator, index=0):
+    tree = PythonAstProvider().parse("m.py", source)
+    target = PythonAstProvider().enumerate(tree, kind)[index]
+    mutated, patch = inject_bug(tree, MutationSpec(mutator, target=target))
+    assert apply_patch(patch, {"m.py": source}) == {"m.py": mutated.source}
+    return mutated.source
+
+
+def test_form_feed_in_a_comment_leaves_later_spans_in_place():
+    # str.splitlines() breaks at the form feed; the ast does not.
+    source = (
+        "# Section one\x0c see below\n\n"
+        "def f(a):\n    x = 1\n    y = 2\n    z = 3\n"
+        "    if a:\n        return a + 1\n    return x\n"
+    )
+    assert _single_edit(source, "operator", "operator_swap") == source.replace("a + 1", "a - 1")
+    assert _single_edit(source, "conditional", "conditional_removal") == source.replace(
+        "    if a:\n        return a + 1\n", ""
+    )
+
+
+def test_line_separator_in_a_string_leaves_later_spans_in_place():
+    source = (
+        'x = "\u2028"\n\n'
+        "def f(a, b):\n    if a:\n        return 1\n    elif b:\n        return 2\n"
+        "    return 3 < a\n"
+    )
+    assert _single_edit(source, "operator", "operator_swap") == source.replace("3 < a", "3 >= a")
+    assert _single_edit(source, "conditional", "conditional_removal") == (
+        'x = "\u2028"\n\n'
+        "def f(a, b):\n    if b:\n        return 2\n    return 3 < a\n"
+    )
+
+
+def test_non_ascii_text_before_a_span_counts_characters_not_bytes():
+    # ast columns count UTF-8 bytes; "日本" is 2 characters and 6 bytes.
+    source = 'def f(a, b):\n    return "日本" + a - b\n'
+    assert _single_edit(source, "operator", "operator_swap", 0) == source.replace("+ a - b", "- a - b")
+    assert _single_edit(source, "operator", "operator_swap", 1) == source.replace("+ a - b", "+ a + b")
+    inline = 'def pick(c):\n    if c: r = "é"\n    else: r = "日本"; s = "ü"\n    return r\n'
+    assert _single_edit(inline, "conditional", "conditional_removal") == (
+        'def pick(c):\n    r = "日本"; s = "ü"\n    return r\n'
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ per content and passed to later stages in memory, and each file is hashed
 once per content; a single-stage run (`forge mask`) reads and hashes from
 disk. A stage's modules are imported only when the stage runs, so a re-run
 that skips every stage loads only the config, schema, registry and
-curriculum code.
+curriculum code. The stages that share no file with the rest (read no
+other stage's output, and no stage reads theirs) run in one forked worker
+process alongside the others; stdout, state and the exit code stay in
+stage order, up to the first failing stage.
 
 Exit codes: 0 success, 1 internal error, 2 missing input, 3 validation
 failure (a rejection report is written next to the stage outputs). Every
@@ -49,7 +52,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import marshal
+import os
 import sys
+import threading
 from collections import Counter
 from dataclasses import dataclass, fields, replace as dc_replace
 from pathlib import Path
@@ -368,7 +374,7 @@ def _reports(record: dict, *keys: str) -> tuple[TestReport, ...]:
 
 
 def _stage_inject(cfg: PipelineConfig) -> dict:
-    from . import task_builder
+    from . import patch_analysis, task_builder
 
     snapshot_dir = _require_input(cfg.snapshot_dir, "snapshot_dir")
     mutations_path = _require_input(cfg.mutations, "mutations")
@@ -396,7 +402,8 @@ def _stage_inject(cfg: PipelineConfig) -> dict:
             )
         except task_builder.InvisibleBugError as exc:
             invisible.append({"record": idx, "reason": str(exc)})
-        except (task_builder.LocatorError, task_builder.MutatorKindError, task_builder.MutationError, ValueError) as exc:
+        except (task_builder.LocatorError, task_builder.MutatorKindError, task_builder.MutationError,
+                patch_analysis.PatchParseError, ValueError) as exc:
             bad_specs.append({"record": idx, "reason": str(exc)})
     if bad_specs:
         _reject(cfg, "inject", bad_specs, f"{len(bad_specs)} mutation spec(s) could not be applied")
@@ -913,48 +920,140 @@ def _read_state(path: Path) -> dict:
         return {}
 
 
+def _detached_stages(cfg: PipelineConfig) -> list[Stage]:
+    """The stages that read no other stage's output and whose outputs no
+    other stage reads."""
+    written = {s.name: [cfg.out_dir / name for name in (*s.outputs(cfg), s.report)] for s in STAGES}
+
+    def reads(reader: Stage, writer: Stage) -> bool:
+        return any(path == out or path in out.parents
+                   for path in reader.inputs(cfg) if path is not None for out in written[writer.name])
+
+    return [s for s in STAGES if not any(reads(s, o) or reads(o, s) for o in STAGES if o is not s)]
+
+
+def _fork_worker(stages: list[Stage], cfg: PipelineConfig) -> tuple[int, int] | None:
+    """Fork a child that runs `stages` in order up to the first failure and
+    marshals (name, exit code, error) for each down a pipe; the child never
+    returns. Returns its pid and the pipe's read end, or None where this
+    process cannot fork safely, so that it runs the stages itself: a child
+    forked while other threads run may deadlock on a lock one of them held."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return None
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    try:
+        os.close(read_fd)
+        with os.fdopen(write_fd, "wb") as pipe:
+            for stage in stages:
+                try:
+                    code, report = run_stage(stage.name, cfg)
+                    error = report.get("error", "unknown error")
+                except Exception as exc:
+                    code, error = EXIT_INTERNAL, str(exc)
+                marshal.dump((stage.name, code, error), pipe)
+                if code != EXIT_OK:
+                    break
+    finally:
+        os._exit(0)
+
+
+def _reap(pid: int, read_fd: int) -> dict[str, tuple[int, str]]:
+    """The worker's (exit code, error) by stage, once it has exited."""
+    results = {}
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            while True:
+                name, code, error = marshal.load(pipe)
+                results[name] = (code, error)
+    except (EOFError, ValueError):
+        pass  # the worker closed the pipe, or died mid-write
+    finally:
+        os.waitpid(pid, 0)
+    return results
+
+
 def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> int:
     """Run every stage in dependency order, skipping stages whose input
     content hashes match the recorded state and whose outputs are intact.
-    Propagates the first failing stage's exit code."""
+    The detached stages run in one forked worker alongside the others;
+    lines, state and the exit code still follow stage order, up to the
+    first failing stage, whose exit code is returned."""
     global _in_run
     state_path = cfg.out_dir / ".forge_state.json"
     state = _read_state(state_path)
+    # Per stage decided so far: (input fingerprint, outputs) to run it, or None to skip it.
+    plans: dict[str, tuple[str, list[Path]] | None] = {}
 
-    def save_state():
-        atomic_write_text(state_path, _dump_report(state))
+    def plan(stage: Stage) -> tuple[str, list[Path]] | None:
+        fingerprint = _input_fingerprint(stage, cfg)
+        recorded = state.get(stage.name, {})
+        outputs = [cfg.out_dir / name for name in (*stage.outputs(cfg), stage.report)]
+        intact = all(path.exists() for path in outputs) and all(
+            recorded.get("outputs", {}).get(path.name) == _hash_path(path) for path in outputs
+        )
+        if recorded.get("inputs") == fingerprint and intact:
+            return None
+        # The stage rewrites its outputs; they are hashed only once written.
+        for path in outputs:
+            _digests.pop(path, None)
+        return fingerprint, outputs
 
     _in_run = True
     try:
-        for n, stage in enumerate(STAGES):
-            # Keep a hand-off only while a stage still to come reads its path.
-            wanted = {path for later in STAGES[n:] for path in later.inputs(cfg)}
-            for key in [key for key in _handoff if key[0] not in wanted]:
-                del _handoff[key]
-            fingerprint = _input_fingerprint(stage, cfg)
-            recorded = state.get(stage.name, {})
-            outputs = [cfg.out_dir / name for name in (*stage.outputs(cfg), stage.report)]
-            intact = all(path.exists() for path in outputs) and all(
-                recorded.get("outputs", {}).get(path.name) == _hash_path(path) for path in outputs
-            )
-            if recorded.get("inputs") == fingerprint and intact:
+        # No stage writes what a detached stage reads, so it is decided now,
+        # and those to run are forked off before this process loads anything.
+        for stage in _detached_stages(cfg):
+            plans[stage.name] = plan(stage)
+        forked = [stage for stage in STAGES if plans.get(stage.name)]
+        worker = _fork_worker(forked, cfg) if forked else None
+        results: dict[str, tuple[int, str]] = {}
+        try:
+            for n, stage in enumerate(STAGES):
+                if worker is not None and stage in forked:
+                    continue
+                # Keep a hand-off only while a stage still to come reads its path.
+                wanted = {path for later in STAGES[n:] for path in later.inputs(cfg)}
+                for key in [key for key in _handoff if key[0] not in wanted]:
+                    del _handoff[key]
+                if stage.name not in plans:
+                    plans[stage.name] = plan(stage)
+                if plans[stage.name] is None:
+                    continue
+                code, report = run_stage(stage.name, cfg)
+                results[stage.name] = (code, report.get("error", "unknown error"))
+                if code != EXIT_OK:
+                    break
+        finally:
+            if worker is not None:
+                results.update(_reap(*worker))
+
+        for stage in STAGES:
+            planned = plans[stage.name]
+            if planned is None:
                 echo(f"[skip] {stage.name}: inputs unchanged")
                 continue
-            # The stage rewrites its outputs; it hashes one only after writing it.
-            for path in outputs:
-                _digests.pop(path, None)
-            code, report = run_stage(stage.name, cfg)
+            code, error = results.get(stage.name, (EXIT_INTERNAL, "worker process ended before the stage did"))
             if code != EXIT_OK:
-                echo(f"[fail] {stage.name}: {report.get('error', 'unknown error')} (exit {code})")
+                echo(f"[fail] {stage.name}: {error} (exit {code})")
                 state.pop(stage.name, None)
-                save_state()
+                atomic_write_text(state_path, _dump_report(state))
                 return code
+            fingerprint, outputs = planned
             state[stage.name] = {
                 "inputs": fingerprint,
                 "outputs": {path.name: _hash_path(path) for path in outputs if path.exists()},
             }
             echo(f"[ok]   {stage.name}")
-        save_state()
+        atomic_write_text(state_path, _dump_report(state))
         return EXIT_OK
     finally:
         _in_run = False

@@ -29,6 +29,9 @@ DEV_NULL = "/dev/null"
 _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 _GIT_HEADER_RE = re.compile(r"^diff --git (?:a/)?(\S+) (?:b/)?(\S+)")
 _NO_NEWLINE = "\\ No newline at end of file"
+# Besides \n, \r\n and \r, str.splitlines() breaks at these, which a
+# Python file may hold in a comment or a string. The ast does not.
+_OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _SKIP_PREFIXES = (
     "index ",
     "old mode ",
@@ -185,6 +188,23 @@ class _FileBuilder:
         return FileDiff(path=path, hunks=hunks, old_path=old_field)
 
 
+def split_lines(text: str, keepends: bool = True) -> list[str]:
+    """`text.splitlines(keepends)`, but broken only at \\n, \\r\\n and \\r,
+    where the ast breaks Python source lines."""
+    if not any(ch in text for ch in _OTHER_LINE_BREAKS):
+        return text.splitlines(keepends)
+    lines: list[str] = []
+    pending = ""
+    for piece in text.splitlines(keepends=True):
+        pending += piece
+        if piece.endswith(("\n", "\r")):
+            lines.append(pending)
+            pending = ""
+    if pending:
+        lines.append(pending)
+    return lines if keepends else [line.rstrip("\r\n") for line in lines]
+
+
 def parse_patch(text: str) -> Patch:
     """Parse unified diff text into a Patch.
 
@@ -192,7 +212,7 @@ def parse_patch(text: str) -> Patch:
     hunk bodies that disagree with their declared counts raise PatchParseError
     with the offending line number.
     """
-    lines = text.splitlines()
+    lines = split_lines(text, keepends=False)
     file_diffs: list[FileDiff] = []
     builder: _FileBuilder | None = None
     preamble = True
@@ -359,8 +379,8 @@ def make_patch(
     old_path: str | None = None,
 ) -> str:
     """Produce unified diff text between two file contents."""
-    a = old_text.splitlines(keepends=True)
-    b = new_text.splitlines(keepends=True)
+    a = split_lines(old_text)
+    b = split_lines(new_text)
     from_path = old_path if old_path is not None else path
     raw = difflib.unified_diff(
         a,
@@ -383,7 +403,7 @@ def make_patch(
 
 
 def _apply_hunks(fd: FileDiff, text: str) -> str:
-    src = text.splitlines(keepends=True)
+    src = split_lines(text)
     out: list[str] = []
     pos = 0  # 0-based index into src
     for hunk in fd.hunks:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import ast
 import hashlib
 import random
-import re
 import tokenize
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
@@ -38,7 +37,7 @@ from itertools import accumulate
 from typing import Mapping, Protocol, Sequence
 
 from .errors import ForgeError
-from .patch_analysis import Patch, invert_patch, make_patch, parse_patch, render_patch
+from .patch_analysis import Patch, invert_patch, make_patch, parse_patch, render_patch, split_lines
 from .schema import TaskInstance, TestReport, validate_instance
 
 MUTATORS = ("operator_swap", "conditional_removal", "loop_removal")
@@ -150,11 +149,6 @@ def derive_test_labels(pre: TestReport, post: TestReport) -> tuple[list[str], li
 # Python syntax trees
 
 
-# The ast breaks lines only at \n, \r\n and \r. str.splitlines() also breaks
-# at form feeds, U+2028 and other separators, which would shift every span
-# after them.
-_LINE_END = re.compile(r"(?<=\n)|(?<=\r)(?!\n)")
-
 _KINDS = ("operator", "conditional", "loop")
 
 
@@ -170,11 +164,9 @@ class PythonSyntaxTree:
 
     @cached_property
     def lines(self) -> list[str]:
-        """Source lines with their endings, broken where the ast breaks them."""
-        lines = _LINE_END.split(self.source)
-        if not lines[-1]:
-            lines.pop()
-        return lines
+        """Source lines with their endings, broken where the ast breaks them
+        (not at form feeds or U+2028, which would shift every later span)."""
+        return split_lines(self.source)
 
     @cached_property
     def line_starts(self) -> list[int]:
@@ -353,9 +345,13 @@ def _remove_statement(tree: PythonSyntaxTree, node: ast.AST) -> str:
         if found is not None:
             parent, block = found
             if len(block) == 1 and not isinstance(parent, ast.Module):
-                indent = " " * node.col_offset
-                replacement = [f"{indent}pass\n"]
+                replacement = [f"{_indent(tree, node)}pass\n"]
     return "".join(lines[: node.lineno - 1] + replacement + lines[node.end_lineno:])
+
+
+def _indent(tree: PythonSyntaxTree, node: ast.AST) -> str:
+    """The indentation text of the line a statement starts, tabs included."""
+    return tree.lines[node.lineno - 1][: node.col_offset]
 
 
 def _else_branch_lines(tree: PythonSyntaxTree, node: ast.If) -> list[str]:
@@ -372,8 +368,7 @@ def _else_branch_lines(tree: PythonSyntaxTree, node: ast.If) -> list[str]:
         # Inline else ("else: stmt"): splice the statement text onto its own line.
         start = tree.offset(first.lineno, first.col_offset)
         end = tree.offset(last.end_lineno, last.end_col_offset)
-        indent = " " * node.col_offset
-        return [indent + tree.source[start:end].rstrip("\n") + "\n"]
+        return [_indent(tree, node) + tree.source[start:end].rstrip("\n") + "\n"]
     dedent = first.col_offset - node.col_offset
     out = []
     for line in lines[first.lineno - 1 : last.end_lineno]:

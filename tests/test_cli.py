@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,26 @@ def test_injected_instances_have_self_consistent_golden_patches(corpus):
         assert apply_patch(parse_patch(inst.golden_patch), buggy) == snapshot
     report = read(cfg.out_dir / "inject_report.json")
     assert len(report["invisible_bugs"]) == 1
+
+
+@pytest.mark.parametrize("cut_at_form_feed", [False, True])
+def test_form_feed_near_an_injected_edit(corpus, monkeypatch, cut_at_form_feed):
+    # Diff lines break only where source lines do, so the mutation applies;
+    # a diff that still fails to parse rejects its spec with exit 3.
+    if cut_at_form_feed:
+        monkeypatch.setattr(patch_analysis, "split_lines", lambda text, keepends=True: text.splitlines(keepends))
+    cfg = load_config(corpus)
+    calc = cfg.snapshot_dir / "calc.py"
+    calc.write_text(calc.read_text(encoding="utf-8").replace("def add(a, b):", "def add(a, b):  # \x0c", 1),
+                    encoding="utf-8")
+    code, report = run_stage("inject", cfg)
+    if not cut_at_form_feed:
+        assert code == EXIT_OK and report["built"] == 2
+        return
+    assert code == EXIT_VALIDATION
+    entries = read_jsonl(Path(report["rejection_report"]))
+    assert [e["record"] for e in entries] == [0]
+    assert "diff content outside any hunk" in entries[0]["reason"]
 
 
 def test_inject_parses_and_tokenizes_each_snapshot_file_once(corpus, monkeypatch):
@@ -884,12 +905,17 @@ def test_curated_line_separators_read_back_as_written(tmp_path, capsys):
     assert trees[0] == trees[1]
 
 
-def test_hand_off_lives_from_curate_to_its_last_reader(corpus, monkeypatch):
+def test_hand_off_lives_from_curate_to_its_last_reader(corpus, monkeypatch, tmp_path):
+    # The forked worker records what it held through a file; this process
+    # records in memory, so a stage lands in `held` only if it ran here.
     held = {}
+    log = tmp_path / "held.log"
     real_run_stage = cli.run_stage
 
     def recording_run_stage(stage, cfg):
-        held[stage] = [path.name for path, _ in cli._handoff]
+        held[stage] = names = [path.name for path, _ in cli._handoff]
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(json.dumps([stage, names]) + "\n")
         return real_run_stage(stage, cfg)
 
     monkeypatch.setattr(cli, "run_stage", recording_run_stage)
@@ -898,11 +924,12 @@ def test_hand_off_lives_from_curate_to_its_last_reader(corpus, monkeypatch):
     # each is dropped once no stage still to come reads its path.
     instances = ["instances_real.jsonl", "instances_synth.jsonl"]
     assert {stage: sorted(names) for stage, names in held.items()} == {
-        **{stage: [] for stage in ("build-tasks", "inject", "sanitize", "curate")},
+        **{stage: [] for stage in ("build-tasks", "inject", "curate")},
         **{stage: ["curated.jsonl", *instances] for stage in ("mask", "curriculum", "classify-errors")},
-        "tts-select": instances,
         "stats": instances,
     }
+    in_worker = {stage: names for stage, names in read_jsonl(log) if stage not in held}
+    assert in_worker == {"sanitize": [], "tts-select": []}
     assert_run_state_empty()
 
 
@@ -914,6 +941,167 @@ def test_failed_run_leaves_no_run_state(corpus, monkeypatch):
     lines = []
     assert run_pipeline(load_config(corpus), echo=lines.append) == cli.EXIT_INTERNAL
     assert lines[-1].startswith("[fail] classify-errors: boom")
+    assert_run_state_empty()
+
+
+# ---------------------------------------------------------------------------
+# Detached stages in one forked worker
+
+
+WORKER_STAGES = ("sanitize", "tts-select")
+
+
+def record_pids(monkeypatch, log: Path) -> None:
+    """Append (stage, pid) to `log` as each stage starts, in whichever process runs it."""
+    real_run_stage = cli.run_stage
+
+    def recording_run_stage(stage, cfg):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(json.dumps([stage, os.getpid()]) + "\n")
+        return real_run_stage(stage, cfg)
+
+    monkeypatch.setattr(cli, "run_stage", recording_run_stage)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_detached_stages_run_in_one_worker_process(corpus, monkeypatch, tmp_path):
+    cfg = load_config(corpus)
+    assert [stage.name for stage in cli._detached_stages(cfg)] == list(WORKER_STAGES)
+    log = tmp_path / "pids.log"
+    record_pids(monkeypatch, log)
+    lines = []
+    assert run_pipeline(cfg, echo=lines.append) == EXIT_OK
+    assert_no_child_left()
+    assert lines == [f"[ok]   {stage.name}" for stage in cli.STAGES]
+    pids = dict(read_jsonl(log))
+    assert sorted(pids) == sorted(stage.name for stage in cli.STAGES)
+    worker = {pids[stage] for stage in WORKER_STAGES}
+    assert len(worker) == 1 and os.getpid() not in worker
+    assert {pid for stage, pid in pids.items() if stage not in WORKER_STAGES} == {os.getpid()}
+    assert_run_state_empty()
+
+
+def test_skipping_rerun_never_forks(corpus, monkeypatch):
+    cfg = load_config(corpus)
+    assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+
+    def no_fork():
+        raise AssertionError("a re-run that skips every stage forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    lines = []
+    assert run_pipeline(cfg, echo=lines.append) == EXIT_OK
+    assert lines == [f"[skip] {stage.name}: inputs unchanged" for stage in cli.STAGES]
+
+
+@pytest.mark.parametrize("why", ["fork fails", "another thread runs"])
+def test_without_a_safe_fork_every_stage_runs_here_with_the_same_tree(tmp_path, monkeypatch, why):
+    forked = build_integration_corpus(tmp_path / "forked")
+    assert run_pipeline(load_config(forked), echo=lambda s: None) == EXIT_OK
+    config = build_integration_corpus(tmp_path / "here")
+    log = tmp_path / "pids.log"
+    record_pids(monkeypatch, log)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    if why == "fork fails":
+        def failing_fork():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+    else:
+        other.start()
+    try:
+        assert run_pipeline(load_config(config), echo=lambda s: None) == EXIT_OK
+    finally:
+        release.set()
+        if other.is_alive():
+            other.join(timeout=60)
+    assert not other.is_alive()
+    assert read_jsonl(log) == [[stage.name, os.getpid()] for stage in cli.STAGES]
+    assert tree_bytes(tmp_path / "here" / "out") == tree_bytes(tmp_path / "forked" / "out")
+
+
+@pytest.mark.parametrize("key, stage", [("histories", "sanitize"), ("rollouts", "tts-select")])
+def test_bad_line_fails_a_worker_stage_in_stage_order(tmp_path, key, stage):
+    # The worker's failure is echoed and recorded where a serial run would
+    # have stopped; the stages after it that ran alongside are neither
+    # echoed nor recorded, and a re-run after the fix decides them by content.
+    config = build_integration_corpus(tmp_path / "corpus")
+    cfg = load_config(config)
+    path = getattr(cfg, key)
+    good = path.read_text(encoding="utf-8")
+    path.write_text(good + "{not json\n", encoding="utf-8")
+    lines = []
+    assert run_pipeline(cfg, echo=lines.append) == EXIT_VALIDATION
+    assert_no_child_left()
+    names = [s.name for s in cli.STAGES]
+    before = names[: names.index(stage)]
+    assert lines[:-1] == [f"[ok]   {name}" for name in before]
+    assert lines[-1].startswith(f"[fail] {stage}:")
+    entries = read_jsonl(cfg.out_dir / f"{stage.replace('-', '_')}_rejections.jsonl")
+    assert [(e["line_no"], e["codes"]) for e in entries] == [(good.count("\n") + 1, ["BAD_JSON"])]
+    assert sorted(read(cfg.out_dir / ".forge_state.json")) == sorted(before)
+    assert_run_state_empty()
+
+    path.write_text(good, encoding="utf-8")
+    assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+    fresh = build_integration_corpus(tmp_path / "fresh")
+    assert run_pipeline(load_config(fresh), echo=lambda s: None) == EXIT_OK
+    tree = tree_bytes(cfg.out_dir)
+    assert tree.pop(f"{stage.replace('-', '_')}_rejections.jsonl")
+    assert tree == tree_bytes(tmp_path / "fresh" / "out")
+
+
+def test_parent_failure_leaves_the_worker_stage_unrecorded(corpus):
+    cfg = load_config(corpus)
+    with open(cfg.mutations, "a", encoding="utf-8") as f:
+        f.write(json.dumps({"mutator": "swap"}) + "\n")
+    lines = []
+    assert run_pipeline(cfg, echo=lines.append) == EXIT_VALIDATION
+    assert_no_child_left()
+    assert lines[0] == "[ok]   build-tasks" and lines[-1].startswith("[fail] inject:")
+    assert len(lines) == 2
+    assert sorted(read(cfg.out_dir / ".forge_state.json")) == ["build-tasks"]
+    # sanitize ran alongside and keeps its outputs, unrecorded.
+    assert (cfg.out_dir / "sanitized_histories.jsonl").exists()
+    assert_run_state_empty()
+
+
+def test_unexpected_error_in_a_worker_stage_exits_1(corpus, monkeypatch):
+    def boom(self, candidate):
+        raise RuntimeError("verifier crashed")
+
+    monkeypatch.setattr("lego_forge.tts.StubVerifier.score", boom)
+    cfg = dataclasses.replace(load_config(corpus), verifier="stub")
+    lines = []
+    assert run_pipeline(cfg, echo=lines.append) == cli.EXIT_INTERNAL
+    assert_no_child_left()
+    assert lines[-1] == "[fail] tts-select: verifier crashed (exit 1)"
+    assert "tts-select" not in read(cfg.out_dir / ".forge_state.json")
+    assert "stats" not in read(cfg.out_dir / ".forge_state.json")
+    assert_run_state_empty()
+
+
+def test_worker_that_dies_mid_stage_fails_that_stage(corpus, monkeypatch):
+    real_run_stage = cli.run_stage
+
+    def dying_run_stage(stage, cfg):
+        if stage == "sanitize" and os.getpid() != parent:
+            os._exit(0)
+        return real_run_stage(stage, cfg)
+
+    parent = os.getpid()
+    monkeypatch.setattr(cli, "run_stage", dying_run_stage)
+    cfg = load_config(corpus)
+    lines = []
+    assert run_pipeline(cfg, echo=lines.append) == cli.EXIT_INTERNAL
+    assert_no_child_left()
+    assert lines == ["[ok]   build-tasks", "[ok]   inject",
+                     "[fail] sanitize: worker process ended before the stage did (exit 1)"]
     assert_run_state_empty()
 
 

@@ -15,6 +15,7 @@ from lego_forge.patch_analysis import (
     parse_patch,
     patch_stats,
     render_patch,
+    split_lines,
 )
 
 from conftest import random_edit, random_file
@@ -166,6 +167,29 @@ def test_no_newline_at_eof_round_trip():
     assert apply_patch(patch, {"f.txt": old}) == {"f.txt": new}
     assert parse_patch(render_patch(patch)) == patch
     assert apply_patch(invert_patch(patch), {"f.txt": new}) == {"f.txt": old}
+
+
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+def test_lines_break_only_where_python_source_lines_do(separator):
+    # str.splitlines() would also break at the separator, cutting the
+    # diff's context line in two.
+    assert split_lines(f"a {separator} b\nc\r\nd\re{separator}") == [
+        f"a {separator} b\n", "c\r\n", "d\r", f"e{separator}"
+    ]
+    assert split_lines(f"a {separator} b\nc\r\nd", keepends=False) == [f"a {separator} b", "c", "d"]
+    old = f"def f(a):  # {separator} note\n    x = 1\n    return a\n"
+    new = old.replace("x = 1", "x = 2")
+    patch = parse_patch(make_patch(old, new, "f.py"))
+    assert apply_patch(patch, {"f.py": old}) == {"f.py": new}
+    assert apply_patch(invert_patch(patch), {"f.py": new}) == {"f.py": old}
+    assert parse_patch(render_patch(patch)) == patch
+
+
+def test_split_lines_without_other_separators_equals_splitlines():
+    text = "a\nb\r\nc\rd"
+    assert split_lines(text) == text.splitlines(keepends=True)
+    assert split_lines(text, keepends=False) == text.splitlines()
+    assert split_lines("") == []
 
 
 def test_invert_involution_and_empty():

@@ -385,6 +385,26 @@ def test_line_separator_in_a_string_leaves_later_spans_in_place():
     )
 
 
+def test_form_feed_in_a_diff_context_line_keeps_the_injection_diff_whole():
+    source = "def pick(c):\n    x = 1  # \x0c\n    if c:\n        x = 2\n    return x\n"
+    assert _single_edit(source, "conditional", "conditional_removal") == (
+        "def pick(c):\n    x = 1  # \x0c\n    return x\n"
+    )
+
+
+def test_removal_indents_with_the_statements_own_indentation():
+    # A tab-indented file stays tab-indented: a replacement `pass` or a
+    # spliced inline-else statement takes its line's own indentation text.
+    inline = "def pick(c):\n\tif c: r = 1\n\telse: r = 2\n\treturn r\n"
+    assert _single_edit(inline, "conditional", "conditional_removal") == "def pick(c):\n\tr = 2\n\treturn r\n"
+    sole = "def f(c):\n\tx = 0\n\tfor i in c:\n\t\tif i:\n\t\t\tx = 1\n\treturn x\n"
+    assert _single_edit(sole, "conditional", "conditional_removal") == (
+        "def f(c):\n\tx = 0\n\tfor i in c:\n\t\tpass\n\treturn x\n"
+    )
+    loop = "def f(c):\n\tif c:\n\t\tfor i in c:\n\t\t\tprint(i)\n\treturn c\n"
+    assert _single_edit(loop, "loop", "loop_removal") == "def f(c):\n\tif c:\n\t\tpass\n\treturn c\n"
+
+
 def test_non_ascii_text_before_a_span_counts_characters_not_bytes():
     # ast columns count UTF-8 bytes; "日本" is 2 characters and 6 bytes.
     source = 'def f(a, b):\n    return "日本" + a - b\n'

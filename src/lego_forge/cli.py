@@ -6,10 +6,14 @@ deterministic: identical inputs produce byte-identical outputs. The
 `pipeline` command runs every configured stage in dependency order and
 skips stages whose recorded input content hashes are unchanged. Within one
 `pipeline` run every corpus (instances and curated records) is read once
-per content and passed to later stages in memory, and each file is hashed
-once per content; a single-stage run (`forge mask`) reads and hashes from
-disk. A stage's modules are imported only when the stage runs, so a re-run
-that skips every stage loads only the config, schema, registry and
+per content and passed to later stages in memory: the instances built by
+`build-tasks` and `inject` reach `curate`, `classify-errors` and `stats`
+without a reload, each golden patch is parsed once, and each file is
+hashed once per content. A build output whose instance ids (or real image
+names) repeat is not passed on, so `curate` reloads and rejects it. A
+single-stage run (`forge curate`, `forge stats`) reads, parses and hashes
+from disk. A stage's modules are imported only when the stage runs, so a
+re-run that skips every stage loads only the config, schema, registry and
 curriculum code. The stages that share no file with the rest (read no
 other stage's output, and no stage reads theirs) run in one forked worker
 process alongside the others; stdout, state and the exit code stay in
@@ -22,7 +26,8 @@ rejection, except in `real_inputs`, where it is skipped with its reason.
 
 The config file is a plain `key = value` text file; paths resolve relative
 to the config file's directory. A value of the wrong type or out of range
-fails at load with exit 1 and `path:line`. Keys:
+fails at load with exit 1 and `path:line`; a config or registry file that
+is not UTF-8 fails with exit 1 and its path. Keys:
 
   out_dir            output directory (default: out)
   repo, base_commit  repository identity for the inject stage
@@ -196,6 +201,8 @@ def load_config(path: str | Path) -> PipelineConfig:
         text = config_path.read_text(encoding="utf-8")
     except OSError as exc:
         raise MissingInputError(f"cannot read config {config_path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ForgeError(f"{config_path}: not UTF-8 text: {exc}") from None
     base_dir = config_path.parent
     values: dict = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -280,11 +287,20 @@ _digests: dict[Path, str] = {}
 _handoff: dict[tuple[Path, str], list] = {}
 
 
-def _hand_off(path: Path, records: list[Trajectory]) -> None:
-    """Within a run, pass the trajectories just written to `path` to the
-    later stages that read it, if reloading them would return the same
-    records, that is, if every record is valid."""
-    if _in_run and not any(validate_trajectory(t) for t in records):
+def _hand_off(path: Path, records: list, kind: str) -> None:
+    """Within a run, pass the records of corpus `kind` just written to
+    `path` to the later stages that read it, if reloading them would return
+    the same records without a rejection. The builders validate every
+    instance they return, which leaves load_corpus's duplicate rules."""
+    if not _in_run:
+        return
+    if kind == "trajectories":
+        reloads_same = not any(validate_trajectory(t) for t in records)
+    else:
+        real_images = [i.image_name for i in records if i.origin == "real"]
+        reloads_same = (len({i.instance_id for i in records}) == len(records)
+                        and len(set(real_images)) == len(real_images))
+    if reloads_same:
         _handoff[(path, _hash_path(path))] = records
 
 
@@ -349,7 +365,9 @@ def _read_snapshot(snapshot_dir: Path) -> dict[str, str]:
 def _stage_build_tasks(cfg: PipelineConfig) -> dict:
     source = _require_input(cfg.real_inputs, "real_inputs")
     result = load_jsonl(source, _real_instance)
-    save_corpus(result.records, cfg.out_dir / "instances_real.jsonl")
+    path = cfg.out_dir / "instances_real.jsonl"
+    save_corpus(result.records, path)
+    _hand_off(path, result.records, "instances")
     skipped = [{"record": r.line_no - 1, "reason": r.message} for r in result.rejections]
     return {"stage": "build-tasks", "built": len(result.records), "skipped": skipped}
 
@@ -407,7 +425,9 @@ def _stage_inject(cfg: PipelineConfig) -> dict:
             bad_specs.append({"record": idx, "reason": str(exc)})
     if bad_specs:
         _reject(cfg, "inject", bad_specs, f"{len(bad_specs)} mutation spec(s) could not be applied")
-    save_corpus(instances, cfg.out_dir / "instances_synth.jsonl")
+    path = cfg.out_dir / "instances_synth.jsonl"
+    save_corpus(instances, path)
+    _hand_off(path, instances, "instances")
     return {"stage": "inject", "built": len(instances), "invisible_bugs": invisible}
 
 
@@ -458,14 +478,7 @@ def _sanitized_history(record: dict) -> dict:
         raise ValueError(f"unknown history policy {policy!r}")
     instance_id = require(record, "instance_id", str)
     require(record, anchor, str)
-    commits = []
-    for commit in require(record, "commits", list):
-        if not (isinstance(commit, dict) and isinstance(commit.get("commit_id"), str)
-                and isinstance(commit.get("author_date"), str) and isinstance(commit.get("message"), str)
-                and isinstance(commit.get("parent_ids"), list)
-                and all(isinstance(parent, str) for parent in commit["parent_ids"])):
-            raise ValueError("every commit needs string commit_id, author_date, message and list parent_ids")
-        commits.append(repo_sanitizer.CommitRecord.from_record(commit))
+    commits = [repo_sanitizer.CommitRecord.from_record(c) for c in require(record, "commits", list)]
     try:
         if policy == "cutoff":
             clean = repo_sanitizer.sanitize_real_history(commits, record["cutoff"])
@@ -541,7 +554,7 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
 
     curated_path = _curated_path(cfg)
     save_corpus(curated, curated_path)
-    _hand_off(curated_path, curated)
+    _hand_off(curated_path, curated, "trajectories")
     stats = trajectory_curation.rollout_stats(
         curated,
         recycle_semi_resolved=cfg.recycle_semi_resolved,
@@ -773,16 +786,12 @@ def _stage_stats(cfg: PipelineConfig) -> dict:
     from . import patch_analysis
 
     everyone = list(_load_instances_union(cfg, "stats").values())
-    golden_stats = {
-        i.instance_id: patch_analysis.patch_stats(patch_analysis.parse_patch(i.golden_patch))
-        for i in everyone
-    }
 
     def aggregate(group: list[TaskInstance]) -> dict:
         if not group:
             return {"instances": 0}
         n = len(group)
-        means = patch_analysis.mean_patch_stats([golden_stats[i.instance_id] for i in group])
+        means = patch_analysis.mean_patch_stats([i.golden_stats for i in group])
         return {
             "instances": n,
             "issue_words": sum(len(i.problem_statement.split()) for i in group) / n,

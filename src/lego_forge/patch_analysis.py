@@ -502,12 +502,11 @@ def invert_patch(patch: Patch) -> Patch:
 
 
 def patch_stats(patch: Patch) -> PatchStats:
-    """Count files, hunks, and changed lines (added + removed)."""
+    """Count files, hunks, and changed lines (added + removed): every hunk
+    line but context."""
     hunk_count = sum(len(fd.hunks) for fd in patch.file_diffs)
     line_count = sum(
-        len(h.removed_lines) + len(h.added_lines)
-        for fd in patch.file_diffs
-        for h in fd.hunks
+        tag != " " for fd in patch.file_diffs for h in fd.hunks for tag, _ in h.lines
     )
     return PatchStats(files=len(patch.file_diffs), hunks=hunk_count, lines=line_count)
 

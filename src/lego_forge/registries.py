@@ -135,7 +135,7 @@ def _registry_lines(path: str | Path) -> list[tuple[int, str]]:
     file_path = Path(path)
     try:
         text = file_path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise RegistryError(f"cannot read registry {file_path}: {exc}") from exc
     out = []
     for line_no, line in enumerate(text.splitlines(), start=1):

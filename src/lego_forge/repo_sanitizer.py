@@ -40,11 +40,16 @@ class CommitRecord:
 
     @classmethod
     def from_record(cls, record: dict) -> "CommitRecord":
+        if not (isinstance(record, dict) and isinstance(record.get("commit_id"), str)
+                and isinstance(record.get("author_date"), str) and isinstance(record.get("message"), str)
+                and isinstance(record.get("parent_ids"), list)
+                and all(isinstance(parent, str) for parent in record["parent_ids"])):
+            raise ValueError("every commit needs string commit_id, author_date, message and list parent_ids")
         return cls(
             commit_id=record["commit_id"],
             author_date=record["author_date"],
             message=record["message"],
-            parent_ids=tuple(record.get("parent_ids", [])),
+            parent_ids=tuple(record["parent_ids"]),
         )
 
     def to_record(self) -> dict:

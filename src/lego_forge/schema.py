@@ -18,13 +18,18 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import ForgeError
+
+if TYPE_CHECKING:
+    from .patch_analysis import PatchStats
 
 ORIGINS = ("real", "synthetic")
 DIFFICULTIES = ("easy", "medium", "hard")
@@ -74,7 +79,12 @@ def _string_list(record: dict, key: str) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class TaskInstance:
-    """One executable SWE issue: problem text, golden patch, labeled tests, sandbox id."""
+    """One executable SWE issue: problem text, golden patch, labeled tests, sandbox id.
+
+    `golden_stats` is computed on first use and kept: only the three counts,
+    never the parsed patch. A builder that has already parsed the patch
+    seeds it with `object.__setattr__`.
+    """
 
     instance_id: str
     repo: str
@@ -139,6 +149,13 @@ class TaskInstance:
         }
         record.update(self.extra)
         return record
+
+    @cached_property
+    def golden_stats(self) -> PatchStats:
+        """patch_stats of the parsed golden patch; PatchParseError if it does not parse."""
+        from . import patch_analysis
+
+        return patch_analysis.patch_stats(patch_analysis.parse_patch(self.golden_patch))
 
 
 @dataclass(frozen=True)
@@ -286,7 +303,8 @@ def validate_instance(inst: TaskInstance, *, patch_parses: bool | None = None) -
     Returns a list of stable violation codes; an empty list means the
     instance is well-formed. Violations are data, not exceptions. A caller
     that has already parsed the golden patch passes its verdict as
-    `patch_parses`; otherwise the patch is parsed here.
+    `patch_parses`; otherwise the patch is parsed here, through
+    `golden_stats`, which keeps the counts for a later reader.
     """
     codes = []
     if not inst.instance_id:
@@ -301,7 +319,7 @@ def validate_instance(inst: TaskInstance, *, patch_parses: bool | None = None) -
         from . import patch_analysis
 
         try:
-            patch_analysis.parse_patch(inst.golden_patch)
+            inst.golden_stats
             patch_parses = True
         except patch_analysis.PatchParseError:
             patch_parses = False
@@ -386,25 +404,46 @@ class RecordRejected(ValueError):
         self.codes = tuple(codes)
 
 
+# A \uD800-\uDFFF escape. Only lines holding one can decode to a lone
+# surrogate, which no UTF-8 output can hold.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89abcdefABCDEF]")
+
+
+def _encodes(raw: dict) -> bool:
+    """Whether every string in a decoded record encodes as UTF-8."""
+    try:
+        json.dumps(raw, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _read_lines(file_path: Path) -> Iterator[str]:
+    """The lines of a UTF-8 file, split at "\n" only and without it, read one
+    at a time so that no more than one line of the text is held; what
+    follows the final newline is no line. CorpusError if it is unreadable."""
+    try:
+        with file_path.open(encoding="utf-8", newline="\n") as handle:
+            for line in handle:
+                yield line.removesuffix("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CorpusError(f"cannot read {file_path}: {exc}") from exc
+
+
 def load_jsonl(path: str | Path, parse: Callable[[dict], Any], *, reject_blank: bool = False) -> LoadResult:
     """Read a JSON Lines file into `parse(record)` per line, in file order.
 
     Lines split at "\n" only, so text that holds U+2028 and the like reads
-    back as written. A line that is not a JSON object is BAD_JSON; one that
+    back as written. A line that is not a JSON object, or that escapes a lone
+    surrogate (text no UTF-8 output can hold), is BAD_JSON; one that
     `parse` refuses with ValueError is BAD_RECORD, or the codes of a
     RecordRejected. A blank line is skipped, or is EMPTY_LINE with
-    reject_blank. An unreadable file raises CorpusError.
+    reject_blank. An unreadable file raises CorpusError, also after some
+    lines were parsed, when it stops decoding part-way.
     """
-    file_path = Path(path)
-    try:
-        lines = file_path.read_text(encoding="utf-8").split("\n")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CorpusError(f"cannot read {file_path}: {exc}") from exc
-    if not lines[-1]:
-        lines.pop()  # what follows the final newline is no line
     records: list = []
     rejections: list[Rejection] = []
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(_read_lines(Path(path)), start=1):
         if not line.strip():
             if reject_blank:
                 rejections.append(Rejection(line_no, ("EMPTY_LINE",), "blank line"))
@@ -416,6 +455,9 @@ def load_jsonl(path: str | Path, parse: Callable[[dict], Any], *, reject_blank: 
             continue
         if not isinstance(raw, dict):
             rejections.append(Rejection(line_no, ("BAD_JSON",), "record is not an object"))
+            continue
+        if "\\u" in line and _SURROGATE_ESCAPE.search(line) and not _encodes(raw):
+            rejections.append(Rejection(line_no, ("BAD_JSON",), "lone surrogate"))
             continue
         try:
             records.append(parse(raw))

@@ -223,20 +223,3 @@ def serialize_sample(
         ],
     }
 
-
-def parse_sample_record(record: dict) -> TrainingSample:
-    """Rebuild a TrainingSample from an emitted record (round-trip exact)."""
-    segments = tuple(
-        Segment(
-            source=seg["source"],
-            step_index=seg["step_index"],
-            text=seg["text"],
-            in_loss=seg["in_loss"],
-        )
-        for seg in record["rendered"]
-    )
-    return TrainingSample(
-        trajectory_id=record["trajectory_id"],
-        rendered=segments,
-        token_estimate=record["token_estimate"],
-    )

@@ -37,7 +37,16 @@ from itertools import accumulate
 from typing import Mapping, Protocol, Sequence
 
 from .errors import ForgeError
-from .patch_analysis import Patch, invert_patch, make_patch, parse_patch, render_patch, split_lines
+from .patch_analysis import (
+    Patch,
+    PatchParseError,
+    invert_patch,
+    make_patch,
+    parse_patch,
+    patch_stats,
+    render_patch,
+    split_lines,
+)
 from .schema import TaskInstance, TestReport, validate_instance
 
 MUTATORS = ("operator_swap", "conditional_removal", "loop_removal")
@@ -561,9 +570,14 @@ def build_synthetic_instance(
             "target_path": path,
         },
     )
-    violations = validate_instance(instance)
+    try:
+        golden_stats = patch_stats(parse_patch(golden_patch))
+    except PatchParseError:
+        golden_stats = None
+    violations = validate_instance(instance, patch_parses=golden_stats is not None)
     if violations:
         raise ForgeError(f"built instance fails validation: {violations}")
+    object.__setattr__(instance, "golden_stats", golden_stats)
     return instance
 
 
@@ -580,7 +594,7 @@ def build_real_instance(
     if not issue_text.strip():
         raise ValueError("issue text is empty")
     merged_diff = pr["merged_diff"]
-    parse_patch(merged_diff)  # unparseable diffs fail here
+    golden_stats = patch_stats(parse_patch(merged_diff))  # unparseable diffs fail here
 
     fail_to_pass, pass_to_pass = derive_test_labels(pre, post)
     if not fail_to_pass:
@@ -610,4 +624,5 @@ def build_real_instance(
     violations = validate_instance(instance, patch_parses=True)
     if violations:
         raise ForgeError(f"built instance fails validation: {violations}")
+    object.__setattr__(instance, "golden_stats", golden_stats)
     return instance

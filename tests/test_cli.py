@@ -80,6 +80,18 @@ def test_config_rejects_unknown_key(tmp_path):
             load_config(bad)
 
 
+@pytest.mark.parametrize("key", [None, "hack_patterns", "error_patterns", "phase_patterns"])
+def test_undecodable_config_or_registry_exits_1_with_its_path(tmp_path, capsys, key):
+    config = tmp_path / "forge.cfg"
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"TRACEBACK \xff\n")
+    config.write_bytes(b"seed = 1\n\xff\n" if key is None else f"{key} = bad.txt\n".encode())
+    assert cli.main(["pipeline", "--config", str(config)]) == cli.EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(config if key is None else bad) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_missing_registry_is_missing_input(tmp_path):
     bad = tmp_path / "forge.cfg"
     bad.write_text("hack_patterns = nowhere.txt\n", encoding="utf-8")
@@ -427,6 +439,9 @@ def probes():
         ("real_inputs", edited(base_commit=5), "field 'base_commit' has wrong type int", "base-commit-number"),
         ("real_inputs", edited(issue_created_at="soon"), "invalid ISO-8601 timestamp: 'soon'",
          "bad-issue-created-at"),
+        ("real_inputs", edited(issue_text="crash \ud800"), "lone surrogate", "issue-text-lone-surrogate"),
+        ("trajectories", edited(final_patch="\udfff"), ["BAD_JSON"], "lone-surrogate"),
+        ("histories", edited(instance_id="h-\ud800"), ["BAD_JSON"], "lone-surrogate"),
     ]
     for key, line, expected, name in edits:
         yield pytest.param(key, PROBE_STAGES[key], line, expected, id=f"{key.replace('_', '-')}-{name}")
@@ -920,17 +935,65 @@ def test_hand_off_lives_from_curate_to_its_last_reader(corpus, monkeypatch, tmp_
 
     monkeypatch.setattr(cli, "run_stage", recording_run_stage)
     assert run_pipeline(load_config(corpus), echo=lambda s: None) == EXIT_OK
-    # curate keeps the instance corpora it read and the records it wrote;
-    # each is dropped once no stage still to come reads its path.
+    # build-tasks and inject keep the instances they wrote, and curate the
+    # records it wrote; each is dropped once no stage still to come reads
+    # its path.
     instances = ["instances_real.jsonl", "instances_synth.jsonl"]
     assert {stage: sorted(names) for stage, names in held.items()} == {
-        **{stage: [] for stage in ("build-tasks", "inject", "curate")},
+        "build-tasks": [],
+        "inject": instances[:1],
+        "curate": instances,
         **{stage: ["curated.jsonl", *instances] for stage in ("mask", "curriculum", "classify-errors")},
         "stats": instances,
     }
     in_worker = {stage: names for stage, names in read_jsonl(log) if stage not in held}
     assert in_worker == {"sanitize": [], "tts-select": []}
     assert_run_state_empty()
+
+
+def test_built_instances_equal_their_reload(corpus, monkeypatch):
+    # The hand-off gives later stages the builders' instances in place of a
+    # reload, so each must equal its own round trip, and the golden_stats a
+    # builder seeds must equal a fresh parse.
+    written = {}
+    real_save = cli.save_corpus
+
+    def capturing_save(records, path):
+        written[Path(path).name] = records
+        real_save(records, path)
+
+    monkeypatch.setattr(cli, "save_corpus", capturing_save)
+    cfg = load_config(corpus)
+    assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+    for name in ("instances_real.jsonl", "instances_synth.jsonl"):
+        instances = written[name]
+        assert instances, name
+        for inst in instances:
+            assert TaskInstance.from_record(json.loads(schema_mod.dumps_record(inst.to_record()))) == inst
+            assert "golden_stats" in vars(inst)
+            assert inst.golden_stats == patch_analysis.patch_stats(patch_analysis.parse_patch(inst.golden_patch))
+        assert load_corpus(cfg.out_dir / name, "instances").records == instances
+
+
+def test_duplicate_built_ids_fail_curate_as_single_stage_runs_do(corpus, capsys):
+    # Instances a reload would reject are not handed off: curate reloads
+    # and rejects them exactly as `forge build-tasks` then `forge curate`.
+    cfg = load_config(corpus)
+    first = cfg.real_inputs.read_text(encoding="utf-8").split("\n", 1)[0]
+    cfg.real_inputs.write_text(f"{first}\n{first}\n", encoding="utf-8")
+    lines = []
+    assert run_pipeline(cfg, echo=lines.append) == EXIT_VALIDATION
+    assert lines[-1].startswith("[fail] curate:")
+    assert_run_state_empty()
+    rejections = cfg.out_dir / "curate_rejections.jsonl"
+    piped = rejections.read_bytes()
+    assert [(e["line_no"], e["codes"]) for e in read_jsonl(rejections)] == [(2, ["DUPLICATE_ID"])]
+    shutil.rmtree(cfg.out_dir)
+    capsys.readouterr()
+    assert cli.main(["build-tasks", "--config", str(corpus)]) == EXIT_OK
+    assert cli.main(["curate", "--config", str(corpus)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [lines[-1]]
+    assert rejections.read_bytes() == piped
 
 
 def test_failed_run_leaves_no_run_state(corpus, monkeypatch):
@@ -1121,9 +1184,10 @@ def test_rerun_records_the_digests_of_rewritten_outputs(corpus):
 
 
 def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, monkeypatch):
-    # Counts, not timings: within one run, nothing reloads curated.jsonl,
-    # each instance corpus is decoded once, stats parses each golden patch
-    # once, and no file is hashed twice while its content is unchanged.
+    # Counts, not timings: within one run, nothing reloads curated.jsonl or
+    # an instance corpus (a cold run takes the builders' instances), stats
+    # parses no golden patch, and no file is hashed twice while its content
+    # is unchanged.
     loaded, hashed, built, parsed_in = [], [], [], []
     running = [None]
     real_load, real_sha256, real_run_stage = cli.load_corpus, cli._sha256, cli.run_stage
@@ -1166,11 +1230,9 @@ def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, mo
             seen.clear()
         assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK, run
         assert cfg.out_dir / "curated.jsonl" not in loaded, run
-        assert all(loaded.count(path) <= 1 for path in instance_files), run
-        instance_lines = sum(len(read_jsonl(path)) for path in instance_files)
-        assert len(built) <= instance_lines, run
-        expected = read(cfg.out_dir / "corpus_stats.json")["combined"]["instances"] if run == "cold" else 0
-        assert parsed_in.count("stats") == expected, run
+        assert not set(loaded) & set(instance_files), run
+        assert built == [], run
+        assert "stats" not in parsed_in, run
         assert len(hashed) == len(set(hashed)), run
         assert_run_state_empty()
     assert cfg.out_dir / "curated.jsonl" in {path for path, _ in hashed}

@@ -210,6 +210,10 @@ def test_invert_restores_bytes_on_random_files():
         restored = apply_patch(invert_patch(patch), patched)
         assert restored[path] == old  # byte-exact oracle
         assert invert_patch(invert_patch(patch)) == patch
+        # The changed-line count is the removed plus the added lines.
+        assert patch_stats(patch).lines == patch_stats(invert_patch(patch)).lines == sum(
+            len(h.removed_lines) + len(h.added_lines) for fd in patch.file_diffs for h in fd.hunks
+        )
 
 
 def test_invert_restores_multi_file_trees():

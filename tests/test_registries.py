@@ -31,6 +31,14 @@ def test_registry_order_is_preserved(tmp_path):
     assert [p.pattern_id for p in load_hack_patterns(path)] == ["B", "A"]
 
 
+def test_undecodable_registry_fails_at_load_with_its_path(tmp_path):
+    path = tmp_path / "errors.txt"
+    path.write_bytes(b"BROKEN \xff\n")
+    for load in (load_hack_patterns, load_error_patterns, load_phase_patterns):
+        with pytest.raises(RegistryError, match=re.escape(str(path))):
+            load(path)
+
+
 def test_invalid_regex_fails_at_load(tmp_path):
     path = tmp_path / "errors.txt"
     path.write_text("BROKEN [unclosed\n", encoding="utf-8")

@@ -139,6 +139,24 @@ def test_load_jsonl_reports_each_bad_line_by_number(tmp_path):
     )
     with pytest.raises(CorpusError):
         load_jsonl(tmp_path / "absent.jsonl", parse)
+    path.write_bytes(b'{"n": 1}\n{"n": "\xff"}\n')
+    with pytest.raises(CorpusError, match="cannot read"):
+        load_jsonl(path, parse)
+
+
+def test_load_jsonl_rejects_lone_surrogate_escapes(tmp_path):
+    # A lone surrogate decodes but can never be written as UTF-8; a pair, or
+    # an escaped backslash before "ud800", is ordinary text.
+    path = tmp_path / "input.jsonl"
+    write_lines(path, [
+        r'{"t": "a\ud800b"}', r'{"t": "\udfff"}', r'{"\ud83d": 1}', r'{"t": ["ok", {"x": "\uDBFF"}]}',
+        r'{"t": "\ud83d\ude00"}', r'{"t": "\\ud800"}', r'{"t": "\u00e9"}',
+    ])
+    result = load_jsonl(path, lambda record: record["t"])
+    assert result.records == ["\U0001F600", "\\ud800", "\u00e9"]
+    assert [(r.line_no, r.codes, r.message) for r in result.rejections] == [
+        (n, ("BAD_JSON",), "lone surrogate") for n in (1, 2, 3, 4)
+    ]
 
 
 def test_lines_split_at_newline_only(tmp_path):

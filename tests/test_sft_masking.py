@@ -1,6 +1,6 @@
 import json
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -11,7 +11,6 @@ from lego_forge.sft_masking import (
     assign_phases,
     build_loss_mask,
     detect_step_errors,
-    parse_sample_record,
     render_trajectory,
     serialize_sample,
     whitespace_token_count,
@@ -201,10 +200,13 @@ def test_record_round_trip_preserves_segments_exactly():
         bash_step(0, "python repro.py", "Traceback (most recent call last):", phase="editing"),
         bash_step(1, "ls", "fine"),
     ])))
-    record = serialize_sample(sample, 128000)
-    again = parse_sample_record(json.loads(json.dumps(record)))
-    assert again.rendered == sample.rendered
-    assert [s.in_loss for s in again.rendered] == [s.in_loss for s in sample.rendered]
+    record = json.loads(json.dumps(serialize_sample(sample, 128000)))
+    assert record["trajectory_id"] == sample.trajectory_id
+    assert record["token_estimate"] == sample.token_estimate
+    assert record["rendered"] == [asdict(s) for s in sample.rendered]
+    assert [seg["in_loss"] for seg in record["rendered"]] == [s.in_loss for s in sample.rendered]
+    assert any(seg["in_loss"] for seg in record["rendered"])
+    assert not all(seg["in_loss"] for seg in record["rendered"])
 
 
 def test_tokenizer_failure_is_serialization_error():

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from lego_forge.patch_analysis import apply_patch, parse_patch, render_patch
+from lego_forge.errors import ForgeError
+from lego_forge.patch_analysis import PatchParseError, apply_patch, parse_patch, patch_stats, render_patch
 from lego_forge.schema import TestReport, validate_instance
 from lego_forge.task_builder import (
     SWAP_TABLE,
@@ -451,6 +452,31 @@ def test_synthetic_instance_golden_restores_clean_snapshot():
     assert restored == toy_snapshot()  # byte-exact oracle
 
 
+def test_synthetic_instance_parses_its_golden_patch_once(monkeypatch):
+    # The one parse decides validation and seeds golden_stats; a golden
+    # patch that does not parse still fails validation with BAD_PATCH.
+    parsed = []
+    refuse = []
+
+    def recording_parse(text):
+        parsed.append(text)
+        if text in refuse:
+            raise PatchParseError("refused")
+        return parse_patch(text)
+
+    monkeypatch.setattr("lego_forge.task_builder.parse_patch", recording_parse)
+    monkeypatch.setattr("lego_forge.patch_analysis.parse_patch", recording_parse)
+    spec = MutationSpec("operator_swap", target=toy_locator("+", 2), seed=1)
+    inst = build_toy_instance(spec, failing=[T_ADD])
+    assert parsed.count(inst.golden_patch) == 1
+    assert vars(inst)["golden_stats"] == patch_stats(parse_patch(inst.golden_patch))
+    assert inst.golden_stats.hunks >= 1
+    refuse.append(inst.golden_patch)
+    with pytest.raises(ForgeError) as failed:
+        build_toy_instance(spec, failing=[T_ADD])
+    assert str(failed.value) == "built instance fails validation: ['BAD_PATCH']"
+
+
 def test_dead_code_mutation_is_invisible():
     spec = MutationSpec("operator_swap", target=toy_locator("*", 26), seed=3)
     with pytest.raises(InvisibleBugError):
@@ -506,6 +532,7 @@ def test_real_instance_from_pr_fixture():
     assert inst.pass_to_pass == ("tests/test_parser.py::test_basic",)
     assert inst.created_at == "2023-03-01T09:00:00+00:00"
     assert inst.golden_patch == pr_fixture()["merged_diff"]
+    assert vars(inst)["golden_stats"] == patch_stats(parse_patch(inst.golden_patch))
     assert validate_instance(inst) == []
 
 

@@ -8,10 +8,12 @@ skips stages whose recorded input content hashes are unchanged. Within one
 `pipeline` run every corpus (instances and curated records) is read once
 per content and passed to later stages in memory: the instances built by
 `build-tasks` and `inject` reach `curate`, `classify-errors` and `stats`
-without a reload, each golden patch is parsed once, and each file is
-hashed once per content. A build output whose instance ids (or real image
-names) repeat is not passed on, so `curate` reloads and rejects it. A
-single-stage run (`forge curate`, `forge stats`) reads, parses and hashes
+without a reload, each golden patch is parsed once, each curated
+trajectory is JSON-encoded once (the curriculum's stage files reuse
+curate's lines), each distinct bash command is tokenized once by
+`classify-errors`, and each file is hashed once per content. A build
+output whose instance ids (or real image names) repeat is not passed on,
+so `curate` reloads and rejects it. A single-stage run (`forge curate`, `forge stats`) reads, parses and hashes
 from disk. A stage's modules are imported only when the stage runs, so a
 re-run that skips every stage loads only the config, schema, registry and
 curriculum code. The stages that share no file with the rest (read no

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 import shlex
+from functools import lru_cache
 from typing import Sequence
 
 from . import patch_analysis
@@ -80,16 +81,21 @@ def reproduced_issue(traj: Trajectory, inst: TaskInstance) -> bool:
 
 
 def _bash_read_paths(command: str, reader_commands: Sequence[str]) -> set[str]:
+    """Paths the reader commands in one bash command take as arguments."""
+    return set(_read_paths(command, tuple(reader_commands)))
+
+
+@lru_cache(maxsize=4096)
+def _read_paths(command: str, readers: tuple[str, ...]) -> frozenset[str]:
+    # Agents repeat commands (`git status`, `cat` of the same file), so each
+    # distinct command is tokenized once.
     try:
         tokens = shlex.split(command)
     except ValueError:
         tokens = command.split()
-    if not tokens:
-        return set()
-    readers = set(reader_commands)
     paths: set[str] = set()
     reading = False
-    for i, token in enumerate(tokens):
+    for token in tokens:
         base = token.rsplit("/", 1)[-1]
         if base in readers:
             reading = True
@@ -99,7 +105,17 @@ def _bash_read_paths(command: str, reader_commands: Sequence[str]) -> set[str]:
             continue
         if reading and not token.startswith("-") and ("/" in token or "." in token):
             paths.add(token.lstrip("./"))
-    return paths
+    return frozenset(paths)
+
+
+def _final_patch(traj: Trajectory) -> patch_analysis.Patch | None:
+    """The parsed final patch; None when it is empty or does not parse."""
+    if not traj.final_patch.strip():
+        return None
+    try:
+        return patch_analysis.parse_patch(traj.final_patch)
+    except patch_analysis.PatchParseError:
+        return None
 
 
 def viewed_files(
@@ -107,6 +123,12 @@ def viewed_files(
 ) -> set[str]:
     """Files the agent opened: editor calls (any command), file-reading bash
     commands, and files touched by the final patch."""
+    return _viewed_files(traj, reader_commands, _final_patch(traj))
+
+
+def _viewed_files(
+    traj: Trajectory, reader_commands: Sequence[str], final: patch_analysis.Patch | None
+) -> set[str]:
     seen: set[str] = set()
     for step in traj.steps:
         action = step.action
@@ -120,13 +142,8 @@ def viewed_files(
             command = action.arguments.get("command", "")
             if isinstance(command, str):
                 seen |= _bash_read_paths(command, reader_commands)
-    if traj.final_patch.strip():
-        try:
-            final = patch_analysis.parse_patch(traj.final_patch)
-        except patch_analysis.PatchParseError:
-            final = None
-        if final is not None:
-            seen |= {fd.display_path for fd in final.file_diffs}
+    if final is not None:
+        seen |= {fd.display_path for fd in final.file_diffs}
     return seen
 
 
@@ -163,7 +180,8 @@ def explain_failure(
     if not reproduced_issue(traj, inst):
         return {"label": "failed_to_reproduce", "golden_files": golden_paths}
 
-    seen = viewed_files(traj, reader_commands)
+    final = _final_patch(traj)
+    seen = _viewed_files(traj, reader_commands, final)
     missing = [g for g in golden_paths if not _covers(seen, g)]
     if missing:
         return {
@@ -172,13 +190,7 @@ def explain_failure(
             "unviewed_files": missing,
         }
 
-    overlap = None
-    if traj.final_patch.strip():
-        try:
-            final = patch_analysis.parse_patch(traj.final_patch)
-            overlap = patch_analysis.line_overlap(final, golden)
-        except patch_analysis.PatchParseError:
-            overlap = None
+    overlap = None if final is None else patch_analysis.line_overlap(final, golden)
     if overlap is None or overlap.golden_files_touched == 0 or overlap.total_overlap == 0:
         return {
             "label": "write_localization_error",

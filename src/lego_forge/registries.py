@@ -7,10 +7,12 @@ pattern sets auditable and lets a corpus directory pin its own copies.
 Error patterns are matched through `ErrorPattern.search`, which first
 checks for the literals every match must contain (`required_literals`, the
 prefilter RE2 and ripgrep use) and runs the regex only when one is
-present. The guards are derived automatically from the parsed regex, so a
-registry entry is written as a plain regex. `IGNORECASE` (global or
-inline), an empty alternative, or a construct the derivation does not know
-disables the guard for that entry, which then always runs its regex.
+present. It runs for every pattern on every observation, so the guard
+check is a plain loop with no generator. The guards are derived
+automatically from the parsed regex, so a registry entry is written as a
+plain regex. `IGNORECASE` (global or inline), an empty alternative, or a
+construct the derivation does not know disables the guard for that entry,
+which then always runs its regex.
 """
 
 from __future__ import annotations
@@ -60,8 +62,13 @@ class ErrorPattern:
     def search(self, text: str) -> re.Match | None:
         """`regex.search(text)`, skipped when `text` holds no guard literal."""
         guards = self.guards
-        if guards is not None and not any(lit in text for lit in guards):
-            return None
+        if guards is not None:
+            # No any(): its generator costs more than the scan itself.
+            for lit in guards:
+                if lit in text:
+                    break
+            else:
+                return None
         return self.regex.search(text)
 
 

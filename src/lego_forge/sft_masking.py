@@ -110,7 +110,10 @@ def detect_step_errors(
 
 def has_execution_error(observation: str, patterns: Sequence[ErrorPattern]) -> bool:
     """True exactly when the observation matches at least one registry pattern."""
-    return any(p.search(observation) for p in patterns)
+    for p in patterns:
+        if p.search(observation):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +199,18 @@ def serialize_sample(
     """Emit a sample record if it fits the context limit, else Overflow.
 
     The token estimate is recomputed with the supplied tokenizer over the
-    full rendering. Per-segment in_loss markers are preserved bit-exactly.
+    full rendering; with the default tokenizer it is the count
+    `build_loss_mask` already took. Per-segment in_loss markers are
+    preserved bit-exactly.
     """
-    full_text = "".join(s.text for s in sample.rendered)
-    try:
-        estimate = tokenizer(full_text)
-    except Exception as exc:
-        raise ForgeError(f"tokenizer failed on {sample.trajectory_id}: {exc}") from exc
+    if tokenizer is whitespace_token_count:
+        estimate = sample.token_estimate
+    else:
+        full_text = "".join(s.text for s in sample.rendered)
+        try:
+            estimate = tokenizer(full_text)
+        except Exception as exc:
+            raise ForgeError(f"tokenizer failed on {sample.trajectory_id}: {exc}") from exc
     if estimate > context_limit:
         return Overflow(
             trajectory_id=sample.trajectory_id,

@@ -1238,6 +1238,40 @@ def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, mo
     assert cfg.out_dir / "curated.jsonl" in {path for path, _ in hashed}
 
 
+def test_run_pipeline_encodes_each_curated_trajectory_once_and_tokenizes_each_command_once(
+    corpus, monkeypatch
+):
+    # Counts, not timings: curate's encoding of a trajectory is reused by the
+    # curriculum's stage files, and classify-errors splits each distinct
+    # bash command once however many trajectories repeat it.
+    import shlex
+
+    from lego_forge import error_taxonomy
+
+    encoded, split = [], []
+    real_to_record, real_split = Trajectory.to_record, shlex.split
+
+    def counting_to_record(self):
+        encoded.append(self.trajectory_id)
+        return real_to_record(self)
+
+    def counting_split(command, *args, **kwargs):
+        split.append(command)
+        return real_split(command, *args, **kwargs)
+
+    error_taxonomy._read_paths.cache_clear()
+    monkeypatch.setattr(Trajectory, "to_record", counting_to_record)
+    monkeypatch.setattr(shlex, "split", counting_split)
+    cfg = load_config(corpus)
+    assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+    curated_ids = [r["trajectory_id"] for r in read_jsonl(cfg.out_dir / "curated.jsonl")]
+    staged = [r["trajectory_id"] for n in (1, 2, 3) for r in read_jsonl(cfg.out_dir / f"stage{n}.jsonl")]
+    assert len(staged) > len(set(staged)) and read_jsonl(cfg.out_dir / "failures.jsonl")
+    assert sorted(encoded) == sorted(curated_ids)
+    assert split and len(split) == len(set(split))
+    assert_run_state_empty()
+
+
 def test_rejected_corpus_is_never_kept(corpus, monkeypatch):
     # A corpus with a bad line fails its first reader and is not kept for
     # later ones; outside a run every stage reads its corpora from disk.

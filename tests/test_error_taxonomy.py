@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from lego_forge import error_taxonomy
 from lego_forge.error_taxonomy import (
     FAILURE_LABELS,
+    READER_COMMANDS,
     classify_failure,
     explain_failure,
     failure_distribution,
@@ -132,6 +134,21 @@ def test_evidence_accompanies_label():
     assert set(evidence["unviewed_files"]) == {"src/alpha.py", "src/beta.py"}
 
 
+def test_explain_failure_parses_the_final_patch_once(monkeypatch):
+    real_parse = error_taxonomy.patch_analysis.parse_patch
+    parsed = []
+
+    def counting_parse(text):
+        parsed.append(text)
+        return real_parse(text)
+
+    monkeypatch.setattr(error_taxonomy.patch_analysis, "parse_patch", counting_parse)
+    traj = make_traj(pad([repro_step(0)], 10), final_patch=PATCH_GOLDEN, outcome="unresolved")
+    assert explain_failure(traj, instance())["label"] == "incorrect_implementation"
+    # Once as the golden patch, once as the final patch.
+    assert parsed == [GOLDEN, GOLDEN]
+
+
 def test_viewed_files_includes_editor_bash_and_patch():
     traj = make_traj([
         editor_step(0, "view", "src/alpha.py"),
@@ -140,6 +157,24 @@ def test_viewed_files_includes_editor_bash_and_patch():
     ], final_patch=PATCH_OFF_TARGET)
     seen = viewed_files(traj)
     assert {"src/alpha.py", "src/beta.py", "src/gamma.py", "src/other.py"} <= seen
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("cat src/a.py | grep -n def tests/t.py", {"src/a.py", "tests/t.py"}),
+    ("sed -n '1,20p' \"my dir/b.py\" && ls c.py", {"my dir/b.py"}),
+    ("cat 'src/open.py", {"'src/open.py"}),  # unbalanced quote: split on whitespace
+    ("python -m pytest x.py", set()),
+])
+def test_cached_bash_read_paths_equal_the_uncached_tokenizer(command, expected):
+    error_taxonomy._read_paths.cache_clear()
+    uncached = error_taxonomy._read_paths.__wrapped__(command, READER_COMMANDS)
+    first = error_taxonomy._bash_read_paths(command, READER_COMMANDS)
+    assert first == set(uncached) == expected
+    # Callers get a fresh set each time: mutating one leaves the cache intact.
+    first.add("tampered.py")
+    first.discard(next(iter(expected), None))
+    assert error_taxonomy._bash_read_paths(command, list(READER_COMMANDS)) == expected
+    assert error_taxonomy._read_paths.cache_info().hits == 1
 
 
 def test_reproduction_detection_requires_failing_signature():

@@ -13,6 +13,7 @@ from lego_forge.registries import (
     load_phase_patterns,
     required_literals,
 )
+from lego_forge.sft_masking import has_execution_error
 
 
 def test_builtin_registries_load():
@@ -141,3 +142,24 @@ def test_guarded_search_agrees_with_the_regex(pattern, data):
     )
     text = "".join(data.draw(st.lists(piece, max_size=6)))
     assert bool(pattern.search(text)) == bool(pattern.regex.search(text))
+
+
+UNGUARDED = ErrorPattern("ANY_CASE_OOPS", re.compile(r"oops: \w+", re.IGNORECASE | re.MULTILINE))
+WITH_UNGUARDED = [*load_error_patterns(), UNGUARDED]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_has_execution_error_agrees_with_any_regex_match(data):
+    # The guard check short-cuts the regex; the answer over a pattern list
+    # must still be whether any regex matches.
+    assert UNGUARDED.guards is None
+    patterns = data.draw(st.lists(st.sampled_from(WITH_UNGUARDED), min_size=1, max_size=len(WITH_UNGUARDED)))
+    literals = sorted({lit for p in WITH_UNGUARDED if p.guards for lit in p.guards} | {"OOPS: x", "oops"})
+    piece = st.one_of(
+        st.sampled_from(literals),
+        st.sampled_from(WITH_UNGUARDED).flatmap(lambda p: st.from_regex(p.regex)),
+        st.text(max_size=8),
+    )
+    text = "".join(data.draw(st.lists(piece, max_size=8)))
+    assert has_execution_error(text, patterns) == any(p.regex.search(text) for p in patterns)

@@ -219,6 +219,20 @@ def test_tokenizer_failure_is_serialization_error():
         serialize_sample(small_sample(), 128000, tokenizer=broken_tokenizer)
 
 
+def test_default_tokenizer_reuses_the_mask_count_and_a_custom_one_is_called():
+    sample = small_sample()
+    full_text = "".join(s.text for s in sample.rendered)
+    assert serialize_sample(sample, 1000)["token_estimate"] == whitespace_token_count(full_text)
+    seen = []
+
+    def char_tokenizer(text):
+        seen.append(text)
+        return len(text)
+
+    record = serialize_sample(sample, 1000, tokenizer=char_tokenizer)
+    assert seen == [full_text] and record["token_estimate"] == len(full_text)
+
+
 def test_serialization_deterministic():
     sample = small_sample()
     first = json.dumps(serialize_sample(sample, 1000), sort_keys=True)

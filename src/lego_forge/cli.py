@@ -1,19 +1,18 @@
 """Pipeline orchestration: `forge <stage> --config <path>`.
 
-Stages run over corpora on disk, write their outputs atomically (temp file
-plus rename, so an interrupted stage leaves nothing partial), and are
+Each stage loads its inputs, calls one library function and writes that
+function's outputs; the README's CLI table names, for every input, the
+function that parses one of its lines and, for every stage, the library
+function it calls. Stages write their outputs atomically (temp file plus
+rename, so an interrupted stage leaves nothing partial), and are
 deterministic: identical inputs produce byte-identical outputs. The
 `pipeline` command runs every configured stage in dependency order and
 skips stages whose recorded input content hashes are unchanged. Within one
 `pipeline` run every corpus (instances and curated records) is read once
-per content and passed to later stages in memory: the instances built by
-`build-tasks` and `inject` reach `curate`, `classify-errors` and `stats`
-without a reload, each golden patch is parsed once, each curated
-trajectory is JSON-encoded once (the curriculum's stage files reuse
-curate's lines), each distinct bash command is tokenized once by
-`classify-errors`, and each file is hashed once per content. A build
-output whose instance ids (or real image names) repeat is not passed on,
-so `curate` reloads and rejects it. A single-stage run (`forge curate`, `forge stats`) reads, parses and hashes
+per content and passed to later stages in memory, and each file is hashed
+once per content. A build output whose instance ids (or real image names)
+repeat is not passed on, so `curate` reloads and rejects it. A
+single-stage run (`forge curate`, `forge stats`) reads, parses and hashes
 from disk. A stage's modules are imported only when the stage runs, so a
 re-run that skips every stage loads only the config, schema, registry and
 curriculum code. The stages that share no file with the rest (read no
@@ -75,15 +74,12 @@ from .schema import (
     DEFAULT_MAX_TURNS,
     RecordRejected,
     Rejection,
-    Step,
     TaskInstance,
     TestReport,
-    ToolCall,
     Trajectory,
     atomic_write_text,
     load_corpus,
     load_jsonl,
-    parse_timestamp,
     require,
     save_corpus,
     save_jsonl,
@@ -91,7 +87,7 @@ from .schema import (
 )
 
 if TYPE_CHECKING:
-    from . import task_builder, tts
+    from . import tts
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -347,19 +343,6 @@ def _load_instances_union(cfg: PipelineConfig, stage: str) -> dict[str, TaskInst
     return by_id
 
 
-def _read_snapshot(snapshot_dir: Path) -> dict[str, str]:
-    snapshot: dict[str, str] = {}
-    for file_path in sorted(snapshot_dir.rglob("*")):
-        if not file_path.is_file():
-            continue
-        rel = file_path.relative_to(snapshot_dir).as_posix()
-        try:
-            snapshot[rel] = file_path.read_text(encoding="utf-8")
-        except UnicodeDecodeError:
-            continue  # binary assets play no part in mutation
-    return snapshot
-
-
 # ---------------------------------------------------------------------------
 # Stages
 
@@ -375,22 +358,14 @@ def _stage_build_tasks(cfg: PipelineConfig) -> dict:
 
 
 def _real_instance(record: dict) -> TaskInstance:
-    """One real_inputs line: a merged PR with its pre/post test reports,
-    built into an instance."""
+    """build_real_instance, whose build failures skip the line as field
+    errors do."""
     from . import patch_analysis, task_builder
 
-    for key in ("repo", "base_commit", "merged_diff", "issue_text", "issue_created_at"):
-        require(record, key, str)
-    parse_timestamp(record["issue_created_at"])
-    pre, post = _reports(record, "pre_report", "post_report")
     try:
-        return task_builder.build_real_instance(record, pre, post)
+        return task_builder.build_real_instance(record)
     except (task_builder.InvisibleBugError, patch_analysis.PatchParseError) as exc:
         raise ValueError(str(exc)) from None
-
-
-def _reports(record: dict, *keys: str) -> tuple[TestReport, ...]:
-    return tuple(TestReport.from_record(require(record, key, dict)) for key in keys)
 
 
 def _stage_inject(cfg: PipelineConfig) -> dict:
@@ -400,8 +375,10 @@ def _stage_inject(cfg: PipelineConfig) -> dict:
     mutations_path = _require_input(cfg.mutations, "mutations")
     if not cfg.repo or not cfg.base_commit:
         raise MissingInputError("inject needs `repo` and `base_commit` in the config")
-    mutations = _load_records(cfg, "inject", mutations_path, lambda r: _mutation(r, cfg.seed))
-    snapshot = _read_snapshot(snapshot_dir)
+    mutations = _load_records(
+        cfg, "inject", mutations_path, lambda r: task_builder.MutationSpec.from_record(r, cfg.seed)
+    )
+    snapshot = task_builder.read_snapshot(snapshot_dir)
     statements = task_builder.TemplateStatementProvider()
     provider = task_builder.PythonAstProvider()  # parses each snapshot file once
     instances: list[TaskInstance] = []
@@ -433,141 +410,38 @@ def _stage_inject(cfg: PipelineConfig) -> dict:
     return {"stage": "inject", "built": len(instances), "invisible_bugs": invisible}
 
 
-_LOCATOR_FIELDS = {"path": str, "start_line": int, "start_col": int, "end_line": int, "end_col": int}
-
-
-def _mutation(
-    record: dict, default_seed: int
-) -> tuple[task_builder.MutationSpec, tuple[TestReport, TestReport]]:
-    """One mutations line: the spec and its (buggy, restored) test reports."""
-    from . import task_builder
-
-    mutator = require(record, "mutator", str)
-    if mutator not in task_builder.MUTATORS:
-        raise ValueError(f"unknown mutator {mutator!r}")
-    target = record.get("target") or None
-    if target is not None:
-        if not isinstance(target, dict) or not all(
-            isinstance(target.get(key), kind) for key, kind in _LOCATOR_FIELDS.items()
-        ):
-            raise ValueError(f"field 'target' must be an object with {', '.join(_LOCATOR_FIELDS)}")
-        target = task_builder.NodeLocator(**{key: target[key] for key in _LOCATOR_FIELDS})
-    seed, path = record.get("seed", default_seed), record.get("path")
-    if not isinstance(seed, int) or not isinstance(path, (str, type(None))):
-        raise ValueError("field 'seed' must be an integer and 'path' a string")
-    spec = task_builder.MutationSpec(mutator=mutator, target=target, seed=seed, path=path)
-    return spec, _reports(record, "buggy_report", "restored_report")
-
-
 def _stage_sanitize(cfg: PipelineConfig) -> dict:
+    from . import repo_sanitizer
+
     source = _require_input(cfg.histories, "histories")
-    lines = _load_records(cfg, "sanitize", source, _sanitized_history)
+    lines = _load_records(cfg, "sanitize", source, repo_sanitizer.sanitize_record)
     sanitized = [line for line in lines if "reason" not in line]
     dropped = [line for line in lines if "reason" in line]
     save_jsonl(sanitized, cfg.out_dir / "sanitized_histories.jsonl")
     return {"stage": "sanitize", "sanitized": len(sanitized), "dropped": dropped}
 
 
-def _sanitized_history(record: dict) -> dict:
-    """One histories line, checked and sanitized as it is read, so only one
-    history's commits are alive at a time: the output line, or
-    `{instance_id, reason}` when a cutoff keeps no commit."""
-    from . import repo_sanitizer
-
-    policy = require(record, "policy", str)
-    anchor = {"cutoff": "cutoff", "single_snapshot": "snapshot_id"}.get(policy)
-    if anchor is None:
-        raise ValueError(f"unknown history policy {policy!r}")
-    instance_id = require(record, "instance_id", str)
-    require(record, anchor, str)
-    commits = [repo_sanitizer.CommitRecord.from_record(c) for c in require(record, "commits", list)]
-    try:
-        if policy == "cutoff":
-            clean = repo_sanitizer.sanitize_real_history(commits, record["cutoff"])
-        else:
-            clean = repo_sanitizer.sanitize_synthetic_history(commits, record["snapshot_id"])
-    except repo_sanitizer.EmptyHistoryError as exc:
-        return {"instance_id": instance_id, "reason": str(exc)}
-    return {"instance_id": instance_id, "policy": policy, "commits": [c.to_record() for c in clean]}
-
-
 def _stage_curate(cfg: PipelineConfig) -> dict:
-    from . import repo_sanitizer, sft_masking, trajectory_curation
+    from . import trajectory_curation
 
     traj_path = _require_input(cfg.trajectories, "trajectories")
     reports_path = _require_input(cfg.final_reports, "final_reports")
     instances = _load_instances_union(cfg, "curate")
     trajectories = _corpus(cfg, "curate", traj_path, "trajectories")
     reports_by_tid = dict(_load_records(cfg, "curate", reports_path, _final_report))
-    hack_patterns = load_hack_patterns(cfg.hack_patterns)
-    error_patterns = load_error_patterns(cfg.error_patterns)
-    phase_rules = load_phase_patterns(cfg.phase_patterns)
-
-    curated: list[Trajectory] = []
-    unrepairable: list[dict] = []
-    notes: list[dict] = []
-    repaired_calls = 0
-    hack_invalidated = 0
-    for traj in trajectories:
-        # One pass per trajectory: prune, repair, phase and error-flag each
-        # step, building it once (the same as prune_toolset, assign_phases
-        # and detect_step_errors over the repaired steps).
-        steps: list[Step] = []
-        for step in traj.steps:
-            action = step.action
-            if not trajectory_curation.kept_by_toolset(action):
-                continue
-            if isinstance(action, ToolCall):
-                try:
-                    action, repaired = trajectory_curation.repair_tool_call(action)
-                    if repaired:
-                        repaired_calls += 1
-                except trajectory_curation.UnrepairableCallError as exc:
-                    unrepairable.append(
-                        {"trajectory_id": traj.trajectory_id, "step": step.index, "reason": str(exc)}
-                    )
-            steps.append(Step(
-                index=len(steps),
-                action=action,
-                observation=step.observation,
-                phase=sft_masking.step_phase(action, phase_rules),
-                error_flag=sft_masking.has_execution_error(step.observation, error_patterns),
-            ))
-        work = dc_replace(traj, steps=tuple(steps), turn_count=len(steps))
-        findings = repo_sanitizer.detect_git_hacking(work, hack_patterns)
-
-        inst = instances.get(work.instance_id)
-        final = reports_by_tid.get(work.trajectory_id)
-        if inst is None or final is None:
-            outcome = "unclassified"
-            notes.append({
-                "trajectory_id": work.trajectory_id,
-                "reason": "missing instance" if inst is None else "missing final report",
-            })
-        else:
-            outcome = trajectory_curation.classify_outcome(
-                work, inst, final, hack_findings=findings
-            )
-            if outcome == "unresolved" and repo_sanitizer.has_high_finding(findings) and all(
-                final.results.get(t) == "pass" for t in (*inst.fail_to_pass, *inst.pass_to_pass)
-            ):
-                hack_invalidated += 1
-        curated.append(dc_replace(work, outcome=outcome))
-
+    curated, report = trajectory_curation.curate(
+        trajectories,
+        instances,
+        reports_by_tid,
+        load_hack_patterns(cfg.hack_patterns),
+        load_error_patterns(cfg.error_patterns),
+        load_phase_patterns(cfg.phase_patterns),
+        recycle_semi_resolved=cfg.recycle_semi_resolved,
+    )
     curated_path = _curated_path(cfg)
     save_corpus(curated, curated_path)
     _hand_off(curated_path, curated, "trajectories")
-    stats = trajectory_curation.rollout_stats(
-        curated,
-        recycle_semi_resolved=cfg.recycle_semi_resolved,
-        repaired_calls=repaired_calls,
-        hack_invalidated=hack_invalidated,
-    )
-    report = stats.to_record()
-    report["stage"] = "curate"
-    report["unrepairable_calls"] = unrepairable
-    report["notes"] = notes
-    return report
+    return {"stage": "curate", **report}
 
 
 def _final_report(record: dict) -> tuple[str, TestReport]:
@@ -590,27 +464,7 @@ def _stage_mask(cfg: PipelineConfig) -> dict:
     selected = curriculum_mod.select_for_training(
         _curated(cfg, "mask"), recycle_semi_resolved=cfg.recycle_semi_resolved
     )
-
-    samples: list[dict] = []
-    drops: list[dict] = []
-    for traj in selected:
-        try:
-            sample = sft_masking.build_loss_mask(traj)
-        except sft_masking.EmptySampleError as exc:
-            drops.append({"trajectory_id": traj.trajectory_id, "reason": f"empty: {exc}"})
-            continue
-        emitted = sft_masking.serialize_sample(sample, cfg.context_limit)
-        if isinstance(emitted, sft_masking.Overflow):
-            drops.append({
-                "trajectory_id": emitted.trajectory_id,
-                "reason": "overflow",
-                "token_estimate": emitted.token_estimate,
-                "context_limit": emitted.context_limit,
-            })
-        elif not any(seg["in_loss"] for seg in emitted["rendered"]):
-            drops.append({"trajectory_id": traj.trajectory_id, "reason": "fully_masked"})
-        else:
-            samples.append(emitted)
+    samples, drops = sft_masking.mask_samples(selected, cfg.context_limit)
     save_jsonl(samples, cfg.out_dir / "samples.jsonl")
     save_jsonl(drops, cfg.out_dir / "mask_drops.jsonl")
     return {
@@ -655,32 +509,10 @@ def _stage_classify_errors(cfg: PipelineConfig) -> dict:
 
     curated = _curated(cfg, "classify-errors")
     instances = _load_instances_union(cfg, "classify-errors")
-    failed = [t for t in curated if t.outcome in ("unresolved", "error", "empty_patch")]
-
-    failures: list[dict] = []
-    skipped: list[dict] = []
-    labels_by_tag: dict[str, list[str]] = {}
-    for traj in failed:
-        inst = instances.get(traj.instance_id)
-        if inst is None:
-            skipped.append({"trajectory_id": traj.trajectory_id, "reason": "missing instance"})
-            continue
-        evidence = error_taxonomy.explain_failure(traj, inst)
-        label = evidence.pop("label")
-        failures.append({"trajectory_id": traj.trajectory_id, "label": label, "evidence": evidence})
-        labels_by_tag.setdefault(str(traj.extra.get("checkpoint", "all")), []).append(label)
+    failures, distribution, report = error_taxonomy.classify_failures(curated, instances)
     save_jsonl(failures, cfg.out_dir / "failures.jsonl")
-    distribution = {
-        tag: error_taxonomy.failure_distribution(labels)
-        for tag, labels in sorted(labels_by_tag.items())
-    }
     atomic_write_text(cfg.out_dir / "distribution.json", _dump_report(distribution))
-    return {
-        "stage": "classify-errors",
-        "failed": len(failed),
-        "labeled": len(failures),
-        "skipped": skipped,
-    }
+    return {"stage": "classify-errors", **report}
 
 
 def _stage_tts_select(cfg: PipelineConfig) -> dict:
@@ -716,40 +548,14 @@ def _stage_tts_select(cfg: PipelineConfig) -> dict:
         ], f"{source}: ragged candidate counts per instance: {sorted(sizes)}")
     grouped = {iid: [seen[i] for i in sorted(seen)] for iid, seen in by_index.items()}
     verifier = tts.StubVerifier(cfg.seed) if cfg.verifier == "stub" else tts.OracleVerifier()
+    selection_lines, metrics = tts.best_of_k(grouped, verifier)
+    metrics_report = {**metrics, "verifier": cfg.verifier}
 
-    instance_ids = sorted(grouped)
-    scored = [[verifier.score(c) for c in grouped[iid]] for iid in instance_ids]
-    selection_lines = []
-    pairs = []
-    for instance_id, scores in zip(instance_ids, scored):
-        candidates = grouped[instance_id]
-        chosen = tts.select_top1(candidates, scores)
-        chosen_score = scores[candidates.index(chosen)]
-        selection_lines.append(
-            {
-                "instance_id": instance_id,
-                "selected_rollout_index": chosen.rollout_index,
-                "score": chosen_score.score,
-                "provenance": chosen_score.provenance,
-                "resolved": chosen.resolved,
-            }
-        )
-        pairs.append((candidates, scores))
-    metrics = tts.tts_at_k(pairs)
-    k = len(pairs[0][0])
-    metrics_report = {
-        "k": k,
-        "instances": len(pairs),
-        "tts": metrics["tts"],
-        "pass": metrics["pass"],
-        "verifier": cfg.verifier,
-    }
-
-    report = {"stage": "tts-select", "instances": len(pairs), "k": k}
+    report = {"stage": "tts-select", "instances": metrics["instances"], "k": metrics["k"]}
     # A bad surface fails the stage before it writes any output.
     if cfg.allocates():
         surface_path = _require_input(cfg.surface, "surface")
-        surface = dict(_load_records(cfg, "tts-select", surface_path, _surface_point))
+        surface = dict(_load_records(cfg, "tts-select", surface_path, tts.surface_point))
         try:
             plan, contour = tts.allocate(cfg.latency_model(), cfg.latency_budget, surface)
         except tts.InfeasibleBudgetError as exc:
@@ -769,19 +575,6 @@ def _stage_tts_select(cfg: PipelineConfig) -> dict:
     save_jsonl(selection_lines, cfg.out_dir / "selection.jsonl")
     atomic_write_text(cfg.out_dir / "tts_metrics.json", _dump_report(metrics_report))
     return report
-
-
-def _surface_point(record: dict) -> tuple[tuple[int, int], float]:
-    """One surface line: ((turns, rollouts), rate); `T` and `K` alias the
-    first two."""
-    try:
-        point = int(record.get("turns", record.get("T"))), int(record.get("rollouts", record.get("K")))
-        rate = float(record.get("rate"))
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"turns, rollouts and rate must be numbers: {exc}") from None
-    if min(point) < 1:
-        raise ValueError("turns and rollouts must be at least 1")
-    return point, rate
 
 
 def _stage_stats(cfg: PipelineConfig) -> dict:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 import shlex
 from functools import lru_cache
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import patch_analysis
 from .registries import ErrorPattern
@@ -80,13 +80,13 @@ def reproduced_issue(traj: Trajectory, inst: TaskInstance) -> bool:
     )
 
 
-def _bash_read_paths(command: str, reader_commands: Sequence[str]) -> set[str]:
+def _bash_read_paths(command: str) -> set[str]:
     """Paths the reader commands in one bash command take as arguments."""
-    return set(_read_paths(command, tuple(reader_commands)))
+    return set(_read_paths(command))
 
 
 @lru_cache(maxsize=4096)
-def _read_paths(command: str, readers: tuple[str, ...]) -> frozenset[str]:
+def _read_paths(command: str) -> frozenset[str]:
     # Agents repeat commands (`git status`, `cat` of the same file), so each
     # distinct command is tokenized once.
     try:
@@ -97,7 +97,7 @@ def _read_paths(command: str, readers: tuple[str, ...]) -> frozenset[str]:
     reading = False
     for token in tokens:
         base = token.rsplit("/", 1)[-1]
-        if base in readers:
+        if base in READER_COMMANDS:
             reading = True
             continue
         if token in ("|", "&&", "||", ";"):
@@ -118,17 +118,13 @@ def _final_patch(traj: Trajectory) -> patch_analysis.Patch | None:
         return None
 
 
-def viewed_files(
-    traj: Trajectory, reader_commands: Sequence[str] = READER_COMMANDS
-) -> set[str]:
+def viewed_files(traj: Trajectory) -> set[str]:
     """Files the agent opened: editor calls (any command), file-reading bash
     commands, and files touched by the final patch."""
-    return _viewed_files(traj, reader_commands, _final_patch(traj))
+    return _viewed_files(traj, _final_patch(traj))
 
 
-def _viewed_files(
-    traj: Trajectory, reader_commands: Sequence[str], final: patch_analysis.Patch | None
-) -> set[str]:
+def _viewed_files(traj: Trajectory, final: patch_analysis.Patch | None) -> set[str]:
     seen: set[str] = set()
     for step in traj.steps:
         action = step.action
@@ -141,7 +137,7 @@ def _viewed_files(
         elif action.tool == "execute_bash":
             command = action.arguments.get("command", "")
             if isinstance(command, str):
-                seen |= _bash_read_paths(command, reader_commands)
+                seen |= _bash_read_paths(command)
     if final is not None:
         seen |= {fd.display_path for fd in final.file_diffs}
     return seen
@@ -151,26 +147,12 @@ def _covers(viewed: set[str], golden_path: str) -> bool:
     return any(v == golden_path or v.endswith("/" + golden_path) for v in viewed)
 
 
-def classify_failure(
-    traj: Trajectory,
-    inst: TaskInstance,
-    *,
-    reader_commands: Sequence[str] = READER_COMMANDS,
-    max_turns: int | None = None,
-) -> str:
+def classify_failure(traj: Trajectory, inst: TaskInstance) -> str:
     """Classify one failed trajectory into exactly one failure label."""
-    return explain_failure(
-        traj, inst, reader_commands=reader_commands, max_turns=max_turns
-    )["label"]
+    return explain_failure(traj, inst)["label"]
 
 
-def explain_failure(
-    traj: Trajectory,
-    inst: TaskInstance,
-    *,
-    reader_commands: Sequence[str] = READER_COMMANDS,
-    max_turns: int | None = None,
-) -> dict:
+def explain_failure(traj: Trajectory, inst: TaskInstance) -> dict:
     """classify_failure plus the rule evidence, for auditable reports."""
     if traj.outcome == "resolved":
         raise ValueError(f"{traj.trajectory_id} is resolved; only failures are classified")
@@ -181,7 +163,7 @@ def explain_failure(
         return {"label": "failed_to_reproduce", "golden_files": golden_paths}
 
     final = _final_patch(traj)
-    seen = _viewed_files(traj, reader_commands, final)
+    seen = _viewed_files(traj, final)
     missing = [g for g in golden_paths if not _covers(seen, g)]
     if missing:
         return {
@@ -199,12 +181,11 @@ def explain_failure(
             "total_overlap": 0 if overlap is None else overlap.total_overlap,
         }
 
-    limit = max_turns if max_turns is not None else traj.max_turns
-    if traj.turn_count >= limit:
+    if traj.turn_count >= traj.max_turns:
         return {
             "label": "ran_out_of_max_turns",
             "turn_count": traj.turn_count,
-            "max_turns": limit,
+            "max_turns": traj.max_turns,
         }
 
     return {
@@ -228,3 +209,32 @@ def failure_distribution(labels: Sequence[str]) -> dict[str, float]:
         if count:
             out[label] = count / total
     return out
+
+
+def classify_failures(
+    trajectories: Sequence[Trajectory], instances: Mapping[str, TaskInstance]
+) -> tuple[list[dict], dict[str, dict[str, float]], dict]:
+    """Label every failed (unresolved, error or empty_patch) trajectory.
+
+    Returns one `{trajectory_id, label, evidence}` line per labeled
+    trajectory, the label distribution per `checkpoint` tag (`all` when a
+    trajectory carries none), and the counts `{failed, labeled, skipped}`,
+    where `skipped` lists the failures whose instance is missing.
+    """
+    failed = [t for t in trajectories if t.outcome in ("unresolved", "error", "empty_patch")]
+    failures: list[dict] = []
+    skipped: list[dict] = []
+    labels_by_tag: dict[str, list[str]] = {}
+    for traj in failed:
+        inst = instances.get(traj.instance_id)
+        if inst is None:
+            skipped.append({"trajectory_id": traj.trajectory_id, "reason": "missing instance"})
+            continue
+        evidence = explain_failure(traj, inst)
+        label = evidence.pop("label")
+        failures.append({"trajectory_id": traj.trajectory_id, "label": label, "evidence": evidence})
+        labels_by_tag.setdefault(str(traj.extra.get("checkpoint", "all")), []).append(label)
+    distribution = {
+        tag: failure_distribution(labels) for tag, labels in sorted(labels_by_tag.items())
+    }
+    return failures, distribution, {"failed": len(failed), "labeled": len(failures), "skipped": skipped}

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .errors import ForgeError
 from .registries import HackPattern, load_hack_patterns
-from .schema import ToolCall, Trajectory, parse_timestamp
+from .schema import ToolCall, Trajectory, parse_timestamp, require
 
 SNAPSHOT_MESSAGE = "initial snapshot"
 SNAPSHOT_DATE = "1970-01-01T00:00:00+00:00"
@@ -124,6 +124,28 @@ def sanitize_synthetic_history(
             parent_ids=(),
         )
     ]
+
+
+def sanitize_record(record: dict) -> dict:
+    """One histories line, checked and sanitized as it is read, so only one
+    history's commits are alive at a time: the output line, or
+    `{instance_id, reason}` when a cutoff keeps no commit. Raises ValueError
+    when a field is missing or has the wrong type."""
+    policy = require(record, "policy", str)
+    anchor = {"cutoff": "cutoff", "single_snapshot": "snapshot_id"}.get(policy)
+    if anchor is None:
+        raise ValueError(f"unknown history policy {policy!r}")
+    instance_id = require(record, "instance_id", str)
+    require(record, anchor, str)
+    commits = [CommitRecord.from_record(c) for c in require(record, "commits", list)]
+    try:
+        if policy == "cutoff":
+            clean = sanitize_real_history(commits, record["cutoff"])
+        else:
+            clean = sanitize_synthetic_history(commits, record["snapshot_id"])
+    except EmptyHistoryError as exc:
+        return {"instance_id": instance_id, "reason": str(exc)}
+    return {"instance_id": instance_id, "policy": policy, "commits": [c.to_record() for c in clean]}
 
 
 def detect_git_hacking(

@@ -60,12 +60,21 @@ def parse_timestamp(text: str) -> datetime:
     return parsed
 
 
+def of_type(value: Any, types: type | tuple) -> bool:
+    """isinstance(value, types), except that JSON `true` and `false` are not
+    integers: a bool passes only when `types` names bool itself."""
+    if isinstance(value, bool):
+        return bool in (types if isinstance(types, tuple) else (types,))
+    return isinstance(value, types)
+
+
 def require(record: dict, key: str, types: type | tuple) -> Any:
-    """record[key], or ValueError when it is missing or not of `types`."""
+    """record[key], or ValueError when it is missing or not of `types`
+    (see `of_type`)."""
     if key not in record:
         raise ValueError(f"missing field {key!r}")
     value = record[key]
-    if not isinstance(value, types):
+    if not of_type(value, types):
         raise ValueError(f"field {key!r} has wrong type {type(value).__name__}")
     return value
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import ForgeError
 from .registries import ErrorPattern, PhaseRule, load_error_patterns, load_phase_patterns
@@ -191,26 +191,14 @@ def build_loss_mask(traj: Trajectory, problem_statement: str | None = None) -> T
 # Serialization
 
 
-def serialize_sample(
-    sample: TrainingSample,
-    context_limit: int,
-    tokenizer: Callable[[str], int] = whitespace_token_count,
-) -> dict | Overflow:
+def serialize_sample(sample: TrainingSample, context_limit: int) -> dict | Overflow:
     """Emit a sample record if it fits the context limit, else Overflow.
 
-    The token estimate is recomputed with the supplied tokenizer over the
-    full rendering; with the default tokenizer it is the count
-    `build_loss_mask` already took. Per-segment in_loss markers are
-    preserved bit-exactly.
+    The token estimate is the whitespace count `build_loss_mask` took over
+    the full rendering. Per-segment in_loss markers are preserved
+    bit-exactly.
     """
-    if tokenizer is whitespace_token_count:
-        estimate = sample.token_estimate
-    else:
-        full_text = "".join(s.text for s in sample.rendered)
-        try:
-            estimate = tokenizer(full_text)
-        except Exception as exc:
-            raise ForgeError(f"tokenizer failed on {sample.trajectory_id}: {exc}") from exc
+    estimate = sample.token_estimate
     if estimate > context_limit:
         return Overflow(
             trajectory_id=sample.trajectory_id,
@@ -231,3 +219,33 @@ def serialize_sample(
         ],
     }
 
+
+def mask_samples(
+    trajectories: Sequence[Trajectory], context_limit: int
+) -> tuple[list[dict], list[dict]]:
+    """Mask and serialize each trajectory. Returns the emitted sample
+    records and the drops, each `{trajectory_id, reason}`: `empty: ...`
+    without assistant steps, `overflow` (with the estimate and the limit)
+    past the context limit, and `fully_masked` when no segment is left in
+    the loss."""
+    samples: list[dict] = []
+    drops: list[dict] = []
+    for traj in trajectories:
+        try:
+            sample = build_loss_mask(traj)
+        except EmptySampleError as exc:
+            drops.append({"trajectory_id": traj.trajectory_id, "reason": f"empty: {exc}"})
+            continue
+        emitted = serialize_sample(sample, context_limit)
+        if isinstance(emitted, Overflow):
+            drops.append({
+                "trajectory_id": emitted.trajectory_id,
+                "reason": "overflow",
+                "token_estimate": emitted.token_estimate,
+                "context_limit": emitted.context_limit,
+            })
+        elif not any(seg["in_loss"] for seg in emitted["rendered"]):
+            drops.append({"trajectory_id": traj.trajectory_id, "reason": "fully_masked"})
+        else:
+            samples.append(emitted)
+    return samples, drops

@@ -34,7 +34,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from itertools import accumulate
-from typing import Mapping, Protocol, Sequence
+from pathlib import Path
+from typing import Mapping, Sequence
 
 from .errors import ForgeError
 from .patch_analysis import (
@@ -47,7 +48,7 @@ from .patch_analysis import (
     render_patch,
     split_lines,
 )
-from .schema import TaskInstance, TestReport, validate_instance
+from .schema import TaskInstance, TestReport, of_type, parse_timestamp, require, validate_instance
 
 MUTATORS = ("operator_swap", "conditional_removal", "loop_removal")
 
@@ -104,6 +105,19 @@ class NodeLocator:
     def span(self) -> tuple[int, int, int, int]:
         return (self.start_line, self.start_col, self.end_line, self.end_col)
 
+    @classmethod
+    def from_record(cls, record) -> "NodeLocator":
+        """A mutations line's `target`; raises ValueError unless it is an
+        object with a string path and integer span fields."""
+        if not isinstance(record, dict) or not all(
+            of_type(record.get(key), kind) for key, kind in _LOCATOR_FIELDS.items()
+        ):
+            raise ValueError(f"field 'target' must be an object with {', '.join(_LOCATOR_FIELDS)}")
+        return cls(**{key: record[key] for key in _LOCATOR_FIELDS})
+
+
+_LOCATOR_FIELDS = {"path": str, "start_line": int, "start_col": int, "end_line": int, "end_col": int}
+
 
 @dataclass(frozen=True)
 class MutationSpec:
@@ -115,17 +129,28 @@ class MutationSpec:
     seed: int = 0
     path: str | None = None
 
+    @classmethod
+    def from_record(
+        cls, record: dict, default_seed: int
+    ) -> tuple["MutationSpec", tuple[TestReport, TestReport]]:
+        """One mutations line: the spec and its (buggy, restored) test
+        reports. A line without `seed` takes `default_seed`. Raises
+        ValueError when a field is missing or has the wrong type."""
+        mutator = require(record, "mutator", str)
+        if mutator not in MUTATORS:
+            raise ValueError(f"unknown mutator {mutator!r}")
+        target = record.get("target") or None
+        if target is not None:
+            target = NodeLocator.from_record(target)
+        seed, path = record.get("seed", default_seed), record.get("path")
+        if not of_type(seed, int) or not isinstance(path, (str, type(None))):
+            raise ValueError("field 'seed' must be an integer and 'path' a string")
+        spec = cls(mutator=mutator, target=target, seed=seed, path=path)
+        return spec, _reports(record, "buggy_report", "restored_report")
 
-class SyntaxTreeProvider(Protocol):
-    def parse(self, path: str, source: str) -> "PythonSyntaxTree": ...
 
-    def render(self, tree: "PythonSyntaxTree") -> str: ...
-
-    def enumerate(self, tree: "PythonSyntaxTree", kind: str) -> list[NodeLocator]: ...
-
-
-class ProblemStatementProvider(Protocol):
-    def generate(self, golden_patch: str, failing_tests: Sequence[str], logs: Sequence[str]) -> str: ...
+def _reports(record: dict, *keys: str) -> tuple[TestReport, ...]:
+    return tuple(TestReport.from_record(require(record, key, dict)) for key in keys)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +263,6 @@ class PythonAstProvider:
         tree = PythonSyntaxTree(path=path, source=source, root=root)
         self._first.setdefault(path, tree)
         return tree
-
-    def render(self, tree: PythonSyntaxTree) -> str:
-        return tree.source
 
     def enumerate(self, tree: PythonSyntaxTree, kind: str) -> list[NodeLocator]:
         """List mutable nodes of one kind: operator, conditional, or loop."""
@@ -391,7 +413,7 @@ def _else_branch_lines(tree: PythonSyntaxTree, node: ast.If) -> list[str]:
 def inject_bug(
     tree: PythonSyntaxTree,
     spec: MutationSpec,
-    provider: SyntaxTreeProvider | None = None,
+    provider: PythonAstProvider | None = None,
 ) -> tuple[PythonSyntaxTree, Patch]:
     """Apply one mutation to a parsed file and return the mutated tree plus
     the injection diff. Deterministic given (tree, spec)."""
@@ -436,7 +458,7 @@ def inject_bug(
 def resolve_target(
     snapshot: Mapping[str, str],
     spec: MutationSpec,
-    provider: SyntaxTreeProvider | None = None,
+    provider: PythonAstProvider | None = None,
 ) -> tuple[str, NodeLocator]:
     """Pick the concrete (path, locator) for a spec against a whole snapshot.
 
@@ -517,12 +539,11 @@ def build_synthetic_instance(
     repo_snapshot: Mapping[str, str],
     spec: MutationSpec,
     reports: tuple[TestReport, TestReport],
-    statements: ProblemStatementProvider,
+    statements: TemplateStatementProvider,
     *,
     repo: str,
     base_commit: str,
-    created_at: str = SYNTHETIC_EPOCH,
-    provider: SyntaxTreeProvider | None = None,
+    provider: PythonAstProvider | None = None,
 ) -> TaskInstance:
     """Build one synthetic instance by injecting a bug into the snapshot.
 
@@ -563,7 +584,7 @@ def build_synthetic_instance(
         fail_to_pass=tuple(fail_to_pass),
         pass_to_pass=tuple(pass_to_pass),
         image_name=shared_image_name(repo, base_commit),
-        created_at=created_at,
+        created_at=SYNTHETIC_EPOCH,
         extra={
             "history_policy": "single_snapshot",
             "injection_patch": injection_text,
@@ -581,28 +602,29 @@ def build_synthetic_instance(
     return instance
 
 
-def build_real_instance(
-    pr: Mapping, pre: TestReport, post: TestReport
-) -> TaskInstance:
-    """Build one real instance from a merged PR and its pre/post reports.
-
-    `pr` carries repo, base_commit, merged_diff, issue_text,
-    issue_created_at, and optionally number. The merged diff is the golden
-    patch and the linked issue is the problem statement.
+def build_real_instance(record: dict) -> TaskInstance:
+    """Build one real instance from one real_inputs line: a merged PR
+    (repo, base_commit, merged_diff, issue_text, issue_created_at, optionally
+    number) with its pre_report and post_report. The merged diff is the
+    golden patch and the linked issue is the problem statement. Raises
+    ValueError for a missing or mistyped field, PatchParseError for a diff
+    that does not parse and InvisibleBugError when no test changes status.
     """
-    issue_text = pr.get("issue_text", "")
+    repo, base_commit, merged_diff, issue_text, created_at = (
+        require(record, key, str)
+        for key in ("repo", "base_commit", "merged_diff", "issue_text", "issue_created_at")
+    )
+    parse_timestamp(created_at)
+    pre, post = _reports(record, "pre_report", "post_report")
     if not issue_text.strip():
         raise ValueError("issue text is empty")
-    merged_diff = pr["merged_diff"]
     golden_stats = patch_stats(parse_patch(merged_diff))  # unparseable diffs fail here
 
     fail_to_pass, pass_to_pass = derive_test_labels(pre, post)
     if not fail_to_pass:
         raise InvisibleBugError("PR changes no test outcome")
 
-    repo = pr["repo"]
-    base_commit = pr["base_commit"]
-    number = pr.get("number")
+    number = record.get("number")
     suffix = f"pr{number}" if number is not None else base_commit[:12]
     instance_id = f"{_repo_slug(repo)}-{suffix}"
     instance = TaskInstance(
@@ -615,10 +637,10 @@ def build_real_instance(
         fail_to_pass=tuple(fail_to_pass),
         pass_to_pass=tuple(pass_to_pass),
         image_name=f"sandbox.{instance_id}",
-        created_at=pr["issue_created_at"],
+        created_at=created_at,
         extra={
             "history_policy": "cutoff",
-            "history_cutoff": pr["issue_created_at"],
+            "history_cutoff": created_at,
         },
     )
     violations = validate_instance(instance, patch_parses=True)
@@ -626,3 +648,18 @@ def build_real_instance(
         raise ForgeError(f"built instance fails validation: {violations}")
     object.__setattr__(instance, "golden_stats", golden_stats)
     return instance
+
+
+def read_snapshot(snapshot_dir: Path) -> dict[str, str]:
+    """A clean repository snapshot: each UTF-8 text file's text by its
+    posix path relative to `snapshot_dir`."""
+    snapshot: dict[str, str] = {}
+    for file_path in sorted(snapshot_dir.rglob("*")):
+        if not file_path.is_file():
+            continue
+        rel = file_path.relative_to(snapshot_dir).as_posix()
+        try:
+            snapshot[rel] = file_path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            continue  # binary assets play no part in mutation
+    return snapshot

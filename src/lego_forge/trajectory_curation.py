@@ -1,5 +1,5 @@
 """Repairs malformed tool calls, prunes the tool set, classifies outcomes,
-and aggregates rollout statistics.
+and aggregates rollout statistics; `curate` runs all of it over a corpus.
 
 Outcome classification is a strict cascade: empty patch first, then a clean
 full pass (resolved), then pass-with-cheating demoted to unresolved, then
@@ -11,14 +11,15 @@ corpus as unresolved rather than deleted, so accounting stays exhaustive.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from dataclasses import replace
+from typing import Mapping, Sequence
 
 from .errors import ForgeError
 from . import patch_analysis
-from .registries import HackPattern
+from .registries import ErrorPattern, HackPattern, PhaseRule
 from .repo_sanitizer import HackFinding, detect_git_hacking, has_high_finding
-from .schema import ALLOWED_TOOLS, TaskInstance, TestReport, ToolCall, Trajectory
+from .schema import ALLOWED_TOOLS, Step, TaskInstance, TestReport, ToolCall, Trajectory
+from .sft_masking import has_execution_error, step_phase
 
 _INT_RE = re.compile(r"-?\d+")
 
@@ -35,24 +36,6 @@ class UnrepairableCallError(ForgeError):
 
 class ClassificationError(ForgeError):
     """Outcome classification is impossible (e.g. missing final report)."""
-
-
-@dataclass(frozen=True)
-class CurationReport:
-    avg_turns: float | None
-    valid_rate: float | None
-    counts: dict[str, int]
-    repaired_calls: int
-    hack_invalidated: int
-
-    def to_record(self) -> dict:
-        return {
-            "avg_turns": self.avg_turns,
-            "valid_rate": self.valid_rate,
-            "counts": dict(self.counts),
-            "repaired_calls": self.repaired_calls,
-            "hack_invalidated": self.hack_invalidated,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -171,18 +154,13 @@ def _f2p_module_paths(inst: TaskInstance) -> set[str]:
     return paths
 
 
-def detect_test_modification(
-    final_patch: patch_analysis.Patch,
-    inst: TaskInstance,
-    test_path_rules: Callable[[str], bool] | None = None,
-) -> bool:
+def detect_test_modification(final_patch: patch_analysis.Patch, inst: TaskInstance) -> bool:
     """True when the patch touches any test file or any file holding a
     fail_to_pass test id's module."""
-    matcher = test_path_rules or default_test_path_matcher
     f2p_paths = _f2p_module_paths(inst)
     for fd in final_patch.file_diffs:
         path = fd.display_path
-        if matcher(path):
+        if default_test_path_matcher(path):
             return True
         if path in f2p_paths:
             return True
@@ -205,8 +183,6 @@ def classify_outcome(
     final_report: TestReport | None,
     *,
     hack_findings: Sequence[HackFinding] | None = None,
-    hack_patterns: Sequence[HackPattern] | None = None,
-    test_path_rules: Callable[[str], bool] | None = None,
 ) -> str:
     """Classify one trajectory: empty_patch, resolved, semi_resolved, or
     unresolved. `final_report` must reflect the trajectory's final patch
@@ -224,8 +200,8 @@ def classify_outcome(
     )
     if tests_ok:
         if hack_findings is None:
-            hack_findings = detect_git_hacking(traj, hack_patterns)
-        cheated = detect_test_modification(final, inst, test_path_rules)
+            hack_findings = detect_git_hacking(traj)
+        cheated = detect_test_modification(final, inst)
         if not cheated and not has_high_finding(hack_findings):
             return "resolved"
         return "unresolved"
@@ -243,14 +219,9 @@ def classify_outcome(
 # Statistics
 
 
-def rollout_stats(
-    trajs: Sequence[Trajectory],
-    *,
-    recycle_semi_resolved: bool = False,
-    repaired_calls: int = 0,
-    hack_invalidated: int = 0,
-) -> CurationReport:
-    """Aggregate classified trajectories into a curation report.
+def rollout_stats(trajs: Sequence[Trajectory], *, recycle_semi_resolved: bool = False) -> dict:
+    """Aggregate classified trajectories into `{avg_turns, valid_rate,
+    counts}`.
 
     valid_rate counts resolved trajectories, plus semi_resolved ones when
     recycling is enabled. Empty input yields zero counts with rates set to
@@ -268,21 +239,86 @@ def rollout_stats(
         counts[traj.outcome] = counts.get(traj.outcome, 0) + 1
     total = len(trajs)
     if total == 0:
-        return CurationReport(
-            avg_turns=None,
-            valid_rate=None,
-            counts=counts,
-            repaired_calls=repaired_calls,
-            hack_invalidated=hack_invalidated,
-        )
+        return {"avg_turns": None, "valid_rate": None, "counts": counts}
     avg_turns = sum(t.turn_count for t in trajs) / total
     valid = counts["resolved"]
     if recycle_semi_resolved:
         valid += counts["semi_resolved"]
-    return CurationReport(
-        avg_turns=avg_turns,
-        valid_rate=valid / total,
-        counts=counts,
-        repaired_calls=repaired_calls,
-        hack_invalidated=hack_invalidated,
-    )
+    return {"avg_turns": avg_turns, "valid_rate": valid / total, "counts": counts}
+
+
+# ---------------------------------------------------------------------------
+# Curation
+
+
+def curate(
+    trajectories: Sequence[Trajectory],
+    instances: Mapping[str, TaskInstance],
+    final_reports: Mapping[str, TestReport],
+    hack_patterns: Sequence[HackPattern],
+    error_patterns: Sequence[ErrorPattern],
+    phase_rules: Sequence[PhaseRule],
+    *,
+    recycle_semi_resolved: bool,
+) -> tuple[list[Trajectory], dict]:
+    """Curate every trajectory: prune, repair, phase and error-flag each
+    step, then classify the outcome against the trajectory's instance and
+    its final report (by trajectory id); without either the outcome is
+    `unclassified`, with a note. Returns the curated trajectories, in input
+    order, and the report: `rollout_stats` plus the repaired and
+    hack-invalidated counts, the unrepairable calls and the notes."""
+    curated: list[Trajectory] = []
+    unrepairable: list[dict] = []
+    notes: list[dict] = []
+    repaired_calls = 0
+    hack_invalidated = 0
+    for traj in trajectories:
+        # One pass per trajectory: prune, repair, phase and error-flag each
+        # step, building it once (the same as prune_toolset, assign_phases
+        # and detect_step_errors over the repaired steps).
+        steps: list[Step] = []
+        for step in traj.steps:
+            action = step.action
+            if not kept_by_toolset(action):
+                continue
+            if isinstance(action, ToolCall):
+                try:
+                    action, repaired = repair_tool_call(action)
+                    if repaired:
+                        repaired_calls += 1
+                except UnrepairableCallError as exc:
+                    unrepairable.append(
+                        {"trajectory_id": traj.trajectory_id, "step": step.index, "reason": str(exc)}
+                    )
+            steps.append(Step(
+                index=len(steps),
+                action=action,
+                observation=step.observation,
+                phase=step_phase(action, phase_rules),
+                error_flag=has_execution_error(step.observation, error_patterns),
+            ))
+        work = replace(traj, steps=tuple(steps), turn_count=len(steps))
+        findings = detect_git_hacking(work, hack_patterns)
+
+        inst = instances.get(work.instance_id)
+        final = final_reports.get(work.trajectory_id)
+        if inst is None or final is None:
+            outcome = "unclassified"
+            notes.append({
+                "trajectory_id": work.trajectory_id,
+                "reason": "missing instance" if inst is None else "missing final report",
+            })
+        else:
+            outcome = classify_outcome(work, inst, final, hack_findings=findings)
+            if outcome == "unresolved" and has_high_finding(findings) and all(
+                final.results.get(t) == "pass" for t in (*inst.fail_to_pass, *inst.pass_to_pass)
+            ):
+                hack_invalidated += 1
+        curated.append(replace(work, outcome=outcome))
+
+    report = rollout_stats(curated, recycle_semi_resolved=recycle_semi_resolved)
+    report["repaired_calls"] = repaired_calls
+    report["hack_invalidated"] = hack_invalidated
+    report["unrepairable_calls"] = unrepairable
+    report["notes"] = notes
+    return curated, report

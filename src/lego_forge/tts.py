@@ -144,22 +144,6 @@ class StubVerifier:
         return VerifierScore(score=int(digest[:8], 16) / 0xFFFFFFFF, provenance="stub")
 
 
-def build_trajectory_summary(
-    problem_statement: str,
-    final_patch: str,
-    observations: Sequence[str],
-    last_n: int = 5,
-) -> str:
-    """Render the verifier's input: problem statement, final patch, and the
-    last N observation excerpts."""
-    parts = [problem_statement.rstrip("\n"), "", "Final patch:", final_patch.rstrip("\n")]
-    tail = list(observations)[-last_n:] if last_n > 0 else []
-    if tail:
-        parts.extend(["", f"Last {len(tail)} observations:"])
-        parts.extend(obs.rstrip("\n") for obs in tail)
-    return "\n".join(parts)
-
-
 def encode_score_request(candidate: Candidate) -> str:
     """One request line of the verifier wire protocol."""
     return json.dumps(
@@ -240,8 +224,49 @@ def tts_at_k(
     return {"tts": resolved_by_selection / total, "pass": resolved_by_any / total}
 
 
+def best_of_k(
+    grouped: Mapping[str, Sequence[Candidate]], verifier
+) -> tuple[list[dict], dict]:
+    """Score every candidate with `verifier` and select each instance's top
+    one. `grouped` holds the same number K of candidates per instance, in
+    rollout_index order. Returns one selection line per instance, in
+    instance id order, and the metrics `{k, instances, tts, pass}`."""
+    selection_lines = []
+    pairs = []
+    for instance_id in sorted(grouped):
+        candidates = grouped[instance_id]
+        scores = [verifier.score(c) for c in candidates]
+        chosen = select_top1(candidates, scores)
+        chosen_score = scores[candidates.index(chosen)]
+        selection_lines.append(
+            {
+                "instance_id": instance_id,
+                "selected_rollout_index": chosen.rollout_index,
+                "score": chosen_score.score,
+                "provenance": chosen_score.provenance,
+                "resolved": chosen.resolved,
+            }
+        )
+        pairs.append((candidates, scores))
+    metrics = tts_at_k(pairs)
+    return selection_lines, {"k": len(pairs[0][0]), "instances": len(pairs), **metrics}
+
+
 # ---------------------------------------------------------------------------
 # Latency model and allocation
+
+
+def surface_point(record: dict) -> tuple[tuple[int, int], float]:
+    """One surface line: ((turns, rollouts), rate). Raises ValueError unless
+    turns and rollouts are integers of at least 1 and rate is a number in
+    [0, 1]."""
+    point = require(record, "turns", int), require(record, "rollouts", int)
+    rate = require(record, "rate", (int, float))
+    if min(point) < 1:
+        raise ValueError("turns and rollouts must be at least 1")
+    if not 0 <= rate <= 1:  # NaN too
+        raise ValueError(f"rate {rate} outside [0, 1]")
+    return point, float(rate)
 
 
 def latency(model: LatencyModel, turns: int, rollouts: int) -> float:

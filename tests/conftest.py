@@ -4,7 +4,9 @@ the CLI tests."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -19,6 +21,47 @@ def read_jsonl(path: Path) -> list[dict]:
     """The records of a JSON Lines file the pipeline wrote, decoded
     independently of the program's own reader."""
     return [json.loads(line) for line in path.read_text(encoding="utf-8").split("\n") if line]
+
+
+# ---------------------------------------------------------------------------
+# Parser probes
+
+BAD_FIELD_VALUES = (None, True, 7, 1.5, float("nan"), "x", [], {})
+
+
+def assert_refuses_bad_fields(parse, line: dict, refusals=(ValueError,)) -> None:
+    """Feed `parse` the line with each field dropped, then with each field
+    set in turn to each of BAD_FIELD_VALUES. Each time it must raise one of
+    `refusals` or return a sound record (see `assert_sound`)."""
+    variants = [{k: v for k, v in line.items() if k != key} for key in line]
+    variants += [{**line, key: value} for key in line for value in BAD_FIELD_VALUES]
+    for variant in variants:
+        try:
+            parsed = parse(variant)
+        except refusals:
+            continue
+        assert_sound(parsed, variant)
+
+
+def assert_sound(value, variant) -> None:
+    """A dataclass field annotated int holds an int that is not a bool, a
+    bool appears only in a field annotated bool, and every float is finite."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            item = getattr(value, f.name)
+            if f.type in ("int", "bool"):
+                assert type(item).__name__ == f.type, (f.name, item, variant)
+            else:
+                assert_sound(item, variant)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            assert_sound(item, variant)
+    elif isinstance(value, dict):
+        for item in value.values():
+            assert_sound(item, variant)
+    else:
+        assert not isinstance(value, bool), (value, variant)
+        assert not isinstance(value, float) or math.isfinite(value), (value, variant)
 
 
 # ---------------------------------------------------------------------------

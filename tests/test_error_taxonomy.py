@@ -5,7 +5,6 @@ import pytest
 from lego_forge import error_taxonomy
 from lego_forge.error_taxonomy import (
     FAILURE_LABELS,
-    READER_COMMANDS,
     classify_failure,
     explain_failure,
     failure_distribution,
@@ -167,13 +166,13 @@ def test_viewed_files_includes_editor_bash_and_patch():
 ])
 def test_cached_bash_read_paths_equal_the_uncached_tokenizer(command, expected):
     error_taxonomy._read_paths.cache_clear()
-    uncached = error_taxonomy._read_paths.__wrapped__(command, READER_COMMANDS)
-    first = error_taxonomy._bash_read_paths(command, READER_COMMANDS)
+    uncached = error_taxonomy._read_paths.__wrapped__(command)
+    first = error_taxonomy._bash_read_paths(command)
     assert first == set(uncached) == expected
     # Callers get a fresh set each time: mutating one leaves the cache intact.
     first.add("tampered.py")
     first.discard(next(iter(expected), None))
-    assert error_taxonomy._bash_read_paths(command, list(READER_COMMANDS)) == expected
+    assert error_taxonomy._bash_read_paths(command) == expected
     assert error_taxonomy._read_paths.cache_info().hits == 1
 
 

@@ -13,16 +13,30 @@ from lego_forge.repo_sanitizer import (
     export_history,
     has_high_finding,
     sanitize_real_history,
+    sanitize_record,
     sanitize_synthetic_history,
 )
 from lego_forge.schema import parse_timestamp
 
-from conftest import bash_step, editor_step, finish_step, make_traj
+from conftest import assert_refuses_bad_fields, bash_step, editor_step, finish_step, make_traj
 
 
 def commit(cid, date, message="work", parents=()):
     return CommitRecord(commit_id=cid, author_date=date, message=message,
                         parent_ids=tuple(parents))
+
+
+def history_line(policy):
+    commits = [commit("c1", "2023-01-01T00:00:00+00:00").to_record(),
+               commit("c2", "2023-06-01T00:00:00+00:00", parents=["c1"]).to_record()]
+    anchor = {"cutoff": "2023-03-01T00:00:00+00:00"} if policy == "cutoff" else {"snapshot_id": "snap"}
+    return {"instance_id": "i1", "policy": policy, **anchor, "commits": commits}
+
+
+@pytest.mark.parametrize("policy", ["cutoff", "single_snapshot"])
+def test_sanitize_record_refuses_bad_fields(policy):
+    assert sanitize_record(history_line(policy))["commits"]
+    assert_refuses_bad_fields(sanitize_record, history_line(policy))
 
 
 # ---------------------------------------------------------------------------

@@ -209,28 +209,10 @@ def test_record_round_trip_preserves_segments_exactly():
     assert not all(seg["in_loss"] for seg in record["rendered"])
 
 
-def test_tokenizer_failure_is_serialization_error():
-    from lego_forge.errors import ForgeError
-
-    def broken_tokenizer(text):
-        raise RuntimeError("tokenizer backend down")
-
-    with pytest.raises(ForgeError):
-        serialize_sample(small_sample(), 128000, tokenizer=broken_tokenizer)
-
-
-def test_default_tokenizer_reuses_the_mask_count_and_a_custom_one_is_called():
+def test_serialized_estimate_is_the_mask_count():
     sample = small_sample()
     full_text = "".join(s.text for s in sample.rendered)
     assert serialize_sample(sample, 1000)["token_estimate"] == whitespace_token_count(full_text)
-    seen = []
-
-    def char_tokenizer(text):
-        seen.append(text)
-        return len(text)
-
-    record = serialize_sample(sample, 1000, tokenizer=char_tokenizer)
-    assert seen == [full_text] and record["token_estimate"] == len(full_text)
 
 
 def test_serialization_deterministic():

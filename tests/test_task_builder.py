@@ -28,6 +28,7 @@ from conftest import (
     T_CLAMP,
     T_TOTAL,
     TOY_CALC,
+    assert_refuses_bad_fields,
     toy_locator,
     toy_snapshot,
 )
@@ -118,7 +119,7 @@ def test_wrong_code_states_rejected():
 
 def test_render_parse_round_trip_lossless():
     tree = PROVIDER.parse("calc.py", TOY_CALC)
-    assert PROVIDER.render(tree) == TOY_CALC
+    assert tree.source == TOY_CALC
 
 
 def test_operator_swap_plus_to_minus():
@@ -506,11 +507,17 @@ def test_statement_stub_mentions_failing_test_never_the_diff():
         assert marker not in statement
 
 
-def pr_fixture():
+def pr_fixture(pre=None, post=None):
+    """A real_inputs line; `pre` and `post` default to reports in which
+    test_strip goes from fail to pass."""
     diff = (
         "--- a/src/parser.py\n+++ b/src/parser.py\n@@ -1,2 +1,2 @@\n"
         " def parse(text):\n-    return text.split(',')\n+    return [t.strip() for t in text.split(',')]\n"
     )
+    pre = pre or TestReport("pre_patch", {"tests/test_parser.py::test_strip": "fail",
+                                          "tests/test_parser.py::test_basic": "pass"})
+    post = post or TestReport("post_patch", {"tests/test_parser.py::test_strip": "pass",
+                                             "tests/test_parser.py::test_basic": "pass"})
     return {
         "repo": "acme/parserlib",
         "base_commit": "feed0000feed0000feed0000feed0000feed0000",
@@ -518,15 +525,13 @@ def pr_fixture():
         "merged_diff": diff,
         "issue_text": "parse keeps surrounding whitespace on items",
         "issue_created_at": "2023-03-01T09:00:00+00:00",
+        "pre_report": pre.to_record(),
+        "post_report": post.to_record(),
     }
 
 
 def test_real_instance_from_pr_fixture():
-    pre = TestReport("pre_patch", {"tests/test_parser.py::test_strip": "fail",
-                                   "tests/test_parser.py::test_basic": "pass"})
-    post = TestReport("post_patch", {"tests/test_parser.py::test_strip": "pass",
-                                     "tests/test_parser.py::test_basic": "pass"})
-    inst = build_real_instance(pr_fixture(), pre, post)
+    inst = build_real_instance(pr_fixture())
     assert inst.origin == "real"
     assert inst.fail_to_pass == ("tests/test_parser.py::test_strip",)
     assert inst.pass_to_pass == ("tests/test_parser.py::test_basic",)
@@ -537,16 +542,34 @@ def test_real_instance_from_pr_fixture():
 
 
 def test_real_instance_empty_issue_rejected():
-    pr = pr_fixture()
+    pr = pr_fixture(TestReport("pre_patch", {"t": "fail"}), TestReport("post_patch", {"t": "pass"}))
     pr["issue_text"] = "   "
-    pre = TestReport("pre_patch", {"t": "fail"})
-    post = TestReport("post_patch", {"t": "pass"})
     with pytest.raises(ValueError):
-        build_real_instance(pr, pre, post)
+        build_real_instance(pr)
 
 
 def test_real_instance_invisible_without_flipping_test():
-    pre = TestReport("pre_patch", {"t": "pass"})
-    post = TestReport("post_patch", {"t": "pass"})
+    pr = pr_fixture(TestReport("pre_patch", {"t": "pass"}), TestReport("post_patch", {"t": "pass"}))
     with pytest.raises(InvisibleBugError):
-        build_real_instance(pr_fixture(), pre, post)
+        build_real_instance(pr)
+
+
+def mutation_line():
+    """A mutations line with an explicit target."""
+    loc = toy_locator("+", 2)
+    target = {key: getattr(loc, key) for key in ("path", "start_line", "start_col", "end_line", "end_col")}
+    buggy, restored = toy_reports([T_ADD])
+    return {"mutator": "operator_swap", "target": target, "seed": 1,
+            "buggy_report": buggy.to_record(), "restored_report": restored.to_record()}
+
+
+@pytest.mark.parametrize("parse, line, refusals", [
+    (lambda r: MutationSpec.from_record(r, 0), mutation_line(), (ValueError,)),
+    (NodeLocator.from_record, mutation_line()["target"], (ValueError,)),
+    (build_real_instance, pr_fixture(), (ValueError, PatchParseError, InvisibleBugError)),
+], ids=["MutationSpec.from_record", "NodeLocator.from_record", "build_real_instance"])
+def test_line_parsers_refuse_bad_fields(parse, line, refusals):
+    # A field of the wrong type is refused, never cast: no bool where an
+    # integer belongs. build_real_instance may also refuse a line whose diff
+    # does not parse or that flips no test.
+    assert_refuses_bad_fields(parse, line, refusals)

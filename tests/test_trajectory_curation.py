@@ -316,25 +316,25 @@ def trajs_with_outcomes(outcomes, turns=10):
 def test_valid_rate_without_recycling():
     trajs = trajs_with_outcomes(["resolved"] * 3 + ["unresolved"] * 7)
     report = rollout_stats(trajs)
-    assert report.valid_rate == pytest.approx(0.30)
-    assert report.counts["resolved"] == 3
-    assert sum(report.counts.values()) == 10
+    assert report["valid_rate"] == pytest.approx(0.30)
+    assert report["counts"]["resolved"] == 3
+    assert sum(report["counts"].values()) == 10
 
 
 def test_valid_rate_with_recycling():
     trajs = trajs_with_outcomes(["resolved"] * 3 + ["semi_resolved"] + ["unresolved"] * 6)
     report = rollout_stats(trajs, recycle_semi_resolved=True)
-    assert report.valid_rate == pytest.approx(0.40)
+    assert report["valid_rate"] == pytest.approx(0.40)
 
 
 def test_avg_turns_single_trajectory():
     traj = make_traj([think_step(i) for i in range(62)], outcome="resolved")
     report = rollout_stats([traj])
-    assert report.avg_turns == pytest.approx(62.0)
+    assert report["avg_turns"] == pytest.approx(62.0)
 
 
 def test_empty_input_flags_undefined_rates():
     report = rollout_stats([])
-    assert report.avg_turns is None
-    assert report.valid_rate is None
-    assert sum(report.counts.values()) == 0
+    assert report["avg_turns"] is None
+    assert report["valid_rate"] is None
+    assert sum(report["counts"].values()) == 0

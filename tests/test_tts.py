@@ -14,7 +14,6 @@ from lego_forge.tts import (
     StubVerifier,
     VerifierScore,
     allocate,
-    build_trajectory_summary,
     decode_score_response,
     encode_score_request,
     generative_score,
@@ -22,8 +21,11 @@ from lego_forge.tts import (
     latency,
     regressive_score,
     select_top1,
+    surface_point,
     tts_at_k,
 )
+
+from conftest import assert_refuses_bad_fields
 
 
 def candidate(instance_id, index, resolved, patch=None):
@@ -389,11 +391,11 @@ def test_line_delimited_verifier_uses_transport():
     assert verifier.score(candidate("i", 1, False, patch="bad patch")).score == pytest.approx(0.1)
 
 
-def test_summary_includes_last_n_observations():
-    observations = [f"obs {i}" for i in range(9)]
-    summary = build_trajectory_summary("issue text", "patch body", observations, last_n=5)
-    assert "issue text" in summary
-    assert "patch body" in summary
-    for kept in observations[-5:]:
-        assert kept in summary
-    assert "obs 0" not in summary
+@pytest.mark.parametrize("parse, line", [
+    (surface_point, {"turns": 40, "rollouts": 2, "rate": 0.33}),
+    (Candidate.from_record, candidate("i", 0, True).to_record()),
+], ids=["surface_point", "Candidate.from_record"])
+def test_line_parsers_refuse_bad_fields(parse, line):
+    # A field of the wrong type is refused, never cast: no bool where an
+    # integer belongs, no NaN rate.
+    assert_refuses_bad_fields(parse, line)

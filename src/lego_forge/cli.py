@@ -65,7 +65,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, fields, replace as dc_replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NoReturn, Sequence, TypeVar
+from typing import Callable, NoReturn, Sequence, TypeVar
 
 from . import curriculum as curriculum_mod
 from .errors import ForgeError
@@ -85,9 +85,6 @@ from .schema import (
     save_jsonl,
     validate_trajectory,
 )
-
-if TYPE_CHECKING:
-    from . import tts
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -146,11 +143,6 @@ class PipelineConfig:
 
     def bins(self) -> tuple[curriculum_mod.DifficultyBin, ...]:
         return curriculum_mod.default_bins(self.max_turns, self.easy_upper, self.medium_upper)
-
-    def latency_model(self) -> tts.LatencyModel:
-        from . import tts
-
-        return tts.LatencyModel(c=self.latency_c, alpha=self.latency_alpha, beta=self.latency_beta)
 
     def allocates(self) -> bool:
         """tts-select plans a latency allocation only when both are set."""
@@ -556,8 +548,9 @@ def _stage_tts_select(cfg: PipelineConfig) -> dict:
     if cfg.allocates():
         surface_path = _require_input(cfg.surface, "surface")
         surface = dict(_load_records(cfg, "tts-select", surface_path, tts.surface_point))
+        model = tts.LatencyModel(c=cfg.latency_c, alpha=cfg.latency_alpha, beta=cfg.latency_beta)
         try:
-            plan, contour = tts.allocate(cfg.latency_model(), cfg.latency_budget, surface)
+            plan, contour = tts.allocate(model, cfg.latency_budget, surface)
         except tts.InfeasibleBudgetError as exc:
             raise ValidationFailure(str(exc)) from exc
         allocation_report = {

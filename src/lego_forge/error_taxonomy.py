@@ -80,13 +80,9 @@ def reproduced_issue(traj: Trajectory, inst: TaskInstance) -> bool:
     )
 
 
-def _bash_read_paths(command: str) -> set[str]:
-    """Paths the reader commands in one bash command take as arguments."""
-    return set(_read_paths(command))
-
-
 @lru_cache(maxsize=4096)
 def _read_paths(command: str) -> frozenset[str]:
+    """Paths the reader commands in one bash command take as arguments."""
     # Agents repeat commands (`git status`, `cat` of the same file), so each
     # distinct command is tokenized once.
     try:
@@ -137,7 +133,7 @@ def _viewed_files(traj: Trajectory, final: patch_analysis.Patch | None) -> set[s
         elif action.tool == "execute_bash":
             command = action.arguments.get("command", "")
             if isinstance(command, str):
-                seen |= _bash_read_paths(command)
+                seen |= _read_paths(command)
     if final is not None:
         seen |= {fd.display_path for fd in final.file_diffs}
     return seen

@@ -7,6 +7,10 @@ optional "diff --git"/"index"/mode lines, rename headers, and the
 "\\ No newline at end of file" marker). Re-rendering a parsed patch applies
 identically to the source tree.
 
+Diff text and file text are read by git's line rule: a line ends at \\n, and
+a \\r before it is content. So a diff made over a CRLF file applies to that
+file, and a form feed or U+2028 never cuts a line in two.
+
 Conventions used by the corpus statistics and overlap checks:
 - "lines" counts added + removed, so a modified line counts twice;
 - pure renames/mode changes are a FileDiff with zero hunks, counted in
@@ -29,20 +33,6 @@ DEV_NULL = "/dev/null"
 _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 _GIT_HEADER_RE = re.compile(r"^diff --git (?:a/)?(\S+) (?:b/)?(\S+)")
 _NO_NEWLINE = "\\ No newline at end of file"
-# Besides \n, \r\n and \r, str.splitlines() breaks at these, which a
-# Python file may hold in a comment or a string. The ast does not.
-_OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_SKIP_PREFIXES = (
-    "index ",
-    "old mode ",
-    "new mode ",
-    "new file mode ",
-    "deleted file mode ",
-    "similarity index ",
-    "dissimilarity index ",
-    "copy from ",
-    "copy to ",
-)
 
 
 class PatchParseError(ForgeError):
@@ -64,30 +54,6 @@ class Hunk:
     new_start: int
     new_len: int
     lines: tuple[tuple[str, str], ...]
-
-    @property
-    def removed_lines(self) -> tuple[tuple[int, str], ...]:
-        """Removed lines with their old-file line numbers."""
-        out = []
-        old_no = self.old_start
-        for tag, text in self.lines:
-            if tag == "-":
-                out.append((old_no, text))
-            if tag in (" ", "-"):
-                old_no += 1
-        return tuple(out)
-
-    @property
-    def added_lines(self) -> tuple[tuple[int, str], ...]:
-        """Added lines with their new-file line numbers."""
-        out = []
-        new_no = self.new_start
-        for tag, text in self.lines:
-            if tag == "+":
-                out.append((new_no, text))
-            if tag in (" ", "+"):
-                new_no += 1
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -188,21 +154,11 @@ class _FileBuilder:
         return FileDiff(path=path, hunks=hunks, old_path=old_field)
 
 
-def split_lines(text: str, keepends: bool = True) -> list[str]:
-    """`text.splitlines(keepends)`, but broken only at \\n, \\r\\n and \\r,
-    where the ast breaks Python source lines."""
-    if not any(ch in text for ch in _OTHER_LINE_BREAKS):
-        return text.splitlines(keepends)
-    lines: list[str] = []
-    pending = ""
-    for piece in text.splitlines(keepends=True):
-        pending += piece
-        if piece.endswith(("\n", "\r")):
-            lines.append(pending)
-            pending = ""
-    if pending:
-        lines.append(pending)
-    return lines if keepends else [line.rstrip("\r\n") for line in lines]
+def _lines(text: str) -> list[str]:
+    """Lines with their endings by git's rule: each ends at \\n, and a \\r
+    before it is content."""
+    *lines, last = text.split("\n")
+    return [line + "\n" for line in lines] + ([last] if last else [])
 
 
 def parse_patch(text: str) -> Patch:
@@ -212,10 +168,11 @@ def parse_patch(text: str) -> Patch:
     hunk bodies that disagree with their declared counts raise PatchParseError
     with the offending line number.
     """
-    lines = split_lines(text, keepends=False)
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
     file_diffs: list[FileDiff] = []
     builder: _FileBuilder | None = None
-    preamble = True
     i = 0
 
     def flush(line_no: int):
@@ -234,7 +191,6 @@ def parse_patch(text: str) -> Patch:
             if match:
                 builder.git_old = _strip_prefix(match.group(1))
                 builder.git_new = _strip_prefix(match.group(2))
-            preamble = False
             i += 1
         elif line.startswith("rename from "):
             if builder is None:
@@ -251,7 +207,6 @@ def parse_patch(text: str) -> Patch:
                 flush(line_no)
                 builder = _FileBuilder()
             builder.old_path = _header_path(line, line_no)
-            preamble = False
             i += 1
         elif line.startswith("+++ "):
             if builder is None:
@@ -275,7 +230,10 @@ def parse_patch(text: str) -> Patch:
             i += 1
             body: list[tuple[str, str]] = []
             old_done = new_done = 0
-            while old_done < old_len or new_done < new_len:
+            # The body ends at its declared counts, with any no-newline
+            # marker that follows its last line.
+            while (old_done < old_len or new_done < new_len
+                   or (i < len(lines) and lines[i].startswith("\\"))):
                 if i >= len(lines):
                     raise PatchParseError(
                         f"hunk body ends early: declared -{old_len}/+{new_len}, "
@@ -306,10 +264,6 @@ def parse_patch(text: str) -> Patch:
                     )
                 body.append((tag, content + "\n"))
                 i += 1
-            if i < len(lines) and lines[i].startswith("\\"):
-                tag, prev = body[-1]
-                body[-1] = (tag, prev.rstrip("\n"))
-                i += 1
             builder.hunks.append(
                 Hunk(
                     old_start=old_start,
@@ -321,16 +275,10 @@ def parse_patch(text: str) -> Patch:
             )
         elif line.startswith("Binary files"):
             raise PatchParseError("binary diffs are not supported", line_no)
-        elif line.startswith(_SKIP_PREFIXES):
-            i += 1
         elif builder is not None and builder.hunks and line and line[0] in "+- ":
             raise PatchParseError(f"diff content outside any hunk: {line!r}", line_no)
-        elif preamble or not line.strip():
-            i += 1
-        elif builder is None:
-            # Commit-message style prose between file blocks.
-            i += 1
         else:
+            # Extended headers ("index", modes, similarity) and commit prose.
             i += 1
     flush(len(lines))
     return Patch(file_diffs=tuple(file_diffs))
@@ -350,12 +298,10 @@ def render_patch(patch: Patch) -> str:
     for fd in patch.file_diffs:
         old = fd.old_path if fd.old_path is not None else fd.path
         if not fd.hunks:
+            parts.append(f"diff --git a/{old} b/{fd.path}\n")
             if old != fd.path:
-                parts.append(f"diff --git a/{old} b/{fd.path}\n")
                 parts.append(f"rename from {old}\n")
                 parts.append(f"rename to {fd.path}\n")
-            else:
-                parts.append(f"diff --git a/{old} b/{fd.path}\n")
             continue
         parts.append(f"--- {_format_header_path(old, 'a')}\n")
         parts.append(f"+++ {_format_header_path(fd.path, 'b')}\n")
@@ -379,8 +325,8 @@ def make_patch(
     old_path: str | None = None,
 ) -> str:
     """Produce unified diff text between two file contents."""
-    a = split_lines(old_text)
-    b = split_lines(new_text)
+    a = _lines(old_text)
+    b = _lines(new_text)
     from_path = old_path if old_path is not None else path
     raw = difflib.unified_diff(
         a,
@@ -403,7 +349,7 @@ def make_patch(
 
 
 def _apply_hunks(fd: FileDiff, text: str) -> str:
-    src = split_lines(text)
+    src = _lines(text)
     out: list[str] = []
     pos = 0  # 0-based index into src
     for hunk in fd.hunks:
@@ -464,12 +410,7 @@ def apply_patch(patch: Patch, files: Mapping[str, str]) -> dict[str, str]:
 # Inversion
 
 
-def _invert_tag(tag: str) -> str:
-    if tag == "+":
-        return "-"
-    if tag == "-":
-        return "+"
-    return tag
+_INVERSE_TAGS = str.maketrans("+-", "-+")
 
 
 def invert_patch(patch: Patch) -> Patch:
@@ -489,7 +430,7 @@ def invert_patch(patch: Patch) -> Patch:
                 old_len=h.new_len,
                 new_start=h.old_start,
                 new_len=h.old_len,
-                lines=tuple((_invert_tag(tag), text) for tag, text in h.lines),
+                lines=tuple((tag.translate(_INVERSE_TAGS), text) for tag, text in h.lines),
             )
             for h in fd.hunks
         )

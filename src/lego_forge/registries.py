@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Iterator
 
 try:  # Python 3.11+; importing sre_parse there warns that it is deprecated.
     from re import _parser as _sre
@@ -138,19 +139,31 @@ def _minimal(literals: list[str]) -> tuple[str, ...]:
     return tuple(lit for lit in unique if not any(o != lit and o in lit for o in unique))
 
 
-def _registry_lines(path: str | Path) -> list[tuple[int, str]]:
-    file_path = Path(path)
+def _registry_entries(
+    path: str | Path | None, default: Path, usage: str
+) -> Iterator[tuple[Path, int, list[str]]]:
+    """(file, line number, fields) for each entry of a registry whose lines
+    read `usage`, in file order; comments and blank lines are skipped.
+    Raises RegistryError for an unreadable or empty file and for a line
+    with too few fields."""
+    file_path = Path(path) if path else default
     try:
         text = file_path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise RegistryError(f"cannot read registry {file_path}: {exc}") from exc
-    out = []
+    width = usage.count("<")
+    empty = True
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        out.append((line_no, stripped))
-    return out
+        parts = stripped.split(None, width - 1)
+        if len(parts) != width:
+            raise RegistryError(f"{file_path}:{line_no}: expected '{usage}'")
+        empty = False
+        yield file_path, line_no, parts
+    if empty:
+        raise RegistryError(f"{file_path}: registry is empty")
 
 
 def _compile(pattern: str, path: str | Path, line_no: int, flags: int = 0) -> re.Pattern:
@@ -162,50 +175,35 @@ def _compile(pattern: str, path: str | Path, line_no: int, flags: int = 0) -> re
 
 def load_hack_patterns(path: str | Path | None = None) -> list[HackPattern]:
     """Load `<id> <severity> <regex>` lines; registry order is preserved."""
-    file_path = Path(path) if path else DEFAULT_HACK_PATTERNS
     patterns = []
-    for line_no, line in _registry_lines(file_path):
-        parts = line.split(None, 2)
-        if len(parts) != 3:
-            raise RegistryError(f"{file_path}:{line_no}: expected '<id> <severity> <regex>'")
-        pattern_id, severity, regex = parts
+    for file_path, line_no, (pattern_id, severity, regex) in _registry_entries(
+        path, DEFAULT_HACK_PATTERNS, "<id> <severity> <regex>"
+    ):
         if severity not in HACK_SEVERITIES:
             raise RegistryError(f"{file_path}:{line_no}: unknown severity {severity!r}")
         patterns.append(HackPattern(pattern_id, severity, _compile(regex, file_path, line_no)))
-    if not patterns:
-        raise RegistryError(f"{file_path}: registry is empty")
     return patterns
 
 
 def load_error_patterns(path: str | Path | None = None) -> list[ErrorPattern]:
     """Load `<id> <regex>` lines used for step-level error detection."""
-    file_path = Path(path) if path else DEFAULT_ERROR_PATTERNS
-    patterns = []
-    for line_no, line in _registry_lines(file_path):
-        parts = line.split(None, 1)
-        if len(parts) != 2:
-            raise RegistryError(f"{file_path}:{line_no}: expected '<id> <regex>'")
-        pattern_id, regex = parts
-        patterns.append(ErrorPattern(pattern_id, _compile(regex, file_path, line_no, re.MULTILINE)))
-    if not patterns:
-        raise RegistryError(f"{file_path}: registry is empty")
-    return patterns
+    return [
+        ErrorPattern(pattern_id, _compile(regex, file_path, line_no, re.MULTILINE))
+        for file_path, line_no, (pattern_id, regex) in _registry_entries(
+            path, DEFAULT_ERROR_PATTERNS, "<id> <regex>"
+        )
+    ]
 
 
 def load_phase_patterns(path: str | Path | None = None) -> list[PhaseRule]:
     """Load `<phase> <regex>` lines that map bash commands to phases."""
     from .schema import PHASES
 
-    file_path = Path(path) if path else DEFAULT_PHASE_PATTERNS
     rules = []
-    for line_no, line in _registry_lines(file_path):
-        parts = line.split(None, 1)
-        if len(parts) != 2:
-            raise RegistryError(f"{file_path}:{line_no}: expected '<phase> <regex>'")
-        phase, regex = parts
+    for file_path, line_no, (phase, regex) in _registry_entries(
+        path, DEFAULT_PHASE_PATTERNS, "<phase> <regex>"
+    ):
         if phase not in PHASES:
             raise RegistryError(f"{file_path}:{line_no}: unknown phase {phase!r}")
         rules.append(PhaseRule(phase, _compile(regex, file_path, line_no)))
-    if not rules:
-        raise RegistryError(f"{file_path}: registry is empty")
     return rules

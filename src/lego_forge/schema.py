@@ -317,14 +317,13 @@ class TestReport:
 # Validation
 
 
-def validate_instance(inst: TaskInstance, *, patch_parses: bool | None = None) -> list[str]:
+def validate_instance(inst: TaskInstance) -> list[str]:
     """Check one instance against the schema rules.
 
     Returns a list of stable violation codes; an empty list means the
-    instance is well-formed. Violations are data, not exceptions. A caller
-    that has already parsed the golden patch passes its verdict as
-    `patch_parses`; otherwise the patch is parsed here, through
-    `golden_stats`, which keeps the counts for a later reader.
+    instance is well-formed. Violations are data, not exceptions. The golden
+    patch is parsed through `golden_stats`, which keeps the counts for a
+    later reader, so a builder that has seeded them is not parsed again.
     """
     codes = []
     if not inst.instance_id:
@@ -335,15 +334,11 @@ def validate_instance(inst: TaskInstance, *, patch_parses: bool | None = None) -
         codes.append("EMPTY_F2P")
     if set(inst.fail_to_pass) & set(inst.pass_to_pass):
         codes.append("LABEL_OVERLAP")
-    if patch_parses is None:
-        from . import patch_analysis
+    from . import patch_analysis
 
-        try:
-            inst.golden_stats
-            patch_parses = True
-        except patch_analysis.PatchParseError:
-            patch_parses = False
-    if not patch_parses:
+    try:
+        inst.golden_stats
+    except patch_analysis.PatchParseError:
         codes.append("BAD_PATCH")
     try:
         parse_timestamp(inst.created_at)

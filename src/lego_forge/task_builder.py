@@ -9,7 +9,10 @@ injection diff minimal. A provider parses each snapshot file once and keeps
 that tree, with its target index, line table and operator tokens, for every
 later mutation of the file. Spans are ast positions, whose columns count
 UTF-8 bytes; they are converted to character offsets on lines broken where
-the ast breaks them.
+the ast breaks them (at \\n, \\r\\n and \\r, not at form feeds or U+2028).
+Snapshots are read with their line endings kept, and the injection diff is
+made by git's line rule (see patch_analysis), so it applies to the files on
+disk.
 
 Mutators and their fixed rules:
 - operator_swap: arithmetic + <-> -, * <-> /; comparison < <-> >=, > <-> <=,
@@ -40,17 +43,13 @@ from typing import Mapping, Sequence
 from .errors import ForgeError
 from .patch_analysis import (
     Patch,
-    PatchParseError,
     invert_patch,
     make_patch,
     parse_patch,
     patch_stats,
     render_patch,
-    split_lines,
 )
 from .schema import TaskInstance, TestReport, of_type, parse_timestamp, require, validate_instance
-
-MUTATORS = ("operator_swap", "conditional_removal", "loop_removal")
 
 SWAP_TABLE = {
     "+": "-",
@@ -72,6 +71,9 @@ SYNTHETIC_EPOCH = "1970-01-01T00:00:00+00:00"
 _BINOP_SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 _CMP_SYMBOLS = {ast.Lt: "<", ast.Gt: ">", ast.Eq: "==", ast.NotEq: "!=", ast.GtE: ">=", ast.LtE: "<="}
 _BOOL_SYMBOLS = {ast.And: "and", ast.Or: "or"}
+# Besides \n, \r\n and \r, str.splitlines() breaks at these, which a
+# Python file may hold in a comment or a string. The ast does not.
+_OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class LocatorError(ForgeError):
@@ -183,9 +185,6 @@ def derive_test_labels(pre: TestReport, post: TestReport) -> tuple[list[str], li
 # Python syntax trees
 
 
-_KINDS = ("operator", "conditional", "loop")
-
-
 @dataclass(frozen=True)
 class PythonSyntaxTree:
     """A parsed Python file that keeps its exact source text, so rendering
@@ -200,7 +199,18 @@ class PythonSyntaxTree:
     def lines(self) -> list[str]:
         """Source lines with their endings, broken where the ast breaks them
         (not at form feeds or U+2028, which would shift every later span)."""
-        return split_lines(self.source)
+        if not any(ch in self.source for ch in _OTHER_LINE_BREAKS):
+            return self.source.splitlines(keepends=True)
+        lines: list[str] = []
+        pending = ""
+        for piece in self.source.splitlines(keepends=True):
+            pending += piece
+            if piece.endswith(("\n", "\r")):
+                lines.append(pending)
+                pending = ""
+        if pending:
+            lines.append(pending)
+        return lines
 
     @cached_property
     def line_starts(self) -> list[int]:
@@ -266,8 +276,6 @@ class PythonAstProvider:
 
     def enumerate(self, tree: PythonSyntaxTree, kind: str) -> list[NodeLocator]:
         """List mutable nodes of one kind: operator, conditional, or loop."""
-        if kind not in _KINDS:
-            raise ValueError(f"unknown node kind {kind!r}")
         locators = [
             _make_locator(tree.path, node, kind, _operator_symbol(node) or "")
             for found in tree.targets.values()
@@ -319,6 +327,7 @@ _KIND_FOR_MUTATOR = {
     "conditional_removal": "conditional",
     "loop_removal": "loop",
 }
+MUTATORS = tuple(_KIND_FOR_MUTATOR)
 
 
 # ---------------------------------------------------------------------------
@@ -421,27 +430,14 @@ def inject_bug(
     if spec.mutator not in MUTATORS:
         raise MutationError(f"unknown mutator {spec.mutator!r}")
     kind = _KIND_FOR_MUTATOR[spec.mutator]
-    if spec.target is None:
-        candidates = provider.enumerate(tree, kind)
-        if not candidates:
-            raise LocatorError(f"{tree.path}: no eligible {kind} targets")
-        span = random.Random(spec.seed).choice(candidates).span()
-    else:
-        if spec.target.path != tree.path:
-            raise LocatorError(
-                f"target path {spec.target.path!r} does not match tree {tree.path!r}"
-            )
-        span = spec.target.span()
+    span = resolve_target({tree.path: tree.source}, spec, provider)[1].span()
 
     # The first node in walk order of the mutator's kind at that span.
     found = tree.targets.get(span, [])
     kinds = [node_kind for node_kind, _ in found]
     if kind not in kinds:
-        for other_kind in _KINDS:
-            if other_kind in kinds:
-                raise MutatorKindError(
-                    f"target at {span} is a {other_kind}, not a {kind} ({spec.mutator})"
-                )
+        if kinds:
+            raise MutatorKindError(f"target at {span} is a {kinds[0]}, not a {kind} ({spec.mutator})")
         raise LocatorError(f"{tree.path}: no node at span {span}")
     node = found[kinds.index(kind)][1]
     if spec.mutator == "operator_swap":
@@ -499,9 +495,7 @@ class TemplateStatementProvider:
     then a fixed template listing the observed failures. Never includes any
     diff text, so the golden fix cannot leak into the statement."""
 
-    def generate(
-        self, golden_patch: str, failing_tests: Sequence[str], logs: Sequence[str]
-    ) -> str:
+    def generate(self, failing_tests: Sequence[str], logs: Sequence[str]) -> str:
         if not failing_tests:
             raise ValueError("at least one failing test is required")
         title = failing_tests[0].split("::")[-1].split(".")[-1]
@@ -567,9 +561,7 @@ def build_synthetic_instance(
     golden_patch = render_patch(invert_patch(injection))
 
     logs = [f"{t}: {buggy_report.results[t]}" for t in fail_to_pass]
-    statement = statements.generate(golden_patch, fail_to_pass, logs)
-    if not statement:
-        raise ValueError("problem statement provider returned empty text")
+    statement = statements.generate(fail_to_pass, logs)
 
     digest = hashlib.sha256(
         f"{path}:{locator.span()}:{spec.mutator}".encode("utf-8")
@@ -591,14 +583,9 @@ def build_synthetic_instance(
             "target_path": path,
         },
     )
-    try:
-        golden_stats = patch_stats(parse_patch(golden_patch))
-    except PatchParseError:
-        golden_stats = None
-    violations = validate_instance(instance, patch_parses=golden_stats is not None)
+    violations = validate_instance(instance)
     if violations:
         raise ForgeError(f"built instance fails validation: {violations}")
-    object.__setattr__(instance, "golden_stats", golden_stats)
     return instance
 
 
@@ -615,6 +602,9 @@ def build_real_instance(record: dict) -> TaskInstance:
         for key in ("repo", "base_commit", "merged_diff", "issue_text", "issue_created_at")
     )
     parse_timestamp(created_at)
+    number = record.get("number")
+    if number is not None and not of_type(number, int):
+        raise ValueError("field 'number' must be an integer")
     pre, post = _reports(record, "pre_report", "post_report")
     if not issue_text.strip():
         raise ValueError("issue text is empty")
@@ -624,7 +614,6 @@ def build_real_instance(record: dict) -> TaskInstance:
     if not fail_to_pass:
         raise InvisibleBugError("PR changes no test outcome")
 
-    number = record.get("number")
     suffix = f"pr{number}" if number is not None else base_commit[:12]
     instance_id = f"{_repo_slug(repo)}-{suffix}"
     instance = TaskInstance(
@@ -643,23 +632,23 @@ def build_real_instance(record: dict) -> TaskInstance:
             "history_cutoff": created_at,
         },
     )
-    violations = validate_instance(instance, patch_parses=True)
+    object.__setattr__(instance, "golden_stats", golden_stats)
+    violations = validate_instance(instance)
     if violations:
         raise ForgeError(f"built instance fails validation: {violations}")
-    object.__setattr__(instance, "golden_stats", golden_stats)
     return instance
 
 
 def read_snapshot(snapshot_dir: Path) -> dict[str, str]:
     """A clean repository snapshot: each UTF-8 text file's text by its
-    posix path relative to `snapshot_dir`."""
+    posix path relative to `snapshot_dir`, line endings kept as on disk."""
     snapshot: dict[str, str] = {}
     for file_path in sorted(snapshot_dir.rglob("*")):
         if not file_path.is_file():
             continue
         rel = file_path.relative_to(snapshot_dir).as_posix()
         try:
-            snapshot[rel] = file_path.read_text(encoding="utf-8")
+            snapshot[rel] = file_path.read_bytes().decode("utf-8")
         except UnicodeDecodeError:
             continue  # binary assets play no part in mutation
     return snapshot

@@ -18,7 +18,7 @@ from .errors import ForgeError
 from . import patch_analysis
 from .registries import ErrorPattern, HackPattern, PhaseRule
 from .repo_sanitizer import HackFinding, detect_git_hacking, has_high_finding
-from .schema import ALLOWED_TOOLS, Step, TaskInstance, TestReport, ToolCall, Trajectory
+from .schema import ALLOWED_TOOLS, OUTCOMES, Step, TaskInstance, TestReport, ToolCall, Trajectory
 from .sft_masking import has_execution_error, step_phase
 
 _INT_RE = re.compile(r"-?\d+")
@@ -173,8 +173,9 @@ def detect_test_modification(final_patch: patch_analysis.Patch, inst: TaskInstan
 # Outcome classification
 
 
-def _tests_pass(report: TestReport, test_ids: Sequence[str]) -> bool:
-    return all(report.results.get(t) == "pass" for t in test_ids)
+def _tests_pass(report: TestReport, inst: TaskInstance) -> bool:
+    """True when every fail_to_pass and pass_to_pass test passes."""
+    return all(report.results.get(t) == "pass" for t in (*inst.fail_to_pass, *inst.pass_to_pass))
 
 
 def classify_outcome(
@@ -195,10 +196,7 @@ def classify_outcome(
         final = patch_analysis.parse_patch(traj.final_patch)
     except patch_analysis.PatchParseError:
         return "unresolved"
-    tests_ok = _tests_pass(final_report, inst.fail_to_pass) and _tests_pass(
-        final_report, inst.pass_to_pass
-    )
-    if tests_ok:
+    if _tests_pass(final_report, inst):
         if hack_findings is None:
             hack_findings = detect_git_hacking(traj)
         cheated = detect_test_modification(final, inst)
@@ -227,14 +225,7 @@ def rollout_stats(trajs: Sequence[Trajectory], *, recycle_semi_resolved: bool = 
     recycling is enabled. Empty input yields zero counts with rates set to
     None (the undefined-rate flag).
     """
-    counts = {
-        "resolved": 0,
-        "semi_resolved": 0,
-        "unresolved": 0,
-        "error": 0,
-        "empty_patch": 0,
-        "unclassified": 0,
-    }
+    counts = dict.fromkeys(OUTCOMES, 0)
     for traj in trajs:
         counts[traj.outcome] = counts.get(traj.outcome, 0) + 1
     total = len(trajs)
@@ -310,9 +301,7 @@ def curate(
             })
         else:
             outcome = classify_outcome(work, inst, final, hack_findings=findings)
-            if outcome == "unresolved" and has_high_finding(findings) and all(
-                final.results.get(t) == "pass" for t in (*inst.fail_to_pass, *inst.pass_to_pass)
-            ):
+            if outcome == "unresolved" and has_high_finding(findings) and _tests_pass(final, inst):
                 hack_invalidated += 1
         curated.append(replace(work, outcome=outcome))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -271,10 +272,14 @@ def surface_point(record: dict) -> tuple[tuple[int, int], float]:
 
 def latency(model: LatencyModel, turns: int, rollouts: int) -> float:
     """Predicted wall-clock cost of running `rollouts` trajectories of up to
-    `turns` turns. Strictly increasing in both arguments."""
+    `turns` turns. Strictly increasing in both arguments; `math.inf` when
+    the power overflows a float, so no budget fits that point."""
     if turns < 1 or rollouts < 1:
         raise ValueError("turns and rollouts must be at least 1")
-    return model.c * turns**model.alpha * rollouts**model.beta
+    try:
+        return model.c * turns**model.alpha * rollouts**model.beta
+    except OverflowError:
+        return math.inf
 
 
 def iso_latency_contour(
@@ -284,7 +289,7 @@ def iso_latency_contour(
     budget: the iso-latency contour sampled on the grid."""
     out = []
     for turns in sorted(set(turn_grid)):
-        k = (budget / (model.c * turns**model.alpha)) ** (1.0 / model.beta)
+        k = (budget / latency(model, turns, 1)) ** (1.0 / model.beta)
         out.append((turns, k))
     return tuple(out)
 

@@ -236,12 +236,36 @@ def test_injected_instances_have_self_consistent_golden_patches(corpus):
     assert len(report["invisible_bugs"]) == 1
 
 
+def test_inject_over_a_crlf_snapshot_restores_it_byte_for_byte(corpus):
+    # Snapshot files keep their \r\n endings, and a diff line ends at \n
+    # alone, so each golden patch restores the files on disk exactly.
+    from lego_forge.patch_analysis import apply_patch, parse_patch
+
+    cfg = load_config(corpus)
+    on_disk = {}
+    for path in sorted(cfg.snapshot_dir.rglob("*")):
+        if path.is_file():
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+            on_disk[path.relative_to(cfg.snapshot_dir).as_posix()] = path.read_bytes()
+    code, report = run_stage("inject", cfg)
+    assert code == EXIT_OK and report["built"] == 2
+    snapshot = {rel: data.decode("utf-8") for rel, data in on_disk.items()}
+    for inst in load_corpus(cfg.out_dir / "instances_synth.jsonl", "instances").records:
+        assert "\r\n" in inst.golden_patch
+        buggy = apply_patch(parse_patch(inst.extra["injection_patch"]), snapshot)
+        assert buggy != snapshot
+        restored = apply_patch(parse_patch(inst.golden_patch), buggy)
+        assert {rel: text.encode("utf-8") for rel, text in restored.items()} == on_disk
+
+
 @pytest.mark.parametrize("cut_at_form_feed", [False, True])
 def test_form_feed_near_an_injected_edit(corpus, monkeypatch, cut_at_form_feed):
-    # Diff lines break only where source lines do, so the mutation applies;
-    # a diff that still fails to parse rejects its spec with exit 3.
+    # Diff lines break only at \n, so the mutation applies; a diff that still
+    # fails to parse (here, read by a rule that breaks at the form feed)
+    # rejects its spec with exit 3.
     if cut_at_form_feed:
-        monkeypatch.setattr(patch_analysis, "split_lines", lambda text, keepends=True: text.splitlines(keepends))
+        parse = task_builder.parse_patch
+        monkeypatch.setattr(task_builder, "parse_patch", lambda text: parse(text.replace("\x0c", "\n")))
     cfg = load_config(corpus)
     calc = cfg.snapshot_dir / "calc.py"
     calc.write_text(calc.read_text(encoding="utf-8").replace("def add(a, b):", "def add(a, b):  # \x0c", 1),
@@ -442,6 +466,7 @@ def probes():
         ("surface", edited(rate=5), ["BAD_RECORD"], "rate-above-one"),
         ("surface", edited(turns=True), ["BAD_RECORD"], "turns-true"),
         ("surface", edited(turns=2.7), ["BAD_RECORD"], "turns-fraction"),
+        ("surface", edited(turns=10**400), None, "turns-too-large-for-a-float"),
         ("rollouts", edited(resolved="yes"), ["BAD_RECORD"], "resolved-string"),
         ("rollouts", edited(rollout_index=True), ["BAD_RECORD"], "rollout-index-true"),
         ("rollouts", edited(), ["DUPLICATE_ROLLOUT_INDEX"], "duplicate-line"),

@@ -167,12 +167,11 @@ def test_viewed_files_includes_editor_bash_and_patch():
 def test_cached_bash_read_paths_equal_the_uncached_tokenizer(command, expected):
     error_taxonomy._read_paths.cache_clear()
     uncached = error_taxonomy._read_paths.__wrapped__(command)
-    first = error_taxonomy._bash_read_paths(command)
-    assert first == set(uncached) == expected
-    # Callers get a fresh set each time: mutating one leaves the cache intact.
-    first.add("tampered.py")
-    first.discard(next(iter(expected), None))
-    assert error_taxonomy._bash_read_paths(command) == expected
+    first = error_taxonomy._read_paths(command)
+    assert first == uncached == expected
+    # The cached value is a frozenset: no caller can change it in place.
+    assert isinstance(first, frozenset)
+    assert error_taxonomy._read_paths(command) is first
     assert error_taxonomy._read_paths.cache_info().hits == 1
 
 

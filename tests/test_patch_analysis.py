@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lego_forge.patch_analysis import (
     Patch,
@@ -15,7 +17,6 @@ from lego_forge.patch_analysis import (
     parse_patch,
     patch_stats,
     render_patch,
-    split_lines,
 )
 
 from conftest import random_edit, random_file
@@ -69,8 +70,9 @@ def test_parse_one_file_one_hunk():
     fd = patch.file_diffs[0]
     assert fd.path == "src/mod.py"
     hunk = fd.hunks[0]
-    assert [no for no, _ in hunk.removed_lines] == [2, 3]
-    assert [no for no, _ in hunk.added_lines] == [2, 3]
+    assert (hunk.old_start, hunk.new_start) == (1, 1)
+    assert [tag for tag, _ in hunk.lines] == [" ", "-", "-", "+", "+"]
+    assert changed_line_map(patch) == {"src/mod.py": {2, 3}}
 
 
 def test_parse_corrupted_hunk_header_reports_line():
@@ -95,6 +97,12 @@ def test_parse_overlapping_hunks_rejected():
     )
     with pytest.raises(PatchParseError):
         parse_patch(text)
+
+
+def test_parse_no_newline_marker_after_an_empty_hunk_is_dangling():
+    # The marker belongs to the line before it; an empty hunk has none.
+    with pytest.raises(PatchParseError, match="line 4: dangling no-newline marker"):
+        parse_patch("--- a/f.py\n+++ b/f.py\n@@ -0,0 +0,0 @@\n\\ No newline at end of file\n")
 
 
 def test_parse_binary_diff_rejected():
@@ -173,10 +181,6 @@ def test_no_newline_at_eof_round_trip():
 def test_lines_break_only_where_python_source_lines_do(separator):
     # str.splitlines() would also break at the separator, cutting the
     # diff's context line in two.
-    assert split_lines(f"a {separator} b\nc\r\nd\re{separator}") == [
-        f"a {separator} b\n", "c\r\n", "d\r", f"e{separator}"
-    ]
-    assert split_lines(f"a {separator} b\nc\r\nd", keepends=False) == [f"a {separator} b", "c", "d"]
     old = f"def f(a):  # {separator} note\n    x = 1\n    return a\n"
     new = old.replace("x = 1", "x = 2")
     patch = parse_patch(make_patch(old, new, "f.py"))
@@ -185,11 +189,24 @@ def test_lines_break_only_where_python_source_lines_do(separator):
     assert parse_patch(render_patch(patch)) == patch
 
 
-def test_split_lines_without_other_separators_equals_splitlines():
-    text = "a\nb\r\nc\rd"
-    assert split_lines(text) == text.splitlines(keepends=True)
-    assert split_lines(text, keepends=False) == text.splitlines()
-    assert split_lines("") == []
+# Lines of a few repeating texts, each ended by \n, \r\n, a bare \r, a form
+# feed, U+2028 or nothing (a missing final newline, or a line run on).
+_LINE = st.tuples(st.sampled_from(["", "a", "b b", " x = 1"]),
+                  st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028", ""]))
+_TEXT = st.lists(_LINE, max_size=8).map(lambda lines: "".join(text + end for text, end in lines))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(old=_TEXT, new=_TEXT)
+def test_diffs_round_trip_whatever_the_line_endings(old, new):
+    # A line ends at \n alone, and a \r before it is content, so a diff made
+    # over any text applies to that text and its inverse restores it. The
+    # text of a re-rendered patch may differ (`@@ -1 +1 @@` against
+    # `@@ -1,1 +1,1 @@`), but it parses to the same patch.
+    patch = parse_patch(make_patch(old, new, "f.txt"))
+    assert apply_patch(patch, {"f.txt": old}) == {"f.txt": new}
+    assert apply_patch(invert_patch(patch), {"f.txt": new}) == {"f.txt": old}
+    assert parse_patch(render_patch(patch)) == patch
 
 
 def test_invert_involution_and_empty():
@@ -212,7 +229,7 @@ def test_invert_restores_bytes_on_random_files():
         assert invert_patch(invert_patch(patch)) == patch
         # The changed-line count is the removed plus the added lines.
         assert patch_stats(patch).lines == patch_stats(invert_patch(patch)).lines == sum(
-            len(h.removed_lines) + len(h.added_lines) for fd in patch.file_diffs for h in fd.hunks
+            tag in "-+" for fd in patch.file_diffs for h in fd.hunks for tag, _ in h.lines
         )
 
 

@@ -61,18 +61,34 @@ def test_unknown_phase_rejected(tmp_path):
         load_phase_patterns(path)
 
 
+LOADERS = (
+    (load_hack_patterns, "<id> <severity> <regex>"),
+    (load_error_patterns, "<id> <regex>"),
+    (load_phase_patterns, "<phase> <regex>"),
+)
+
+
 def test_malformed_line_rejected(tmp_path):
+    # One reader serves the three registries; each error names the line
+    # and the registry's own line format.
     path = tmp_path / "hacks.txt"
     path.write_text("ONLY_TWO high\n", encoding="utf-8")
     with pytest.raises(RegistryError):
         load_hack_patterns(path)
+    path.write_text("# header\nONLY\n", encoding="utf-8")
+    for load, usage in LOADERS:
+        with pytest.raises(RegistryError) as err:
+            load(path)
+        assert str(err.value) == f"{path}:2: expected '{usage}'"
 
 
 def test_empty_registry_rejected(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("# nothing but comments\n\n", encoding="utf-8")
-    with pytest.raises(RegistryError):
-        load_error_patterns(path)
+    for load, _ in LOADERS:
+        with pytest.raises(RegistryError) as err:
+            load(path)
+        assert str(err.value) == f"{path}: registry is empty"
 
 
 def test_comments_and_blanks_ignored(tmp_path):

@@ -274,18 +274,20 @@ def test_validate_corrupt_golden_patch():
 
 
 def test_validate_takes_the_callers_patch_verdict(monkeypatch):
-    # A caller that has parsed the golden patch passes its verdict; the
-    # patch is then not parsed again, and BAD_PATCH still follows the verdict.
-    def no_parse(text):
-        raise AssertionError("golden patch parsed again")
+    # A builder that has parsed the golden patch seeds golden_stats; a seeded
+    # golden_stats is not parsed again, and an unseeded patch that does not
+    # parse is BAD_PATCH.
+    from lego_forge.patch_analysis import PatchParseError
 
+    def no_parse(text):
+        raise PatchParseError("golden patch parsed again")
+
+    stats = make_instance().golden_stats
     monkeypatch.setattr("lego_forge.patch_analysis.parse_patch", no_parse)
-    assert validate_instance(make_instance(), patch_parses=True) == []
-    assert validate_instance(make_instance(), patch_parses=False) == ["BAD_PATCH"]
-    assert validate_instance(make_instance(fail_to_pass=()), patch_parses=False) == [
-        "EMPTY_F2P",
-        "BAD_PATCH",
-    ]
+    seeded = make_instance(fail_to_pass=())
+    object.__setattr__(seeded, "golden_stats", stats)
+    assert validate_instance(seeded) == ["EMPTY_F2P"]
+    assert validate_instance(make_instance(fail_to_pass=())) == ["EMPTY_F2P", "BAD_PATCH"]
 
 
 def test_validate_bad_timestamp_and_origin():

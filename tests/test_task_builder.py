@@ -15,6 +15,7 @@ from lego_forge.task_builder import (
     MutatorKindError,
     NodeLocator,
     PythonAstProvider,
+    PythonSyntaxTree,
     TemplateStatementProvider,
     build_real_instance,
     build_synthetic_instance,
@@ -394,6 +395,21 @@ def test_form_feed_in_a_diff_context_line_keeps_the_injection_diff_whole():
     )
 
 
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+def test_tree_lines_break_only_where_the_ast_does(separator):
+    # str.splitlines() would also break at the separator, shifting every
+    # later span; the ast breaks at \n, \r\n and \r alone.
+    assert PythonSyntaxTree("m.py", f"a {separator} b\nc\r\nd\re{separator}").lines == [
+        f"a {separator} b\n", "c\r\n", "d\r", f"e{separator}"
+    ]
+
+
+def test_tree_lines_without_other_separators_equal_splitlines():
+    text = "a\nb\r\nc\rd"
+    assert PythonSyntaxTree("m.py", text).lines == text.splitlines(keepends=True)
+    assert PythonSyntaxTree("m.py", "").lines == []
+
+
 def test_removal_indents_with_the_statements_own_indentation():
     # A tab-indented file stays tab-indented: a replacement `pass` or a
     # spliced inline-else statement takes its line's own indentation text.
@@ -563,13 +579,20 @@ def mutation_line():
             "buggy_report": buggy.to_record(), "restored_report": restored.to_record()}
 
 
-@pytest.mark.parametrize("parse, line, refusals", [
-    (lambda r: MutationSpec.from_record(r, 0), mutation_line(), (ValueError,)),
-    (NodeLocator.from_record, mutation_line()["target"], (ValueError,)),
-    (build_real_instance, pr_fixture(), (ValueError, PatchParseError, InvisibleBugError)),
+@pytest.mark.parametrize("parse, line, refusals, refused", [
+    (lambda r: MutationSpec.from_record(r, 0), mutation_line(), (ValueError,), {}),
+    (NodeLocator.from_record, mutation_line()["target"], (ValueError,), {}),
+    (build_real_instance, pr_fixture(), (ValueError, PatchParseError, InvisibleBugError),
+     {"number": (True, 1.5, [])}),
 ], ids=["MutationSpec.from_record", "NodeLocator.from_record", "build_real_instance"])
-def test_line_parsers_refuse_bad_fields(parse, line, refusals):
+def test_line_parsers_refuse_bad_fields(parse, line, refusals, refused):
     # A field of the wrong type is refused, never cast: no bool where an
     # integer belongs. build_real_instance may also refuse a line whose diff
-    # does not parse or that flips no test.
+    # does not parse or that flips no test. `refused` names values that
+    # must raise ValueError even where the record would look sound (a PR
+    # number only ever reaches the instance id).
     assert_refuses_bad_fields(parse, line, refusals)
+    for key, values in refused.items():
+        for value in values:
+            with pytest.raises(ValueError):
+                parse({**line, key: value})

@@ -343,6 +343,19 @@ def test_contour_satisfies_the_latency_equation():
         assert model.c * turns**model.alpha * k**model.beta == pytest.approx(budget, rel=1e-9)
 
 
+def test_a_point_too_large_for_a_float_fits_no_budget():
+    # The power overflows a float: latency is infinite rather than an
+    # OverflowError, so the point is never chosen and its contour K is 0.
+    model = LatencyModel()
+    huge = 10**400
+    assert latency(model, huge, 1) == latency(model, 2, huge) == latency(model, 10**250, 1) == math.inf
+    plan, contour = allocate(model, 100.0, {(huge, 1): 1.0, (4, 2): 0.5})
+    assert (plan.turns, plan.rollouts) == (4, 2)
+    assert contour[-1] == (huge, 0.0)
+    with pytest.raises(InfeasibleBudgetError):
+        allocate(model, 100.0, {(huge, 1): 1.0})
+
+
 # ---------------------------------------------------------------------------
 # Verifiers and wire format
 

@@ -25,12 +25,13 @@ failure (a rejection report is written next to the stage outputs). Every
 JSON Lines input is read by `schema.load_jsonl`, so a malformed line is a
 rejection, except in `real_inputs`, where it is skipped with its reason.
 
-The config file is a plain `key = value` text file; paths resolve relative
-to the config file's directory. A value of the wrong type or out of range
-fails at load with exit 1 and `path:line`; a config or registry file that
-is not UTF-8 fails with exit 1 and its path. Keys:
+The config file is a plain `key = value` text file, the one source of run
+settings (the seed too); paths resolve relative to its directory. A value
+of the wrong type or that no stage can use (say, a `context_limit` that is
+not positive) fails at load with exit 1 and `path:line`; a config or
+registry file that is not UTF-8 fails with exit 1 and its path. Keys:
 
-  out_dir            output directory (default: out)
+  out_dir            output directory (default: out; a file there fails at load)
   repo, base_commit  repository identity for the inject stage
   real_inputs        JSONL of PR fixtures for build-tasks
   snapshot_dir       clean repository snapshot for inject
@@ -38,7 +39,7 @@ is not UTF-8 fails with exit 1 and its path. Keys:
   histories          JSONL of exported commit histories for sanitize
   trajectories       JSONL of rollout trajectories for curate
   final_reports      JSONL of final-state test reports for curate
-  instances          optional extra instance corpus (pre-built)
+  instances          optional extra instance corpus (pre-built; exit 2 if missing)
   rollouts           JSONL of best-of-K candidates for tts-select
   surface            JSONL of (turns, rollouts, rate) triples (optional)
   latency_budget     budget in seconds for allocation (optional)
@@ -50,7 +51,7 @@ is not UTF-8 fails with exit 1 and its path. Keys:
   recycle_semi_resolved      keep semi-resolved for training (default true)
   verifier           stub | oracle (default stub)
   seed               RNG seed (default 0)
-  hack_patterns, error_patterns, phase_patterns   registry overrides
+  hack_patterns, error_patterns, phase_patterns   registry overrides (curate inputs)
 """
 
 from __future__ import annotations
@@ -59,11 +60,12 @@ import argparse
 import hashlib
 import json
 import marshal
+import math
 import os
 import sys
 import threading
 from collections import Counter
-from dataclasses import dataclass, fields, replace as dc_replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NoReturn, Sequence, TypeVar
 
@@ -83,7 +85,6 @@ from .schema import (
     require,
     save_corpus,
     save_jsonl,
-    validate_trajectory,
 )
 
 EXIT_OK = 0
@@ -171,11 +172,12 @@ def _parse_value(annotation: str, value: str, base_dir: Path):
 
 
 def _check_range(key: str, value) -> None:
-    """Raise ValueError for a value a stage would refuse mid-run. The latency
-    model checks its own ranges, so only a config that sets one of its keys
+    """Raise ValueError for a value no stage can use. The latency model
+    checks its own ranges, so only a config that sets one of its keys
     imports tts."""
-    if key in ("latency_budget", "bucket_width") and value is not None and not value > 0:
-        raise ValueError("must be positive")
+    if (key in ("latency_budget", "bucket_width", "context_limit") and value is not None
+            and not 0 < value < math.inf):
+        raise ValueError("must be positive and finite")
     if key in ("latency_c", "latency_alpha", "latency_beta"):
         from . import tts
 
@@ -212,6 +214,8 @@ def load_config(path: str | Path) -> PipelineConfig:
             raise ForgeError(f"{config_path}:{line_no}: bad value for {key!r}: {exc}") from None
     cfg = PipelineConfig(config_path=config_path, **values)
     cfg.out_dir = (base_dir / cfg.out_dir).resolve()
+    if not all(path.is_dir() for path in (cfg.out_dir, *cfg.out_dir.parents) if path.exists()):
+        raise ForgeError(f"{config_path}: out_dir {cfg.out_dir} is not a directory")
     if not 0 < cfg.easy_upper < cfg.medium_upper < cfg.max_turns:
         raise ForgeError(
             "bin boundaries must satisfy 0 < easy_upper < medium_upper < max_turns"
@@ -280,18 +284,16 @@ _handoff: dict[tuple[Path, str], list] = {}
 def _hand_off(path: Path, records: list, kind: str) -> None:
     """Within a run, pass the records of corpus `kind` just written to
     `path` to the later stages that read it, if reloading them would return
-    the same records without a rejection. The builders validate every
-    instance they return, which leaves load_corpus's duplicate rules."""
+    the same records without a rejection. `curate` and the builders return
+    only records that validate, which leaves the instances' duplicate rules."""
     if not _in_run:
         return
-    if kind == "trajectories":
-        reloads_same = not any(validate_trajectory(t) for t in records)
-    else:
+    if kind == "instances":
         real_images = [i.image_name for i in records if i.origin == "real"]
-        reloads_same = (len({i.instance_id for i in records}) == len(records)
-                        and len(set(real_images)) == len(real_images))
-    if reloads_same:
-        _handoff[(path, _hash_path(path))] = records
+        if (len({i.instance_id for i in records}) < len(records)
+                or len(set(real_images)) < len(real_images)):
+            return
+    _handoff[(path, _hash_path(path))] = records
 
 
 def _corpus(cfg: PipelineConfig, stage: str, path: Path, kind: str) -> list:
@@ -323,6 +325,8 @@ def _instance_sources(cfg: PipelineConfig) -> list[Path]:
 
 
 def _load_instances_union(cfg: PipelineConfig, stage: str) -> dict[str, TaskInstance]:
+    if cfg.instances is not None:
+        _require_input(cfg.instances, "instances")
     existing = [p for p in _instance_sources(cfg) if p.exists()]
     if not existing:
         raise MissingInputError(
@@ -472,7 +476,10 @@ def _stage_curriculum(cfg: PipelineConfig) -> dict:
     selected = curriculum_mod.select_for_training(
         curated, recycle_semi_resolved=cfg.recycle_semi_resolved
     )
-    plan = curriculum_mod.build_stages(selected, cfg.bins())
+    try:
+        plan = curriculum_mod.build_stages(selected, cfg.bins())
+    except curriculum_mod.BinningError as exc:
+        raise ValidationFailure(str(exc)) from exc
     by_id = {t.trajectory_id: t for t in selected}
     for stage_no, stage_ids in enumerate(plan.stages, start=1):
         save_corpus([by_id[tid] for tid in stage_ids], cfg.out_dir / f"stage{stage_no}.jsonl")
@@ -626,7 +633,8 @@ STAGES = (
     Stage("sanitize", _stage_sanitize, lambda cfg: [cfg.histories],
           lambda cfg: ["sanitized_histories.jsonl"], "sanitize_report.json"),
     Stage("curate", _stage_curate,
-          lambda cfg: [cfg.trajectories, cfg.final_reports, *_instance_sources(cfg)],
+          lambda cfg: [cfg.trajectories, cfg.final_reports, *_instance_sources(cfg),
+                       cfg.hack_patterns, cfg.error_patterns, cfg.phase_patterns],
           lambda cfg: ["curated.jsonl"], "curation_report.json"),
     Stage("mask", _stage_mask, lambda cfg: [_curated_path(cfg)],
           lambda cfg: ["samples.jsonl", "mask_drops.jsonl"], "mask_report.json"),
@@ -881,7 +889,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="pipeline stage to run ('pipeline' runs all stages in order)",
     )
     parser.add_argument("--config", help="path to the key-value config file")
-    parser.add_argument("--seed", type=int, help="override RNG seed (wildcard mutations, stub verifier)")
     parser.add_argument("--repo", help="repository path (export-history only)")
     parser.add_argument("--out", help="output file (export-history only)")
     args = parser.parse_args(argv)
@@ -910,8 +917,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    if args.seed is not None:
-        cfg = dc_replace(cfg, seed=args.seed)
 
     if args.stage == "pipeline":
         return run_pipeline(cfg)

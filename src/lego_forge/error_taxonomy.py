@@ -114,13 +114,10 @@ def _final_patch(traj: Trajectory) -> patch_analysis.Patch | None:
         return None
 
 
-def viewed_files(traj: Trajectory) -> set[str]:
+def viewed_files(traj: Trajectory, final: patch_analysis.Patch | None) -> set[str]:
     """Files the agent opened: editor calls (any command), file-reading bash
-    commands, and files touched by the final patch."""
-    return _viewed_files(traj, _final_patch(traj))
-
-
-def _viewed_files(traj: Trajectory, final: patch_analysis.Patch | None) -> set[str]:
+    commands, and the files of `final`, the parsed final patch (None when it
+    is empty or does not parse)."""
     seen: set[str] = set()
     for step in traj.steps:
         action = step.action
@@ -159,7 +156,7 @@ def explain_failure(traj: Trajectory, inst: TaskInstance) -> dict:
         return {"label": "failed_to_reproduce", "golden_files": golden_paths}
 
     final = _final_patch(traj)
-    seen = _viewed_files(traj, final)
+    seen = viewed_files(traj, final)
     missing = [g for g in golden_paths if not _covers(seen, g)]
     if missing:
         return {

@@ -20,9 +20,9 @@ import json
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
@@ -79,6 +79,17 @@ def require(record: dict, key: str, types: type | tuple) -> Any:
     return value
 
 
+def optional(record: dict, key: str, types: type | tuple, default: Any = None) -> Any:
+    """require(record, key, types) when the key is present, else `default`."""
+    return require(record, key, types) if key in record else default
+
+
+@cache
+def _declared(cls: type) -> frozenset[str]:
+    """The keys a record type declares: its dataclass fields but `extra`."""
+    return frozenset(f.name for f in fields(cls)) - {"extra"}
+
+
 def _string_list(record: dict, key: str) -> tuple[str, ...]:
     value = require(record, key, list)
     if not all(isinstance(item, str) for item in value):
@@ -108,25 +119,8 @@ class TaskInstance:
     difficulty: str | None = None
     extra: dict[str, Any] = field(default_factory=dict)
 
-    _FIELDS = (
-        "instance_id",
-        "repo",
-        "base_commit",
-        "origin",
-        "problem_statement",
-        "golden_patch",
-        "fail_to_pass",
-        "pass_to_pass",
-        "image_name",
-        "created_at",
-        "difficulty",
-    )
-
     @classmethod
     def from_record(cls, record: dict) -> "TaskInstance":
-        difficulty = record.get("difficulty")
-        if difficulty is not None and not isinstance(difficulty, str):
-            raise ValueError("field 'difficulty' must be a string or null")
         return cls(
             instance_id=require(record, "instance_id", str),
             repo=require(record, "repo", str),
@@ -138,8 +132,8 @@ class TaskInstance:
             pass_to_pass=_string_list(record, "pass_to_pass"),
             image_name=require(record, "image_name", str),
             created_at=require(record, "created_at", str),
-            difficulty=difficulty,
-            extra={k: v for k, v in record.items() if k not in cls._FIELDS},
+            difficulty=optional(record, "difficulty", (str, type(None))),
+            extra={k: v for k, v in record.items() if k not in _declared(cls)},
         )
 
     def to_record(self) -> dict:
@@ -177,10 +171,7 @@ class ToolCall:
     @classmethod
     def from_record(cls, record: dict) -> "ToolCall":
         tool = require(record, "tool", str)
-        arguments = record.get("arguments", {})
-        if not isinstance(arguments, dict):
-            raise ValueError("field 'arguments' must be an object")
-        return cls(tool=tool, arguments=dict(arguments))
+        return cls(tool=tool, arguments=dict(optional(record, "arguments", dict, {})))
 
     def to_record(self) -> dict:
         return {"tool": self.tool, "arguments": dict(self.arguments)}
@@ -212,7 +203,7 @@ class Step:
             action=action,
             observation=require(record, "observation", str),
             phase=require(record, "phase", str),
-            error_flag=bool(record.get("error_flag", False)),
+            error_flag=optional(record, "error_flag", bool, False),
         )
 
     def to_record(self) -> dict:
@@ -245,16 +236,6 @@ class Trajectory:
     max_turns: int = DEFAULT_MAX_TURNS
     extra: dict[str, Any] = field(default_factory=dict)
 
-    _FIELDS = (
-        "trajectory_id",
-        "instance_id",
-        "steps",
-        "final_patch",
-        "turn_count",
-        "outcome",
-        "max_turns",
-    )
-
     @classmethod
     def from_record(cls, record: dict) -> "Trajectory":
         raw_steps = require(record, "steps", list)
@@ -266,8 +247,8 @@ class Trajectory:
             final_patch=require(record, "final_patch", str),
             turn_count=require(record, "turn_count", int),
             outcome=require(record, "outcome", str),
-            max_turns=require(record, "max_turns", int) if "max_turns" in record else DEFAULT_MAX_TURNS,
-            extra={k: v for k, v in record.items() if k not in cls._FIELDS},
+            max_turns=optional(record, "max_turns", int, DEFAULT_MAX_TURNS),
+            extra={k: v for k, v in record.items() if k not in _declared(cls)},
         )
 
     def to_record(self) -> dict:

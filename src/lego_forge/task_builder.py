@@ -49,7 +49,7 @@ from .patch_analysis import (
     patch_stats,
     render_patch,
 )
-from .schema import TaskInstance, TestReport, of_type, parse_timestamp, require, validate_instance
+from .schema import TaskInstance, TestReport, of_type, optional, parse_timestamp, require, validate_instance
 
 SWAP_TABLE = {
     "+": "-",
@@ -108,12 +108,10 @@ class NodeLocator:
         return (self.start_line, self.start_col, self.end_line, self.end_col)
 
     @classmethod
-    def from_record(cls, record) -> "NodeLocator":
-        """A mutations line's `target`; raises ValueError unless it is an
-        object with a string path and integer span fields."""
-        if not isinstance(record, dict) or not all(
-            of_type(record.get(key), kind) for key, kind in _LOCATOR_FIELDS.items()
-        ):
+    def from_record(cls, record: dict) -> "NodeLocator":
+        """A mutations line's `target` object; raises ValueError unless it
+        has a string path and integer span fields."""
+        if not all(of_type(record.get(key), kind) for key, kind in _LOCATOR_FIELDS.items()):
             raise ValueError(f"field 'target' must be an object with {', '.join(_LOCATOR_FIELDS)}")
         return cls(**{key: record[key] for key in _LOCATOR_FIELDS})
 
@@ -136,18 +134,19 @@ class MutationSpec:
         cls, record: dict, default_seed: int
     ) -> tuple["MutationSpec", tuple[TestReport, TestReport]]:
         """One mutations line: the spec and its (buggy, restored) test
-        reports. A line without `seed` takes `default_seed`. Raises
-        ValueError when a field is missing or has the wrong type."""
+        reports. A line without `seed` takes `default_seed`, and a null or
+        absent `target` is a wildcard. Raises ValueError when a field is
+        missing or has the wrong type."""
         mutator = require(record, "mutator", str)
         if mutator not in MUTATORS:
             raise ValueError(f"unknown mutator {mutator!r}")
-        target = record.get("target") or None
-        if target is not None:
-            target = NodeLocator.from_record(target)
-        seed, path = record.get("seed", default_seed), record.get("path")
-        if not of_type(seed, int) or not isinstance(path, (str, type(None))):
-            raise ValueError("field 'seed' must be an integer and 'path' a string")
-        spec = cls(mutator=mutator, target=target, seed=seed, path=path)
+        target = optional(record, "target", (dict, type(None)))
+        spec = cls(
+            mutator=mutator,
+            target=None if target is None else NodeLocator.from_record(target),
+            seed=optional(record, "seed", int, default_seed),
+            path=optional(record, "path", (str, type(None))),
+        )
         return spec, _reports(record, "buggy_report", "restored_report")
 
 
@@ -385,13 +384,19 @@ def _remove_statement(tree: PythonSyntaxTree, node: ast.AST) -> str:
         if found is not None:
             parent, block = found
             if len(block) == 1 and not isinstance(parent, ast.Module):
-                replacement = [f"{_indent(tree, node)}pass\n"]
+                replacement = [f"{_indent(tree, node)}pass{_line_ending(tree, node.end_lineno)}"]
     return "".join(lines[: node.lineno - 1] + replacement + lines[node.end_lineno:])
 
 
 def _indent(tree: PythonSyntaxTree, node: ast.AST) -> str:
     """The indentation text of the line a statement starts, tabs included."""
     return tree.lines[node.lineno - 1][: node.col_offset]
+
+
+def _line_ending(tree: PythonSyntaxTree, lineno: int) -> str:
+    """The ending of a source line: \\n, \\r\\n, \\r, or none on a last line without one."""
+    line = tree.lines[lineno - 1]
+    return line[len(line.rstrip("\r\n")):]
 
 
 def _else_branch_lines(tree: PythonSyntaxTree, node: ast.If) -> list[str]:
@@ -408,7 +413,7 @@ def _else_branch_lines(tree: PythonSyntaxTree, node: ast.If) -> list[str]:
         # Inline else ("else: stmt"): splice the statement text onto its own line.
         start = tree.offset(first.lineno, first.col_offset)
         end = tree.offset(last.end_lineno, last.end_col_offset)
-        return [_indent(tree, node) + tree.source[start:end].rstrip("\n") + "\n"]
+        return [_indent(tree, node) + tree.source[start:end] + _line_ending(tree, last.end_lineno)]
     dedent = first.col_offset - node.col_offset
     out = []
     for line in lines[first.lineno - 1 : last.end_lineno]:
@@ -602,9 +607,7 @@ def build_real_instance(record: dict) -> TaskInstance:
         for key in ("repo", "base_commit", "merged_diff", "issue_text", "issue_created_at")
     )
     parse_timestamp(created_at)
-    number = record.get("number")
-    if number is not None and not of_type(number, int):
-        raise ValueError("field 'number' must be an integer")
+    number = optional(record, "number", (int, type(None)))
     pre, post = _reports(record, "pre_report", "post_report")
     if not issue_text.strip():
         raise ValueError("issue text is empty")

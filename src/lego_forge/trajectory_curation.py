@@ -6,6 +6,8 @@ full pass (resolved), then pass-with-cheating demoted to unresolved, then
 100% golden-file recall (semi_resolved), then unresolved. A trajectory that
 passes every test but edited test files or read git history is kept in the
 corpus as unresolved rather than deleted, so accounting stays exhaustive.
+`curate` marks a run over its turn budget unresolved whatever the cascade
+gave, so each record it makes from a valid trajectory is valid too.
 """
 
 from __future__ import annotations
@@ -255,9 +257,10 @@ def curate(
     """Curate every trajectory: prune, repair, phase and error-flag each
     step, then classify the outcome against the trajectory's instance and
     its final report (by trajectory id); without either the outcome is
-    `unclassified`, with a note. Returns the curated trajectories, in input
-    order, and the report: `rollout_stats` plus the repaired and
-    hack-invalidated counts, the unrepairable calls and the notes."""
+    `unclassified`, with a note; over the turn budget it is `unresolved`
+    either way. Returns the curated trajectories, in input order, and the
+    report: `rollout_stats` plus the repaired and hack-invalidated counts,
+    the unrepairable calls and the notes."""
     curated: list[Trajectory] = []
     unrepairable: list[dict] = []
     notes: list[dict] = []
@@ -303,6 +306,8 @@ def curate(
             outcome = classify_outcome(work, inst, final, hack_findings=findings)
             if outcome == "unresolved" and has_high_finding(findings) and _tests_pass(final, inst):
                 hack_invalidated += 1
+        if work.turn_count > work.max_turns:
+            outcome = "unresolved"  # the only outcome an over-budget run may carry here
         curated.append(replace(work, outcome=outcome))
 
     report = rollout_stats(curated, recycle_semi_resolved=recycle_semi_resolved)

@@ -89,8 +89,8 @@ class LatencyModel:
     beta: float = 0.5
 
     def __post_init__(self):
-        if not self.c > 0:  # NaN too
-            raise ValueError("c must be positive")
+        if not 0 < self.c < math.inf:  # NaN too
+            raise ValueError("c must be positive and finite")
         if not 1.0 < self.alpha <= 2.0:
             raise ValueError("alpha must lie in (1, 2]")
         if not 0.0 < self.beta < 1.0:

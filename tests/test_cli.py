@@ -24,10 +24,10 @@ from lego_forge.cli import (
     run_stage,
 )
 from lego_forge.errors import ForgeError
-from lego_forge.registries import load_error_patterns, load_phase_patterns
+from lego_forge.registries import DEFAULT_ERROR_PATTERNS, load_error_patterns, load_phase_patterns
 from lego_forge import patch_analysis, task_builder
 from lego_forge import schema as schema_mod
-from lego_forge.schema import TaskInstance, ToolCall, Trajectory, load_corpus
+from lego_forge.schema import TaskInstance, ToolCall, Trajectory, load_corpus, save_jsonl
 from lego_forge.sft_masking import assign_phases, detect_step_errors
 from lego_forge.trajectory_curation import UnrepairableCallError, prune_toolset, repair_tool_call
 
@@ -68,13 +68,14 @@ def test_config_rejects_bad_bins(tmp_path):
 
 def test_config_rejects_unknown_key(tmp_path):
     # Unknown keys, values that do not parse as the key's type and values
-    # a stage would refuse are all rejected with the file and line, never
-    # as a bare ValueError.
+    # no stage can use are all rejected with the file and line, never as a
+    # bare ValueError.
     bad = tmp_path / "forge.cfg"
     for line in ("not_a_key = 1", "max_turns = abc", "latency_c = fast",
                  "recycle_semi_resolved = maybe", "latency_budget = 0", "latency_budget = -1",
                  "latency_budget = nan", "bucket_width = 0", "latency_c = -1", "latency_c = nan",
-                 "latency_alpha = 5", "latency_beta = 2"):
+                 "latency_alpha = 5", "latency_beta = 2", "context_limit = -5", "latency_budget = inf",
+                 "latency_c = inf"):
         bad.write_text(f"# comment\n{line}\n", encoding="utf-8")
         with pytest.raises(ForgeError, match=re.escape(f"{bad.resolve()}:2: ")):
             load_config(bad)
@@ -90,6 +91,85 @@ def test_undecodable_config_or_registry_exits_1_with_its_path(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(config if key is None else bad) in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", ["", "out_dir = forge.cfg\n", "out_dir = forge.cfg/sub\n"])
+def test_out_dir_that_is_not_a_directory_fails_at_load(tmp_path, line):
+    # The default `out` as much as a set out_dir: a file where the tree
+    # would go exits 1 at load, not with a traceback from the first write.
+    config = tmp_path / "forge.cfg"
+    config.write_text(line, encoding="utf-8")
+    (tmp_path / "out").write_text("a file", encoding="utf-8")
+    with pytest.raises(ForgeError, match="is not a directory"):
+        load_config(config)
+
+
+def test_missing_instances_file_is_missing_input(corpus):
+    # A set `instances` file that does not exist exits 2 at the first stage
+    # that reads instances, as every other missing input does.
+    with corpus.open("a", encoding="utf-8") as f:
+        f.write("instances = nope.jsonl\n")
+    lines = []
+    assert run_pipeline(load_config(corpus), echo=lines.append) == EXIT_MISSING_INPUT
+    assert lines[-1] == f"[fail] curate: instances {corpus.parent / 'nope.jsonl'} does not exist (exit 2)"
+
+
+def edit_resolved_trajectory(config: Path, **changes) -> None:
+    """Apply `changes` to traj-resolved in the integration corpus."""
+    path = config.parent / "trajectories.jsonl"
+    records = read_jsonl(path)
+    for record in records:
+        if record["trajectory_id"] == "traj-resolved":
+            record.update(changes)
+    save_jsonl(records, path)
+
+
+def test_over_budget_trajectory_is_curated_unresolved(corpus):
+    # Five turns over a budget of three is valid only as unresolved (or
+    # error), so curate must not reclassify it resolved.
+    edit_resolved_trajectory(corpus, max_turns=3, outcome="unresolved")
+    cfg = load_config(corpus)
+    assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+    curated = {t.trajectory_id: t for t in load_corpus(cfg.out_dir / "curated.jsonl", "trajectories").records}
+    assert curated["traj-resolved"].outcome == "unresolved"
+
+
+def test_turn_count_outside_every_bin_fails_curriculum_with_exit_3(corpus):
+    # A trajectory's own budget may exceed the config's; one that resolves
+    # beyond the last bin cannot be staged, which is a validation failure.
+    trajectories = read_jsonl(corpus.parent / "trajectories.jsonl")
+    steps = next(t for t in trajectories if t["trajectory_id"] == "traj-resolved")["steps"]
+    think = {"action": {"tool": "think", "arguments": {"thought": "plan"}}, "observation": "",
+             "phase": "other", "error_flag": False}
+    steps = [*steps[:-1], *[think] * (150 - len(steps)), steps[-1]]
+    edit_resolved_trajectory(corpus, max_turns=200, turn_count=150,
+                             steps=[{**step, "index": i} for i, step in enumerate(steps)])
+    lines = []
+    assert run_pipeline(load_config(corpus), echo=lines.append) == EXIT_VALIDATION
+    assert lines[-1] == "[fail] curriculum: turn count 150 outside all bins (exit 3)"
+
+
+def test_editing_a_configured_registry_reruns_curate(tmp_path):
+    # The skip logic hashes the registries curate reads: replacing one
+    # re-runs curate and the stages that read its output, and the tree then
+    # equals a fresh run's.
+    edited = build_integration_corpus(tmp_path / "edited")
+    fresh = build_integration_corpus(tmp_path / "fresh")
+    for config in (edited, fresh):
+        with config.open("a", encoding="utf-8") as f:
+            f.write("error_patterns = errors.txt\n")
+    (edited.parent / "errors.txt").write_text(DEFAULT_ERROR_PATTERNS.read_text(encoding="utf-8"),
+                                              encoding="utf-8")
+    assert run_pipeline(load_config(edited), echo=lambda s: None) == EXIT_OK
+    for config in (edited, fresh):
+        (config.parent / "errors.txt").write_text("ANY .\n", encoding="utf-8")
+    lines = []
+    assert run_pipeline(load_config(edited), echo=lines.append) == EXIT_OK
+    assert [line for line in lines if line.startswith("[ok]")] == [
+        f"[ok]   {stage}" for stage in ("curate", "mask", "curriculum", "classify-errors")
+    ]
+    assert run_pipeline(load_config(fresh), echo=lambda s: None) == EXIT_OK
+    assert tree_bytes(edited.parent / "out") == tree_bytes(fresh.parent / "out")
 
 
 def test_config_missing_registry_is_missing_input(tmp_path):
@@ -913,26 +993,6 @@ def test_pipeline_tree_equals_single_stage_runs(tmp_path, capsys):
     assert tree == tree_bytes(tmp_path / "alone" / "out")
 
 
-def test_invalid_curated_record_still_fails_mask_in_pipeline(corpus, monkeypatch):
-    # A record the reload would reject is not handed off: mask reloads and
-    # rejects it, exactly as without the hand-off.
-    real_validate = schema_mod.validate_trajectory
-
-    def validate(traj):
-        codes = real_validate(traj)
-        return codes + ["BAD_OUTCOME"] if traj.outcome == "semi_resolved" else codes
-
-    monkeypatch.setattr(cli, "validate_trajectory", validate)
-    monkeypatch.setitem(schema_mod._KINDS, "trajectories", (Trajectory, validate))
-    cfg = load_config(corpus)
-    lines = []
-    assert run_pipeline(cfg, echo=lines.append) == EXIT_VALIDATION
-    assert lines[-1].startswith("[fail] mask:")
-    entries = read_jsonl(cfg.out_dir / "mask_rejections.jsonl")
-    assert [e["codes"] for e in entries] == [["BAD_OUTCOME"]]
-    assert_run_state_empty()
-
-
 def test_curated_line_separators_read_back_as_written(tmp_path, capsys):
     # curate writes U+0085, U+2028 and U+2029 raw; the reader splits lines at
     # "\n" only, so a pipeline run and single-stage runs both keep the record.
@@ -1461,8 +1521,21 @@ def test_main_runs_single_stage(corpus, capsys):
     assert "[ok]" in out and "build-tasks" in out
 
 
-def test_main_pipeline_and_seed_override(corpus):
-    assert cli.main(["pipeline", "--config", str(corpus), "--seed", "7"]) == EXIT_OK
+def test_seed_comes_only_from_the_config(corpus, capsys):
+    # The config key is the one seed, and the skip logic hashes the config,
+    # so a new seed re-runs the stages that draw from it.
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["pipeline", "--config", str(corpus), "--seed", "7"])
+    assert exited.value.code == 2
+    text = corpus.read_text(encoding="utf-8") + "verifier = stub\n"
+    selections = []
+    for seed in (7, 8):
+        corpus.write_text(text + f"seed = {seed}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["pipeline", "--config", str(corpus)]) == EXIT_OK
+        assert "[ok]   tts-select" in capsys.readouterr().out
+        selections.append((corpus.parent / "out" / "selection.jsonl").read_bytes())
+    assert selections[0] != selections[1]
 
 
 def test_main_reports_missing_config(tmp_path, capsys):

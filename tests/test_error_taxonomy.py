@@ -11,7 +11,7 @@ from lego_forge.error_taxonomy import (
     reproduced_issue,
     viewed_files,
 )
-from lego_forge.patch_analysis import make_patch
+from lego_forge.patch_analysis import make_patch, parse_patch
 from lego_forge.trajectory_curation import classify_outcome
 from lego_forge.schema import TestReport
 
@@ -154,7 +154,7 @@ def test_viewed_files_includes_editor_bash_and_patch():
         bash_step(1, "cat src/beta.py"),
         bash_step(2, "grep -n 'def' src/gamma.py"),
     ], final_patch=PATCH_OFF_TARGET)
-    seen = viewed_files(traj)
+    seen = viewed_files(traj, parse_patch(traj.final_patch))
     assert {"src/alpha.py", "src/beta.py", "src/gamma.py", "src/other.py"} <= seen
 
 

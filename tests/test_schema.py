@@ -11,6 +11,8 @@ from lego_forge.schema import (
     DEFAULT_MAX_TURNS,
     CorpusError,
     RecordRejected,
+    Step,
+    ToolCall,
     Trajectory,
     load_corpus,
     load_jsonl,
@@ -19,7 +21,7 @@ from lego_forge.schema import (
     validate_trajectory,
 )
 
-from conftest import bash_step, finish_step, make_instance, make_traj
+from conftest import assert_refuses_bad_fields, bash_step, finish_step, make_instance, make_traj
 
 
 def write_lines(path, lines):
@@ -340,6 +342,17 @@ def test_trajectory_max_turns_must_be_an_integer():
         Trajectory.from_record({**record, "max_turns": "100"})
     del record["max_turns"]
     assert Trajectory.from_record(record).max_turns == DEFAULT_MAX_TURNS
+
+
+def test_step_error_flag_is_a_boolean_or_absent():
+    # error_flag is read as a JSON boolean, never cast: "no" is not true.
+    line = Step(0, ToolCall("execute_bash", {"command": "ls"}), "x", "other", True).to_record()
+    assert_refuses_bad_fields(Step.from_record, line)
+    for value in ("no", 0, 1, None):
+        with pytest.raises(ValueError, match="'error_flag' has wrong type"):
+            Step.from_record({**line, "error_flag": value})
+    del line["error_flag"]
+    assert Step.from_record(line).error_flag is False
 
 
 def test_trajectory_noncontiguous_steps_rejected():

@@ -580,7 +580,8 @@ def mutation_line():
 
 
 @pytest.mark.parametrize("parse, line, refusals, refused", [
-    (lambda r: MutationSpec.from_record(r, 0), mutation_line(), (ValueError,), {}),
+    (lambda r: MutationSpec.from_record(r, 0), mutation_line(), (ValueError,),
+     {"target": (0, False, "", [], {})}),
     (NodeLocator.from_record, mutation_line()["target"], (ValueError,), {}),
     (build_real_instance, pr_fixture(), (ValueError, PatchParseError, InvisibleBugError),
      {"number": (True, 1.5, [])}),
@@ -590,9 +591,27 @@ def test_line_parsers_refuse_bad_fields(parse, line, refusals, refused):
     # integer belongs. build_real_instance may also refuse a line whose diff
     # does not parse or that flips no test. `refused` names values that
     # must raise ValueError even where the record would look sound (a PR
-    # number only ever reaches the instance id).
+    # number only ever reaches the instance id; a target that is not an
+    # object or null would otherwise read as a wildcard).
     assert_refuses_bad_fields(parse, line, refusals)
     for key, values in refused.items():
         for value in values:
             with pytest.raises(ValueError):
                 parse({**line, key: value})
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("mutator, source, expected", [
+    ("loop_removal",
+     "def f(c):\n    if c:\n        for i in c:\n            print(i)\n    return c\n",
+     "def f(c):\n    if c:\n        pass\n    return c\n"),
+    ("conditional_removal",
+     "def f(c):\n    if c: x = 1\n    else: x = 2\n    return x\n",
+     "def f(c):\n    x = 2\n    return x\n"),
+], ids=["pass", "inline-else"])
+def test_replacement_lines_keep_the_files_line_ending(mutator, source, expected, ending):
+    # A replacement `pass`, or an inline else statement spliced onto its own
+    # line, ends as the statement's line did, so the file keeps one style.
+    tree = PythonAstProvider().parse("f.py", source.replace("\n", ending))
+    mutated, _ = inject_bug(tree, MutationSpec(mutator, seed=0))
+    assert mutated.source == expected.replace("\n", ending)

@@ -2,13 +2,17 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lego_forge.patch_analysis import make_patch, parse_patch
-from lego_forge.schema import TestReport, ToolCall
+from lego_forge.registries import load_error_patterns, load_hack_patterns, load_phase_patterns
+from lego_forge.schema import OUTCOMES, PHASES, Step, TestReport, ToolCall, validate_trajectory
 from lego_forge.trajectory_curation import (
     ClassificationError,
     UnrepairableCallError,
     classify_outcome,
+    curate,
     default_test_path_matcher,
     detect_test_modification,
     prune_toolset,
@@ -338,3 +342,59 @@ def test_empty_input_flags_undefined_rates():
     assert report["avg_turns"] is None
     assert report["valid_rate"] is None
     assert sum(report["counts"].values()) == 0
+
+
+# ---------------------------------------------------------------------------
+# curate
+
+
+_ACTIONS = (
+    ToolCall("execute_bash", {"command": "python -m pytest tests/"}),
+    ToolCall("execute_bash", {"command": "git log --all --oneline"}),
+    ToolCall("str_replace_editor", {"command": "view", "path": "src/calc.py", "view_range": "[9, 2]"}),
+    ToolCall("str_replace_editor", {"command": "view", "path": "src/calc.py", "view_range": "top"}),
+    ToolCall("str_replace_editor", {"command": "str_replace", "path": "src/calc.py"}),
+    ToolCall("task_tracker", {"items": ["todo"]}),
+    ToolCall("browser", {}),
+    ToolCall("think", {"thought": "plan"}),
+    "plain message",
+)
+_OBSERVATIONS = ("", "3 passed", "FAILED tests/test_calc.py::test_add", "Traceback (most recent call last):")
+_FINAL_PATCHES = ("", GOLDEN_PATCH, make_patch("q\n", "r\n", "tests/test_calc.py"), "not a diff")
+
+
+@st.composite
+def valid_trajectories(draw):
+    """Trajectories that pass validate_trajectory: tools outside the
+    four-tool set, view_ranges to repair, an optional final finish, and
+    runs over their turn budget marked unresolved or error."""
+    steps = [
+        Step(i, draw(st.sampled_from(_ACTIONS)), draw(st.sampled_from(_OBSERVATIONS)),
+             draw(st.sampled_from(PHASES)), draw(st.booleans()))
+        for i in range(draw(st.integers(0, 12)))
+    ]
+    if draw(st.booleans()):
+        steps.append(finish_step(len(steps)))
+    max_turns = draw(st.integers(1, 14))
+    over = len(steps) > max_turns
+    outcome = draw(st.sampled_from(("unresolved", "error") if over else OUTCOMES))
+    traj = make_traj(steps, final_patch=draw(st.sampled_from(_FINAL_PATCHES)), outcome=outcome,
+                     max_turns=max_turns)
+    assert validate_trajectory(traj) == []
+    return traj
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(traj=valid_trajectories(), passing=st.booleans())
+def test_curate_returns_only_records_that_validate(traj, passing):
+    # Later stages take curate's records without validating them again, so
+    # every record it returns must pass validate_trajectory, with or without
+    # the trajectory's instance and final report.
+    inst = make_instance()
+    tests = (*inst.fail_to_pass, *inst.pass_to_pass)
+    report = TestReport("final", {t: "pass" if passing else "fail" for t in tests})
+    registries = load_hack_patterns(None), load_error_patterns(None), load_phase_patterns(None)
+    for instances in ({}, {inst.instance_id: inst}):
+        for reports in ({}, {traj.trajectory_id: report}):
+            curated, _ = curate([traj], instances, reports, *registries, recycle_semi_resolved=True)
+            assert [validate_trajectory(t) for t in curated] == [[]]

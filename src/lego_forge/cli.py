@@ -71,7 +71,7 @@ from typing import Callable, NoReturn, Sequence, TypeVar
 
 from . import curriculum as curriculum_mod
 from .errors import ForgeError
-from .registries import load_error_patterns, load_hack_patterns, load_phase_patterns
+from .registries import content_lines, load_error_patterns, load_hack_patterns, load_phase_patterns
 from .schema import (
     DEFAULT_MAX_TURNS,
     RecordRejected,
@@ -88,7 +88,7 @@ from .schema import (
 )
 
 EXIT_OK = 0
-EXIT_INTERNAL = 1
+EXIT_INTERNAL = ForgeError.exit_code
 EXIT_MISSING_INPUT = 2
 EXIT_VALIDATION = 3
 
@@ -96,10 +96,12 @@ T = TypeVar("T")
 
 
 class MissingInputError(ForgeError):
-    pass
+    exit_code = EXIT_MISSING_INPUT
 
 
 class ValidationFailure(ForgeError):
+    exit_code = EXIT_VALIDATION
+
     def __init__(self, message: str, rejection_path: Path | None = None):
         self.rejection_path = rejection_path
         super().__init__(message)
@@ -197,10 +199,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ForgeError(f"{config_path}: not UTF-8 text: {exc}") from None
     base_dir = config_path.parent
     values: dict = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in content_lines(text):
         if "=" not in line:
             raise ForgeError(f"{config_path}:{line_no}: expected 'key = value'")
         key, _, value = line.partition("=")
@@ -241,11 +240,15 @@ def _dump_report(report: dict) -> str:
     return json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
 
-def _require_input(path: Path | None, what: str) -> Path:
+def _require_input(path: Path | None, what: str, directory: bool = False) -> Path:
+    """`path` when it names an existing regular file (or, with `directory`,
+    a directory), else MissingInputError naming `what`."""
     if path is None:
         raise MissingInputError(f"config does not set {what}")
     if not path.exists():
         raise MissingInputError(f"{what} {path} does not exist")
+    if not (path.is_dir() if directory else path.is_file()):
+        raise MissingInputError(f"{what} {path} is not a {'directory' if directory else 'regular file'}")
     return path
 
 
@@ -367,7 +370,7 @@ def _real_instance(record: dict) -> TaskInstance:
 def _stage_inject(cfg: PipelineConfig) -> dict:
     from . import patch_analysis, task_builder
 
-    snapshot_dir = _require_input(cfg.snapshot_dir, "snapshot_dir")
+    snapshot_dir = _require_input(cfg.snapshot_dir, "snapshot_dir", directory=True)
     mutations_path = _require_input(cfg.mutations, "mutations")
     if not cfg.repo or not cfg.base_commit:
         raise MissingInputError("inject needs `repo` and `base_commit` in the config")
@@ -480,9 +483,9 @@ def _stage_curriculum(cfg: PipelineConfig) -> dict:
         plan = curriculum_mod.build_stages(selected, cfg.bins())
     except curriculum_mod.BinningError as exc:
         raise ValidationFailure(str(exc)) from exc
-    by_id = {t.trajectory_id: t for t in selected}
+    # A stage names its members; their content is in curated.jsonl.
     for stage_no, stage_ids in enumerate(plan.stages, start=1):
-        save_corpus([by_id[tid] for tid in stage_ids], cfg.out_dir / f"stage{stage_no}.jsonl")
+        save_jsonl([{"trajectory_id": tid} for tid in stage_ids], cfg.out_dir / f"stage{stage_no}.jsonl")
 
     records = [(t.turn_count, t.outcome == "resolved") for t in curated]
     try:
@@ -568,7 +571,8 @@ def _stage_tts_select(cfg: PipelineConfig) -> dict:
                 "predicted_latency": plan.predicted_latency,
                 "predicted_rate": plan.predicted_rate,
             },
-            "contour": [[t, k_cont] for t, k_cont in contour],
+            # A K past the float range is null, so the file stays standard JSON.
+            "contour": [[t, k_cont if k_cont < math.inf else None] for t, k_cont in contour],
         }
         atomic_write_text(cfg.out_dir / "allocation.json", _dump_report(allocation_report))
         report["allocation"] = allocation_report["plan"]
@@ -666,17 +670,11 @@ def run_stage(stage: str, cfg: PipelineConfig) -> tuple[int, dict]:
     try:
         report = spec.run(cfg)
         code = EXIT_OK
-    except MissingInputError as exc:
-        report = {"stage": stage, "error": str(exc)}
-        code = EXIT_MISSING_INPUT
-    except ValidationFailure as exc:
-        report = {"stage": stage, "error": str(exc)}
-        if exc.rejection_path is not None:
-            report["rejection_report"] = str(exc.rejection_path)
-        code = EXIT_VALIDATION
     except ForgeError as exc:
         report = {"stage": stage, "error": str(exc)}
-        code = EXIT_INTERNAL
+        if isinstance(exc, ValidationFailure) and exc.rejection_path is not None:
+            report["rejection_report"] = str(exc.rejection_path)
+        code = exc.exit_code
     report["exit_code"] = code
     atomic_write_text(cfg.out_dir / spec.report, _dump_report(report))
     return code, report
@@ -902,7 +900,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             records = repo_sanitizer.export_history(args.repo)
         except ForgeError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INTERNAL
+            return exc.exit_code
         save_jsonl([r.to_record() for r in records], args.out)
         print(f"exported {len(records)} commits to {args.out}")
         return EXIT_OK
@@ -911,12 +909,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--config is required")
     try:
         cfg = load_config(args.config)
-    except MissingInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
     except ForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return exc.exit_code
 
     if args.stage == "pipeline":
         return run_pipeline(cfg)

@@ -2,4 +2,7 @@
 
 
 class ForgeError(Exception):
-    """Base class for all toolkit-specific failures."""
+    """Base class for all toolkit-specific failures. `exit_code` is the
+    status `forge` exits with when one ends a stage or the config load."""
+
+    exit_code = 1

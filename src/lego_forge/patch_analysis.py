@@ -317,14 +317,9 @@ def render_patch(patch: Patch) -> str:
     return "".join(parts)
 
 
-def make_patch(
-    old_text: str,
-    new_text: str,
-    path: str,
-    context: int = 3,
-    old_path: str | None = None,
-) -> str:
-    """Produce unified diff text between two file contents."""
+def make_patch(old_text: str, new_text: str, path: str, old_path: str | None = None) -> str:
+    """Produce unified diff text, with three lines of context, between two
+    file contents."""
     a = _lines(old_text)
     b = _lines(new_text)
     from_path = old_path if old_path is not None else path
@@ -333,7 +328,6 @@ def make_patch(
         b,
         fromfile=_format_header_path(from_path, "a"),
         tofile=_format_header_path(path, "b"),
-        n=context,
     )
     out = []
     for line in raw:

@@ -139,6 +139,15 @@ def _minimal(literals: list[str]) -> tuple[str, ...]:
     return tuple(lit for lit in unique if not any(o != lit and o in lit for o in unique))
 
 
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line of a registry or config
+    text that is neither blank nor a `#` comment."""
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield line_no, stripped
+
+
 def _registry_entries(
     path: str | Path | None, default: Path, usage: str
 ) -> Iterator[tuple[Path, int, list[str]]]:
@@ -153,10 +162,7 @@ def _registry_entries(
         raise RegistryError(f"cannot read registry {file_path}: {exc}") from exc
     width = usage.count("<")
     empty = True
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for line_no, stripped in content_lines(text):
         parts = stripped.split(None, width - 1)
         if len(parts) != width:
             raise RegistryError(f"{file_path}:{line_no}: expected '{usage}'")

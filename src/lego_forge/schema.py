@@ -219,13 +219,7 @@ class Step:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """The agent's full turn sequence for one instance, plus its outcome.
-
-    `record_line`, the canonical JSON line `save_corpus` writes, is encoded
-    on first use and kept, so a trajectory written to several corpora in one
-    run is encoded once. A changed trajectory is a new object
-    (`dataclasses.replace`) and encodes afresh.
-    """
+    """The agent's full turn sequence for one instance, plus its outcome."""
 
     trajectory_id: str
     instance_id: str
@@ -263,11 +257,6 @@ class Trajectory:
         }
         record.update(self.extra)
         return record
-
-    @cached_property
-    def record_line(self) -> str:
-        """dumps_record(self.to_record())."""
-        return dumps_record(self.to_record())
 
 
 @dataclass(frozen=True)
@@ -545,10 +534,7 @@ def save_corpus(records: Iterable, path: str | Path) -> None:
     Identical inputs produce byte-identical files; an empty record list
     produces a zero-byte file. load_corpus(save_corpus(x)) round-trips to x.
     """
-    text = "".join(
-        (r.record_line if isinstance(r, Trajectory) else dumps_record(r.to_record())) + "\n"
-        for r in records
-    )
+    text = "".join(dumps_record(r.to_record()) + "\n" for r in records)
     try:
         atomic_write_text(path, text)
     except OSError as exc:

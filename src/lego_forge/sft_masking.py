@@ -46,15 +46,6 @@ class TrainingSample:
     token_estimate: int
 
 
-@dataclass(frozen=True)
-class Overflow:
-    """Marker for a sample that exceeds the context limit and was dropped."""
-
-    trajectory_id: str
-    token_estimate: int
-    context_limit: int
-
-
 def whitespace_token_count(text: str) -> int:
     """Reference token counter: whitespace-separated chunks."""
     return len(text.split())
@@ -191,23 +182,18 @@ def build_loss_mask(traj: Trajectory, problem_statement: str | None = None) -> T
 # Serialization
 
 
-def serialize_sample(sample: TrainingSample, context_limit: int) -> dict | Overflow:
-    """Emit a sample record if it fits the context limit, else Overflow.
+def serialize_sample(sample: TrainingSample, context_limit: int) -> dict | None:
+    """Emit a sample record if it fits the context limit, else None.
 
     The token estimate is the whitespace count `build_loss_mask` took over
     the full rendering. Per-segment in_loss markers are preserved
     bit-exactly.
     """
-    estimate = sample.token_estimate
-    if estimate > context_limit:
-        return Overflow(
-            trajectory_id=sample.trajectory_id,
-            token_estimate=estimate,
-            context_limit=context_limit,
-        )
+    if sample.token_estimate > context_limit:
+        return None
     return {
         "trajectory_id": sample.trajectory_id,
-        "token_estimate": estimate,
+        "token_estimate": sample.token_estimate,
         "rendered": [
             {
                 "source": s.source,
@@ -237,12 +223,12 @@ def mask_samples(
             drops.append({"trajectory_id": traj.trajectory_id, "reason": f"empty: {exc}"})
             continue
         emitted = serialize_sample(sample, context_limit)
-        if isinstance(emitted, Overflow):
+        if emitted is None:
             drops.append({
-                "trajectory_id": emitted.trajectory_id,
+                "trajectory_id": traj.trajectory_id,
                 "reason": "overflow",
-                "token_estimate": emitted.token_estimate,
-                "context_limit": emitted.context_limit,
+                "token_estimate": sample.token_estimate,
+                "context_limit": context_limit,
             })
         elif not any(seg["in_loss"] for seg in emitted["rendered"]):
             drops.append({"trajectory_id": traj.trajectory_id, "reason": "fully_masked"})

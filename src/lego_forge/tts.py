@@ -286,10 +286,14 @@ def iso_latency_contour(
     model: LatencyModel, budget: float, turn_grid: Sequence[int]
 ) -> tuple[tuple[int, float], ...]:
     """For each grid T, the continuous K where latency(T, K) equals the
-    budget: the iso-latency contour sampled on the grid."""
+    budget: the iso-latency contour sampled on the grid. A K past the float
+    range is `math.inf`."""
     out = []
     for turns in sorted(set(turn_grid)):
-        k = (budget / latency(model, turns, 1)) ** (1.0 / model.beta)
+        try:
+            k = (budget / latency(model, turns, 1)) ** (1.0 / model.beta)
+        except OverflowError:
+            k = math.inf
         out.append((turns, k))
     return tuple(out)
 

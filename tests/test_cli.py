@@ -69,16 +69,18 @@ def test_config_rejects_bad_bins(tmp_path):
 def test_config_rejects_unknown_key(tmp_path):
     # Unknown keys, values that do not parse as the key's type and values
     # no stage can use are all rejected with the file and line, never as a
-    # bare ValueError.
+    # bare ValueError. Comment and blank lines, indented or not, in LF or
+    # CRLF files, are skipped but counted.
     bad = tmp_path / "forge.cfg"
     for line in ("not_a_key = 1", "max_turns = abc", "latency_c = fast",
                  "recycle_semi_resolved = maybe", "latency_budget = 0", "latency_budget = -1",
                  "latency_budget = nan", "bucket_width = 0", "latency_c = -1", "latency_c = nan",
                  "latency_alpha = 5", "latency_beta = 2", "context_limit = -5", "latency_budget = inf",
                  "latency_c = inf"):
-        bad.write_text(f"# comment\n{line}\n", encoding="utf-8")
-        with pytest.raises(ForgeError, match=re.escape(f"{bad.resolve()}:2: ")):
-            load_config(bad)
+        for newline in ("\n", "\r\n"):
+            bad.write_bytes(newline.join(["# comment", "  # indented", "", line, ""]).encode())
+            with pytest.raises(ForgeError, match=re.escape(f"{bad.resolve()}:4: ")):
+                load_config(bad)
 
 
 @pytest.mark.parametrize("key", [None, "hack_patterns", "error_patterns", "phase_patterns"])
@@ -266,8 +268,7 @@ def test_truncated_trajectories_are_never_trained_on(tmp_path):
     run_stages(cfg, "mask", "curriculum")
     assert [s["trajectory_id"] for s in read_jsonl(cfg.out_dir / "samples.jsonl")] == ["kept"]
     for n in (1, 2, 3):
-        staged = load_corpus(cfg.out_dir / f"stage{n}.jsonl", "trajectories").records
-        assert [t.trajectory_id for t in staged] == ["kept"]
+        assert read_jsonl(cfg.out_dir / f"stage{n}.jsonl") == [{"trajectory_id": "kept"}]
 
 
 def test_mask_stage_drops_fully_masked_samples(tmp_path):
@@ -590,6 +591,20 @@ def test_malformed_auxiliary_line_is_rejected_or_skipped(corpus, capsys, key, st
     assert [(e["line_no"], e["codes"]) for e in entries] == [(line_no, expected)]
 
 
+@pytest.mark.parametrize(
+    "key, stage", sorted({**PROBE_STAGES, "instances": "curate", "snapshot_dir": "inject"}.items())
+)
+def test_input_of_the_wrong_kind_is_missing_input(corpus, key, stage):
+    # An input file that names a directory, or a snapshot_dir that names a
+    # file, is no input: exit 2 naming the key and the path, as a missing one is.
+    value, kind = ("forge.cfg", "directory") if key == "snapshot_dir" else ("snapshot", "regular file")
+    with corpus.open("a", encoding="utf-8") as f:
+        f.write(f"{key} = {value}\n")
+    lines = []
+    assert run_pipeline(load_config(corpus), echo=lines.append) == EXIT_MISSING_INPUT
+    assert lines[-1] == f"[fail] {stage}: {key} {corpus.parent / value} is not a {kind} (exit 2)"
+
+
 @pytest.mark.parametrize("kept, codes", [("none", ["EMPTY_ROLLOUTS"]), ("all but the first", ["RAGGED_ROLLOUTS"])])
 def test_unrankable_rollouts_exit_3_with_rejection_report(corpus, kept, codes):
     # Rollouts that parse but cannot be ranked, none at all or one instance
@@ -618,6 +633,17 @@ def test_tts_select_with_oracle_attains_pass(corpus):
     assert allocation["plan"]["predicted_latency"] <= allocation["budget"]
     selection = read_jsonl(cfg.out_dir / "selection.jsonl")
     assert len(selection) == metrics["instances"] == 3
+
+
+def test_contour_k_past_the_float_range_is_written_null(corpus):
+    # Near the float limit every contour K overflows; tts-select still
+    # succeeds and allocation.json stays standard JSON.
+    with corpus.open("a", encoding="utf-8") as f:
+        f.write("latency_budget = 1e308\n")
+    assert cli.main(["tts-select", "--config", str(corpus)]) == EXIT_OK
+    text = (load_config(corpus).out_dir / "allocation.json").read_text(encoding="utf-8")
+    allocation = json.loads(text, parse_constant=lambda name: pytest.fail(f"non-standard JSON {name}"))
+    assert allocation["contour"] and all(k is None for _, k in allocation["contour"])
 
 
 def test_stats_stage_reports_paper_shaped_corpus_means(tmp_path):
@@ -827,11 +853,13 @@ def test_full_pipeline_emits_all_artifacts(corpus):
         assert (cfg.out_dir / name).exists(), name
     distribution = read(cfg.out_dir / "distribution.json")["all"]
     assert abs(sum(distribution.values()) - 1.0) <= 1e-12
-    stages = [load_corpus(cfg.out_dir / f"stage{i}.jsonl", "trajectories").records
-              for i in (1, 2, 3)]
-    ids = [{t.trajectory_id for t in s} for s in stages]
+    # Each stage file lists its members' ids; their content is in curated.jsonl.
+    stages = [read_jsonl(cfg.out_dir / f"stage{i}.jsonl") for i in (1, 2, 3)]
+    assert all(list(line) == ["trajectory_id"] for stage in stages for line in stage)
+    ids = [{line["trajectory_id"] for line in stage} for stage in stages]
     assert ids[0] <= ids[1] <= ids[2]
     assert ids[2] == {"traj-resolved", "traj-semi"}
+    assert ids[2] <= {t["trajectory_id"] for t in read_jsonl(cfg.out_dir / "curated.jsonl")}
 
 
 def test_second_run_skips_every_stage(corpus, capsys):
@@ -1336,9 +1364,10 @@ def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, mo
 def test_run_pipeline_encodes_each_curated_trajectory_once_and_tokenizes_each_command_once(
     corpus, monkeypatch
 ):
-    # Counts, not timings: curate's encoding of a trajectory is reused by the
-    # curriculum's stage files, and classify-errors splits each distinct
-    # bash command once however many trajectories repeat it.
+    # Counts, not timings: each curated trajectory is encoded once, into
+    # curated.jsonl (the stage files list ids only), and classify-errors
+    # splits each distinct bash command once however many trajectories
+    # repeat it.
     import shlex
 
     from lego_forge import error_taxonomy

@@ -93,9 +93,10 @@ def test_empty_registry_rejected(tmp_path):
 
 def test_comments_and_blanks_ignored(tmp_path):
     path = tmp_path / "errors.txt"
-    path.write_text("# header\n\nOOPS oops\n  # indented comment\n", encoding="utf-8")
-    patterns = load_error_patterns(path)
-    assert [p.pattern_id for p in patterns] == ["OOPS"]
+    for newline in ("\n", "\r\n"):
+        path.write_bytes(newline.join(["# header", "", "OOPS oops", "  # indented comment", ""]).encode())
+        patterns = load_error_patterns(path)
+        assert [(p.pattern_id, p.regex.pattern) for p in patterns] == [("OOPS", "oops")]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 import ast
 import json
 import random
-from dataclasses import replace as dc_replace
 from pathlib import Path
 
 import pytest
@@ -316,24 +315,6 @@ def test_trajectory_round_trip(tmp_path):
     result = load_corpus(path, "trajectories")
     assert result.rejections == []
     assert result.records == [traj]
-
-
-def test_save_corpus_writes_a_replaced_trajectory_afresh(tmp_path):
-    # save_corpus keeps each trajectory's encoded line; a replaced
-    # trajectory is a new object, so it must not reuse the old line.
-    traj = make_simple_traj(outcome="unresolved")
-    save_corpus([traj], tmp_path / "first.jsonl")
-    assert "record_line" in vars(traj)
-    changed = dc_replace(traj, outcome="empty_patch")
-    path = tmp_path / "second.jsonl"
-    save_corpus([traj, changed], path)
-    result = load_corpus(path, "trajectories")
-    assert result.rejections == []
-    assert result.records == [traj, changed]
-    assert [t.outcome for t in result.records] == ["unresolved", "empty_patch"]
-    assert path.read_text(encoding="utf-8").splitlines() == [
-        json.dumps(t.to_record(), ensure_ascii=False, separators=(",", ":")) for t in (traj, changed)
-    ]
 
 
 def test_trajectory_max_turns_must_be_an_integer():

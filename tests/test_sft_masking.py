@@ -7,10 +7,10 @@ import pytest
 from lego_forge.sft_masking import (
     LOSS_EXEMPT_PHASES,
     EmptySampleError,
-    Overflow,
     assign_phases,
     build_loss_mask,
     detect_step_errors,
+    mask_samples,
     render_trajectory,
     serialize_sample,
     whitespace_token_count,
@@ -175,11 +175,15 @@ def test_masked_fraction_equals_nonexempt_error_fraction():
 # serialize_sample
 
 
-def small_sample():
-    return build_loss_mask(make_traj([
+def small_traj():
+    return make_traj([
         bash_step(0, "ls", "calc.py"),
         finish_step(1),
-    ]))
+    ])
+
+
+def small_sample():
+    return build_loss_mask(small_traj())
 
 
 def test_small_sample_emitted_under_default_limit():
@@ -189,10 +193,19 @@ def test_small_sample_emitted_under_default_limit():
 
 
 def test_oversize_sample_overflows():
-    result = serialize_sample(small_sample(), 2)
-    assert isinstance(result, Overflow)
-    assert result.token_estimate > 2
-    assert result.context_limit == 2
+    # Past the limit nothing is emitted; mask_samples records the drop with
+    # the estimate and the limit, in this key order.
+    sample = small_sample()
+    assert sample.token_estimate > 2
+    assert serialize_sample(sample, 2) is None
+    samples, drops = mask_samples([small_traj()], 2)
+    assert samples == []
+    assert [list(d.items()) for d in drops] == [[
+        ("trajectory_id", sample.trajectory_id),
+        ("reason", "overflow"),
+        ("token_estimate", sample.token_estimate),
+        ("context_limit", 2),
+    ]]
 
 
 def test_record_round_trip_preserves_segments_exactly():

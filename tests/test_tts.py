@@ -356,6 +356,15 @@ def test_a_point_too_large_for_a_float_fits_no_budget():
         allocate(model, 100.0, {(huge, 1): 1.0})
 
 
+def test_a_contour_k_past_the_float_range_is_infinite():
+    # budget / latency(T, 1) fits a float but its power 1 / beta does not:
+    # the K is infinite rather than an OverflowError.
+    model = LatencyModel()
+    assert iso_latency_contour(model, 1e308, [1, 4]) == ((1, math.inf), (4, math.inf))
+    plan, contour = allocate(model, 1e308, {(4, 2): 0.5})
+    assert (plan.turns, plan.rollouts) == (4, 2) and contour == ((4, math.inf),)
+
+
 # ---------------------------------------------------------------------------
 # Verifiers and wire format
 

@@ -18,7 +18,9 @@ re-run that skips every stage loads only the config, schema, registry and
 curriculum code. The stages that share no file with the rest (read no
 other stage's output, and no stage reads theirs) run in one forked worker
 process alongside the others; stdout, state and the exit code stay in
-stage order, up to the first failing stage.
+stage order, up to the first failing stage. The records hold no reference
+cycles, so a `pipeline` run turns the cyclic garbage collector off, worker
+included, and leaves it as it found it.
 
 Exit codes: 0 success, 1 internal error, 2 missing input, 3 validation
 failure (a rejection report is written next to the stage outputs). Every
@@ -57,6 +59,7 @@ registry file that is not UTF-8 fails with exit 1 and its path. Keys:
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import marshal
@@ -221,10 +224,9 @@ def load_config(path: str | Path) -> PipelineConfig:
         )
     if cfg.verifier not in ("stub", "oracle"):
         raise ForgeError(f"unknown verifier {cfg.verifier!r}")
-    for key in ("hack_patterns", "error_patterns", "phase_patterns"):
-        registry = getattr(cfg, key)
-        if registry is not None and not registry.exists():
-            raise MissingInputError(f"registry file {registry} does not exist")
+    for registry in (cfg.hack_patterns, cfg.error_patterns, cfg.phase_patterns):
+        if registry is not None:
+            _require_input(registry, "registry file")
     # Compile the registries now so bad patterns fail at load, not mid-stage.
     load_hack_patterns(cfg.hack_patterns)
     load_error_patterns(cfg.error_patterns)
@@ -811,6 +813,8 @@ def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> in
         return fingerprint, outputs
 
     _in_run = True
+    collecting = gc.isenabled()  # off for the run (see the module docstring)
+    gc.disable()
     try:
         # No stage writes what a detached stage reads, so it is decided now,
         # and those to run are forked off before this process loads anything.
@@ -860,6 +864,8 @@ def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> in
         return EXIT_OK
     finally:
         _in_run = False
+        if collecting:
+            gc.enable()
         _digests.clear()
         _handoff.clear()
 

@@ -164,19 +164,16 @@ def detect_git_hacking(
         if not isinstance(action, ToolCall) or action.tool != "execute_bash":
             continue
         command = action.arguments.get("command", "")
-        if not isinstance(command, str) or not command:
-            continue
-        for pattern in patterns:
-            if pattern.regex.search(command):
-                findings.append(
-                    HackFinding(
-                        step_index=step.index,
-                        command=command,
-                        pattern_id=pattern.pattern_id,
-                        severity=pattern.severity,
-                    )
-                )
+        for pattern in matching_hack_patterns(command, patterns):
+            findings.append(HackFinding(step.index, command, pattern.pattern_id, pattern.severity))
     return findings
+
+
+def matching_hack_patterns(command, patterns: Sequence[HackPattern]) -> list[HackPattern]:
+    """The patterns one bash command triggers; none when it is empty or not a string."""
+    if not isinstance(command, str) or not command:
+        return []
+    return [pattern for pattern in patterns if pattern.regex.search(command)]
 
 
 def has_high_finding(findings: Sequence[HackFinding]) -> bool:

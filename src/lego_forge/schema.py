@@ -71,12 +71,13 @@ def of_type(value: Any, types: type | tuple) -> bool:
 def require(record: dict, key: str, types: type | tuple) -> Any:
     """record[key], or ValueError when it is missing or not of `types`
     (see `of_type`)."""
-    if key not in record:
-        raise ValueError(f"missing field {key!r}")
-    value = record[key]
-    if not of_type(value, types):
-        raise ValueError(f"field {key!r} has wrong type {type(value).__name__}")
-    return value
+    try:
+        value = record[key]
+    except KeyError:
+        raise ValueError(f"missing field {key!r}") from None
+    if type(value) is types or of_type(value, types):
+        return value
+    raise ValueError(f"field {key!r} has wrong type {type(value).__name__}")
 
 
 def optional(record: dict, key: str, types: type | tuple, default: Any = None) -> Any:

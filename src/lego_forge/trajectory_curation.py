@@ -7,7 +7,9 @@ full pass (resolved), then pass-with-cheating demoted to unresolved, then
 passes every test but edited test files or read git history is kept in the
 corpus as unresolved rather than deleted, so accounting stays exhaustive.
 `curate` marks a run over its turn budget unresolved whatever the cascade
-gave, so each record it makes from a valid trajectory is valid too.
+gave, so each record it makes from a valid trajectory is valid too. Within
+one call it judges each distinct bash command (phase and hack patterns) once
+and parses each golden patch at most once, in memos freed on return.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Mapping, Sequence
 from .errors import ForgeError
 from . import patch_analysis
 from .registries import ErrorPattern, HackPattern, PhaseRule
-from .repo_sanitizer import HackFinding, detect_git_hacking, has_high_finding
+from .repo_sanitizer import HackFinding, detect_git_hacking, has_high_finding, matching_hack_patterns
 from .schema import ALLOWED_TOOLS, OUTCOMES, Step, TaskInstance, TestReport, ToolCall, Trajectory
 from .sft_masking import has_execution_error, step_phase
 
@@ -186,10 +188,12 @@ def classify_outcome(
     final_report: TestReport | None,
     *,
     hack_findings: Sequence[HackFinding] | None = None,
+    goldens: dict[str, patch_analysis.Patch | None] | None = None,
 ) -> str:
     """Classify one trajectory: empty_patch, resolved, semi_resolved, or
     unresolved. `final_report` must reflect the trajectory's final patch
-    state; precomputed hack findings can be passed to avoid a rescan."""
+    state. Precomputed hack findings save a rescan; `goldens` (instance id to
+    parsed golden patch, or None if it does not parse) saves a reparse."""
     if final_report is None:
         raise ClassificationError(f"{traj.trajectory_id}: missing final test report")
     if not traj.final_patch.strip():
@@ -205,9 +209,14 @@ def classify_outcome(
         if not cheated and not has_high_finding(hack_findings):
             return "resolved"
         return "unresolved"
-    try:
-        golden = patch_analysis.parse_patch(inst.golden_patch)
-    except patch_analysis.PatchParseError:
+    goldens = {} if goldens is None else goldens
+    if inst.instance_id not in goldens:
+        try:
+            goldens[inst.instance_id] = patch_analysis.parse_patch(inst.golden_patch)
+        except patch_analysis.PatchParseError:
+            goldens[inst.instance_id] = None
+    golden = goldens[inst.instance_id]
+    if golden is None:
         return "unresolved"
     overlap = patch_analysis.line_overlap(final, golden)
     if overlap.golden_files_total > 0 and overlap.golden_files_touched == overlap.golden_files_total:
@@ -261,16 +270,18 @@ def curate(
     either way. Returns the curated trajectories, in input order, and the
     report: `rollout_stats` plus the repaired and hack-invalidated counts,
     the unrepairable calls and the notes."""
+    judged: dict[str, tuple[str, list[HackPattern]]] = {}
+    goldens: dict[str, patch_analysis.Patch | None] = {}
     curated: list[Trajectory] = []
     unrepairable: list[dict] = []
     notes: list[dict] = []
     repaired_calls = 0
     hack_invalidated = 0
     for traj in trajectories:
-        # One pass per trajectory: prune, repair, phase and error-flag each
-        # step, building it once (the same as prune_toolset, assign_phases
-        # and detect_step_errors over the repaired steps).
+        # One pass builds each kept step once: the same as prune_toolset, repair,
+        # assign_phases, detect_git_hacking and detect_step_errors in turn.
         steps: list[Step] = []
+        findings: list[HackFinding] = []
         for step in traj.steps:
             action = step.action
             if not kept_by_toolset(action):
@@ -284,15 +295,25 @@ def curate(
                     unrepairable.append(
                         {"trajectory_id": traj.trajectory_id, "step": step.index, "reason": str(exc)}
                     )
+            bash = isinstance(action, ToolCall) and action.tool == "execute_bash"
+            command = action.arguments.get("command", "") if bash else None
+            if isinstance(command, str):
+                verdict = judged.get(command)
+                if verdict is None:
+                    verdict = judged[command] = (step_phase(action, phase_rules),
+                                                 matching_hack_patterns(command, hack_patterns))
+                phase, hacks = verdict
+                findings += [HackFinding(len(steps), command, p.pattern_id, p.severity) for p in hacks]
+            else:
+                phase = step_phase(action, phase_rules)
             steps.append(Step(
                 index=len(steps),
                 action=action,
                 observation=step.observation,
-                phase=step_phase(action, phase_rules),
+                phase=phase,
                 error_flag=has_execution_error(step.observation, error_patterns),
             ))
         work = replace(traj, steps=tuple(steps), turn_count=len(steps))
-        findings = detect_git_hacking(work, hack_patterns)
 
         inst = instances.get(work.instance_id)
         final = final_reports.get(work.trajectory_id)
@@ -303,7 +324,7 @@ def curate(
                 "reason": "missing instance" if inst is None else "missing final report",
             })
         else:
-            outcome = classify_outcome(work, inst, final, hack_findings=findings)
+            outcome = classify_outcome(work, inst, final, hack_findings=findings, goldens=goldens)
             if outcome == "unresolved" and has_high_finding(findings) and _tests_pass(final, inst):
                 hack_invalidated += 1
         if work.turn_count > work.max_turns:

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import gc
 import json
 import os
 import re
@@ -179,6 +180,18 @@ def test_config_missing_registry_is_missing_input(tmp_path):
     bad.write_text("hack_patterns = nowhere.txt\n", encoding="utf-8")
     with pytest.raises(cli.MissingInputError):
         load_config(bad)
+
+
+@pytest.mark.parametrize("key", ["hack_patterns", "error_patterns", "phase_patterns"])
+@pytest.mark.parametrize("value, problem", [
+    ("nowhere.txt", "does not exist"), ("sub", "is not a regular file"),
+])
+def test_registry_path_that_is_missing_or_a_directory_exits_2(tmp_path, capsys, key, value, problem):
+    (tmp_path / "sub").mkdir()
+    config = tmp_path / "forge.cfg"
+    config.write_text(f"{key} = {value}\n", encoding="utf-8")
+    assert cli.main(["pipeline", "--config", str(config)]) == EXIT_MISSING_INPUT
+    assert capsys.readouterr().err == f"error: registry file {tmp_path / value} {problem}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -989,6 +1002,56 @@ def test_two_fresh_runs_are_byte_identical(tmp_path):
 
 def assert_run_state_empty():
     assert not cli._in_run and cli._digests == {} and cli._handoff == {}
+
+
+@pytest.fixture()
+def collector():
+    """Puts the cyclic collector back as the test found it."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_pipeline_runs_without_the_collector_and_restores_it(corpus, collector, monkeypatch, enabled):
+    # The records are acyclic, so every stage runs with the cyclic collector
+    # off, and the run leaves it as it found it, on success and on failure.
+    during = []
+    real_run_stage = cli.run_stage
+
+    def recording_run_stage(name, cfg):
+        during.append(gc.isenabled())
+        return real_run_stage(name, cfg)
+
+    monkeypatch.setattr(cli, "run_stage", recording_run_stage)
+    (gc.enable if enabled else gc.disable)()
+    assert run_pipeline(load_config(corpus), echo=lambda s: None) == EXIT_OK
+    assert gc.isenabled() is enabled
+    with open(load_config(corpus).trajectories, "a", encoding="utf-8") as f:
+        f.write("{not json\n")
+    assert run_pipeline(load_config(corpus), echo=lambda s: None) == EXIT_VALIDATION
+    assert gc.isenabled() is enabled
+    assert during and not any(during)
+    assert_run_state_empty()
+
+
+def test_cyclic_garbage_of_a_cold_run_does_not_grow_with_the_corpus(tmp_path, collector):
+    # With the collector off for the run, what it leaves for gc.collect()
+    # must be a fixed few objects, not a share of the records.
+    warm, small, large = (build_integration_corpus(tmp_path / name) for name in ("warm", "small", "large"))
+    for name in ("trajectories.jsonl", "final_reports.jsonl"):
+        records = read_jsonl(large.parent / name)
+        save_jsonl([{**r, "trajectory_id": f"{r['trajectory_id']}-{n}"} for n in range(20) for r in records],
+                   large.parent / name)
+    gc.disable()
+    gc.collect()
+    found = []
+    for config in (warm, small, large):
+        assert run_pipeline(load_config(config), echo=lambda s: None) == EXIT_OK
+        found.append(gc.collect())
+    assert found[1] == found[2]
+    curated = [read_jsonl(config.parent / "out" / "curated.jsonl") for config in (small, large)]
+    assert len(curated[1]) == 20 * len(curated[0])
 
 
 def test_curated_records_equal_their_reload(corpus, monkeypatch):

@@ -15,6 +15,7 @@ from lego_forge.schema import (
     Trajectory,
     load_corpus,
     load_jsonl,
+    require,
     save_corpus,
     validate_instance,
     validate_trajectory,
@@ -306,6 +307,29 @@ def make_simple_traj(**overrides):
         [bash_step(0, "ls", "calc.py"), finish_step(1)],
         **overrides,
     )
+
+
+@pytest.mark.parametrize("record, types, message", [
+    ({}, str, "missing field 'k'"),
+    ({"other": 1}, int, "missing field 'k'"),
+    ({"k": 1}, str, "field 'k' has wrong type int"),
+    ({"k": None}, dict, "field 'k' has wrong type NoneType"),
+    ({"k": True}, int, "field 'k' has wrong type bool"),
+    ({"k": False}, (int, float), "field 'k' has wrong type bool"),
+    ({"k": 1.5}, int, "field 'k' has wrong type float"),
+])
+def test_require_refuses_with_the_field_and_the_type(record, types, message):
+    with pytest.raises(ValueError) as caught:
+        require(record, "k", types)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("value, types", [
+    ("x", str), (0, int), (True, bool), (False, (bool, int)), (2, (int, float)), (2.5, (int, float)),
+    ([], list), ({}, dict), (None, type(None)),
+])
+def test_require_returns_the_value_itself(value, types):
+    assert require({"k": value}, "k", types) is value
 
 
 def test_trajectory_round_trip(tmp_path):

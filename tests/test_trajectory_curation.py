@@ -1,13 +1,17 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lego_forge import patch_analysis, trajectory_curation
 from lego_forge.patch_analysis import make_patch, parse_patch
 from lego_forge.registries import load_error_patterns, load_hack_patterns, load_phase_patterns
+from lego_forge.repo_sanitizer import detect_git_hacking, has_high_finding
 from lego_forge.schema import OUTCOMES, PHASES, Step, TestReport, ToolCall, validate_trajectory
+from lego_forge.sft_masking import step_phase
 from lego_forge.trajectory_curation import (
     ClassificationError,
     UnrepairableCallError,
@@ -398,3 +402,105 @@ def test_curate_returns_only_records_that_validate(traj, passing):
         for reports in ({}, {traj.trajectory_id: report}):
             curated, _ = curate([traj], instances, reports, *registries, recycle_semi_resolved=True)
             assert [validate_trajectory(t) for t in curated] == [[]]
+
+
+# Bash commands that repeat within and across trajectories, an empty one, a
+# missing one, and commands that are not strings (JSON allows any value).
+_COMMANDS = ("python -m pytest tests/", "git log --all --oneline", "git show HEAD~1", "ls src",
+             "python reproduce.py", "", None, ["git", "log"], 7)
+
+
+def _bash(command):
+    return ToolCall("execute_bash", {} if command is None else {"command": command})
+
+
+@st.composite
+def bash_heavy_corpora(draw):
+    """Up to five trajectories over two instances (one with a golden patch
+    that does not parse) whose steps draw from a few bash commands, each
+    with a passing, failing or missing final report."""
+    actions = st.one_of(st.sampled_from(_COMMANDS).map(_bash), st.sampled_from(_ACTIONS))
+    trajs, reports = [], {}
+    for n in range(draw(st.integers(1, 5))):
+        steps = [Step(i, draw(actions), draw(st.sampled_from(_OBSERVATIONS)))
+                 for i in range(draw(st.integers(0, 10)))]
+        traj = make_traj(steps, trajectory_id=f"t{n}",
+                         instance_id=draw(st.sampled_from(("inst-1", "inst-2"))),
+                         final_patch=draw(st.sampled_from(_FINAL_PATCHES)),
+                         max_turns=draw(st.integers(1, 12)))
+        trajs.append(traj)
+        verdict = draw(st.sampled_from(("pass", "fail", None)))
+        if verdict is not None:
+            reports[traj.trajectory_id] = TestReport("final", dict.fromkeys(
+                (*make_instance().fail_to_pass, *make_instance().pass_to_pass), verdict))
+    return trajs, reports
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(corpus=bash_heavy_corpora())
+def test_curate_judges_as_step_phase_and_detect_git_hacking_do(corpus):
+    # curate judges each distinct command once per call; what it records
+    # must equal step_phase on every step and classify_outcome with
+    # detect_git_hacking's findings on every curated trajectory.
+    trajs, reports = corpus
+    unparseable = make_instance(instance_id="inst-2", golden_patch="@@ x\n")
+    instances = {"inst-1": make_instance(), "inst-2": unparseable}
+    hacks, errors, phases = load_hack_patterns(None), load_error_patterns(None), load_phase_patterns(None)
+    curated, report = curate(trajs, instances, reports, hacks, errors, phases, recycle_semi_resolved=True)
+    invalidated = 0
+    for traj in curated:
+        assert [s.phase for s in traj.steps] == [step_phase(s.action, phases) for s in traj.steps]
+        inst, final = instances[traj.instance_id], reports.get(traj.trajectory_id)
+        classified = "unclassified" if final is None else classify_outcome(traj, inst, final)
+        assert traj.outcome == ("unresolved" if traj.turn_count > traj.max_turns else classified)
+        invalidated += (classified == "unresolved" and has_high_finding(detect_git_hacking(traj, hacks))
+                        and set(final.results.values()) == {"pass"})
+    assert report["hack_invalidated"] == invalidated
+
+
+class CountingRegex:
+    """A compiled pattern that records each text it searches."""
+
+    def __init__(self, regex: re.Pattern, searched: list):
+        self.regex, self.searched = regex, searched
+
+    def search(self, text):
+        self.searched.append((id(self), text))
+        return self.regex.search(text)
+
+
+def test_curate_judges_each_distinct_command_and_parses_each_golden_patch_once(monkeypatch):
+    # Counts, not timings: in one curate call every phase and hack regex
+    # sees each distinct bash command once however many steps repeat it,
+    # each golden patch is parsed at most once however many failing
+    # trajectories need it, and no trajectory is rescanned for hacks.
+    searched, parsed = [], []
+    hacks = [replace(p, regex=CountingRegex(p.regex, searched)) for p in load_hack_patterns(None)]
+    phases = [replace(r, regex=CountingRegex(r.regex, searched)) for r in load_phase_patterns(None)]
+    real_parse = patch_analysis.parse_patch
+
+    def counting_parse(text):
+        parsed.append(text)
+        return real_parse(text)
+
+    def no_rescan(*args, **kwargs):
+        raise AssertionError("curate rescanned a trajectory for hacks")
+
+    monkeypatch.setattr(patch_analysis, "parse_patch", counting_parse)
+    monkeypatch.setattr(trajectory_curation, "detect_git_hacking", no_rescan)
+    wrong_fix = make_patch(CALC_OLD, CALC_OLD.replace("a * b", "a * b * 1"), "src/calc.py")
+    other = make_instance(instance_id="inst-2",
+                          golden_patch=GOLDEN_PATCH + make_patch("x\n", "y\n", "src/o.py"))
+    steps = [*clean_steps()[:3], bash_step(3, "git log --all", "deadbee fix add"), finish_step(4)]
+    trajs, reports = [], {}
+    for n in range(12):
+        inst_id = ("inst-1", "inst-2")[n % 2]
+        traj = make_traj(steps, trajectory_id=f"t{n}", instance_id=inst_id, final_patch=wrong_fix)
+        trajs.append(traj)
+        reports[traj.trajectory_id] = passing_report() if n % 3 == 0 else failing_report()
+    _, report = curate(trajs, {"inst-1": make_instance(), "inst-2": other}, reports,
+                       hacks, load_error_patterns(None), phases, recycle_semi_resolved=True)
+    assert report["hack_invalidated"] == 4 and report["counts"]["semi_resolved"] == 4
+    assert searched and len(searched) == len(set(searched))
+    goldens = [text for text in parsed if text in (GOLDEN_PATCH, other.golden_patch)]
+    assert sorted(goldens) == sorted({GOLDEN_PATCH, other.golden_patch})

@@ -10,12 +10,14 @@ deterministic: identical inputs produce byte-identical outputs. The
 skips stages whose recorded input content hashes are unchanged. Within one
 `pipeline` run every corpus (instances and curated records) is read once
 per content and passed to later stages in memory, and each file is hashed
-once per content. A build output whose instance ids (or real image names)
-repeat is not passed on, so `curate` reloads and rejects it. A
-single-stage run (`forge curate`, `forge stats`) reads, parses and hashes
-from disk. A stage's modules are imported only when the stage runs, so a
-re-run that skips every stage loads only the config, schema, registry and
-curriculum code. The stages that share no file with the rest (read no
+once per content. The `trajectories` input is decoded one line at a time
+into `curate`, never held whole, and every JSON Lines output is encoded
+line by line into its temp file. A build output whose instance ids (or
+real image names) repeat is not passed on, so `curate` reloads and rejects
+it. A single-stage run (`forge curate`, `forge stats`) reads, parses and
+hashes from disk. A stage's modules are imported only when the stage runs,
+so a re-run that skips every stage loads only the config, schema, registry
+and curriculum code. The stages that share no file with the rest (read no
 other stage's output, and no stage reads theirs) run in one forked worker
 process alongside the others; stdout, state and the exit code stay in
 stage order, up to the first failing stage. The records hold no reference
@@ -24,7 +26,7 @@ included, and leaves it as it found it.
 
 Exit codes: 0 success, 1 internal error, 2 missing input, 3 validation
 failure (a rejection report is written next to the stage outputs). Every
-JSON Lines input is read by `schema.load_jsonl`, so a malformed line is a
+JSON Lines input is read by `schema.read_jsonl`, so a malformed line is a
 rejection, except in `real_inputs`, where it is skipped with its reason.
 
 The config file is a plain `key = value` text file, the one source of run
@@ -85,6 +87,7 @@ from .schema import (
     atomic_write_text,
     load_corpus,
     load_jsonl,
+    read_corpus,
     require,
     save_corpus,
     save_jsonl,
@@ -183,6 +186,8 @@ def _check_range(key: str, value) -> None:
     if (key in ("latency_budget", "bucket_width", "context_limit") and value is not None
             and not 0 < value < math.inf):
         raise ValueError("must be positive and finite")
+    if key == "verifier" and value not in ("stub", "oracle"):
+        raise ValueError(f"unknown verifier {value!r}")
     if key in ("latency_c", "latency_alpha", "latency_beta"):
         from . import tts
 
@@ -202,6 +207,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ForgeError(f"{config_path}: not UTF-8 text: {exc}") from None
     base_dir = config_path.parent
     values: dict = {}
+    line_of: dict[str, int] = {}
     for line_no, line in content_lines(text):
         if "=" not in line:
             raise ForgeError(f"{config_path}:{line_no}: expected 'key = value'")
@@ -209,6 +215,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         key = key.strip()
         if key not in _KEY_TYPES:
             raise ForgeError(f"{config_path}:{line_no}: unknown key {key!r}")
+        line_of[key] = line_no
         try:
             values[key] = _parse_value(_KEY_TYPES[key], value.strip(), base_dir)
             _check_range(key, values[key])
@@ -216,14 +223,15 @@ def load_config(path: str | Path) -> PipelineConfig:
             raise ForgeError(f"{config_path}:{line_no}: bad value for {key!r}: {exc}") from None
     cfg = PipelineConfig(config_path=config_path, **values)
     cfg.out_dir = (base_dir / cfg.out_dir).resolve()
-    if not all(path.is_dir() for path in (cfg.out_dir, *cfg.out_dir.parents) if path.exists()):
-        raise ForgeError(f"{config_path}: out_dir {cfg.out_dir} is not a directory")
+    try:
+        if not all(path.is_dir() for path in (cfg.out_dir, *cfg.out_dir.parents) if path.exists()):
+            raise ForgeError(f"{config_path}: out_dir {cfg.out_dir} is not a directory")
+    except OSError as exc:  # say, a name longer than the file system allows
+        raise ForgeError(f"{config_path}: out_dir {cfg.out_dir} cannot be looked up: {exc.strerror}") from None
     if not 0 < cfg.easy_upper < cfg.medium_upper < cfg.max_turns:
-        raise ForgeError(
-            "bin boundaries must satisfy 0 < easy_upper < medium_upper < max_turns"
-        )
-    if cfg.verifier not in ("stub", "oracle"):
-        raise ForgeError(f"unknown verifier {cfg.verifier!r}")
+        last = max(line_of[key] for key in ("easy_upper", "medium_upper", "max_turns") if key in line_of)
+        raise ForgeError(f"{config_path}:{last}: bin boundaries must satisfy "
+                         "0 < easy_upper < medium_upper < max_turns")
     for registry in (cfg.hack_patterns, cfg.error_patterns, cfg.phase_patterns):
         if registry is not None:
             _require_input(registry, "registry file")
@@ -247,8 +255,11 @@ def _require_input(path: Path | None, what: str, directory: bool = False) -> Pat
     a directory), else MissingInputError naming `what`."""
     if path is None:
         raise MissingInputError(f"config does not set {what}")
-    if not path.exists():
-        raise MissingInputError(f"{what} {path} does not exist")
+    try:
+        if not path.exists():
+            raise MissingInputError(f"{what} {path} does not exist")
+    except OSError as exc:  # say, a name longer than the file system allows
+        raise MissingInputError(f"{what} {path} cannot be looked up: {exc.strerror}") from None
     if not (path.is_dir() if directory else path.is_file()):
         raise MissingInputError(f"{what} {path} is not a {'directory' if directory else 'regular file'}")
     return path
@@ -428,17 +439,20 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
     traj_path = _require_input(cfg.trajectories, "trajectories")
     reports_path = _require_input(cfg.final_reports, "final_reports")
     instances = _load_instances_union(cfg, "curate")
-    trajectories = _corpus(cfg, "curate", traj_path, "trajectories")
-    reports_by_tid = dict(_load_records(cfg, "curate", reports_path, _final_report))
+    reports = load_jsonl(reports_path, _final_report)
+    # Trajectories are decoded one at a time into curate; their rejections fail it first.
+    rejections: list[Rejection] = []
     curated, report = trajectory_curation.curate(
-        trajectories,
+        read_corpus(traj_path, "trajectories", rejections),
         instances,
-        reports_by_tid,
+        dict(reports.records),
         load_hack_patterns(cfg.hack_patterns),
         load_error_patterns(cfg.error_patterns),
         load_phase_patterns(cfg.phase_patterns),
         recycle_semi_resolved=cfg.recycle_semi_resolved,
     )
+    _fail_on_rejections(cfg, "curate", traj_path, rejections)
+    _fail_on_rejections(cfg, "curate", reports_path, reports.rejections)
     curated_path = _curated_path(cfg)
     save_corpus(curated, curated_path)
     _hand_off(curated_path, curated, "trajectories")
@@ -465,12 +479,13 @@ def _stage_mask(cfg: PipelineConfig) -> dict:
     selected = curriculum_mod.select_for_training(
         _curated(cfg, "mask"), recycle_semi_resolved=cfg.recycle_semi_resolved
     )
-    samples, drops = sft_masking.mask_samples(selected, cfg.context_limit)
-    save_jsonl(samples, cfg.out_dir / "samples.jsonl")
+    drops: list[dict] = []
+    emitted = save_jsonl(sft_masking.mask_samples(selected, cfg.context_limit, drops),
+                         cfg.out_dir / "samples.jsonl")
     save_jsonl(drops, cfg.out_dir / "mask_drops.jsonl")
     return {
         "stage": "mask",
-        "emitted": len(samples),
+        "emitted": emitted,
         "dropped": len(drops),
         "context_limit": cfg.context_limit,
     }
@@ -710,7 +725,8 @@ def _input_fingerprint(stage: Stage, cfg: PipelineConfig) -> str:
     digest.update(stage.name.encode())
     digest.update(cfg.config_path.read_bytes())
     for path in stage.inputs(cfg):
-        if path is not None and path.exists():
+        # One that cannot be looked up counts as missing: _require_input then exits 2.
+        if path is not None and os.path.exists(path):
             digest.update(path.name.encode())
             digest.update(_hash_path(path).encode())
     return digest.hexdigest()

@@ -6,9 +6,11 @@ canonical field order, so identical inputs always serialize to identical
 bytes. Unknown fields found on disk are kept on the record (`extra`) and
 written back verbatim, in their original order, for forward compatibility.
 
-Every stage input is read by `load_jsonl`, which splits at "\n" only and
-turns each line into a record or a `Rejection`; `load_corpus` is that
-reader plus a corpus kind's record type, validator and duplicate rules.
+Every stage input is read by `read_jsonl`, which splits at "\n" only and
+turns each line into a record or a `Rejection`, one line at a time;
+`read_corpus` is that reader plus a corpus kind's record type, validator
+and duplicate rules; `load_jsonl` and `load_corpus` hold their whole
+result. Every writer encodes one line at a time into its temp file.
 
 Timestamps are ISO-8601 UTC text. They are stored as strings and parsed on
 demand so that round-trips never reformat them.
@@ -416,8 +418,11 @@ def _read_lines(file_path: Path) -> Iterator[str]:
         raise CorpusError(f"cannot read {file_path}: {exc}") from exc
 
 
-def load_jsonl(path: str | Path, parse: Callable[[dict], Any], *, reject_blank: bool = False) -> LoadResult:
-    """Read a JSON Lines file into `parse(record)` per line, in file order.
+def read_jsonl(path: str | Path, parse: Callable[[dict], Any], rejections: list[Rejection], *,
+               reject_blank: bool = False) -> Iterator:
+    """Yield `parse(record)` for each line of a JSON Lines file, in file
+    order, decoding one line at a time; append each refused line's
+    Rejection to `rejections`. The one JSON decoder of stage inputs.
 
     Lines split at "\n" only, so text that holds U+2028 and the like reads
     back as written. A line that is not a JSON object, or that escapes a lone
@@ -425,10 +430,8 @@ def load_jsonl(path: str | Path, parse: Callable[[dict], Any], *, reject_blank: 
     `parse` refuses with ValueError is BAD_RECORD, or the codes of a
     RecordRejected. A blank line is skipped, or is EMPTY_LINE with
     reject_blank. An unreadable file raises CorpusError, also after some
-    lines were parsed, when it stops decoding part-way.
+    lines were yielded, when it stops decoding part-way.
     """
-    records: list = []
-    rejections: list[Rejection] = []
     for line_no, line in enumerate(_read_lines(Path(path)), start=1):
         if not line.strip():
             if reject_blank:
@@ -446,11 +449,18 @@ def load_jsonl(path: str | Path, parse: Callable[[dict], Any], *, reject_blank: 
             rejections.append(Rejection(line_no, ("BAD_JSON",), "lone surrogate"))
             continue
         try:
-            records.append(parse(raw))
+            record = parse(raw)
         except ValueError as exc:
             codes = exc.codes if isinstance(exc, RecordRejected) else ("BAD_RECORD",)
             rejections.append(Rejection(line_no, codes, str(exc)))
-    return LoadResult(records=records, rejections=rejections)
+            continue
+        yield record
+
+
+def load_jsonl(path: str | Path, parse: Callable[[dict], Any], *, reject_blank: bool = False) -> LoadResult:
+    """Every record and rejection of `read_jsonl`, held whole."""
+    rejections: list[Rejection] = []
+    return LoadResult(list(read_jsonl(path, parse, rejections, reject_blank=reject_blank)), rejections)
 
 
 _KINDS = {
@@ -459,11 +469,12 @@ _KINDS = {
 }
 
 
-def load_corpus(path: str | Path, kind: str) -> LoadResult:
-    """Load a JSON Lines corpus, collecting malformed lines instead of dropping them.
+def read_corpus(path: str | Path, kind: str, rejections: list[Rejection]) -> Iterator:
+    """Read a JSON Lines corpus with `read_jsonl`, collecting malformed lines
+    instead of dropping them.
 
     `kind` selects the record type: "instances" or "trajectories". Records are
-    returned in file order. Every line either becomes a record or a rejection
+    yielded in file order. Every line either becomes a record or a rejection
     entry carrying its line number and violation codes; a blank line is
     EMPTY_LINE. For instances, a duplicate instance_id, or a duplicate
     image_name among origin=real records, rejects the later line.
@@ -492,7 +503,13 @@ def load_corpus(path: str | Path, kind: str) -> LoadResult:
             seen_ids.add(record.instance_id)
         return record
 
-    return load_jsonl(path, parse, reject_blank=True)
+    return read_jsonl(path, parse, rejections, reject_blank=True)
+
+
+def load_corpus(path: str | Path, kind: str) -> LoadResult:
+    """Every record and rejection of `read_corpus`, held whole."""
+    rejections: list[Rejection] = []
+    return LoadResult(list(read_corpus(path, kind, rejections)), rejections)
 
 
 def dumps_record(record: dict) -> str:
@@ -500,11 +517,11 @@ def dumps_record(record: dict) -> str:
     return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write a file atomically: temp file in the same directory, then rename.
-
-    An interrupted write never leaves a partially written file at `path`.
-    """
+def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write a file atomically: `text`, or each string an iterable yields as
+    it yields it, into a temp file in the same directory, synced, then renamed
+    over `path`. An interrupted write (an exception from the iterable too)
+    leaves neither a partial file at `path` nor the temp file."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     handle = tempfile.NamedTemporaryFile(
@@ -517,7 +534,7 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     )
     try:
         with handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(handle.name, target)
@@ -534,15 +551,23 @@ def save_corpus(records: Iterable, path: str | Path) -> None:
 
     Identical inputs produce byte-identical files; an empty record list
     produces a zero-byte file. load_corpus(save_corpus(x)) round-trips to x.
+    Each record is encoded into the temp file as it is taken.
     """
-    text = "".join(dumps_record(r.to_record()) + "\n" for r in records)
     try:
-        atomic_write_text(path, text)
+        atomic_write_text(path, (dumps_record(r.to_record()) + "\n" for r in records))
     except OSError as exc:
         raise CorpusError(f"cannot write corpus {path}: {exc}") from exc
 
 
-def save_jsonl(records: Sequence[dict], path: str | Path) -> None:
-    """Write plain dict records as canonical JSON Lines (atomic)."""
-    text = "".join(dumps_record(r) + "\n" for r in records)
-    atomic_write_text(path, text)
+def save_jsonl(records: Iterable[dict], path: str | Path) -> int:
+    """Write plain dict records as canonical JSON Lines, atomically, encoding
+    each into the temp file as it is taken; returns the number of lines."""
+    written = 0
+
+    def lines() -> Iterator[str]:
+        nonlocal written
+        for written, record in enumerate(records, start=1):
+            yield dumps_record(record) + "\n"
+
+    atomic_write_text(path, lines())
+    return written

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ForgeError
 from .registries import ErrorPattern, PhaseRule, load_error_patterns, load_phase_patterns
@@ -207,15 +207,13 @@ def serialize_sample(sample: TrainingSample, context_limit: int) -> dict | None:
 
 
 def mask_samples(
-    trajectories: Sequence[Trajectory], context_limit: int
-) -> tuple[list[dict], list[dict]]:
-    """Mask and serialize each trajectory. Returns the emitted sample
-    records and the drops, each `{trajectory_id, reason}`: `empty: ...`
-    without assistant steps, `overflow` (with the estimate and the limit)
-    past the context limit, and `fully_masked` when no segment is left in
-    the loss."""
-    samples: list[dict] = []
-    drops: list[dict] = []
+    trajectories: Iterable[Trajectory], context_limit: int, drops: list[dict]
+) -> Iterator[dict]:
+    """Mask and serialize each trajectory, yielding each emitted sample record
+    before the next is built. Each drop is appended to `drops` as
+    `{trajectory_id, reason}`: `empty: ...` without assistant steps,
+    `overflow` (with the estimate and the limit) past the context limit, and
+    `fully_masked` when no segment is left in the loss."""
     for traj in trajectories:
         try:
             sample = build_loss_mask(traj)
@@ -233,5 +231,4 @@ def mask_samples(
         elif not any(seg["in_loss"] for seg in emitted["rendered"]):
             drops.append({"trajectory_id": traj.trajectory_id, "reason": "fully_masked"})
         else:
-            samples.append(emitted)
-    return samples, drops
+            yield emitted

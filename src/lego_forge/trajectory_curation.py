@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ForgeError
 from . import patch_analysis
@@ -254,7 +254,7 @@ def rollout_stats(trajs: Sequence[Trajectory], *, recycle_semi_resolved: bool = 
 
 
 def curate(
-    trajectories: Sequence[Trajectory],
+    trajectories: Iterable[Trajectory],
     instances: Mapping[str, TaskInstance],
     final_reports: Mapping[str, TestReport],
     hack_patterns: Sequence[HackPattern],
@@ -263,7 +263,8 @@ def curate(
     *,
     recycle_semi_resolved: bool,
 ) -> tuple[list[Trajectory], dict]:
-    """Curate every trajectory: prune, repair, phase and error-flag each
+    """Curate every trajectory in one pass over `trajectories`, so that a
+    generator is never held whole: prune, repair, phase and error-flag each
     step, then classify the outcome against the trajectory's instance and
     its final report (by trajectory id); without either the outcome is
     `unclassified`, with a note; over the turn budget it is `unresolved`

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,45 @@ def test_out_dir_that_is_not_a_directory_fails_at_load(tmp_path, line):
     (tmp_path / "out").write_text("a file", encoding="utf-8")
     with pytest.raises(ForgeError, match="is not a directory"):
         load_config(config)
+
+
+# One path component longer than any file system allows (ENAMETOOLONG).
+TOO_LONG = "x" * 300
+
+
+@pytest.mark.parametrize("text, line_no", [
+    ("easy_upper = 80\nmedium_upper = 70\n", 2),
+    ("medium_upper = 90\nseed = 1\nmax_turns = 80\n", 3),
+    ("max_turns = 60\nseed = 1\n", 1),
+    ("seed = 1\nverifier = best\nseed = 2\n", 2),
+])
+def test_bin_and_verifier_errors_name_the_last_line_involved(tmp_path, text, line_no):
+    config = tmp_path / "forge.cfg"
+    config.write_text(text, encoding="utf-8")
+    with pytest.raises(ForgeError, match=re.escape(f"{config.resolve()}:{line_no}: ")):
+        load_config(config)
+
+
+def test_out_dir_that_cannot_be_looked_up_fails_at_load(tmp_path, capsys):
+    # A name the file system refuses exits 1 at load with the config's path,
+    # not with a traceback.
+    config = tmp_path / "forge.cfg"
+    config.write_text(f"out_dir = {TOO_LONG}\n", encoding="utf-8")
+    assert cli.main(["pipeline", "--config", str(config)]) == cli.EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config.resolve()}: out_dir {tmp_path.resolve() / TOO_LONG} cannot be looked up: ")
+
+
+@pytest.mark.parametrize("key", ["trajectories", "instances"])
+def test_input_that_cannot_be_looked_up_is_missing_input(corpus, capsys, key):
+    # Such an input is no part of curate's fingerprint, and the stage exits 2
+    # from _require_input, as for a missing one.
+    with corpus.open("a", encoding="utf-8") as f:
+        f.write(f"{key} = {TOO_LONG}.jsonl\n")
+    assert cli.main(["pipeline", "--config", str(corpus)]) == EXIT_MISSING_INPUT
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith(f"[fail] curate: {key} {corpus.parent / TOO_LONG}.jsonl cannot be looked up: ")
+    assert last.endswith(" (exit 2)")
 
 
 def test_missing_instances_file_is_missing_input(corpus):
@@ -1073,6 +1113,64 @@ def test_curated_records_equal_their_reload(corpus, monkeypatch):
     assert load_corpus(cfg.out_dir / "curated.jsonl", "trajectories").records == curated
 
 
+def test_curate_releases_each_trajectory_before_the_next_but_one_is_decoded(corpus, monkeypatch):
+    # curate folds over the trajectories as they are decoded: input
+    # trajectory k is gone before k + 2 is built, so the input is never held whole.
+    cfg = run_stages(load_config(corpus), "build-tasks", "inject")
+    decoded = []
+    real_from_record = Trajectory.from_record.__func__
+
+    def tracking_from_record(cls, record):
+        assert [ref() for ref in decoded[:-1]] == [None] * len(decoded[:-1])
+        traj = real_from_record(cls, record)
+        decoded.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(Trajectory, "from_record", classmethod(tracking_from_record))
+    run_stages(cfg, "curate")
+    assert len(decoded) == 7
+
+
+def test_mask_streams_its_samples_into_the_writer(corpus, monkeypatch):
+    # _stage_mask hands save_jsonl an iterator, so the samples are encoded
+    # one at a time and never held as a list.
+    cfg = run_stages(load_config(corpus), "build-tasks", "inject", "curate")
+    handed = {}
+    real_save = cli.save_jsonl
+
+    def recording_save(records, path):
+        handed[Path(path).name] = records
+        return real_save(records, path)
+
+    monkeypatch.setattr(cli, "save_jsonl", recording_save)
+    code, report = run_stage("mask", cfg)
+    assert code == EXIT_OK
+    samples = handed["samples.jsonl"]
+    assert iter(samples) is samples and not isinstance(samples, list)
+    assert report["emitted"] == len(read_jsonl(cfg.out_dir / "samples.jsonl")) > 0
+
+
+def test_curate_fails_on_trajectory_rejections_before_final_report_ones(corpus):
+    # With a bad line in both, the trajectories' rejections are reported, as
+    # when the whole corpus was loaded first; with the trajectories mended,
+    # the final reports' are. Neither run writes curated.jsonl.
+    cfg = run_stages(load_config(corpus), "build-tasks", "inject")
+    for path in (cfg.trajectories, cfg.final_reports):
+        with open(path, "a", encoding="utf-8") as f:
+            f.write("{not json\n")
+
+    def rejected():
+        code, report = run_stage("curate", cfg)
+        assert code == EXIT_VALIDATION
+        assert not (cfg.out_dir / "curated.jsonl").exists()
+        return [(e["file"], e["codes"]) for e in read_jsonl(Path(report["rejection_report"]))]
+
+    assert rejected() == [(str(cfg.trajectories), ["BAD_JSON"])]
+    text = cfg.trajectories.read_text(encoding="utf-8")
+    cfg.trajectories.write_text(text.removesuffix("{not json\n"), encoding="utf-8")
+    assert rejected() == [(str(cfg.final_reports), ["BAD_JSON"])]
+
+
 def test_pipeline_tree_equals_single_stage_runs(tmp_path, capsys):
     piped = build_integration_corpus(tmp_path / "piped")
     alone = build_integration_corpus(tmp_path / "alone")
@@ -1503,7 +1601,8 @@ def test_rejected_corpus_is_never_kept(corpus, monkeypatch):
 
 
 def test_every_corpus_load_in_cli_goes_through_one_reader():
-    # cli reads each corpus through _corpus, which keeps it for the run.
+    # cli reads each corpus through _corpus, which keeps it for the run,
+    # except the trajectories, which curate folds over as they are decoded.
     calls = []
 
     class Finder(ast.NodeVisitor):
@@ -1516,12 +1615,12 @@ def test_every_corpus_load_in_cli_goes_through_one_reader():
 
         def visit_Call(self, node):
             func = node.func
-            if getattr(func, "id", getattr(func, "attr", None)) == "load_corpus":
+            if getattr(func, "id", getattr(func, "attr", None)) in ("load_corpus", "read_corpus"):
                 calls.append(".".join(self.scope))
             self.generic_visit(node)
 
     Finder().visit(ast.parse(Path(cli.__file__).read_text(encoding="utf-8")))
-    assert calls == ["cli._corpus"]
+    assert calls == ["cli._corpus", "cli._stage_curate"]
 
 
 def test_sanitize_parses_each_date_once(corpus, monkeypatch):

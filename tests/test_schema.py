@@ -17,6 +17,7 @@ from lego_forge.schema import (
     load_jsonl,
     require,
     save_corpus,
+    save_jsonl,
     validate_instance,
     validate_trajectory,
 )
@@ -60,6 +61,34 @@ def test_label_overlap_line_is_rejected_with_code(tmp_path):
     rejection = result.rejections[0]
     assert rejection.line_no == 3
     assert "LABEL_OVERLAP" in rejection.codes
+
+
+class Unencodable:
+    def to_record(self):
+        raise RuntimeError("cannot encode")
+
+
+@pytest.mark.parametrize("write, third, error", [
+    (save_corpus, Unencodable(), RuntimeError),
+    (save_jsonl, {"text": "lone \ud800"}, UnicodeEncodeError),
+], ids=["raising-to_record", "lone-surrogate"])
+def test_streamed_write_that_fails_part_way_leaves_the_target(tmp_path, write, third, error):
+    # The records are encoded into the temp file one at a time; one that
+    # fails to encode propagates, keeps the old file, and leaves no temp file.
+    first = make_traj([finish_step(0)]) if write is save_corpus else {"text": "ok"}
+    path = tmp_path / "out.jsonl"
+    path.write_bytes(b"old bytes\n")
+    with pytest.raises(error):
+        write([first, first, third, first], path)
+    assert path.read_bytes() == b"old bytes\n"
+    assert not list(tmp_path.glob(".out.jsonl.*.tmp"))
+
+
+def test_save_jsonl_returns_the_line_count_of_a_generator(tmp_path):
+    path = tmp_path / "out.jsonl"
+    assert save_jsonl(({"n": n} for n in range(3)), path) == 3
+    assert path.read_text(encoding="utf-8") == '{"n":0}\n{"n":1}\n{"n":2}\n'
+    assert save_jsonl([], path) == 0 and path.read_bytes() == b""
 
 
 def test_save_corpus_empty_is_zero_byte_file(tmp_path):
@@ -175,7 +204,7 @@ def test_lines_split_at_newline_only(tmp_path):
 
 
 def test_only_the_reader_decodes_json_lines():
-    # Every stage input is decoded by schema.load_jsonl; the state file and
+    # Every stage input is decoded by schema.read_jsonl; the state file and
     # the verifier wire protocol are the only other JSON the program reads.
     found = []
 
@@ -200,7 +229,7 @@ def test_only_the_reader_decodes_json_lines():
 
     for path in sorted(Path(lego_forge.__file__).parent.glob("*.py")):
         Finder(path.stem).visit(ast.parse(path.read_text(encoding="utf-8")))
-    assert sorted(found) == ["cli._read_state", "schema.load_jsonl", "tts.decode_score_response"]
+    assert sorted(found) == ["cli._read_state", "schema.read_jsonl", "tts.decode_score_response"]
 
 
 def test_duplicate_real_image_rejected(tmp_path):

@@ -198,8 +198,8 @@ def test_oversize_sample_overflows():
     sample = small_sample()
     assert sample.token_estimate > 2
     assert serialize_sample(sample, 2) is None
-    samples, drops = mask_samples([small_traj()], 2)
-    assert samples == []
+    drops = []
+    assert list(mask_samples([small_traj()], 2, drops)) == []
     assert [list(d.items()) for d in drops] == [[
         ("trajectory_id", sample.trajectory_id),
         ("reason", "overflow"),

@@ -710,13 +710,15 @@ def _hash_path(path: Path) -> str:
 
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
+    files = [path]
     if path.is_dir():
-        for file_path in sorted(path.rglob("*")):
-            if file_path.is_file():
-                digest.update(file_path.relative_to(path).as_posix().encode())
-                digest.update(file_path.read_bytes())
-    else:
-        digest.update(path.read_bytes())
+        files = sorted(p for p in path.rglob("*") if p.is_file())
+    for file_path in files:
+        if file_path != path:
+            digest.update(file_path.relative_to(path).as_posix().encode())
+        with open(file_path, "rb") as f:  # 1 MiB at a time, so no whole file is held
+            while chunk := f.read(1 << 20):
+                digest.update(chunk)
     return digest.hexdigest()
 
 
@@ -840,13 +842,9 @@ def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> in
         worker = _fork_worker(forked, cfg) if forked else None
         results: dict[str, tuple[int, str]] = {}
         try:
-            for n, stage in enumerate(STAGES):
+            for stage in STAGES:
                 if worker is not None and stage in forked:
                     continue
-                # Keep a hand-off only while a stage still to come reads its path.
-                wanted = {path for later in STAGES[n:] for path in later.inputs(cfg)}
-                for key in [key for key in _handoff if key[0] not in wanted]:
-                    del _handoff[key]
                 if stage.name not in plans:
                     plans[stage.name] = plan(stage)
                 if plans[stage.name] is None:

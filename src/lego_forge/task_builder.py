@@ -71,9 +71,6 @@ SYNTHETIC_EPOCH = "1970-01-01T00:00:00+00:00"
 _BINOP_SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 _CMP_SYMBOLS = {ast.Lt: "<", ast.Gt: ">", ast.Eq: "==", ast.NotEq: "!=", ast.GtE: ">=", ast.LtE: "<="}
 _BOOL_SYMBOLS = {ast.And: "and", ast.Or: "or"}
-# Besides \n, \r\n and \r, str.splitlines() breaks at these, which a
-# Python file may hold in a comment or a string. The ast does not.
-_OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class LocatorError(ForgeError):
@@ -198,8 +195,6 @@ class PythonSyntaxTree:
     def lines(self) -> list[str]:
         """Source lines with their endings, broken where the ast breaks them
         (not at form feeds or U+2028, which would shift every later span)."""
-        if not any(ch in self.source for ch in _OTHER_LINE_BREAKS):
-            return self.source.splitlines(keepends=True)
         lines: list[str] = []
         pending = ""
         for piece in self.source.splitlines(keepends=True):
@@ -217,10 +212,7 @@ class PythonSyntaxTree:
 
     def column(self, lineno: int, col: int) -> int:
         """The character column of an ast column, which counts UTF-8 bytes."""
-        line = self.lines[lineno - 1]
-        if line.isascii():
-            return col
-        return len(line.encode("utf-8")[:col].decode("utf-8"))
+        return len(self.lines[lineno - 1].encode("utf-8")[:col].decode("utf-8"))
 
     def offset(self, lineno: int, col: int) -> int:
         """The character offset in `source` of an ast (line, column)."""

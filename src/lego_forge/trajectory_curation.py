@@ -8,8 +8,8 @@ passes every test but edited test files or read git history is kept in the
 corpus as unresolved rather than deleted, so accounting stays exhaustive.
 `curate` marks a run over its turn budget unresolved whatever the cascade
 gave, so each record it makes from a valid trajectory is valid too. Within
-one call it judges each distinct bash command (phase and hack patterns) once
-and parses each golden patch at most once, in memos freed on return.
+one call it judges each distinct bash command (phase and hack patterns) once,
+in a memo freed on return; a golden patch is parsed where an outcome needs it.
 """
 
 from __future__ import annotations
@@ -188,12 +188,11 @@ def classify_outcome(
     final_report: TestReport | None,
     *,
     hack_findings: Sequence[HackFinding] | None = None,
-    goldens: dict[str, patch_analysis.Patch | None] | None = None,
 ) -> str:
     """Classify one trajectory: empty_patch, resolved, semi_resolved, or
     unresolved. `final_report` must reflect the trajectory's final patch
-    state. Precomputed hack findings save a rescan; `goldens` (instance id to
-    parsed golden patch, or None if it does not parse) saves a reparse."""
+    state. Precomputed hack findings save a rescan. The golden patch is
+    parsed only for a trajectory whose tests do not all pass."""
     if final_report is None:
         raise ClassificationError(f"{traj.trajectory_id}: missing final test report")
     if not traj.final_patch.strip():
@@ -209,14 +208,9 @@ def classify_outcome(
         if not cheated and not has_high_finding(hack_findings):
             return "resolved"
         return "unresolved"
-    goldens = {} if goldens is None else goldens
-    if inst.instance_id not in goldens:
-        try:
-            goldens[inst.instance_id] = patch_analysis.parse_patch(inst.golden_patch)
-        except patch_analysis.PatchParseError:
-            goldens[inst.instance_id] = None
-    golden = goldens[inst.instance_id]
-    if golden is None:
+    try:
+        golden = patch_analysis.parse_patch(inst.golden_patch)
+    except patch_analysis.PatchParseError:
         return "unresolved"
     overlap = patch_analysis.line_overlap(final, golden)
     if overlap.golden_files_total > 0 and overlap.golden_files_touched == overlap.golden_files_total:
@@ -272,7 +266,6 @@ def curate(
     report: `rollout_stats` plus the repaired and hack-invalidated counts,
     the unrepairable calls and the notes."""
     judged: dict[str, tuple[str, list[HackPattern]]] = {}
-    goldens: dict[str, patch_analysis.Patch | None] = {}
     curated: list[Trajectory] = []
     unrepairable: list[dict] = []
     notes: list[dict] = []
@@ -325,7 +318,7 @@ def curate(
                 "reason": "missing instance" if inst is None else "missing final report",
             })
         else:
-            outcome = classify_outcome(work, inst, final, hack_findings=findings, goldens=goldens)
+            outcome = classify_outcome(work, inst, final, hack_findings=findings)
             if outcome == "unresolved" and has_high_finding(findings) and _tests_pass(final, inst):
                 hack_invalidated += 1
         if work.turn_count > work.max_turns:

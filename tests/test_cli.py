@@ -1,6 +1,9 @@
 import ast
+import contextlib
 import dataclasses
 import gc
+import hashlib
+import io
 import json
 import os
 import re
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 
 from lego_forge import cli
 from lego_forge.cli import (
+    EXIT_INTERNAL,
     EXIT_MISSING_INPUT,
     EXIT_OK,
     EXIT_VALIDATION,
@@ -883,6 +887,52 @@ def test_fuzzed_input_line_ends_in_a_report_never_a_traceback(key, data):
         assert not [p.name for p in cfg.out_dir.iterdir() if p.name.endswith(".tmp")]
 
 
+# Config values: empty, signed numbers (nan, inf, 1e-300, 10**400), booleans,
+# garbage, a missing path, a directory, existing files of the wrong kind and
+# a path longer than a file name may be.
+CONFIG_VALUES = (
+    "", "0", "-0", "1", "-1", "3", "-7", "2.5", "-2.5", "nan", "-nan", "inf", "-inf", "1e-300",
+    "-1e-300", str(10**400), f"-{10**400}", "true", "false", "yes", "no", "garbage", "[1, 2]",
+    "#", "= x", "no_such_file.jsonl", "snapshot", "forge.cfg", "snapshot/calc.py",
+    "trajectories.jsonl", "x" * 300,
+)
+
+
+@pytest.fixture(scope="module")
+def integration_template(tmp_path_factory):
+    return build_integration_corpus(tmp_path_factory.mktemp("template") / "corpus").parent
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(key=st.sampled_from(sorted(cli._KEY_TYPES)), value=st.sampled_from(CONFIG_VALUES))
+def test_any_config_value_exits_0_to_3_with_its_reports(integration_template, key, value):
+    # One key of the integration corpus's config is set to a drawn value, and
+    # `forge pipeline` runs cold: it exits 0-3 and never raises, an exit 1 at
+    # load names the config (or the registry file whose line is bad), and
+    # each stage it ran left its report.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = shutil.copytree(integration_template, Path(tmp) / "corpus")
+        config = root / "forge.cfg"
+        lines = [line for line in config.read_text(encoding="utf-8").splitlines()
+                 if line.partition("=")[0].strip() != key]
+        config.write_text("\n".join([*lines, f"{key} = {value}", ""]), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["pipeline", "--config", str(config)])
+        assert code in (EXIT_OK, EXIT_INTERNAL, EXIT_MISSING_INPUT, EXIT_VALIDATION)
+        if err.getvalue():  # load_config failed, so no stage ran
+            assert not out.getvalue()
+            if code == EXIT_INTERNAL:
+                named = [config, root / value] if key.endswith("_patterns") else [config]
+                assert any(str(path.resolve()) in err.getvalue() for path in named), err.getvalue()
+            return
+        ran = re.findall(r"^\[(?:ok|fail)\]\s+([\w-]+)", out.getvalue(), re.MULTILINE)
+        assert ran, out.getvalue()
+        out_dir = load_config(config).out_dir
+        reports = {stage.name: stage.report for stage in cli.STAGES}
+        assert not [stage for stage in ran if not (out_dir / reports[stage]).exists()]
+
+
 def test_unknown_stage_rejected(corpus):
     with pytest.raises(ValueError):
         run_stage("fabricate", load_config(corpus))
@@ -1204,7 +1254,7 @@ def test_curated_line_separators_read_back_as_written(tmp_path, capsys):
     assert trees[0] == trees[1]
 
 
-def test_hand_off_lives_from_curate_to_its_last_reader(corpus, monkeypatch, tmp_path):
+def test_hand_off_lives_from_its_writer_to_the_end_of_the_run(corpus, monkeypatch, tmp_path):
     # The forked worker records what it held through a file; this process
     # records in memory, so a stage lands in `held` only if it ran here.
     held = {}
@@ -1220,15 +1270,14 @@ def test_hand_off_lives_from_curate_to_its_last_reader(corpus, monkeypatch, tmp_
     monkeypatch.setattr(cli, "run_stage", recording_run_stage)
     assert run_pipeline(load_config(corpus), echo=lambda s: None) == EXIT_OK
     # build-tasks and inject keep the instances they wrote, and curate the
-    # records it wrote; each is dropped once no stage still to come reads
-    # its path.
+    # records it wrote, until the run ends.
     instances = ["instances_real.jsonl", "instances_synth.jsonl"]
     assert {stage: sorted(names) for stage, names in held.items()} == {
         "build-tasks": [],
         "inject": instances[:1],
         "curate": instances,
-        **{stage: ["curated.jsonl", *instances] for stage in ("mask", "curriculum", "classify-errors")},
-        "stats": instances,
+        **{stage: ["curated.jsonl", *instances]
+           for stage in ("mask", "curriculum", "classify-errors", "stats")},
     }
     in_worker = {stage: names for stage, names in read_jsonl(log) if stage not in held}
     assert in_worker == {"sanitize": [], "tts-select": []}
@@ -1520,6 +1569,20 @@ def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, mo
         assert len(hashed) == len(set(hashed)), run
         assert_run_state_empty()
     assert cfg.out_dir / "curated.jsonl" in {path for path, _ in hashed}
+
+
+def test_chunked_digest_equals_a_whole_file_sha256(tmp_path):
+    # The hash reads 1 MiB at a time; the digest must not depend on that,
+    # for a file longer than one chunk or for the files of a directory.
+    big = bytes(range(256)) * (5 * 4096 + 3)  # 5 MiB and 768 bytes
+    tree = tmp_path / "tree"
+    (tree / "sub").mkdir(parents=True)
+    (tree / "sub" / "big.bin").write_bytes(big)
+    (tree / "a.txt").write_bytes(b"a\n")
+    (tree / "empty").write_bytes(b"")
+    assert cli._sha256(tree / "sub" / "big.bin") == hashlib.sha256(big).hexdigest()
+    whole = hashlib.sha256(b"a.txt" + b"a\n" + b"empty" + b"sub/big.bin" + big).hexdigest()
+    assert cli._sha256(tree) == whole
 
 
 def test_run_pipeline_encodes_each_curated_trajectory_once_and_tokenizes_each_command_once(

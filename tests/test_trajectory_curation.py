@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lego_forge import patch_analysis, trajectory_curation
+from lego_forge import trajectory_curation
 from lego_forge.patch_analysis import make_patch, parse_patch
 from lego_forge.registries import load_error_patterns, load_hack_patterns, load_phase_patterns
 from lego_forge.repo_sanitizer import detect_git_hacking, has_high_finding
@@ -469,24 +469,17 @@ class CountingRegex:
         return self.regex.search(text)
 
 
-def test_curate_judges_each_distinct_command_and_parses_each_golden_patch_once(monkeypatch):
+def test_curate_judges_each_distinct_command_once(monkeypatch):
     # Counts, not timings: in one curate call every phase and hack regex
     # sees each distinct bash command once however many steps repeat it,
-    # each golden patch is parsed at most once however many failing
-    # trajectories need it, and no trajectory is rescanned for hacks.
-    searched, parsed = [], []
+    # and no trajectory is rescanned for hacks.
+    searched = []
     hacks = [replace(p, regex=CountingRegex(p.regex, searched)) for p in load_hack_patterns(None)]
     phases = [replace(r, regex=CountingRegex(r.regex, searched)) for r in load_phase_patterns(None)]
-    real_parse = patch_analysis.parse_patch
-
-    def counting_parse(text):
-        parsed.append(text)
-        return real_parse(text)
 
     def no_rescan(*args, **kwargs):
         raise AssertionError("curate rescanned a trajectory for hacks")
 
-    monkeypatch.setattr(patch_analysis, "parse_patch", counting_parse)
     monkeypatch.setattr(trajectory_curation, "detect_git_hacking", no_rescan)
     wrong_fix = make_patch(CALC_OLD, CALC_OLD.replace("a * b", "a * b * 1"), "src/calc.py")
     other = make_instance(instance_id="inst-2",
@@ -502,5 +495,3 @@ def test_curate_judges_each_distinct_command_and_parses_each_golden_patch_once(m
                        hacks, load_error_patterns(None), phases, recycle_semi_resolved=True)
     assert report["hack_invalidated"] == 4 and report["counts"]["semi_resolved"] == 4
     assert searched and len(searched) == len(set(searched))
-    goldens = [text for text in parsed if text in (GOLDEN_PATCH, other.golden_patch)]
-    assert sorted(goldens) == sorted({GOLDEN_PATCH, other.golden_patch})

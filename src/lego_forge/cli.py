@@ -20,9 +20,12 @@ so a re-run that skips every stage loads only the config, schema, registry
 and curriculum code. The stages that share no file with the rest (read no
 other stage's output, and no stage reads theirs) run in one forked worker
 process alongside the others; stdout, state and the exit code stay in
-stage order, up to the first failing stage. The records hold no reference
-cycles, so a `pipeline` run turns the cyclic garbage collector off, worker
-included, and leaves it as it found it.
+stage order, up to the first failing stage. Those stages hold one input
+line at a time: `sanitize` writes each history before it reads the next,
+and `tts-select` scores each candidate as it reads it and keeps only its
+index, label and score. The records hold no reference cycles, so a
+`pipeline` run turns the cyclic garbage collector off, worker included,
+and leaves it as it found it.
 
 Exit codes: 0 success, 1 internal error, 2 missing input, 3 validation
 failure (a rejection report is written next to the stage outputs). Every
@@ -69,17 +72,15 @@ import math
 import os
 import sys
 import threading
-from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, NoReturn, Sequence, TypeVar
+from typing import Callable, Iterator, NoReturn, Sequence, TypeVar
 
 from . import curriculum as curriculum_mod
 from .errors import ForgeError
 from .registries import content_lines, load_error_patterns, load_hack_patterns, load_phase_patterns
 from .schema import (
     DEFAULT_MAX_TURNS,
-    RecordRejected,
     Rejection,
     TaskInstance,
     TestReport,
@@ -88,6 +89,7 @@ from .schema import (
     load_corpus,
     load_jsonl,
     read_corpus,
+    read_jsonl,
     require,
     save_corpus,
     save_jsonl,
@@ -426,11 +428,20 @@ def _stage_sanitize(cfg: PipelineConfig) -> dict:
     from . import repo_sanitizer
 
     source = _require_input(cfg.histories, "histories")
-    lines = _load_records(cfg, "sanitize", source, repo_sanitizer.sanitize_record)
-    sanitized = [line for line in lines if "reason" not in line]
-    dropped = [line for line in lines if "reason" in line]
-    save_jsonl(sanitized, cfg.out_dir / "sanitized_histories.jsonl")
-    return {"stage": "sanitize", "sanitized": len(sanitized), "dropped": dropped}
+    rejections: list[Rejection] = []
+    dropped: list[dict] = []
+
+    def sanitized() -> Iterator[dict]:
+        # Each history is written as it is read; a rejection fails the stage before the rename.
+        for line in read_jsonl(source, repo_sanitizer.sanitize_record, rejections):
+            if "reason" in line:
+                dropped.append(line)
+            else:
+                yield line
+        _fail_on_rejections(cfg, "sanitize", source, rejections)
+
+    count = save_jsonl(sanitized(), cfg.out_dir / "sanitized_histories.jsonl")
+    return {"stage": "sanitize", "sanitized": count, "dropped": dropped}
 
 
 def _stage_curate(cfg: PipelineConfig) -> dict:
@@ -538,36 +549,18 @@ def _stage_tts_select(cfg: PipelineConfig) -> dict:
     from . import tts
 
     rollouts_path = _require_input(cfg.rollouts, "rollouts")
-    by_index: dict[str, dict[int, tts.Candidate]] = {}
-
-    def rollout(record: dict) -> None:
-        candidate = tts.Candidate.from_record(record)
-        seen = by_index.setdefault(candidate.instance_id, {})
-        if candidate.rollout_index in seen:
-            raise RecordRejected(
-                ("DUPLICATE_ROLLOUT_INDEX",),
-                f"instance {candidate.instance_id!r} repeats rollout_index {candidate.rollout_index}",
-            )
-        seen[candidate.rollout_index] = candidate
-
-    _load_records(cfg, "tts-select", rollouts_path, rollout)
-    source = str(rollouts_path)
-    if not by_index:
-        _reject(cfg, "tts-select", [{
-            "file": source, "line_no": None, "instance_id": None,
-            "codes": ["EMPTY_ROLLOUTS"], "message": "rollouts file holds no candidates",
-        }], f"{source}: no candidates")
-    sizes = Counter(len(seen) for seen in by_index.values())
-    if len(sizes) > 1:
-        k = sizes.most_common(1)[0][0]
-        _reject(cfg, "tts-select", [
-            {"file": source, "line_no": None, "instance_id": iid, "codes": ["RAGGED_ROLLOUTS"],
-             "message": f"{len(seen)} candidate(s) where most instances have {k}"}
-            for iid, seen in by_index.items() if len(seen) != k
-        ], f"{source}: ragged candidate counts per instance: {sorted(sizes)}")
-    grouped = {iid: [seen[i] for i in sorted(seen)] for iid, seen in by_index.items()}
     verifier = tts.StubVerifier(cfg.seed) if cfg.verifier == "stub" else tts.OracleVerifier()
-    selection_lines, metrics = tts.best_of_k(grouped, verifier)
+    rollouts = tts.RolloutGroups(verifier)
+    _load_records(cfg, "tts-select", rollouts_path, rollouts.add)
+    source = str(rollouts_path)
+    try:
+        grouped = rollouts.grouped()
+    except tts.UnrankableRolloutsError as exc:
+        _reject(cfg, "tts-select", [
+            {"file": source, "line_no": None, "instance_id": iid, "codes": [code], "message": message}
+            for iid, code, message in exc.problems
+        ], f"{source}: {exc}")
+    selection_lines, metrics = tts.best_of_k(grouped)
     metrics_report = {**metrics, "verifier": cfg.verifier}
 
     report = {"stage": "tts-select", "instances": metrics["instances"], "k": metrics["k"]}

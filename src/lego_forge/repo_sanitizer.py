@@ -38,13 +38,19 @@ class CommitRecord:
     message: str
     parent_ids: tuple[str, ...] = ()
 
-    @classmethod
-    def from_record(cls, record: dict) -> "CommitRecord":
+    @staticmethod
+    def check(record: dict) -> None:
+        """ValueError unless `record` is a commit object with the four fields
+        of their types: the one check of a commit line."""
         if not (isinstance(record, dict) and isinstance(record.get("commit_id"), str)
                 and isinstance(record.get("author_date"), str) and isinstance(record.get("message"), str)
                 and isinstance(record.get("parent_ids"), list)
                 and all(isinstance(parent, str) for parent in record["parent_ids"])):
             raise ValueError("every commit needs string commit_id, author_date, message and list parent_ids")
+
+    @classmethod
+    def from_record(cls, record: dict) -> "CommitRecord":
+        cls.check(record)
         return cls(
             commit_id=record["commit_id"],
             author_date=record["author_date"],
@@ -77,6 +83,7 @@ def sanitize_real_history(
     The input must be topologically ordered (parents before children).
     Retained messages are unchanged. A removed commit's survivors point at
     its nearest retained ancestor, found by walking parent chains in order.
+    A retained commit whose parents all survive is returned as it came.
     """
     cutoff_dt = parse_timestamp(cutoff)
     # Maps every commit id to its retained stand-in (itself when kept,
@@ -90,14 +97,9 @@ def sanitize_real_history(
                 resolved = stand_in.get(parent)
                 if resolved is not None and resolved not in parents:
                     parents.append(resolved)
-            retained.append(
-                CommitRecord(
-                    commit_id=commit.commit_id,
-                    author_date=commit.author_date,
-                    message=commit.message,
-                    parent_ids=tuple(parents),
-                )
-            )
+            if tuple(parents) != commit.parent_ids:
+                commit = CommitRecord(commit.commit_id, commit.author_date, commit.message, tuple(parents))
+            retained.append(commit)
             stand_in[commit.commit_id] = commit.commit_id
         else:
             resolved = None
@@ -111,11 +113,10 @@ def sanitize_real_history(
     return retained
 
 
-def sanitize_synthetic_history(
-    history: Sequence[CommitRecord], snapshot_id: str
-) -> list[CommitRecord]:
+def sanitize_synthetic_history(history: Sequence, snapshot_id: str) -> list[CommitRecord]:
     """Collapse the history to one parentless snapshot commit with a fixed
-    neutral message, independent of the input."""
+    neutral message, independent of the input: its commits (records or
+    checked commit objects) are not read."""
     return [
         CommitRecord(
             commit_id=snapshot_id,
@@ -130,18 +131,21 @@ def sanitize_record(record: dict) -> dict:
     """One histories line, checked and sanitized as it is read, so only one
     history's commits are alive at a time: the output line, or
     `{instance_id, reason}` when a cutoff keeps no commit. Raises ValueError
-    when a field is missing or has the wrong type."""
+    when a field is missing or has the wrong type. Each commit is checked
+    once; only a cutoff history builds its CommitRecords."""
     policy = require(record, "policy", str)
     anchor = {"cutoff": "cutoff", "single_snapshot": "snapshot_id"}.get(policy)
     if anchor is None:
         raise ValueError(f"unknown history policy {policy!r}")
     instance_id = require(record, "instance_id", str)
     require(record, anchor, str)
-    commits = [CommitRecord.from_record(c) for c in require(record, "commits", list)]
+    commits = require(record, "commits", list)
     try:
         if policy == "cutoff":
-            clean = sanitize_real_history(commits, record["cutoff"])
+            clean = sanitize_real_history([CommitRecord.from_record(c) for c in commits], record["cutoff"])
         else:
+            for commit in commits:
+                CommitRecord.check(commit)
             clean = sanitize_synthetic_history(commits, record["snapshot_id"])
     except EmptyHistoryError as exc:
         return {"instance_id": instance_id, "reason": str(exc)}

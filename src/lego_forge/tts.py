@@ -16,11 +16,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import ForgeError
-from .schema import require
+from .schema import RecordRejected, require
 
 SCORE_PROVENANCES = ("generative", "regressive", "oracle", "stub")
 
@@ -31,6 +32,16 @@ class DegenerateScoreError(ForgeError):
 
 class InfeasibleBudgetError(ForgeError):
     """No grid point fits under the latency budget."""
+
+
+class UnrankableRolloutsError(ForgeError):
+    """Rollouts that parse but cannot be ranked: none at all, or instances
+    with different candidate counts. `problems` holds one
+    (instance_id or None, code, message) per cause."""
+
+    def __init__(self, message: str, problems: list[tuple[str | None, str, str]]):
+        super().__init__(message)
+        self.problems = problems
 
 
 @dataclass(frozen=True)
@@ -47,16 +58,18 @@ class Candidate:
     @classmethod
     def from_record(cls, record: dict) -> "Candidate":
         """Raises ValueError when a field is missing or has the wrong type."""
+        instance_id, index = record.get("instance_id"), record.get("rollout_index")
         summary, patch = record.get("trajectory_summary", ""), record.get("final_patch", "")
-        if not isinstance(summary, str) or not isinstance(patch, str):
-            raise ValueError("fields 'trajectory_summary' and 'final_patch' must be strings")
-        return cls(
-            instance_id=require(record, "instance_id", str),
-            rollout_index=require(record, "rollout_index", int),
-            trajectory_summary=summary,
-            final_patch=patch,
-            resolved=require(record, "resolved", bool),
-        )
+        resolved = record.get("resolved")
+        if not (type(instance_id) is str and type(index) is int and type(summary) is str
+                and type(patch) is str and type(resolved) is bool):
+            # Field by field, for the error text (or a subclass of a field's type).
+            if not isinstance(summary, str) or not isinstance(patch, str):
+                raise ValueError("fields 'trajectory_summary' and 'final_patch' must be strings")
+            instance_id = require(record, "instance_id", str)
+            index = require(record, "rollout_index", int)
+            resolved = require(record, "resolved", bool)
+        return cls(instance_id, index, summary, patch, resolved)
 
     def to_record(self) -> dict:
         return {
@@ -185,6 +198,60 @@ class LineDelimitedVerifier:
 # Selection and metrics
 
 
+class Scored(NamedTuple):
+    """What ranking keeps of a candidate once it is scored. It stands in for
+    the Candidate in select_top1 and tts_at_k, which read only
+    rollout_index and resolved."""
+
+    rollout_index: int
+    resolved: bool
+    score: VerifierScore
+
+
+class RolloutGroups:
+    """Rollouts grouped by instance as their lines are read. Each candidate
+    is scored by `verifier` when its line is read and kept only as a
+    `Scored`, so no summary or patch text outlives its line."""
+
+    def __init__(self, verifier):
+        self.verifier = verifier
+        self.by_instance: dict[str, dict[int, Scored]] = {}
+
+    def add(self, record: dict) -> None:
+        """Parse, score and keep one rollouts line. Raises ValueError when a
+        field is missing or has the wrong type, and RecordRejected
+        (DUPLICATE_ROLLOUT_INDEX) when its instance already holds its
+        rollout_index."""
+        candidate = Candidate.from_record(record)
+        seen = self.by_instance.setdefault(candidate.instance_id, {})
+        if candidate.rollout_index in seen:
+            raise RecordRejected(
+                ("DUPLICATE_ROLLOUT_INDEX",),
+                f"instance {candidate.instance_id!r} repeats rollout_index {candidate.rollout_index}",
+            )
+        seen[candidate.rollout_index] = Scored(
+            candidate.rollout_index, candidate.resolved, self.verifier.score(candidate)
+        )
+
+    def grouped(self) -> dict[str, list[Scored]]:
+        """Each instance's candidates in rollout_index order. Raises
+        UnrankableRolloutsError when there are none (EMPTY_ROLLOUTS), or
+        naming each instance whose count differs from the most common one
+        (RAGGED_ROLLOUTS)."""
+        if not self.by_instance:
+            raise UnrankableRolloutsError(
+                "no candidates", [(None, "EMPTY_ROLLOUTS", "rollouts file holds no candidates")]
+            )
+        sizes = Counter(len(seen) for seen in self.by_instance.values())
+        if len(sizes) > 1:
+            k = sizes.most_common(1)[0][0]
+            raise UnrankableRolloutsError(f"ragged candidate counts per instance: {sorted(sizes)}", [
+                (iid, "RAGGED_ROLLOUTS", f"{len(seen)} candidate(s) where most instances have {k}")
+                for iid, seen in self.by_instance.items() if len(seen) != k
+            ])
+        return {iid: [seen[i] for i in sorted(seen)] for iid, seen in self.by_instance.items()}
+
+
 def select_top1(
     candidates: Sequence[Candidate], scores: Sequence[VerifierScore]
 ) -> Candidate:
@@ -225,26 +292,24 @@ def tts_at_k(
     return {"tts": resolved_by_selection / total, "pass": resolved_by_any / total}
 
 
-def best_of_k(
-    grouped: Mapping[str, Sequence[Candidate]], verifier
-) -> tuple[list[dict], dict]:
-    """Score every candidate with `verifier` and select each instance's top
-    one. `grouped` holds the same number K of candidates per instance, in
-    rollout_index order. Returns one selection line per instance, in
-    instance id order, and the metrics `{k, instances, tts, pass}`."""
+def best_of_k(grouped: Mapping[str, Sequence[Scored]]) -> tuple[list[dict], dict]:
+    """Select each instance's top scored candidate. `grouped` holds the same
+    number K of candidates per instance, in rollout_index order (as
+    `RolloutGroups.grouped` returns them). Returns one selection line per
+    instance, in instance id order, and the metrics `{k, instances, tts,
+    pass}`."""
     selection_lines = []
     pairs = []
     for instance_id in sorted(grouped):
         candidates = grouped[instance_id]
-        scores = [verifier.score(c) for c in candidates]
+        scores = [c.score for c in candidates]
         chosen = select_top1(candidates, scores)
-        chosen_score = scores[candidates.index(chosen)]
         selection_lines.append(
             {
                 "instance_id": instance_id,
                 "selected_rollout_index": chosen.rollout_index,
-                "score": chosen_score.score,
-                "provenance": chosen_score.provenance,
+                "score": chosen.score.score,
+                "provenance": chosen.score.provenance,
                 "resolved": chosen.resolved,
             }
         )

@@ -1720,6 +1720,88 @@ def test_sanitize_drops_a_history_the_cutoff_empties(corpus):
     assert "late" not in [line["instance_id"] for line in kept]
 
 
+
+def write_big_input(cfg, stage: str) -> Path:
+    """Replace the input of `sanitize` or `tts-select` with at least 8 MB of
+    valid lines that the stage keeps whole in its output or ranking."""
+    text = "x" * 2600
+    if stage == "sanitize":
+        path = cfg.histories
+        lines = (
+            {"instance_id": f"i{h}", "policy": "cutoff", "cutoff": "2023-12-31T00:00:00+00:00",
+             "commits": [{"commit_id": f"h{h}c{c}", "author_date": "2023-01-01T00:00:00+00:00",
+                          "message": f"{h} {c} {text}", "parent_ids": [f"h{h}c{c - 1}"] if c else []}
+                         for c in range(50)]}
+            for h in range(64)
+        )
+    else:
+        path = cfg.rollouts
+        lines = ({"instance_id": f"i{i}", "rollout_index": k, "trajectory_summary": f"{i} {k}",
+                  "final_patch": f"{i} {k} {text * 2}", "resolved": k == 1}
+                 for i in range(400) for k in range(4))
+    save_jsonl(lines, path)
+    assert path.stat().st_size >= 8 << 20
+    return path
+
+
+@pytest.mark.parametrize("stage", ["sanitize", "tts-select"])
+def test_worker_stage_holds_one_input_line_at_a_time(corpus, stage):
+    # Each line is decoded, checked and written (or scored) before the next
+    # is read, so the traced peak stays far below the input's size.
+    import tracemalloc
+
+    cfg = load_config(corpus)
+    path = write_big_input(cfg, stage)
+    tracemalloc.start()
+    try:
+        code, _ = run_stage(stage, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < path.stat().st_size / 2, (peak, path.stat().st_size)
+
+
+@pytest.mark.parametrize("stage, key, output, codes", [
+    ("sanitize", "histories", "sanitized_histories.jsonl", ["BAD_RECORD"]),
+    ("tts-select", "rollouts", "selection.jsonl", ["DUPLICATE_ROLLOUT_INDEX"]),
+])
+def test_rejected_last_line_keeps_the_earlier_output(corpus, stage, key, output, codes):
+    # The last line is read after the others are written (or scored): its
+    # rejection still fails the stage before any output is replaced.
+    cfg = load_config(corpus)
+    assert run_stage(stage, cfg)[0] == EXIT_OK
+    before = (cfg.out_dir / output).read_bytes()
+    path = getattr(cfg, key)
+    text = path.read_text(encoding="utf-8")
+    first = json.loads(text.split("\n", 1)[0])
+    bad = {**first, "commits": [*first["commits"], {"commit_id": "c9"}]} if stage == "sanitize" else first
+    path.write_text(text + json.dumps(bad) + "\n", encoding="utf-8")
+    code, report = run_stage(stage, cfg)
+    assert code == EXIT_VALIDATION
+    entries = read_jsonl(Path(report["rejection_report"]))
+    assert [(e["line_no"], e["codes"]) for e in entries] == [(text.count("\n") + 1, codes)]
+    assert not [p.name for p in cfg.out_dir.iterdir() if p.name.endswith(".tmp")]
+    assert (cfg.out_dir / output).read_bytes() == before
+
+
+def test_tts_select_scores_each_candidate_once(corpus, monkeypatch):
+    from lego_forge import tts
+
+    scored = []
+    real_score = tts.StubVerifier.score
+
+    def counting_score(self, candidate):
+        scored.append((candidate.instance_id, candidate.rollout_index))
+        return real_score(self, candidate)
+
+    monkeypatch.setattr(tts.StubVerifier, "score", counting_score)
+    cfg = dataclasses.replace(load_config(corpus), verifier="stub")
+    assert run_stage("tts-select", cfg)[0] == EXIT_OK
+    rollouts = read_jsonl(cfg.rollouts)
+    assert len(scored) == len(rollouts) > len(read_jsonl(cfg.out_dir / "selection.jsonl"))
+    assert sorted(scored) == sorted((r["instance_id"], r["rollout_index"]) for r in rollouts)
+
 def test_interrupted_stage_leaves_no_partial_output(corpus, monkeypatch):
     cfg = load_config(corpus)
     run_stages(cfg, "build-tasks", "inject")

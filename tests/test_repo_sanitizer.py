@@ -39,6 +39,39 @@ def test_sanitize_record_refuses_bad_fields(policy):
     assert_refuses_bad_fields(sanitize_record, history_line(policy))
 
 
+def test_sanitize_record_builds_only_what_it_writes(monkeypatch):
+    # A snapshot history checks its commits but builds none of them; a
+    # cutoff history builds each commit once and keeps those whose parents
+    # all survive as they are.
+    built = []
+    real_from_record = CommitRecord.from_record.__func__
+
+    def counting_from_record(cls, record):
+        built.append(record["commit_id"])
+        return real_from_record(cls, record)
+
+    monkeypatch.setattr(CommitRecord, "from_record", classmethod(counting_from_record))
+    snapshot = history_line("single_snapshot")
+    assert sanitize_record(snapshot)["commits"][0]["message"] == SNAPSHOT_MESSAGE
+    assert built == []
+    with pytest.raises(ValueError, match="every commit needs string commit_id"):
+        sanitize_record({**snapshot, "commits": [*snapshot["commits"], {"commit_id": "c3"}]})
+    assert sanitize_record(history_line("cutoff"))["commits"] == [commit("c1", "2023-01-01T00:00:00+00:00").to_record()]
+    assert built == ["c1", "c2"]
+
+
+def test_retained_commit_with_unchanged_parents_is_not_rebuilt():
+    history = [
+        commit("a", "2023-01-01T00:00:00+00:00"),
+        commit("b", "2023-02-01T00:00:00+00:00", parents=["a"]),
+        commit("c", "2023-09-01T00:00:00+00:00", parents=["b"]),
+        commit("d", "2023-03-01T00:00:00+00:00", parents=["c"]),
+    ]
+    clean = sanitize_real_history(history, "2023-06-01T00:00:00+00:00")
+    assert clean[0] is history[0] and clean[1] is history[1]
+    assert clean[2] == commit("d", "2023-03-01T00:00:00+00:00", parents=["b"])
+
+
 # ---------------------------------------------------------------------------
 # Real-history sanitization
 

@@ -11,9 +11,13 @@ from lego_forge.tts import (
     LatencyModel,
     LineDelimitedVerifier,
     OracleVerifier,
+    RolloutGroups,
+    Scored,
     StubVerifier,
+    UnrankableRolloutsError,
     VerifierScore,
     allocate,
+    best_of_k,
     decode_score_response,
     encode_score_request,
     generative_score,
@@ -24,6 +28,8 @@ from lego_forge.tts import (
     surface_point,
     tts_at_k,
 )
+
+from lego_forge.schema import RecordRejected
 
 from conftest import assert_refuses_bad_fields
 
@@ -213,6 +219,62 @@ def test_adversarial_verifier_picks_resolved_only_when_unavoidable():
     metrics = tts_at_k(pairs)
     assert metrics["tts"] == pytest.approx(expected_hits / 60)
     assert metrics["tts"] <= metrics["pass"]
+
+
+# ---------------------------------------------------------------------------
+# Rollout groups and best-of-K
+
+
+def test_rollout_groups_keep_only_index_label_and_score():
+    # Lines arrive in any order; each is scored once as it is added, and the
+    # selection matches select_top1 over the full candidates.
+    rng = random.Random(45)
+    cands = [candidate(f"i{i}", j, rng.random() < 0.4) for i in range(12) for j in range(4)]
+    rng.shuffle(cands)
+    verifier = StubVerifier(seed=3)
+    groups = RolloutGroups(verifier)
+    for cand in cands:
+        groups.add(cand.to_record())
+    grouped = groups.grouped()
+    assert all(type(s) is Scored for group in grouped.values() for s in group)
+    lines, metrics = best_of_k(grouped)
+    by_instance = {}
+    for cand in sorted(cands, key=lambda c: c.rollout_index):
+        by_instance.setdefault(cand.instance_id, []).append(cand)
+    pairs = [(by_instance[iid], [verifier.score(c) for c in by_instance[iid]]) for iid in sorted(by_instance)]
+    assert [(line["instance_id"], line["selected_rollout_index"], line["score"], line["resolved"])
+            for line in lines] == [
+        (c[0].instance_id, chosen.rollout_index, s[c.index(chosen)].score, chosen.resolved)
+        for c, s in pairs for chosen in [select_top1(c, s)]
+    ]
+    assert metrics == {"k": 4, "instances": 12, **tts_at_k(pairs)}
+
+
+def test_rollout_groups_refuse_a_repeat_and_unrankable_counts():
+    groups = RolloutGroups(OracleVerifier())
+    with pytest.raises(UnrankableRolloutsError) as empty:
+        groups.grouped()
+    assert str(empty.value) == "no candidates"
+    assert empty.value.problems == [(None, "EMPTY_ROLLOUTS", "rollouts file holds no candidates")]
+    for iid, j in [("a", 0), ("a", 1), ("b", 0), ("b", 1), ("c", 0)]:
+        groups.add(candidate(iid, j, False).to_record())
+    with pytest.raises(RecordRejected) as repeat:
+        groups.add(candidate("a", 1, True).to_record())
+    assert repeat.value.codes == ("DUPLICATE_ROLLOUT_INDEX",)
+    with pytest.raises(UnrankableRolloutsError) as ragged:
+        groups.grouped()
+    assert str(ragged.value) == "ragged candidate counts per instance: [1, 2]"
+    assert ragged.value.problems == [("c", "RAGGED_ROLLOUTS", "1 candidate(s) where most instances have 2")]
+
+
+def test_candidate_from_record_takes_field_type_subclasses():
+    # The exact-type check is a shortcut: a subclass of a field's type still
+    # passes through the field-by-field path.
+    class Text(str):
+        pass
+
+    record = {**candidate("i", 0, True).to_record(), "instance_id": Text("i"), "final_patch": Text("p")}
+    assert Candidate.from_record(record) == candidate("i", 0, True, patch="p")
 
 
 # ---------------------------------------------------------------------------

@@ -550,17 +550,12 @@ def _stage_tts_select(cfg: PipelineConfig) -> dict:
 
     rollouts_path = _require_input(cfg.rollouts, "rollouts")
     verifier = tts.StubVerifier(cfg.seed) if cfg.verifier == "stub" else tts.OracleVerifier()
-    rollouts = tts.RolloutGroups(verifier)
-    _load_records(cfg, "tts-select", rollouts_path, rollouts.add)
-    source = str(rollouts_path)
-    try:
-        grouped = rollouts.grouped()
-    except tts.UnrankableRolloutsError as exc:
-        _reject(cfg, "tts-select", [
-            {"file": source, "line_no": None, "instance_id": iid, "codes": [code], "message": message}
-            for iid, code, message in exc.problems
-        ], f"{source}: {exc}")
-    selection_lines, metrics = tts.best_of_k(grouped)
+    groups: dict[str, dict[int, tts.Scored]] = {}
+    _load_records(cfg, "tts-select", rollouts_path, lambda record: tts.add_rollout(groups, record, verifier))
+    problems = tts.unrankable(groups, str(rollouts_path))
+    if problems is not None:
+        _reject(cfg, "tts-select", *problems)
+    selection_lines, metrics = tts.best_of_k(groups)
     metrics_report = {**metrics, "verifier": cfg.verifier}
 
     report = {"stage": "tts-select", "instances": metrics["instances"], "k": metrics["k"]}

@@ -18,7 +18,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Protocol, Sequence, TypeVar
 
 from .errors import ForgeError
 from .schema import RecordRejected, require
@@ -32,16 +32,6 @@ class DegenerateScoreError(ForgeError):
 
 class InfeasibleBudgetError(ForgeError):
     """No grid point fits under the latency budget."""
-
-
-class UnrankableRolloutsError(ForgeError):
-    """Rollouts that parse but cannot be ranked: none at all, or instances
-    with different candidate counts. `problems` holds one
-    (instance_id or None, code, message) per cause."""
-
-    def __init__(self, message: str, problems: list[tuple[str | None, str, str]]):
-        super().__init__(message)
-        self.problems = problems
 
 
 @dataclass(frozen=True)
@@ -58,18 +48,16 @@ class Candidate:
     @classmethod
     def from_record(cls, record: dict) -> "Candidate":
         """Raises ValueError when a field is missing or has the wrong type."""
-        instance_id, index = record.get("instance_id"), record.get("rollout_index")
         summary, patch = record.get("trajectory_summary", ""), record.get("final_patch", "")
-        resolved = record.get("resolved")
-        if not (type(instance_id) is str and type(index) is int and type(summary) is str
-                and type(patch) is str and type(resolved) is bool):
-            # Field by field, for the error text (or a subclass of a field's type).
-            if not isinstance(summary, str) or not isinstance(patch, str):
-                raise ValueError("fields 'trajectory_summary' and 'final_patch' must be strings")
-            instance_id = require(record, "instance_id", str)
-            index = require(record, "rollout_index", int)
-            resolved = require(record, "resolved", bool)
-        return cls(instance_id, index, summary, patch, resolved)
+        if not isinstance(summary, str) or not isinstance(patch, str):
+            raise ValueError("fields 'trajectory_summary' and 'final_patch' must be strings")
+        return cls(
+            instance_id=require(record, "instance_id", str),
+            rollout_index=require(record, "rollout_index", int),
+            trajectory_summary=summary,
+            final_patch=patch,
+            resolved=require(record, "resolved", bool),
+        )
 
     def to_record(self) -> dict:
         return {
@@ -198,63 +186,71 @@ class LineDelimitedVerifier:
 # Selection and metrics
 
 
+class Ranked(Protocol):
+    """What select_top1 and tts_at_k read of a candidate: a Candidate, or
+    the Scored that tts-select keeps in its place."""
+
+    @property
+    def rollout_index(self) -> int: ...
+
+    @property
+    def resolved(self) -> bool: ...
+
+
+R = TypeVar("R", bound=Ranked)
+
+
 class Scored(NamedTuple):
-    """What ranking keeps of a candidate once it is scored. It stands in for
-    the Candidate in select_top1 and tts_at_k, which read only
-    rollout_index and resolved."""
+    """What tts-select keeps of a candidate once its line is read and
+    scored: no summary or patch text."""
 
     rollout_index: int
     resolved: bool
     score: VerifierScore
 
 
-class RolloutGroups:
-    """Rollouts grouped by instance as their lines are read. Each candidate
-    is scored by `verifier` when its line is read and kept only as a
-    `Scored`, so no summary or patch text outlives its line."""
-
-    def __init__(self, verifier):
-        self.verifier = verifier
-        self.by_instance: dict[str, dict[int, Scored]] = {}
-
-    def add(self, record: dict) -> None:
-        """Parse, score and keep one rollouts line. Raises ValueError when a
-        field is missing or has the wrong type, and RecordRejected
-        (DUPLICATE_ROLLOUT_INDEX) when its instance already holds its
-        rollout_index."""
-        candidate = Candidate.from_record(record)
-        seen = self.by_instance.setdefault(candidate.instance_id, {})
-        if candidate.rollout_index in seen:
-            raise RecordRejected(
-                ("DUPLICATE_ROLLOUT_INDEX",),
-                f"instance {candidate.instance_id!r} repeats rollout_index {candidate.rollout_index}",
-            )
-        seen[candidate.rollout_index] = Scored(
-            candidate.rollout_index, candidate.resolved, self.verifier.score(candidate)
+def add_rollout(groups: dict[str, dict[int, Scored]], record: dict, verifier) -> None:
+    """Parse one rollouts line, score its candidate with `verifier` and keep
+    it in `groups` (instance id -> rollout_index -> Scored). Raises
+    ValueError when a field is missing or has the wrong type, RecordRejected
+    (DUPLICATE_ROLLOUT_INDEX) when the instance already holds that
+    rollout_index, and ForgeError when the verifier fails, so that a fault
+    of the verifier is never reported as a bad line."""
+    candidate = Candidate.from_record(record)
+    seen = groups.setdefault(candidate.instance_id, {})
+    if candidate.rollout_index in seen:
+        raise RecordRejected(
+            ("DUPLICATE_ROLLOUT_INDEX",),
+            f"instance {candidate.instance_id!r} repeats rollout_index {candidate.rollout_index}",
         )
-
-    def grouped(self) -> dict[str, list[Scored]]:
-        """Each instance's candidates in rollout_index order. Raises
-        UnrankableRolloutsError when there are none (EMPTY_ROLLOUTS), or
-        naming each instance whose count differs from the most common one
-        (RAGGED_ROLLOUTS)."""
-        if not self.by_instance:
-            raise UnrankableRolloutsError(
-                "no candidates", [(None, "EMPTY_ROLLOUTS", "rollouts file holds no candidates")]
-            )
-        sizes = Counter(len(seen) for seen in self.by_instance.values())
-        if len(sizes) > 1:
-            k = sizes.most_common(1)[0][0]
-            raise UnrankableRolloutsError(f"ragged candidate counts per instance: {sorted(sizes)}", [
-                (iid, "RAGGED_ROLLOUTS", f"{len(seen)} candidate(s) where most instances have {k}")
-                for iid, seen in self.by_instance.items() if len(seen) != k
-            ])
-        return {iid: [seen[i] for i in sorted(seen)] for iid, seen in self.by_instance.items()}
+    try:
+        score = verifier.score(candidate)
+    except ValueError as exc:
+        raise ForgeError(str(exc)) from exc
+    seen[candidate.rollout_index] = Scored(candidate.rollout_index, candidate.resolved, score)
 
 
-def select_top1(
-    candidates: Sequence[Candidate], scores: Sequence[VerifierScore]
-) -> Candidate:
+def unrankable(groups: Mapping[str, Mapping[int, Scored]], source: str) -> tuple[list[dict], str] | None:
+    """The rejection report entries of rollouts read from `source` that
+    cannot be ranked, and a one-line summary; None when every instance
+    holds the same number of candidates. The entries name no candidates at
+    all (EMPTY_ROLLOUTS), or each instance whose count differs from the
+    most common one (RAGGED_ROLLOUTS)."""
+    if not groups:
+        return [{"file": source, "line_no": None, "instance_id": None, "codes": ["EMPTY_ROLLOUTS"],
+                 "message": "rollouts file holds no candidates"}], f"{source}: no candidates"
+    sizes = Counter(len(seen) for seen in groups.values())
+    if len(sizes) == 1:
+        return None
+    k = sizes.most_common(1)[0][0]
+    return [
+        {"file": source, "line_no": None, "instance_id": iid, "codes": ["RAGGED_ROLLOUTS"],
+         "message": f"{len(seen)} candidate(s) where most instances have {k}"}
+        for iid, seen in groups.items() if len(seen) != k
+    ], f"{source}: ragged candidate counts per instance: {sorted(sizes)}"
+
+
+def select_top1(candidates: Sequence[R], scores: Sequence[VerifierScore]) -> R:
     """The candidate with the maximal score; ties break to the lowest
     rollout_index, so selection is deterministic and permutation-stable."""
     if not candidates:
@@ -266,7 +262,7 @@ def select_top1(
 
 
 def tts_at_k(
-    instances: Sequence[tuple[Sequence[Candidate], Sequence[VerifierScore]]],
+    instances: Sequence[tuple[Sequence[Ranked], Sequence[VerifierScore]]],
 ) -> dict[str, float]:
     """TTS@K and Pass@K over instances with exactly K candidates each.
 
@@ -292,16 +288,17 @@ def tts_at_k(
     return {"tts": resolved_by_selection / total, "pass": resolved_by_any / total}
 
 
-def best_of_k(grouped: Mapping[str, Sequence[Scored]]) -> tuple[list[dict], dict]:
-    """Select each instance's top scored candidate. `grouped` holds the same
-    number K of candidates per instance, in rollout_index order (as
-    `RolloutGroups.grouped` returns them). Returns one selection line per
-    instance, in instance id order, and the metrics `{k, instances, tts,
-    pass}`."""
+def best_of_k(groups: Mapping[str, Mapping[int, Scored]]) -> tuple[list[dict], dict]:
+    """Select each instance's top scored candidate. `groups` maps each
+    instance id to its candidates by rollout_index, the same number K per
+    instance (as `add_rollout` fills it and `unrankable` accepts it).
+    Returns one selection line per instance, in instance id order, and the
+    metrics `{k, instances, tts, pass}`."""
     selection_lines = []
     pairs = []
-    for instance_id in sorted(grouped):
-        candidates = grouped[instance_id]
+    for instance_id in sorted(groups):
+        seen = groups[instance_id]
+        candidates = [seen[i] for i in sorted(seen)]
         scores = [c.score for c in candidates]
         chosen = select_top1(candidates, scores)
         selection_lines.append(

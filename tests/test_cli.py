@@ -1482,6 +1482,25 @@ def test_unexpected_error_in_a_worker_stage_exits_1(corpus, monkeypatch):
     assert_run_state_empty()
 
 
+def test_verifier_value_error_exits_1_not_as_a_rejected_line(corpus, monkeypatch):
+    # The verifier scores each candidate as its line is read, inside the
+    # reader that turns a parser's ValueError into a rejected line; a
+    # verifier's own ValueError is still an internal error.
+    from lego_forge import tts
+
+    def out_of_range(self, candidate):
+        return tts.VerifierScore(score=2.0, provenance="stub")
+
+    monkeypatch.setattr(tts.StubVerifier, "score", out_of_range)
+    cfg = dataclasses.replace(load_config(corpus), verifier="stub")
+    lines = []
+    assert run_pipeline(cfg, echo=lines.append) == cli.EXIT_INTERNAL
+    assert_no_child_left()
+    assert lines[-1] == "[fail] tts-select: score 2.0 outside [0, 1] (exit 1)"
+    assert not (cfg.out_dir / "tts_select_rejections.jsonl").exists()
+    assert "tts-select" not in read(cfg.out_dir / ".forge_state.json")
+
+
 def test_worker_that_dies_mid_stage_fails_that_stage(corpus, monkeypatch):
     real_run_stage = cli.run_stage
 

@@ -11,11 +11,10 @@ from lego_forge.tts import (
     LatencyModel,
     LineDelimitedVerifier,
     OracleVerifier,
-    RolloutGroups,
     Scored,
     StubVerifier,
-    UnrankableRolloutsError,
     VerifierScore,
+    add_rollout,
     allocate,
     best_of_k,
     decode_score_response,
@@ -27,8 +26,10 @@ from lego_forge.tts import (
     select_top1,
     surface_point,
     tts_at_k,
+    unrankable,
 )
 
+from lego_forge.errors import ForgeError
 from lego_forge.schema import RecordRejected
 
 from conftest import assert_refuses_bad_fields
@@ -225,19 +226,19 @@ def test_adversarial_verifier_picks_resolved_only_when_unavoidable():
 # Rollout groups and best-of-K
 
 
-def test_rollout_groups_keep_only_index_label_and_score():
+def test_add_rollout_keeps_only_index_label_and_score():
     # Lines arrive in any order; each is scored once as it is added, and the
     # selection matches select_top1 over the full candidates.
     rng = random.Random(45)
     cands = [candidate(f"i{i}", j, rng.random() < 0.4) for i in range(12) for j in range(4)]
     rng.shuffle(cands)
     verifier = StubVerifier(seed=3)
-    groups = RolloutGroups(verifier)
+    groups = {}
     for cand in cands:
-        groups.add(cand.to_record())
-    grouped = groups.grouped()
-    assert all(type(s) is Scored for group in grouped.values() for s in group)
-    lines, metrics = best_of_k(grouped)
+        add_rollout(groups, cand.to_record(), verifier)
+    assert unrankable(groups, "rollouts.jsonl") is None
+    assert all(type(s) is Scored for seen in groups.values() for s in seen.values())
+    lines, metrics = best_of_k(groups)
     by_instance = {}
     for cand in sorted(cands, key=lambda c: c.rollout_index):
         by_instance.setdefault(cand.instance_id, []).append(cand)
@@ -250,31 +251,33 @@ def test_rollout_groups_keep_only_index_label_and_score():
     assert metrics == {"k": 4, "instances": 12, **tts_at_k(pairs)}
 
 
-def test_rollout_groups_refuse_a_repeat_and_unrankable_counts():
-    groups = RolloutGroups(OracleVerifier())
-    with pytest.raises(UnrankableRolloutsError) as empty:
-        groups.grouped()
-    assert str(empty.value) == "no candidates"
-    assert empty.value.problems == [(None, "EMPTY_ROLLOUTS", "rollouts file holds no candidates")]
+def test_add_rollout_refuses_a_repeat_and_unrankable_names_the_causes():
+    groups = {}
+    assert unrankable(groups, "r.jsonl") == ([
+        {"file": "r.jsonl", "line_no": None, "instance_id": None, "codes": ["EMPTY_ROLLOUTS"],
+         "message": "rollouts file holds no candidates"},
+    ], "r.jsonl: no candidates")
     for iid, j in [("a", 0), ("a", 1), ("b", 0), ("b", 1), ("c", 0)]:
-        groups.add(candidate(iid, j, False).to_record())
+        add_rollout(groups, candidate(iid, j, False).to_record(), OracleVerifier())
     with pytest.raises(RecordRejected) as repeat:
-        groups.add(candidate("a", 1, True).to_record())
+        add_rollout(groups, candidate("a", 1, True).to_record(), OracleVerifier())
     assert repeat.value.codes == ("DUPLICATE_ROLLOUT_INDEX",)
-    with pytest.raises(UnrankableRolloutsError) as ragged:
-        groups.grouped()
-    assert str(ragged.value) == "ragged candidate counts per instance: [1, 2]"
-    assert ragged.value.problems == [("c", "RAGGED_ROLLOUTS", "1 candidate(s) where most instances have 2")]
+    assert unrankable(groups, "r.jsonl") == ([
+        {"file": "r.jsonl", "line_no": None, "instance_id": "c", "codes": ["RAGGED_ROLLOUTS"],
+         "message": "1 candidate(s) where most instances have 2"},
+    ], "r.jsonl: ragged candidate counts per instance: [1, 2]")
 
 
-def test_candidate_from_record_takes_field_type_subclasses():
-    # The exact-type check is a shortcut: a subclass of a field's type still
-    # passes through the field-by-field path.
-    class Text(str):
-        pass
-
-    record = {**candidate("i", 0, True).to_record(), "instance_id": Text("i"), "final_patch": Text("p")}
-    assert Candidate.from_record(record) == candidate("i", 0, True, patch="p")
+def test_add_rollout_reports_a_failing_verifier_as_no_bad_line():
+    # read_jsonl turns a ValueError from a line parser into a rejection of
+    # the line; a verifier's ValueError (here a malformed response) is a
+    # fault of the verifier, so it comes out as a ForgeError instead.
+    verifier = LineDelimitedVerifier(lambda request: "not json")
+    groups = {}
+    with pytest.raises(ForgeError) as failed:
+        add_rollout(groups, candidate("a", 0, True).to_record(), verifier)
+    assert not isinstance(failed.value, ValueError)
+    assert isinstance(failed.value.__cause__, json.JSONDecodeError)
 
 
 # ---------------------------------------------------------------------------

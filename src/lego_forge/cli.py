@@ -8,14 +8,19 @@ rename, so an interrupted stage leaves nothing partial), and are
 deterministic: identical inputs produce byte-identical outputs. The
 `pipeline` command runs every configured stage in dependency order and
 skips stages whose recorded input content hashes are unchanged. Within one
-`pipeline` run every corpus (instances and curated records) is read once
-per content and passed to later stages in memory, and each file is hashed
-once per content. The `trajectories` input is decoded one line at a time
-into `curate`, never held whole, and every JSON Lines output is encoded
-line by line into its temp file. A build output whose instance ids (or
-real image names) repeat is not passed on, so `curate` reloads and rejects
-it. A single-stage run (`forge curate`, `forge stats`) reads, parses and
-hashes from disk. A stage's modules are imported only when the stage runs,
+`pipeline` run every instance corpus is read once per content and passed to
+later stages in memory, and each file is hashed once per content. The
+`trajectories` input is decoded one line at a time into `curate`, never held
+whole. As `curate` writes each curated record, it hands it to the stages
+that read `curated.jsonl` (`mask`, `curriculum`, `classify-errors`), which
+use it and let it go, so no stage holds the curated corpus; each commits its
+outputs at its own turn, and one whose inputs turn out unchanged drops them
+and is skipped. Where `curate` does not run, one pass over `curated.jsonl`
+feeds each of them that runs. Every JSON Lines output is encoded line by
+line into its temp file. A build output whose instance ids (or real image
+names) repeat is not passed on, so `curate` reloads and rejects it. A
+single-stage run (`forge curate`, `forge stats`) reads, parses and hashes
+from disk. A stage's modules are imported only when the stage runs,
 so a re-run that skips every stage loads only the config, schema, registry
 and curriculum code. The stages that share no file with the rest (read no
 other stage's output, and no stage reads theirs) run in one forked worker
@@ -74,18 +79,21 @@ import sys
 import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterator, NoReturn, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar
 
 from . import curriculum as curriculum_mod
 from .errors import ForgeError
 from .registries import content_lines, load_error_patterns, load_hack_patterns, load_phase_patterns
 from .schema import (
     DEFAULT_MAX_TURNS,
+    AtomicWriter,
     Rejection,
     TaskInstance,
     TestReport,
     Trajectory,
+    TrajectorySummary,
     atomic_write_text,
+    dumps_record,
     load_corpus,
     load_jsonl,
     read_corpus,
@@ -292,35 +300,37 @@ def _fail_on_rejections(
 
 
 # Per-run state of run_pipeline, emptied when the run ends: the sha256 of
-# each path hashed so far, and the records of each corpus read or written,
-# keyed by (path, sha256 of the file). Outside a run nothing is kept.
+# each path hashed so far, the records of each instance corpus read or
+# written, keyed by (path, sha256 of the file), and the reader stages that
+# curate, or one pass over curated.jsonl, has fed (None: waiting for that
+# pass). Outside a run nothing is kept.
 _in_run = False
 _digests: dict[Path, str] = {}
-_handoff: dict[tuple[Path, str], list] = {}
+_handoff: dict[tuple[Path, str], list[TaskInstance]] = {}
+_readers: dict[str, "_Reader | None"] = {}
 
 
-def _hand_off(path: Path, records: list, kind: str) -> None:
-    """Within a run, pass the records of corpus `kind` just written to
-    `path` to the later stages that read it, if reloading them would return
-    the same records without a rejection. `curate` and the builders return
-    only records that validate, which leaves the instances' duplicate rules."""
+def _hand_off(path: Path, instances: list[TaskInstance]) -> None:
+    """Within a run, pass the instances just written to `path` to the later
+    stages that read it, if reloading them would return the same instances
+    without a rejection. The builders return only instances that validate,
+    which leaves the duplicate rules."""
     if not _in_run:
         return
-    if kind == "instances":
-        real_images = [i.image_name for i in records if i.origin == "real"]
-        if (len({i.instance_id for i in records}) < len(records)
-                or len(set(real_images)) < len(real_images)):
-            return
-    _handoff[(path, _hash_path(path))] = records
+    real_images = [i.image_name for i in instances if i.origin == "real"]
+    if (len({i.instance_id for i in instances}) < len(instances)
+            or len(set(real_images)) < len(real_images)):
+        return
+    _handoff[(path, _hash_path(path))] = instances
 
 
-def _corpus(cfg: PipelineConfig, stage: str, path: Path, kind: str) -> list:
-    """The records of corpus `path`, loaded once per content within a run;
+def _corpus(cfg: PipelineConfig, stage: str, path: Path) -> list[TaskInstance]:
+    """The instances of corpus `path`, loaded once per content within a run;
     a load with rejections fails `stage` and is never kept."""
     key = (path, _hash_path(path)) if _in_run else None
     records = _handoff.get(key)
     if records is None:
-        result = load_corpus(path, kind)
+        result = load_corpus(path, "instances")
         _fail_on_rejections(cfg, stage, path, result.rejections)
         records = result.records
         if key is not None:
@@ -352,7 +362,7 @@ def _load_instances_union(cfg: PipelineConfig, stage: str) -> dict[str, TaskInst
         )
     by_id: dict[str, TaskInstance] = {}
     for source in existing:
-        for inst in _corpus(cfg, stage, source, "instances"):
+        for inst in _corpus(cfg, stage, source):
             by_id.setdefault(inst.instance_id, inst)
     return by_id
 
@@ -366,7 +376,7 @@ def _stage_build_tasks(cfg: PipelineConfig) -> dict:
     result = load_jsonl(source, _real_instance)
     path = cfg.out_dir / "instances_real.jsonl"
     save_corpus(result.records, path)
-    _hand_off(path, result.records, "instances")
+    _hand_off(path, result.records)
     skipped = [{"record": r.line_no - 1, "reason": r.message} for r in result.rejections]
     return {"stage": "build-tasks", "built": len(result.records), "skipped": skipped}
 
@@ -420,7 +430,7 @@ def _stage_inject(cfg: PipelineConfig) -> dict:
         _reject(cfg, "inject", bad_specs, f"{len(bad_specs)} mutation spec(s) could not be applied")
     path = cfg.out_dir / "instances_synth.jsonl"
     save_corpus(instances, path)
-    _hand_off(path, instances, "instances")
+    _hand_off(path, instances)
     return {"stage": "inject", "built": len(instances), "invisible_bugs": invisible}
 
 
@@ -451,22 +461,37 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
     reports_path = _require_input(cfg.final_reports, "final_reports")
     instances = _load_instances_union(cfg, "curate")
     reports = load_jsonl(reports_path, _final_report)
-    # Trajectories are decoded one at a time into curate; their rejections fail it first.
+    # Within a run every reader stage takes each curated trajectory as it is
+    # written; those planned to run commit their outputs at their turn.
+    readers = {name: reader(cfg) for name, reader in _READERS.items()} if _in_run else {}
     rejections: list[Rejection] = []
-    curated, report = trajectory_curation.curate(
-        read_corpus(traj_path, "trajectories", rejections),
-        instances,
-        dict(reports.records),
-        load_hack_patterns(cfg.hack_patterns),
-        load_error_patterns(cfg.error_patterns),
-        load_phase_patterns(cfg.phase_patterns),
-        recycle_semi_resolved=cfg.recycle_semi_resolved,
-    )
-    _fail_on_rejections(cfg, "curate", traj_path, rejections)
-    _fail_on_rejections(cfg, "curate", reports_path, reports.rejections)
-    curated_path = _curated_path(cfg)
-    save_corpus(curated, curated_path)
-    _hand_off(curated_path, curated, "trajectories")
+    report: dict = {}
+
+    def curated() -> Iterator[Trajectory]:
+        # Trajectories are decoded one at a time into curate; a rejection,
+        # the trajectories' first, fails it before the rename.
+        for traj in trajectory_curation.curate_each(
+            read_corpus(traj_path, "trajectories", rejections),
+            instances,
+            dict(reports.records),
+            load_hack_patterns(cfg.hack_patterns),
+            load_error_patterns(cfg.error_patterns),
+            load_phase_patterns(cfg.phase_patterns),
+            report,
+            recycle_semi_resolved=cfg.recycle_semi_resolved,
+        ):
+            _feed(readers.values(), traj)
+            yield traj
+        _fail_on_rejections(cfg, "curate", traj_path, rejections)
+        _fail_on_rejections(cfg, "curate", reports_path, reports.rejections)
+
+    try:
+        save_corpus(curated(), _curated_path(cfg))
+    except BaseException:
+        for reader in readers.values():
+            reader.discard()
+        raise
+    _readers.update(readers)
     return {"stage": "curate", **report}
 
 
@@ -479,70 +504,171 @@ def _curated_path(cfg: PipelineConfig) -> Path:
     return cfg.out_dir / "curated.jsonl"
 
 
-def _curated(cfg: PipelineConfig, stage: str) -> list[Trajectory]:
-    path = _require_input(_curated_path(cfg), "curated corpus (run the curate stage first)")
-    return _corpus(cfg, stage, path, "trajectories")
+class _Reader:
+    """A stage that reads curated.jsonl, as a fold over its trajectories.
+    Subclasses define `start` (load what `take` needs, open the streamed
+    outputs), `take(traj)`, called for each trajectory in turn, and `end`
+    (write the outputs that need every trajectory, return the report).
+    `finish`, at the stage's turn, calls `end` and commits the streamed
+    outputs; `discard` removes them. A reader whose `start` or `take` raised
+    an Exception is detached: it takes nothing more, and `finish` raises it."""
+
+    def __init__(self, cfg: PipelineConfig):
+        self.cfg = cfg
+        self.writers: list[AtomicWriter] = []
+        self.error: Exception | None = None
+        try:
+            self.start()
+        except Exception as exc:
+            self.detach(exc)
+
+    def open(self, name: str) -> Callable[[dict], None]:
+        """A writer of JSON lines into `name` in out_dir, committed by `finish`."""
+        writer = AtomicWriter(self.cfg.out_dir / name)
+        self.writers.append(writer)
+        return lambda record: writer.write(dumps_record(record) + "\n")
+
+    def detach(self, exc: Exception) -> None:
+        self.error = exc
+        self.discard()
+
+    def finish(self) -> dict:
+        if self.error is not None:
+            raise self.error
+        try:
+            report = self.end()
+            for writer in self.writers:
+                writer.commit()
+        except BaseException:
+            self.discard()
+            raise
+        return report
+
+    def discard(self) -> None:
+        for writer in self.writers:
+            writer.discard()
 
 
-def _stage_mask(cfg: PipelineConfig) -> dict:
-    from . import sft_masking
+class _Mask(_Reader):
+    def start(self) -> None:
+        from . import sft_masking
 
-    selected = curriculum_mod.select_for_training(
-        _curated(cfg, "mask"), recycle_semi_resolved=cfg.recycle_semi_resolved
-    )
-    drops: list[dict] = []
-    emitted = save_jsonl(sft_masking.mask_samples(selected, cfg.context_limit, drops),
-                         cfg.out_dir / "samples.jsonl")
-    save_jsonl(drops, cfg.out_dir / "mask_drops.jsonl")
-    return {
-        "stage": "mask",
-        "emitted": emitted,
-        "dropped": len(drops),
-        "context_limit": cfg.context_limit,
-    }
+        self.mask_sample = sft_masking.mask_sample
+        self.write_sample, self.write_drop = self.open("samples.jsonl"), self.open("mask_drops.jsonl")
+        self.emitted = self.dropped = 0
 
+    def take(self, traj: Trajectory) -> None:
+        if curriculum_mod.selected_for_training(traj, recycle_semi_resolved=self.cfg.recycle_semi_resolved):
+            sample, drop = self.mask_sample(traj, self.cfg.context_limit)
+            if sample is None:
+                self.write_drop(drop)
+                self.dropped += 1
+            else:
+                self.write_sample(sample)
+                self.emitted += 1
 
-def _stage_curriculum(cfg: PipelineConfig) -> dict:
-    curated = _curated(cfg, "curriculum")
-    selected = curriculum_mod.select_for_training(
-        curated, recycle_semi_resolved=cfg.recycle_semi_resolved
-    )
-    try:
-        plan = curriculum_mod.build_stages(selected, cfg.bins())
-    except curriculum_mod.BinningError as exc:
-        raise ValidationFailure(str(exc)) from exc
-    # A stage names its members; their content is in curated.jsonl.
-    for stage_no, stage_ids in enumerate(plan.stages, start=1):
-        save_jsonl([{"trajectory_id": tid} for tid in stage_ids], cfg.out_dir / f"stage{stage_no}.jsonl")
-
-    records = [(t.turn_count, t.outcome == "resolved") for t in curated]
-    try:
-        corr = curriculum_mod.turn_resolve_correlation(records, cfg.bucket_width)
-        corr_report = {
-            "r": round(corr.r, 6),
-            "n": corr.n,
-            "bucket_width": cfg.bucket_width,
-            "bins": [[mid, rate] for mid, rate in corr.bins],
+    def end(self) -> dict:
+        return {
+            "stage": "mask",
+            "emitted": self.emitted,
+            "dropped": self.dropped,
+            "context_limit": self.cfg.context_limit,
         }
-    except curriculum_mod.UndefinedCorrelationError as exc:
-        corr_report = {"r": None, "n": len(records), "error": str(exc)}
-    atomic_write_text(cfg.out_dir / "correlation_report.json", _dump_report(corr_report))
-    return {
-        "stage": "curriculum",
-        "selected": len(selected),
-        "stage_sizes": [len(s) for s in plan.stages],
-    }
 
 
-def _stage_classify_errors(cfg: PipelineConfig) -> dict:
-    from . import error_taxonomy
+class _Curriculum(_Reader):
+    def start(self) -> None:
+        self.summaries: list[TrajectorySummary] = []
 
-    curated = _curated(cfg, "classify-errors")
-    instances = _load_instances_union(cfg, "classify-errors")
-    failures, distribution, report = error_taxonomy.classify_failures(curated, instances)
-    save_jsonl(failures, cfg.out_dir / "failures.jsonl")
-    atomic_write_text(cfg.out_dir / "distribution.json", _dump_report(distribution))
-    return {"stage": "classify-errors", **report}
+    def take(self, traj: Trajectory) -> None:
+        self.summaries.append(traj.summary())
+
+    def end(self) -> dict:
+        cfg = self.cfg
+        selected = curriculum_mod.select_for_training(
+            self.summaries, recycle_semi_resolved=cfg.recycle_semi_resolved
+        )
+        try:
+            plan = curriculum_mod.build_stages(selected, cfg.bins())
+        except curriculum_mod.BinningError as exc:
+            raise ValidationFailure(str(exc)) from exc
+        # A stage names its members; their content is in curated.jsonl.
+        for stage_no, stage_ids in enumerate(plan.stages, start=1):
+            save_jsonl([{"trajectory_id": tid} for tid in stage_ids], cfg.out_dir / f"stage{stage_no}.jsonl")
+
+        records = [(t.turn_count, t.outcome == "resolved") for t in self.summaries]
+        try:
+            corr = curriculum_mod.turn_resolve_correlation(records, cfg.bucket_width)
+            corr_report = {
+                "r": round(corr.r, 6),
+                "n": corr.n,
+                "bucket_width": cfg.bucket_width,
+                "bins": [[mid, rate] for mid, rate in corr.bins],
+            }
+        except curriculum_mod.UndefinedCorrelationError as exc:
+            corr_report = {"r": None, "n": len(records), "error": str(exc)}
+        atomic_write_text(cfg.out_dir / "correlation_report.json", _dump_report(corr_report))
+        return {
+            "stage": "curriculum",
+            "selected": len(selected),
+            "stage_sizes": [len(s) for s in plan.stages],
+        }
+
+
+class _ClassifyErrors(_Reader):
+    def start(self) -> None:
+        from . import error_taxonomy
+
+        self.classifier = error_taxonomy.FailureClassifier(_load_instances_union(self.cfg, "classify-errors"))
+        self.write_failure = self.open("failures.jsonl")
+
+    def take(self, traj: Trajectory) -> None:
+        line = self.classifier.label(traj)
+        if line is not None:
+            self.write_failure(line)
+
+    def end(self) -> dict:
+        distribution, report = self.classifier.summary()
+        atomic_write_text(self.cfg.out_dir / "distribution.json", _dump_report(distribution))
+        return {"stage": "classify-errors", **report}
+
+
+# The stages that read curated.jsonl, in stage order.
+_READERS: dict[str, type[_Reader]] = {
+    "mask": _Mask, "curriculum": _Curriculum, "classify-errors": _ClassifyErrors,
+}
+
+
+def _feed(readers: Iterable[_Reader], traj: Trajectory) -> None:
+    for reader in readers:
+        if reader.error is None:
+            try:
+                reader.take(traj)
+            except Exception as exc:
+                reader.detach(exc)
+
+
+def _run_reader(cfg: PipelineConfig, stage: str) -> dict:
+    """Finish reader `stage` as curate fed it in this run; else feed it, and
+    every reader waiting with it, from one pass over curated.jsonl first. A
+    rejected line there fails `stage`, and no reader writes its outputs."""
+    reader = _readers.pop(stage, None)
+    if reader is None:
+        path = _require_input(_curated_path(cfg), "curated corpus (run the curate stage first)")
+        waiting = [name for name, other in _readers.items() if other is None]
+        readers = {name: _READERS[name](cfg) for name in (stage, *waiting)}
+        rejections: list[Rejection] = []
+        try:
+            for traj in read_corpus(path, "trajectories", rejections):
+                _feed(readers.values(), traj)
+            _fail_on_rejections(cfg, stage, path, rejections)
+        except BaseException:
+            for other in readers.values():
+                other.discard()
+            raise
+        reader = readers.pop(stage)
+        _readers.update(readers)
+    return reader.finish()
 
 
 def _stage_tts_select(cfg: PipelineConfig) -> dict:
@@ -645,13 +771,13 @@ STAGES = (
           lambda cfg: [cfg.trajectories, cfg.final_reports, *_instance_sources(cfg),
                        cfg.hack_patterns, cfg.error_patterns, cfg.phase_patterns],
           lambda cfg: ["curated.jsonl"], "curation_report.json"),
-    Stage("mask", _stage_mask, lambda cfg: [_curated_path(cfg)],
+    Stage("mask", lambda cfg: _run_reader(cfg, "mask"), lambda cfg: [_curated_path(cfg)],
           lambda cfg: ["samples.jsonl", "mask_drops.jsonl"], "mask_report.json"),
-    Stage("curriculum", _stage_curriculum, lambda cfg: [_curated_path(cfg)],
+    Stage("curriculum", lambda cfg: _run_reader(cfg, "curriculum"), lambda cfg: [_curated_path(cfg)],
           lambda cfg: [*(f"stage{n}.jsonl" for n in range(1, len(cfg.bins()) + 1)),
                        "correlation_report.json"],
           "curriculum_report.json"),
-    Stage("classify-errors", _stage_classify_errors,
+    Stage("classify-errors", lambda cfg: _run_reader(cfg, "classify-errors"),
           lambda cfg: [_curated_path(cfg), *_instance_sources(cfg)],
           lambda cfg: ["failures.jsonl", "distribution.json"], "classify_errors_report.json"),
     Stage("tts-select", _stage_tts_select, lambda cfg: [cfg.rollouts, cfg.surface],
@@ -722,13 +848,26 @@ def _input_fingerprint(stage: Stage, cfg: PipelineConfig) -> str:
     return digest.hexdigest()
 
 
-def _read_state(path: Path) -> dict:
-    """The recorded fingerprints; a missing or undecodable (say, truncated)
-    state file counts as empty, so every stage re-runs."""
+def _read_state(path: Path) -> tuple[bytes, dict]:
+    """The state file's bytes and its recorded fingerprints; a missing or
+    undecodable (say, truncated) state file counts as empty, so every stage
+    re-runs."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (FileNotFoundError, ValueError):
-        return {}
+        recorded = path.read_bytes()
+    except FileNotFoundError:
+        return b"", {}
+    try:
+        return recorded, json.loads(recorded.decode("utf-8"))
+    except ValueError:
+        return recorded, {}
+
+
+def _write_state(path: Path, state: dict, state_bytes: bytes) -> None:
+    """Write the state file, unless `state_bytes`, read at the start of the
+    run, are already what it would hold."""
+    text = _dump_report(state)
+    if text.encode("utf-8") != state_bytes:
+        atomic_write_text(path, text)
 
 
 def _detached_stages(cfg: PipelineConfig) -> list[Stage]:
@@ -797,10 +936,11 @@ def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> in
     content hashes match the recorded state and whose outputs are intact.
     The detached stages run in one forked worker alongside the others;
     lines, state and the exit code still follow stage order, up to the
-    first failing stage, whose exit code is returned."""
+    first failing stage, whose exit code is returned. The state file is
+    rewritten only when its bytes change."""
     global _in_run
     state_path = cfg.out_dir / ".forge_state.json"
-    state = _read_state(state_path)
+    state_bytes, state = _read_state(state_path)
     # Per stage decided so far: (input fingerprint, outputs) to run it, or None to skip it.
     plans: dict[str, tuple[str, list[Path]] | None] = {}
 
@@ -836,7 +976,17 @@ def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> in
                 if stage.name not in plans:
                     plans[stage.name] = plan(stage)
                 if plans[stage.name] is None:
+                    speculative = _readers.pop(stage.name, None)
+                    if speculative is not None:  # curate fed it, but its inputs are unchanged
+                        speculative.discard()
                     continue
+                if stage.name in _READERS and stage.name not in _readers:
+                    # curate did not feed the readers: plan the rest now, so that
+                    # one pass over curated.jsonl feeds each that runs.
+                    later = [s for s in STAGES if s.name in _READERS and s.name not in plans]
+                    for other in later:
+                        plans[other.name] = plan(other)
+                    _readers.update((other.name, None) for other in later if plans[other.name])
                 code, report = run_stage(stage.name, cfg)
                 results[stage.name] = (code, report.get("error", "unknown error"))
                 if code != EXIT_OK:
@@ -854,7 +1004,7 @@ def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> in
             if code != EXIT_OK:
                 echo(f"[fail] {stage.name}: {error} (exit {code})")
                 state.pop(stage.name, None)
-                atomic_write_text(state_path, _dump_report(state))
+                _write_state(state_path, state, state_bytes)
                 return code
             fingerprint, outputs = planned
             state[stage.name] = {
@@ -862,7 +1012,7 @@ def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> in
                 "outputs": {path.name: _hash_path(path) for path in outputs if path.exists()},
             }
             echo(f"[ok]   {stage.name}")
-        atomic_write_text(state_path, _dump_report(state))
+        _write_state(state_path, state, state_bytes)
         return EXIT_OK
     finally:
         _in_run = False
@@ -870,6 +1020,10 @@ def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> in
             gc.enable()
         _digests.clear()
         _handoff.clear()
+        for reader in _readers.values():
+            if reader is not None:
+                reader.discard()
+        _readers.clear()
 
 
 # ---------------------------------------------------------------------------

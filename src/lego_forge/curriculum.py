@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ForgeError
-from .schema import DEFAULT_MAX_TURNS, Trajectory
+from .schema import DEFAULT_MAX_TURNS, Trajectory, TrajectorySummary
 
 
 class BinningError(ForgeError):
@@ -77,7 +77,7 @@ def _check_partition(bins: Sequence[DifficultyBin]) -> None:
             )
 
 
-def bin_by_turns(traj: Trajectory | int, bins: Sequence[DifficultyBin] | None = None) -> str:
+def bin_by_turns(traj: Trajectory | TrajectorySummary | int, bins: Sequence[DifficultyBin] | None = None) -> str:
     """Label a trajectory (or raw turn count) with its difficulty bin."""
     if bins is None:
         bins = default_bins()
@@ -92,7 +92,7 @@ def bin_by_turns(traj: Trajectory | int, bins: Sequence[DifficultyBin] | None = 
 
 
 def build_stages(
-    trajs: Iterable[Trajectory], bins: Sequence[DifficultyBin] | None = None
+    trajs: Iterable[Trajectory | TrajectorySummary], bins: Sequence[DifficultyBin] | None = None
 ) -> StagePlan:
     """Assign every trajectory a bin and build the cumulative stage sets."""
     if bins is None:
@@ -108,17 +108,18 @@ def build_stages(
     return StagePlan(stages=tuple(stages))
 
 
+def selected_for_training(traj: Trajectory | TrajectorySummary, *, recycle_semi_resolved: bool = True) -> bool:
+    """The training-set selection rule: resolved (plus semi_resolved when
+    recycling), excluding truncated trajectories that hit the turn budget."""
+    wanted = traj.outcome == "resolved" or (recycle_semi_resolved and traj.outcome == "semi_resolved")
+    return wanted and traj.turn_count < traj.max_turns
+
+
 def select_for_training(
-    trajs: Iterable[Trajectory], *, recycle_semi_resolved: bool = True
-) -> list[Trajectory]:
-    """Training-set selection: resolved trajectories (plus semi_resolved when
-    recycling), excluding truncated ones that hit the turn budget."""
-    wanted = {"resolved"}
-    if recycle_semi_resolved:
-        wanted.add("semi_resolved")
-    return [
-        t for t in trajs if t.outcome in wanted and t.turn_count < t.max_turns
-    ]
+    trajs: Iterable[Trajectory | TrajectorySummary], *, recycle_semi_resolved: bool = True
+) -> list:
+    """The trajectories (or summaries) `selected_for_training` keeps, in order."""
+    return [t for t in trajs if selected_for_training(t, recycle_semi_resolved=recycle_semi_resolved)]
 
 
 def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float:

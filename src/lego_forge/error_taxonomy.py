@@ -204,30 +204,38 @@ def failure_distribution(labels: Sequence[str]) -> dict[str, float]:
     return out
 
 
-def classify_failures(
-    trajectories: Sequence[Trajectory], instances: Mapping[str, TaskInstance]
-) -> tuple[list[dict], dict[str, dict[str, float]], dict]:
-    """Label every failed (unresolved, error or empty_patch) trajectory.
+class FailureClassifier:
+    """classify-errors as a fold over trajectories: `label` each in turn,
+    then `summary`. It keeps only the labels per `checkpoint` tag and the
+    counts, never a trajectory."""
 
-    Returns one `{trajectory_id, label, evidence}` line per labeled
-    trajectory, the label distribution per `checkpoint` tag (`all` when a
-    trajectory carries none), and the counts `{failed, labeled, skipped}`,
-    where `skipped` lists the failures whose instance is missing.
-    """
-    failed = [t for t in trajectories if t.outcome in ("unresolved", "error", "empty_patch")]
-    failures: list[dict] = []
-    skipped: list[dict] = []
-    labels_by_tag: dict[str, list[str]] = {}
-    for traj in failed:
-        inst = instances.get(traj.instance_id)
+    def __init__(self, instances: Mapping[str, TaskInstance]):
+        self.instances = instances
+        self.failed = 0
+        self.skipped: list[dict] = []
+        self.labels_by_tag: dict[str, list[str]] = {}
+
+    def label(self, traj: Trajectory) -> dict | None:
+        """The `{trajectory_id, label, evidence}` line of a failed (unresolved,
+        error or empty_patch) trajectory; None for any other, and for a
+        failure whose instance is missing, which `summary` lists as skipped."""
+        if traj.outcome not in ("unresolved", "error", "empty_patch"):
+            return None
+        self.failed += 1
+        inst = self.instances.get(traj.instance_id)
         if inst is None:
-            skipped.append({"trajectory_id": traj.trajectory_id, "reason": "missing instance"})
-            continue
+            self.skipped.append({"trajectory_id": traj.trajectory_id, "reason": "missing instance"})
+            return None
         evidence = explain_failure(traj, inst)
         label = evidence.pop("label")
-        failures.append({"trajectory_id": traj.trajectory_id, "label": label, "evidence": evidence})
-        labels_by_tag.setdefault(str(traj.extra.get("checkpoint", "all")), []).append(label)
-    distribution = {
-        tag: failure_distribution(labels) for tag, labels in sorted(labels_by_tag.items())
-    }
-    return failures, distribution, {"failed": len(failed), "labeled": len(failures), "skipped": skipped}
+        self.labels_by_tag.setdefault(str(traj.extra.get("checkpoint", "all")), []).append(label)
+        return {"trajectory_id": traj.trajectory_id, "label": label, "evidence": evidence}
+
+    def summary(self) -> tuple[dict[str, dict[str, float]], dict]:
+        """The label distribution per `checkpoint` tag (`all` when a
+        trajectory carries none), and the counts `{failed, labeled, skipped}`."""
+        distribution = {
+            tag: failure_distribution(labels) for tag, labels in sorted(self.labels_by_tag.items())
+        }
+        labeled = sum(len(labels) for labels in self.labels_by_tag.values())
+        return distribution, {"failed": self.failed, "labeled": labeled, "skipped": self.skipped}

@@ -10,7 +10,8 @@ Every stage input is read by `read_jsonl`, which splits at "\n" only and
 turns each line into a record or a `Rejection`, one line at a time;
 `read_corpus` is that reader plus a corpus kind's record type, validator
 and duplicate rules; `load_jsonl` and `load_corpus` hold their whole
-result. Every writer encodes one line at a time into its temp file.
+result. Every writer encodes one line at a time into the temp file of an
+`AtomicWriter`, the one temp-file, sync and rename implementation.
 
 Timestamps are ISO-8601 UTC text. They are stored as strings and parsed on
 demand so that round-trips never reformat them.
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from functools import cache, cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ForgeError
 
@@ -220,6 +221,16 @@ class Step:
         }
 
 
+class TrajectorySummary(NamedTuple):
+    """The fields of a curated trajectory that its statistics and the
+    curriculum read, kept where the whole trajectory need not be."""
+
+    trajectory_id: str
+    turn_count: int
+    outcome: str
+    max_turns: int
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """The agent's full turn sequence for one instance, plus its outcome."""
@@ -260,6 +271,9 @@ class Trajectory:
         }
         record.update(self.extra)
         return record
+
+    def summary(self) -> TrajectorySummary:
+        return TrajectorySummary(self.trajectory_id, self.turn_count, self.outcome, self.max_turns)
 
 
 @dataclass(frozen=True)
@@ -517,33 +531,51 @@ def dumps_record(record: dict) -> str:
     return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
 
 
-def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
-    """Write a file atomically: `text`, or each string an iterable yields as
-    it yields it, into a temp file in the same directory, synced, then renamed
-    over `path`. An interrupted write (an exception from the iterable too)
-    leaves neither a partial file at `path` nor the temp file."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    handle = tempfile.NamedTemporaryFile(
-        mode="w",
-        encoding="utf-8",
-        dir=target.parent,
-        prefix=f".{target.name}.",
-        suffix=".tmp",
-        delete=False,
-    )
-    try:
-        with handle:
-            handle.writelines([text] if isinstance(text, str) else text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(handle.name, target)
-    except BaseException:
+class AtomicWriter:
+    """A file written atomically, piece by piece: `write` strings into a temp
+    file in the target's directory, then `commit` (sync, then rename over the
+    target) or `discard` (close and remove the temp file). A commit that
+    fails discards too, so neither a partial target nor the temp file is left."""
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        fd, self._temp = tempfile.mkstemp(dir=self.path.parent, prefix=f".{self.path.name}.", suffix=".tmp")
+        self._file = open(fd, "w", encoding="utf-8")
+        self.write = self._file.write
+
+    def commit(self) -> None:
         try:
-            os.unlink(handle.name)
+            with self._file:
+                self._file.flush()
+                os.fsync(self._file.fileno())
+            os.replace(self._temp, self.path)
+        except BaseException:
+            self.discard()
+            raise
+
+    def discard(self) -> None:
+        self._file.close()
+        try:
+            os.unlink(self._temp)
         except OSError:
             pass
+
+
+def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """`AtomicWriter` in one call: write `text`, or each string an iterable
+    yields as it yields it, then commit. An interrupted write (an exception
+    from the iterable too) leaves neither a partial file at `path` nor the
+    temp file."""
+    writer = AtomicWriter(path)
+    write = writer.write
+    try:
+        for piece in [text] if isinstance(text, str) else text:
+            write(piece)
+    except BaseException:
+        writer.discard()
         raise
+    writer.commit()
 
 
 def save_corpus(records: Iterable, path: str | Path) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .errors import ForgeError
 from .registries import ErrorPattern, PhaseRule, load_error_patterns, load_phase_patterns
@@ -206,29 +206,23 @@ def serialize_sample(sample: TrainingSample, context_limit: int) -> dict | None:
     }
 
 
-def mask_samples(
-    trajectories: Iterable[Trajectory], context_limit: int, drops: list[dict]
-) -> Iterator[dict]:
-    """Mask and serialize each trajectory, yielding each emitted sample record
-    before the next is built. Each drop is appended to `drops` as
-    `{trajectory_id, reason}`: `empty: ...` without assistant steps,
-    `overflow` (with the estimate and the limit) past the context limit, and
-    `fully_masked` when no segment is left in the loss."""
-    for traj in trajectories:
-        try:
-            sample = build_loss_mask(traj)
-        except EmptySampleError as exc:
-            drops.append({"trajectory_id": traj.trajectory_id, "reason": f"empty: {exc}"})
-            continue
-        emitted = serialize_sample(sample, context_limit)
-        if emitted is None:
-            drops.append({
-                "trajectory_id": traj.trajectory_id,
-                "reason": "overflow",
-                "token_estimate": sample.token_estimate,
-                "context_limit": context_limit,
-            })
-        elif not any(seg["in_loss"] for seg in emitted["rendered"]):
-            drops.append({"trajectory_id": traj.trajectory_id, "reason": "fully_masked"})
-        else:
-            yield emitted
+def mask_sample(traj: Trajectory, context_limit: int) -> tuple[dict | None, dict | None]:
+    """Mask and serialize one trajectory: `(sample record, None)`, or `(None,
+    drop)` with the drop as `{trajectory_id, reason}`: `empty: ...` without
+    assistant steps, `overflow` (with the estimate and the limit) past the
+    context limit, and `fully_masked` when no segment is left in the loss."""
+    try:
+        sample = build_loss_mask(traj)
+    except EmptySampleError as exc:
+        return None, {"trajectory_id": traj.trajectory_id, "reason": f"empty: {exc}"}
+    emitted = serialize_sample(sample, context_limit)
+    if emitted is None:
+        return None, {
+            "trajectory_id": traj.trajectory_id,
+            "reason": "overflow",
+            "token_estimate": sample.token_estimate,
+            "context_limit": context_limit,
+        }
+    if not any(seg["in_loss"] for seg in emitted["rendered"]):
+        return None, {"trajectory_id": traj.trajectory_id, "reason": "fully_masked"}
+    return emitted, None

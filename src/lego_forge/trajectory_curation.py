@@ -1,28 +1,31 @@
 """Repairs malformed tool calls, prunes the tool set, classifies outcomes,
-and aggregates rollout statistics; `curate` runs all of it over a corpus.
+and aggregates rollout statistics; `curate_each` runs all of it over a
+corpus, one trajectory at a time, and `curate` holds its result whole.
 
 Outcome classification is a strict cascade: empty patch first, then a clean
 full pass (resolved), then pass-with-cheating demoted to unresolved, then
 100% golden-file recall (semi_resolved), then unresolved. A trajectory that
 passes every test but edited test files or read git history is kept in the
 corpus as unresolved rather than deleted, so accounting stays exhaustive.
-`curate` marks a run over its turn budget unresolved whatever the cascade
+Curation marks a run over its turn budget unresolved whatever the cascade
 gave, so each record it makes from a valid trajectory is valid too. Within
-one call it judges each distinct bash command (phase and hack patterns) once,
-in a memo freed on return; a golden patch is parsed where an outcome needs it.
+one pass it judges each distinct bash command (phase and hack patterns) once,
+in a memo freed when the pass ends; a golden patch is parsed where an outcome
+needs it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ForgeError
 from . import patch_analysis
 from .registries import ErrorPattern, HackPattern, PhaseRule
 from .repo_sanitizer import HackFinding, detect_git_hacking, has_high_finding, matching_hack_patterns
-from .schema import ALLOWED_TOOLS, OUTCOMES, Step, TaskInstance, TestReport, ToolCall, Trajectory
+from .schema import (ALLOWED_TOOLS, OUTCOMES, Step, TaskInstance, TestReport, ToolCall, Trajectory,
+                     TrajectorySummary)
 from .sft_masking import has_execution_error, step_phase
 
 _INT_RE = re.compile(r"-?\d+")
@@ -222,8 +225,8 @@ def classify_outcome(
 # Statistics
 
 
-def rollout_stats(trajs: Sequence[Trajectory], *, recycle_semi_resolved: bool = False) -> dict:
-    """Aggregate classified trajectories into `{avg_turns, valid_rate,
+def rollout_stats(trajs: Sequence[Trajectory | TrajectorySummary], *, recycle_semi_resolved: bool = False) -> dict:
+    """Aggregate classified trajectories (or their summaries) into `{avg_turns, valid_rate,
     counts}`.
 
     valid_rate counts resolved trajectories, plus semi_resolved ones when
@@ -247,26 +250,27 @@ def rollout_stats(trajs: Sequence[Trajectory], *, recycle_semi_resolved: bool = 
 # Curation
 
 
-def curate(
+def curate_each(
     trajectories: Iterable[Trajectory],
     instances: Mapping[str, TaskInstance],
     final_reports: Mapping[str, TestReport],
     hack_patterns: Sequence[HackPattern],
     error_patterns: Sequence[ErrorPattern],
     phase_rules: Sequence[PhaseRule],
+    report: dict,
     *,
     recycle_semi_resolved: bool,
-) -> tuple[list[Trajectory], dict]:
-    """Curate every trajectory in one pass over `trajectories`, so that a
-    generator is never held whole: prune, repair, phase and error-flag each
-    step, then classify the outcome against the trajectory's instance and
-    its final report (by trajectory id); without either the outcome is
-    `unclassified`, with a note; over the turn budget it is `unresolved`
-    either way. Returns the curated trajectories, in input order, and the
-    report: `rollout_stats` plus the repaired and hack-invalidated counts,
-    the unrepairable calls and the notes."""
+) -> Iterator[Trajectory]:
+    """Curate each trajectory in one pass over `trajectories`, yielding it
+    before the next is taken, so that a generator is never held whole:
+    prune, repair, phase and error-flag each step, then classify the outcome
+    against the trajectory's instance and its final report (by trajectory
+    id); without either the outcome is `unclassified`, with a note; over the
+    turn budget it is `unresolved` either way. After the last one, `report`
+    gets `rollout_stats` plus the repaired and hack-invalidated counts, the
+    unrepairable calls and the notes."""
     judged: dict[str, tuple[str, list[HackPattern]]] = {}
-    curated: list[Trajectory] = []
+    summaries: list[TrajectorySummary] = []
     unrepairable: list[dict] = []
     notes: list[dict] = []
     repaired_calls = 0
@@ -323,11 +327,29 @@ def curate(
                 hack_invalidated += 1
         if work.turn_count > work.max_turns:
             outcome = "unresolved"  # the only outcome an over-budget run may carry here
-        curated.append(replace(work, outcome=outcome))
+        curated = replace(work, outcome=outcome)
+        summaries.append(curated.summary())
+        yield curated
 
-    report = rollout_stats(curated, recycle_semi_resolved=recycle_semi_resolved)
+    report.update(rollout_stats(summaries, recycle_semi_resolved=recycle_semi_resolved))
     report["repaired_calls"] = repaired_calls
     report["hack_invalidated"] = hack_invalidated
     report["unrepairable_calls"] = unrepairable
     report["notes"] = notes
+
+
+def curate(
+    trajectories: Iterable[Trajectory],
+    instances: Mapping[str, TaskInstance],
+    final_reports: Mapping[str, TestReport],
+    hack_patterns: Sequence[HackPattern],
+    error_patterns: Sequence[ErrorPattern],
+    phase_rules: Sequence[PhaseRule],
+    *,
+    recycle_semi_resolved: bool,
+) -> tuple[list[Trajectory], dict]:
+    """Every trajectory of `curate_each`, in input order, held whole, and its report."""
+    report: dict = {}
+    curated = list(curate_each(trajectories, instances, final_reports, hack_patterns, error_patterns,
+                               phase_rules, report, recycle_semi_resolved=recycle_semi_resolved))
     return curated, report

@@ -31,7 +31,7 @@ from lego_forge.cli import (
 )
 from lego_forge.errors import ForgeError
 from lego_forge.registries import DEFAULT_ERROR_PATTERNS, load_error_patterns, load_phase_patterns
-from lego_forge import patch_analysis, task_builder
+from lego_forge import patch_analysis, sft_masking, task_builder
 from lego_forge import schema as schema_mod
 from lego_forge.schema import TaskInstance, ToolCall, Trajectory, load_corpus, save_jsonl
 from lego_forge.sft_masking import assign_phases, detect_step_errors
@@ -974,6 +974,22 @@ def test_second_run_skips_every_stage(corpus, capsys):
     assert all(line.startswith("[skip]") for line in lines)
 
 
+def test_state_file_is_left_alone_when_its_bytes_would_not_change(corpus):
+    # A re-run that skips every stage keeps the state file as it is; one
+    # after an edit rewrites it.
+    cfg = load_config(corpus)
+    state = cfg.out_dir / ".forge_state.json"
+    assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+    before = state.stat()
+    assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+    after = state.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    cfg.rollouts.write_text(cfg.rollouts.read_text(encoding="utf-8").replace("summary", "SUMMARY"),
+                            encoding="utf-8")
+    assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+    assert state.stat().st_ino != before.st_ino
+
+
 def test_skipping_rerun_imports_no_stage_module(corpus):
     # A fresh process that loads the config and re-runs a finished pipeline
     # skips every stage, so it never imports a stage's modules.
@@ -1091,7 +1107,7 @@ def test_two_fresh_runs_are_byte_identical(tmp_path):
 
 
 def assert_run_state_empty():
-    assert not cli._in_run and cli._digests == {} and cli._handoff == {}
+    assert not cli._in_run and cli._digests == {} and cli._handoff == {} and cli._readers == {}
 
 
 @pytest.fixture()
@@ -1145,19 +1161,21 @@ def test_cyclic_garbage_of_a_cold_run_does_not_grow_with_the_corpus(tmp_path, co
 
 
 def test_curated_records_equal_their_reload(corpus, monkeypatch):
-    # The hand-off gives later stages curate's records in place of a reload,
-    # so a reload must return exactly those records.
-    written = {}
-    real_save = cli.save_corpus
+    # Within a run the reader stages take curate's records as it writes
+    # them, in place of a reload, so a reload must return exactly those records.
+    fed = []
+    real_feed = cli._feed
 
-    def capturing_save(records, path):
-        written[Path(path).name] = records
-        real_save(records, path)
+    def capturing_feed(readers, traj):
+        readers = list(readers)
+        fed.append((len(readers), traj))
+        real_feed(readers, traj)
 
-    monkeypatch.setattr(cli, "save_corpus", capturing_save)
-    cfg = run_stages(load_config(corpus), "build-tasks", "inject", "curate")
-    curated = written["curated.jsonl"]
-    assert len(curated) == 7
+    monkeypatch.setattr(cli, "_feed", capturing_feed)
+    cfg = load_config(corpus)
+    assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+    assert [count for count, _ in fed] == [len(cli._READERS)] * 7
+    curated = [traj for _, traj in fed]
     for traj in curated:
         assert Trajectory.from_record(traj.to_record()) == traj
     assert load_corpus(cfg.out_dir / "curated.jsonl", "trajectories").records == curated
@@ -1182,22 +1200,35 @@ def test_curate_releases_each_trajectory_before_the_next_but_one_is_decoded(corp
 
 
 def test_mask_streams_its_samples_into_the_writer(corpus, monkeypatch):
-    # _stage_mask hands save_jsonl an iterator, so the samples are encoded
-    # one at a time and never held as a list.
+    # mask writes each sample into its temp file as it renders it: one write
+    # per sample, the first before the last trajectory is decoded, so the
+    # samples are never held as a list.
     cfg = run_stages(load_config(corpus), "build-tasks", "inject", "curate")
-    handed = {}
-    real_save = cli.save_jsonl
+    events = []
+    real_from_record = Trajectory.from_record.__func__
 
-    def recording_save(records, path):
-        handed[Path(path).name] = records
-        return real_save(records, path)
+    def recording_from_record(cls, record):
+        events.append("decode")
+        return real_from_record(cls, record)
 
-    monkeypatch.setattr(cli, "save_jsonl", recording_save)
+    class RecordingWriter(schema_mod.AtomicWriter):
+        def __init__(self, path):
+            super().__init__(path)
+            write = self.write
+
+            def recording_write(text):
+                events.append(self.path.name)
+                write(text)
+
+            self.write = recording_write
+
+    monkeypatch.setattr(Trajectory, "from_record", classmethod(recording_from_record))
+    monkeypatch.setattr(cli, "AtomicWriter", RecordingWriter)
     code, report = run_stage("mask", cfg)
     assert code == EXIT_OK
-    samples = handed["samples.jsonl"]
-    assert iter(samples) is samples and not isinstance(samples, list)
-    assert report["emitted"] == len(read_jsonl(cfg.out_dir / "samples.jsonl")) > 0
+    assert events.count("samples.jsonl") == report["emitted"] == len(read_jsonl(cfg.out_dir / "samples.jsonl")) > 0
+    last_decode = len(events) - 1 - events[::-1].index("decode")
+    assert events.index("samples.jsonl") < last_decode
 
 
 def test_curate_fails_on_trajectory_rejections_before_final_report_ones(corpus):
@@ -1257,27 +1288,34 @@ def test_curated_line_separators_read_back_as_written(tmp_path, capsys):
 def test_hand_off_lives_from_its_writer_to_the_end_of_the_run(corpus, monkeypatch, tmp_path):
     # The forked worker records what it held through a file; this process
     # records in memory, so a stage lands in `held` only if it ran here.
-    held = {}
+    held, readers = {}, {}
     log = tmp_path / "held.log"
     real_run_stage = cli.run_stage
 
     def recording_run_stage(stage, cfg):
         held[stage] = names = [path.name for path, _ in cli._handoff]
+        readers[stage] = list(cli._readers)
         with open(log, "a", encoding="utf-8") as f:
             f.write(json.dumps([stage, names]) + "\n")
         return real_run_stage(stage, cfg)
 
     monkeypatch.setattr(cli, "run_stage", recording_run_stage)
     assert run_pipeline(load_config(corpus), echo=lambda s: None) == EXIT_OK
-    # build-tasks and inject keep the instances they wrote, and curate the
-    # records it wrote, until the run ends.
+    # build-tasks and inject keep the instances they wrote until the run
+    # ends; no stage holds the curated records. curate feeds every reader
+    # stage, and each holds its fold only until its turn.
     instances = ["instances_real.jsonl", "instances_synth.jsonl"]
     assert {stage: sorted(names) for stage, names in held.items()} == {
         "build-tasks": [],
         "inject": instances[:1],
-        "curate": instances,
-        **{stage: ["curated.jsonl", *instances]
-           for stage in ("mask", "curriculum", "classify-errors", "stats")},
+        **{stage: instances for stage in ("curate", "mask", "curriculum", "classify-errors", "stats")},
+    }
+    assert readers == {
+        "build-tasks": [], "inject": [], "curate": [],
+        "mask": ["mask", "curriculum", "classify-errors"],
+        "curriculum": ["curriculum", "classify-errors"],
+        "classify-errors": ["classify-errors"],
+        "stats": [],
     }
     in_worker = {stage: names for stage, names in read_jsonl(log) if stage not in held}
     assert in_worker == {"sanitize": [], "tts-select": []}
@@ -1338,6 +1376,172 @@ def test_failed_run_leaves_no_run_state(corpus, monkeypatch):
     assert run_pipeline(load_config(corpus), echo=lines.append) == cli.EXIT_INTERNAL
     assert lines[-1].startswith("[fail] classify-errors: boom")
     assert_run_state_empty()
+
+
+# ---------------------------------------------------------------------------
+# One pass over the curated trajectories
+
+
+def drop_what_curate_fed(monkeypatch):
+    """Make run_pipeline drop what curate fed the reader stages once it
+    ends, so that the readers read curated.jsonl from disk after curate has
+    committed it, as a pipeline that runs its stages one after another does."""
+    real_run_stage = cli.run_stage
+
+    def run_stage_then_drop(stage, cfg):
+        result = real_run_stage(stage, cfg)
+        if stage == "curate":
+            for reader in cli._readers.values():
+                reader.discard()
+            cli._readers.clear()
+        return result
+
+    monkeypatch.setattr(cli, "run_stage", run_stage_then_drop)
+
+
+def run_one_pass_and_serial(tmp_path, prepare):
+    """Build two integration corpora, call `prepare(cfg)` on each, then run
+    the pipeline over one as it is and over the other with
+    drop_what_curate_fed. Asserts that the exit codes, the echoed lines and
+    the output trees (.forge_state.json included) agree, with each root read
+    as ROOT, and that no temp file is left; returns the one-pass run's
+    (exit code, lines, cfg, what `prepare` returned)."""
+    runs = {}
+    for way in ("one-pass", "serial"):
+        root = tmp_path / way
+        cfg = load_config(build_integration_corpus(root))
+        prepared = prepare(cfg)
+        lines = []
+        with pytest.MonkeyPatch.context() as patch:
+            if way == "serial":
+                drop_what_curate_fed(patch)
+            code = run_pipeline(cfg, echo=lines.append)
+        tree = {name: data.replace(str(root).encode(), b"ROOT") for name, data in tree_bytes(cfg.out_dir).items()}
+        assert not [name for name in tree if name.endswith(".tmp")], way
+        runs[way] = code, [line.replace(str(root), "ROOT") for line in lines], tree, cfg, prepared
+    assert runs["one-pass"][:3] == runs["serial"][:3]
+    assert_run_state_empty()
+    code, lines, _, cfg, prepared = runs["one-pass"]
+    return code, lines, cfg, prepared
+
+
+READER_OUTPUTS = ("samples.jsonl", "mask_drops.jsonl", "stage1.jsonl", "stage2.jsonl", "stage3.jsonl",
+                  "correlation_report.json", "failures.jsonl", "distribution.json")
+
+
+def test_rejected_last_trajectory_fails_curate_and_keeps_every_earlier_output(tmp_path):
+    # The readers have taken every good trajectory when the last line is
+    # rejected; curate still fails before its rename, and no reader output
+    # of the earlier run changes.
+    kept = ("curated.jsonl", *READER_OUTPUTS)
+
+    def good_run_then_bad_last_line(cfg):
+        assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+        before = {name: (cfg.out_dir / name).read_bytes() for name in kept}
+        first = read_jsonl(cfg.trajectories)[0]
+        with open(cfg.trajectories, "a", encoding="utf-8") as f:
+            f.write(json.dumps({**first, "trajectory_id": "late", "outcome": "bogus"}) + "\n")
+        return before
+
+    code, lines, cfg, before = run_one_pass_and_serial(tmp_path, good_run_then_bad_last_line)
+    assert code == EXIT_VALIDATION
+    assert lines[-1].startswith("[fail] curate:") and len(lines) == 4
+    entries = read_jsonl(cfg.out_dir / "curate_rejections.jsonl")
+    assert [(e["line_no"], e["codes"]) for e in entries] == [(8, ["BAD_OUTCOME"])]
+    assert {name: (cfg.out_dir / name).read_bytes() for name in kept} == before
+    assert "curate" not in read(cfg.out_dir / ".forge_state.json")
+
+
+def test_mask_raising_mid_pass_commits_curate_and_no_later_reader(tmp_path, monkeypatch):
+    # mask fails on the second sample it renders: curate, which ran the
+    # pass, is committed; curriculum and classify-errors, fed alongside,
+    # write nothing.
+    real_build = sft_masking.build_loss_mask
+
+    def build_or_boom(traj, *args):
+        if traj.trajectory_id == "traj-semi":
+            raise ForgeError("boom")
+        return real_build(traj, *args)
+
+    monkeypatch.setattr("lego_forge.sft_masking.build_loss_mask", build_or_boom)
+    code, lines, cfg, _ = run_one_pass_and_serial(tmp_path, lambda cfg: None)
+    assert code == EXIT_INTERNAL
+    assert lines == [*(f"[ok]   {name}" for name in ("build-tasks", "inject", "sanitize", "curate")),
+                     "[fail] mask: boom (exit 1)"]
+    assert len(read_jsonl(cfg.out_dir / "curated.jsonl")) == 7
+    assert not [name for name in READER_OUTPUTS if (cfg.out_dir / name).exists()]
+    assert sorted(read(cfg.out_dir / ".forge_state.json")) == ["build-tasks", "curate", "inject", "sanitize"]
+
+
+def test_curate_rerun_with_the_same_output_skips_the_readers(tmp_path):
+    # A final report for no trajectory re-runs curate, whose output keeps
+    # its bytes: the readers' speculative outputs are dropped and they skip.
+    def good_run_then_unused_report(cfg):
+        assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+        with open(cfg.final_reports, "a", encoding="utf-8") as f:
+            f.write(json.dumps({"trajectory_id": "nobody", "code_state": "final", "results": {}}) + "\n")
+        return tree_bytes(cfg.out_dir)
+
+    code, lines, cfg, before = run_one_pass_and_serial(tmp_path, good_run_then_unused_report)
+    assert code == EXIT_OK
+    assert lines == [f"[ok]   {s.name}" if s.name == "curate" else f"[skip] {s.name}: inputs unchanged"
+                     for s in cli.STAGES]
+    after = tree_bytes(cfg.out_dir)
+    assert after.pop(".forge_state.json") != before.pop(".forge_state.json")
+    assert after == before
+
+
+def test_single_stage_mask_over_a_bad_last_curated_line_keeps_its_samples(corpus, capsys):
+    cfg = load_config(corpus)
+    assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+    before = {name: (cfg.out_dir / name).read_bytes() for name in ("samples.jsonl", "mask_drops.jsonl")}
+    with open(cfg.out_dir / "curated.jsonl", "a", encoding="utf-8") as f:
+        f.write("{not json\n")
+    capsys.readouterr()
+    assert cli.main(["mask", "--config", str(corpus)]) == EXIT_VALIDATION
+    rejections = cfg.out_dir / "mask_rejections.jsonl"
+    assert capsys.readouterr().err.startswith(f"[fail] mask: {cfg.out_dir / 'curated.jsonl'}: 1 rejected line(s)")
+    assert [(e["line_no"], e["codes"]) for e in read_jsonl(rejections)] == [(8, ["BAD_JSON"])]
+    assert {name: (cfg.out_dir / name).read_bytes() for name in before} == before
+    assert not [p.name for p in cfg.out_dir.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_cold_pipeline_holds_one_curated_trajectory_at_a_time(tmp_path, monkeypatch):
+    # curate hands each curated trajectory to the reader stages as it writes
+    # it, so the traced peak from curate through classify-errors stays far
+    # below curated.jsonl's size; a hand-off of the curated records does not.
+    import tracemalloc
+
+    config = build_integration_corpus(tmp_path / "big")
+    cfg = load_config(config)
+    pad = " ".join(f"line {n} of the captured output" for n in range(700))  # about 20 KB
+    trajectories, reports = read_jsonl(cfg.trajectories), read_jsonl(cfg.final_reports)
+    save_jsonl(({**t, "trajectory_id": f"{t['trajectory_id']}-{n}",
+                 "steps": [{**t["steps"][0], "observation": t["steps"][0]["observation"] + pad}, *t["steps"][1:]]}
+                for n in range(60) for t in trajectories), cfg.trajectories)
+    save_jsonl(({**r, "trajectory_id": f"{r['trajectory_id']}-{n}"} for n in range(60) for r in reports),
+               cfg.final_reports)
+    peaks = {}
+    real_run_stage = cli.run_stage
+
+    def measuring_run_stage(stage, cfg):
+        if stage == "curate":
+            tracemalloc.reset_peak()
+        result = real_run_stage(stage, cfg)
+        if stage == "classify-errors":
+            peaks[stage] = tracemalloc.get_traced_memory()[1]
+        return result
+
+    monkeypatch.setattr(cli, "run_stage", measuring_run_stage)
+    tracemalloc.start()
+    try:
+        assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+    finally:
+        tracemalloc.stop()
+    size = (cfg.out_dir / "curated.jsonl").stat().st_size
+    assert size >= 8 << 20
+    assert len(read_jsonl(cfg.out_dir / "samples.jsonl")) > 60
+    assert peaks["classify-errors"] < size / 2, (peaks, size)
 
 
 # ---------------------------------------------------------------------------
@@ -1536,19 +1740,26 @@ def test_rerun_records_the_digests_of_rewritten_outputs(corpus):
 
 
 def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, monkeypatch):
-    # Counts, not timings: within one run, nothing reloads curated.jsonl or
-    # an instance corpus (a cold run takes the builders' instances), stats
-    # parses no golden patch, and no file is hashed twice while its content
-    # is unchanged.
-    loaded, hashed, built, parsed_in = [], [], [], []
+    # Counts, not timings: within one run, nothing loads an instance corpus
+    # twice (a cold run takes the builders' instances), stats parses no
+    # golden patch, and no file is hashed twice while its content is
+    # unchanged. A cold run never decodes curated.jsonl: curate hands each
+    # record to the readers. With curate skipped, one pass decodes it for
+    # every reader that runs.
+    loaded, read, decoded_in, hashed, built, parsed_in = [], [], [], [], [], []
     running = [None]
-    real_load, real_sha256, real_run_stage = cli.load_corpus, cli._sha256, cli.run_stage
+    real_load, real_read, real_sha256, real_run_stage = cli.load_corpus, cli.read_corpus, cli._sha256, cli.run_stage
     real_from_record = TaskInstance.from_record.__func__
+    real_traj_from_record = Trajectory.from_record.__func__
     real_parse_patch = patch_analysis.parse_patch
 
     def counting_load(path, kind):
         loaded.append(Path(path))
         return real_load(path, kind)
+
+    def counting_read(path, kind, rejections):
+        read.append(Path(path))
+        return real_read(path, kind, rejections)
 
     def counting_sha256(path):
         digest = real_sha256(path)
@@ -1558,6 +1769,10 @@ def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, mo
     def counting_from_record(cls, record):
         built.append(record.get("instance_id"))
         return real_from_record(cls, record)
+
+    def counting_traj_from_record(cls, record):
+        decoded_in.append(running[0])
+        return real_traj_from_record(cls, record)
 
     def counting_parse_patch(text):
         parsed_in.append(running[0])
@@ -1571,23 +1786,39 @@ def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, mo
             running[0] = None
 
     monkeypatch.setattr(cli, "load_corpus", counting_load)
+    monkeypatch.setattr(cli, "read_corpus", counting_read)
     monkeypatch.setattr(cli, "_sha256", counting_sha256)
     monkeypatch.setattr(cli, "run_stage", recording_run_stage)
     monkeypatch.setattr(TaskInstance, "from_record", classmethod(counting_from_record))
+    monkeypatch.setattr(Trajectory, "from_record", classmethod(counting_traj_from_record))
     monkeypatch.setattr(patch_analysis, "parse_patch", counting_parse_patch)
     cfg = load_config(corpus)
+    curated_path = cfg.out_dir / "curated.jsonl"
     instance_files = [cfg.out_dir / "instances_real.jsonl", cfg.out_dir / "instances_synth.jsonl"]
-    for run in ("cold", "no-change"):
-        for seen in (loaded, hashed, built, parsed_in):
+    for run in ("cold", "no-change", "readers only"):
+        for seen in (loaded, read, decoded_in, hashed, built, parsed_in):
             seen.clear()
-        assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK, run
-        assert cfg.out_dir / "curated.jsonl" not in loaded, run
-        assert not set(loaded) & set(instance_files), run
-        assert built == [], run
+        if run == "readers only":
+            for name in ("samples.jsonl", "stage1.jsonl", "failures.jsonl"):
+                (cfg.out_dir / name).unlink()
+        lines = []
+        assert run_pipeline(cfg, echo=lines.append) == EXIT_OK, run
+        assert curated_path not in loaded and len(loaded) == len(set(loaded)), run
         assert "stats" not in parsed_in, run
         assert len(hashed) == len(set(hashed)), run
         assert_run_state_empty()
-    assert cfg.out_dir / "curated.jsonl" in {path for path, _ in hashed}
+        if run == "cold":
+            assert not set(loaded) & set(instance_files) and built == []
+            assert curated_path not in read
+            assert decoded_in == ["curate"] * 7
+        elif run == "no-change":
+            assert loaded == read == decoded_in == built == []
+        else:
+            assert [line.split()[1].rstrip(":") for line in lines if line.startswith("[ok]")] == [
+                "mask", "curriculum", "classify-errors"]
+            assert read == [curated_path]
+            assert decoded_in == ["mask"] * 7
+    assert curated_path in {path for path, _ in hashed}
 
 
 def test_chunked_digest_equals_a_whole_file_sha256(tmp_path):
@@ -1676,15 +1907,22 @@ def test_rejected_corpus_is_never_kept(corpus, monkeypatch):
         loaded.append(Path(path).name)
         return real_load(path, kind)
 
+    def counting_read(path, kind, rejections):
+        loaded.append(Path(path).name)
+        return real_read(path, kind, rejections)
+
+    real_read = cli.read_corpus
     monkeypatch.setattr(cli, "load_corpus", counting_load)
+    monkeypatch.setattr(cli, "read_corpus", counting_read)
     assert cli.main(["classify-errors", "--config", str(corpus)]) == EXIT_OK
-    assert loaded == ["curated.jsonl", "instances_real.jsonl", "instances_synth.jsonl", external.name]
+    assert loaded == ["instances_real.jsonl", "instances_synth.jsonl", external.name, "curated.jsonl"]
     assert_run_state_empty()
 
 
 def test_every_corpus_load_in_cli_goes_through_one_reader():
-    # cli reads each corpus through _corpus, which keeps it for the run,
-    # except the trajectories, which curate folds over as they are decoded.
+    # cli reads each instance corpus through _corpus, which keeps it for the
+    # run; curate folds over the trajectories as they are decoded, and the
+    # reader stages over curated.jsonl only where curate did not feed them.
     calls = []
 
     class Finder(ast.NodeVisitor):
@@ -1702,7 +1940,7 @@ def test_every_corpus_load_in_cli_goes_through_one_reader():
             self.generic_visit(node)
 
     Finder().visit(ast.parse(Path(cli.__file__).read_text(encoding="utf-8")))
-    assert calls == ["cli._corpus", "cli._stage_curate"]
+    assert calls == ["cli._corpus", "cli._stage_curate.curated", "cli._run_reader"]
 
 
 def test_sanitize_parses_each_date_once(corpus, monkeypatch):

@@ -10,7 +10,7 @@ from lego_forge.sft_masking import (
     assign_phases,
     build_loss_mask,
     detect_step_errors,
-    mask_samples,
+    mask_sample,
     render_trajectory,
     serialize_sample,
     whitespace_token_count,
@@ -193,14 +193,14 @@ def test_small_sample_emitted_under_default_limit():
 
 
 def test_oversize_sample_overflows():
-    # Past the limit nothing is emitted; mask_samples records the drop with
+    # Past the limit nothing is emitted; mask_sample returns the drop with
     # the estimate and the limit, in this key order.
     sample = small_sample()
     assert sample.token_estimate > 2
     assert serialize_sample(sample, 2) is None
-    drops = []
-    assert list(mask_samples([small_traj()], 2, drops)) == []
-    assert [list(d.items()) for d in drops] == [[
+    emitted, drop = mask_sample(small_traj(), 2)
+    assert emitted is None
+    assert [list(drop.items())] == [[
         ("trajectory_id", sample.trajectory_id),
         ("reason", "overflow"),
         ("token_estimate", sample.token_estimate),

@@ -77,7 +77,9 @@ def _check_partition(bins: Sequence[DifficultyBin]) -> None:
             )
 
 
-def bin_by_turns(traj: Trajectory | TrajectorySummary | int, bins: Sequence[DifficultyBin] | None = None) -> str:
+def bin_by_turns(
+    traj: Trajectory | TrajectorySummary | int, bins: Sequence[DifficultyBin] | None = None
+) -> str:
     """Label a trajectory (or raw turn count) with its difficulty bin."""
     if bins is None:
         bins = default_bins()
@@ -108,7 +110,9 @@ def build_stages(
     return StagePlan(stages=tuple(stages))
 
 
-def selected_for_training(traj: Trajectory | TrajectorySummary, *, recycle_semi_resolved: bool = True) -> bool:
+def selected_for_training(
+    traj: Trajectory | TrajectorySummary, *, recycle_semi_resolved: bool = True
+) -> bool:
     """The training-set selection rule: resolved (plus semi_resolved when
     recycling), excluding truncated trajectories that hit the turn budget."""
     wanted = traj.outcome == "resolved" or (recycle_semi_resolved and traj.outcome == "semi_resolved")

@@ -225,9 +225,11 @@ def classify_outcome(
 # Statistics
 
 
-def rollout_stats(trajs: Sequence[Trajectory | TrajectorySummary], *, recycle_semi_resolved: bool = False) -> dict:
-    """Aggregate classified trajectories (or their summaries) into `{avg_turns, valid_rate,
-    counts}`.
+def rollout_stats(
+    trajs: Sequence[Trajectory | TrajectorySummary], *, recycle_semi_resolved: bool = False
+) -> dict:
+    """Aggregate classified trajectories (or their summaries) into
+    `{avg_turns, valid_rate, counts}`.
 
     valid_rate counts resolved trajectories, plus semi_resolved ones when
     recycling is enabled. Empty input yields zero counts with rates set to

@@ -8,6 +8,7 @@ import pytest
 import lego_forge
 from lego_forge.schema import (
     DEFAULT_MAX_TURNS,
+    AtomicWriter,
     CorpusError,
     RecordRejected,
     Step,
@@ -81,6 +82,23 @@ def test_streamed_write_that_fails_part_way_leaves_the_target(tmp_path, write, t
     with pytest.raises(error):
         write([first, first, third, first], path)
     assert path.read_bytes() == b"old bytes\n"
+    assert not list(tmp_path.glob(".out.jsonl.*.tmp"))
+
+
+def test_atomic_writer_commits_or_discards_what_was_pushed(tmp_path):
+    # Pieces pushed into a writer reach the target only on commit; a
+    # discarded writer leaves the old target and no temp file.
+    path = tmp_path / "out.jsonl"
+    path.write_bytes(b"old bytes\n")
+    dropped, kept = AtomicWriter(path), AtomicWriter(path)
+    for writer in (dropped, kept):
+        writer.write("new ")
+        writer.write("bytes\n")
+    assert len(list(tmp_path.glob(".out.jsonl.*.tmp"))) == 2
+    dropped.discard()
+    assert path.read_bytes() == b"old bytes\n"
+    kept.commit()
+    assert path.read_bytes() == b"new bytes\n"
     assert not list(tmp_path.glob(".out.jsonl.*.tmp"))
 
 

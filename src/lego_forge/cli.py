@@ -307,7 +307,7 @@ def _fail_on_rejections(
 _in_run = False
 _digests: dict[Path, str] = {}
 _handoff: dict[tuple[Path, str], list[TaskInstance]] = {}
-_readers: dict[str, "_Reader | None"] = {}
+_readers: dict[str, _Reader | None] = {}
 
 
 def _hand_off(path: Path, instances: list[TaskInstance]) -> None:

@@ -470,7 +470,7 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
     def curated() -> Iterator[Trajectory]:
         # Trajectories are decoded one at a time into curate; a rejection,
         # the trajectories' first, fails it before the rename.
-        for traj in trajectory_curation.curate_each(
+        for traj in trajectory_curation.curate(
             read_corpus(traj_path, "trajectories", rejections),
             instances,
             dict(reports.records),

@@ -1,6 +1,6 @@
 """Repairs malformed tool calls, prunes the tool set, classifies outcomes,
-and aggregates rollout statistics; `curate_each` runs all of it over a
-corpus, one trajectory at a time, and `curate` holds its result whole.
+and aggregates rollout statistics; `curate` runs all of it over a corpus,
+one trajectory at a time.
 
 Outcome classification is a strict cascade: empty patch first, then a clean
 full pass (resolved), then pass-with-cheating demoted to unresolved, then
@@ -252,7 +252,7 @@ def rollout_stats(
 # Curation
 
 
-def curate_each(
+def curate(
     trajectories: Iterable[Trajectory],
     instances: Mapping[str, TaskInstance],
     final_reports: Mapping[str, TestReport],
@@ -339,19 +339,3 @@ def curate_each(
     report["unrepairable_calls"] = unrepairable
     report["notes"] = notes
 
-
-def curate(
-    trajectories: Iterable[Trajectory],
-    instances: Mapping[str, TaskInstance],
-    final_reports: Mapping[str, TestReport],
-    hack_patterns: Sequence[HackPattern],
-    error_patterns: Sequence[ErrorPattern],
-    phase_rules: Sequence[PhaseRule],
-    *,
-    recycle_semi_resolved: bool,
-) -> tuple[list[Trajectory], dict]:
-    """Every trajectory of `curate_each`, in input order, held whole, and its report."""
-    report: dict = {}
-    curated = list(curate_each(trajectories, instances, final_reports, hack_patterns, error_patterns,
-                               phase_rules, report, recycle_semi_resolved=recycle_semi_resolved))
-    return curated, report

@@ -400,7 +400,7 @@ def test_curate_returns_only_records_that_validate(traj, passing):
     registries = load_hack_patterns(None), load_error_patterns(None), load_phase_patterns(None)
     for instances in ({}, {inst.instance_id: inst}):
         for reports in ({}, {traj.trajectory_id: report}):
-            curated, _ = curate([traj], instances, reports, *registries, recycle_semi_resolved=True)
+            curated = list(curate([traj], instances, reports, *registries, {}, recycle_semi_resolved=True))
             assert [validate_trajectory(t) for t in curated] == [[]]
 
 
@@ -446,7 +446,8 @@ def test_curate_judges_as_step_phase_and_detect_git_hacking_do(corpus):
     unparseable = make_instance(instance_id="inst-2", golden_patch="@@ x\n")
     instances = {"inst-1": make_instance(), "inst-2": unparseable}
     hacks, errors, phases = load_hack_patterns(None), load_error_patterns(None), load_phase_patterns(None)
-    curated, report = curate(trajs, instances, reports, hacks, errors, phases, recycle_semi_resolved=True)
+    report = {}
+    curated = list(curate(trajs, instances, reports, hacks, errors, phases, report, recycle_semi_resolved=True))
     invalidated = 0
     for traj in curated:
         assert [s.phase for s in traj.steps] == [step_phase(s.action, phases) for s in traj.steps]
@@ -491,7 +492,8 @@ def test_curate_judges_each_distinct_command_once(monkeypatch):
         traj = make_traj(steps, trajectory_id=f"t{n}", instance_id=inst_id, final_patch=wrong_fix)
         trajs.append(traj)
         reports[traj.trajectory_id] = passing_report() if n % 3 == 0 else failing_report()
-    _, report = curate(trajs, {"inst-1": make_instance(), "inst-2": other}, reports,
-                       hacks, load_error_patterns(None), phases, recycle_semi_resolved=True)
+    report = {}
+    list(curate(trajs, {"inst-1": make_instance(), "inst-2": other}, reports,
+                hacks, load_error_patterns(None), phases, report, recycle_semi_resolved=True))
     assert report["hack_invalidated"] == 4 and report["counts"]["semi_resolved"] == 4
     assert searched and len(searched) == len(set(searched))

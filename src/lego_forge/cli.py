@@ -11,8 +11,8 @@ skips stages whose recorded input content hashes are unchanged. Within one
 `pipeline` run every instance corpus is read once per content and passed to
 later stages in memory, and each file is hashed once per content. The
 `trajectories` input is decoded one line at a time into `curate`, never held
-whole. As `curate` writes each curated record, it hands it to the stages
-that read `curated.jsonl` (`mask`, `curriculum`, `classify-errors`), which
+whole. As `curate` writes each curated record, it hands it to the reader
+stages, those whose `Stage.run` is a `_Reader` of `curated.jsonl`, which
 use it and let it go, so no stage holds the curated corpus; each commits its
 outputs at its own turn, and one whose inputs turn out unchanged drops them
 and is skipped. Where `curate` does not run, one pass over `curated.jsonl`
@@ -35,7 +35,9 @@ and leaves it as it found it.
 Exit codes: 0 success, 1 internal error, 2 missing input, 3 validation
 failure (a rejection report is written next to the stage outputs). Every
 JSON Lines input is read by `schema.read_jsonl`, so a malformed line is a
-rejection, except in `real_inputs`, where it is skipped with its reason.
+rejection, except in `real_inputs`, where it is skipped with its reason; a
+streamed input fails its stage after its last line. A state file of another
+shape than `pipeline` writes counts as empty, so every stage re-runs.
 
 The config file is a plain `key = value` text file, the one source of run
 settings (the seed too); paths resolve relative to its directory. A value
@@ -77,9 +79,9 @@ import math
 import os
 import sys
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 from . import curriculum as curriculum_mod
 from .errors import ForgeError
@@ -107,8 +109,6 @@ EXIT_OK = 0
 EXIT_INTERNAL = ForgeError.exit_code
 EXIT_MISSING_INPUT = 2
 EXIT_VALIDATION = 3
-
-T = TypeVar("T")
 
 
 class MissingInputError(ForgeError):
@@ -285,25 +285,17 @@ def _reject(cfg: PipelineConfig, stage: str, entries: list[dict], what: str) -> 
 def _fail_on_rejections(
     cfg: PipelineConfig, stage: str, source: Path, rejections: Sequence[Rejection]
 ) -> None:
-    if not rejections:
-        return
-    entries = [
-        {
-            "file": str(source),
-            "line_no": r.line_no,
-            "codes": list(r.codes),
-            "message": r.message,
-        }
-        for r in rejections
-    ]
-    _reject(cfg, stage, entries, f"{source}: {len(rejections)} rejected line(s)")
+    if rejections:
+        entries = [{"file": str(source), **asdict(r)} for r in rejections]  # line_no, codes, message
+        _reject(cfg, stage, entries, f"{source}: {len(rejections)} rejected line(s)")
 
 
 # Per-run state of run_pipeline, emptied when the run ends: the sha256 of
 # each path hashed so far, the records of each instance corpus read or
-# written, keyed by (path, sha256 of the file), and the reader stages that
-# curate, or one pass over curated.jsonl, has fed (None: waiting for that
-# pass). Outside a run nothing is kept.
+# written, keyed by (path, sha256 of the file), and, by stage name, the
+# readers (the stages whose `Stage.run` is a `_Reader`) that curate, or one
+# pass over curated.jsonl, has fed. Where curate is skipped, each reader
+# planned to run waits for that pass as None. Outside a run nothing is kept.
 _in_run = False
 _digests: dict[Path, str] = {}
 _handoff: dict[tuple[Path, str], list[TaskInstance]] = {}
@@ -338,11 +330,14 @@ def _corpus(cfg: PipelineConfig, stage: str, path: Path) -> list[TaskInstance]:
     return records
 
 
-def _load_records(cfg: PipelineConfig, stage: str, path: Path, parse: Callable[[dict], T]) -> list[T]:
-    """A stage input read by load_jsonl; any rejection fails `stage` with a rejection report."""
-    result = load_jsonl(path, parse)
-    _fail_on_rejections(cfg, stage, path, result.rejections)
-    return result.records
+def _stream(cfg: PipelineConfig, stage: str, path: Path, parse: Callable[[dict], Any] | str) -> Iterator:
+    """The records of stage input `path`, decoded one line at a time by
+    `parse`, or as a corpus of that kind; once the last is yielded, any
+    rejected line fails `stage` with its rejection report."""
+    rejections: list[Rejection] = []
+    yield from (read_corpus(path, parse, rejections) if isinstance(parse, str)
+                else read_jsonl(path, parse, rejections))
+    _fail_on_rejections(cfg, stage, path, rejections)
 
 
 def _instance_sources(cfg: PipelineConfig) -> list[Path]:
@@ -399,9 +394,9 @@ def _stage_inject(cfg: PipelineConfig) -> dict:
     mutations_path = _require_input(cfg.mutations, "mutations")
     if not cfg.repo or not cfg.base_commit:
         raise MissingInputError("inject needs `repo` and `base_commit` in the config")
-    mutations = _load_records(
+    mutations = list(_stream(
         cfg, "inject", mutations_path, lambda r: task_builder.MutationSpec.from_record(r, cfg.seed)
-    )
+    ))
     snapshot = task_builder.read_snapshot(snapshot_dir)
     statements = task_builder.TemplateStatementProvider()
     provider = task_builder.PythonAstProvider()  # parses each snapshot file once
@@ -438,17 +433,15 @@ def _stage_sanitize(cfg: PipelineConfig) -> dict:
     from . import repo_sanitizer
 
     source = _require_input(cfg.histories, "histories")
-    rejections: list[Rejection] = []
     dropped: list[dict] = []
 
     def sanitized() -> Iterator[dict]:
         # Each history is written as it is read; a rejection fails the stage before the rename.
-        for line in read_jsonl(source, repo_sanitizer.sanitize_record, rejections):
+        for line in _stream(cfg, "sanitize", source, repo_sanitizer.sanitize_record):
             if "reason" in line:
                 dropped.append(line)
             else:
                 yield line
-        _fail_on_rejections(cfg, "sanitize", source, rejections)
 
     count = save_jsonl(sanitized(), cfg.out_dir / "sanitized_histories.jsonl")
     return {"stage": "sanitize", "sanitized": count, "dropped": dropped}
@@ -461,17 +454,13 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
     reports_path = _require_input(cfg.final_reports, "final_reports")
     instances = _load_instances_union(cfg, "curate")
     reports = load_jsonl(reports_path, _final_report)
-    # Within a run every reader stage takes each curated trajectory as it is
-    # written; those planned to run commit their outputs at their turn.
-    readers = {name: reader(cfg) for name, reader in _READERS.items()} if _in_run else {}
-    rejections: list[Rejection] = []
     report: dict = {}
 
     def curated() -> Iterator[Trajectory]:
         # Trajectories are decoded one at a time into curate; a rejection,
         # the trajectories' first, fails it before the rename.
-        for traj in trajectory_curation.curate(
-            read_corpus(traj_path, "trajectories", rejections),
+        yield from trajectory_curation.curate(
+            _stream(cfg, "curate", traj_path, "trajectories"),
             instances,
             dict(reports.records),
             load_hack_patterns(cfg.hack_patterns),
@@ -479,19 +468,12 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
             load_phase_patterns(cfg.phase_patterns),
             report,
             recycle_semi_resolved=cfg.recycle_semi_resolved,
-        ):
-            _feed(readers.values(), traj)
-            yield traj
-        _fail_on_rejections(cfg, "curate", traj_path, rejections)
+        )
         _fail_on_rejections(cfg, "curate", reports_path, reports.rejections)
 
-    try:
-        save_corpus(curated(), _curated_path(cfg))
-    except BaseException:
-        for reader in readers.values():
-            reader.discard()
-        raise
-    _readers.update(readers)
+    # Within a run every reader stage takes each curated trajectory as it is
+    # written; those planned to run commit their outputs at their turn.
+    save_corpus(_fold(cfg, [s for s in STAGES if s.reader] if _in_run else [], curated()), _curated_path(cfg))
     return {"stage": "curate", **report}
 
 
@@ -633,42 +615,39 @@ class _ClassifyErrors(_Reader):
         return {"stage": "classify-errors", **report}
 
 
-# The stages that read curated.jsonl, in stage order.
-_READERS: dict[str, type[_Reader]] = {
-    "mask": _Mask, "curriculum": _Curriculum, "classify-errors": _ClassifyErrors,
-}
+def _fold(cfg: PipelineConfig, stages: list[Stage], trajectories: Iterable[Trajectory]) -> Iterator[Trajectory]:
+    """Yield each trajectory once a new reader of each of `stages` has taken
+    it; a reader whose `take` raises is detached. Any exception, a
+    GeneratorExit from a failing writer too, discards every reader; they
+    are handed to `_readers` only after the last trajectory has passed."""
+    readers = {stage.name: stage.run(cfg) for stage in stages}
+    try:
+        for traj in trajectories:
+            for reader in readers.values():
+                if reader.error is None:
+                    try:
+                        reader.take(traj)
+                    except Exception as exc:
+                        reader.detach(exc)
+            yield traj
+    except BaseException:
+        for reader in readers.values():
+            reader.discard()
+        raise
+    _readers.update(readers)
 
 
-def _feed(readers: Iterable[_Reader], traj: Trajectory) -> None:
-    for reader in readers:
-        if reader.error is None:
-            try:
-                reader.take(traj)
-            except Exception as exc:
-                reader.detach(exc)
-
-
-def _run_reader(cfg: PipelineConfig, stage: str) -> dict:
-    """Finish reader `stage` as curate fed it in this run; else feed it, and
-    every reader waiting with it, from one pass over curated.jsonl first. A
-    rejected line there fails `stage`, and no reader writes its outputs."""
-    reader = _readers.pop(stage, None)
-    if reader is None:
+def _run_reader(cfg: PipelineConfig, stage: Stage) -> dict:
+    """Finish reader `stage` as this run fed it; else feed it, and every
+    reader waiting with it (curate fed none of them), from one pass over
+    curated.jsonl first. A rejected line there fails `stage`, and no reader
+    writes its outputs."""
+    if _readers.get(stage.name) is None:
         path = _require_input(_curated_path(cfg), "curated corpus (run the curate stage first)")
-        waiting = [name for name, other in _readers.items() if other is None]
-        readers = {name: _READERS[name](cfg) for name in (stage, *waiting)}
-        rejections: list[Rejection] = []
-        try:
-            for traj in read_corpus(path, "trajectories", rejections):
-                _feed(readers.values(), traj)
-            _fail_on_rejections(cfg, stage, path, rejections)
-        except BaseException:
-            for other in readers.values():
-                other.discard()
-            raise
-        reader = readers.pop(stage)
-        _readers.update(readers)
-    return reader.finish()
+        waiting = [s for s in STAGES if s is stage or s.name in _readers]
+        for _ in _fold(cfg, waiting, _stream(cfg, stage.name, path, "trajectories")):
+            pass
+    return _readers.pop(stage.name).finish()
 
 
 def _stage_tts_select(cfg: PipelineConfig) -> dict:
@@ -677,7 +656,8 @@ def _stage_tts_select(cfg: PipelineConfig) -> dict:
     rollouts_path = _require_input(cfg.rollouts, "rollouts")
     verifier = tts.StubVerifier(cfg.seed) if cfg.verifier == "stub" else tts.OracleVerifier()
     groups: dict[str, dict[int, tts.Scored]] = {}
-    _load_records(cfg, "tts-select", rollouts_path, lambda record: tts.add_rollout(groups, record, verifier))
+    for _ in _stream(cfg, "tts-select", rollouts_path, lambda record: tts.add_rollout(groups, record, verifier)):
+        pass
     problems = tts.unrankable(groups, str(rollouts_path))
     if problems is not None:
         _reject(cfg, "tts-select", *problems)
@@ -688,7 +668,7 @@ def _stage_tts_select(cfg: PipelineConfig) -> dict:
     # A bad surface fails the stage before it writes any output.
     if cfg.allocates():
         surface_path = _require_input(cfg.surface, "surface")
-        surface = dict(_load_records(cfg, "tts-select", surface_path, tts.surface_point))
+        surface = dict(_stream(cfg, "tts-select", surface_path, tts.surface_point))
         model = tts.LatencyModel(c=cfg.latency_c, alpha=cfg.latency_alpha, beta=cfg.latency_beta)
         try:
             plan, contour = tts.allocate(model, cfg.latency_budget, surface)
@@ -748,15 +728,20 @@ def _stage_stats(cfg: PipelineConfig) -> dict:
 
 @dataclass(frozen=True)
 class Stage:
-    """One pipeline stage: `inputs` are the paths whose content decides a
-    re-run; `outputs` are the file names it writes in out_dir besides its
-    `report`."""
+    """One pipeline stage: `run` returns its report, or, for a stage that
+    reads curated.jsonl, is the `_Reader` that folds over it; `inputs` are
+    the paths whose content decides a re-run; `outputs` are the file names
+    it writes in out_dir besides its `report`."""
 
     name: str
-    run: Callable[[PipelineConfig], dict]
+    run: Callable[[PipelineConfig], dict] | type[_Reader]
     inputs: Callable[[PipelineConfig], list[Path | None]]
     outputs: Callable[[PipelineConfig], list[str]]
     report: str
+
+    @property
+    def reader(self) -> bool:
+        return isinstance(self.run, type)
 
 
 # Dependency order: `pipeline` runs these top to bottom.
@@ -771,13 +756,13 @@ STAGES = (
           lambda cfg: [cfg.trajectories, cfg.final_reports, *_instance_sources(cfg),
                        cfg.hack_patterns, cfg.error_patterns, cfg.phase_patterns],
           lambda cfg: ["curated.jsonl"], "curation_report.json"),
-    Stage("mask", lambda cfg: _run_reader(cfg, "mask"), lambda cfg: [_curated_path(cfg)],
+    Stage("mask", _Mask, lambda cfg: [_curated_path(cfg)],
           lambda cfg: ["samples.jsonl", "mask_drops.jsonl"], "mask_report.json"),
-    Stage("curriculum", lambda cfg: _run_reader(cfg, "curriculum"), lambda cfg: [_curated_path(cfg)],
+    Stage("curriculum", _Curriculum, lambda cfg: [_curated_path(cfg)],
           lambda cfg: [*(f"stage{n}.jsonl" for n in range(1, len(cfg.bins()) + 1)),
                        "correlation_report.json"],
           "curriculum_report.json"),
-    Stage("classify-errors", lambda cfg: _run_reader(cfg, "classify-errors"),
+    Stage("classify-errors", _ClassifyErrors,
           lambda cfg: [_curated_path(cfg), *_instance_sources(cfg)],
           lambda cfg: ["failures.jsonl", "distribution.json"], "classify_errors_report.json"),
     Stage("tts-select", _stage_tts_select, lambda cfg: [cfg.rollouts, cfg.surface],
@@ -799,7 +784,7 @@ def run_stage(stage: str, cfg: PipelineConfig) -> tuple[int, dict]:
     if spec is None:
         raise ValueError(f"unknown stage {stage!r}")
     try:
-        report = spec.run(cfg)
+        report = _run_reader(cfg, spec) if spec.reader else spec.run(cfg)
         code = EXIT_OK
     except ForgeError as exc:
         report = {"stage": stage, "error": str(exc)}
@@ -849,17 +834,21 @@ def _input_fingerprint(stage: Stage, cfg: PipelineConfig) -> str:
 
 
 def _read_state(path: Path) -> tuple[bytes, dict]:
-    """The state file's bytes and its recorded fingerprints; a missing or
-    undecodable (say, truncated) state file counts as empty, so every stage
-    re-runs."""
+    """The state file's bytes and its recorded fingerprints. A missing or
+    undecodable (say, truncated, or nested past the recursion limit) state
+    file counts as empty, so every stage re-runs; so does one that is not an
+    object of objects whose `outputs`, where present, is an object."""
     try:
         recorded = path.read_bytes()
     except FileNotFoundError:
         return b"", {}
     try:
-        return recorded, json.loads(recorded.decode("utf-8"))
-    except ValueError:
+        state = json.loads(recorded.decode("utf-8"))
+    except (ValueError, RecursionError):
         return recorded, {}
+    valid = isinstance(state, dict) and all(
+        isinstance(entry, dict) and isinstance(entry.get("outputs", {}), dict) for entry in state.values())
+    return recorded, state if valid else {}
 
 
 def _write_state(path: Path, state: dict, state_bytes: bytes) -> None:
@@ -979,14 +968,12 @@ def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> in
                     speculative = _readers.pop(stage.name, None)
                     if speculative is not None:  # curate fed it, but its inputs are unchanged
                         speculative.discard()
+                    elif stage.name == "curate":  # so one pass over curated.jsonl feeds each reader that runs
+                        for reader in (s for s in STAGES if s.reader):
+                            plans[reader.name] = plan(reader)
+                            if plans[reader.name]:
+                                _readers[reader.name] = None
                     continue
-                if stage.name in _READERS and stage.name not in _readers:
-                    # curate did not feed the readers: plan the rest now, so that
-                    # one pass over curated.jsonl feeds each that runs.
-                    later = [s for s in STAGES if s.name in _READERS and s.name not in plans]
-                    for other in later:
-                        plans[other.name] = plan(other)
-                    _readers.update((other.name, None) for other in later if plans[other.name])
                 code, report = run_stage(stage.name, cfg)
                 results[stage.name] = (code, report.get("error", "unknown error"))
                 if code != EXIT_OK:

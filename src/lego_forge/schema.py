@@ -439,10 +439,11 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], Any], rejections: list[
     Rejection to `rejections`. The one JSON decoder of stage inputs.
 
     Lines split at "\n" only, so text that holds U+2028 and the like reads
-    back as written. A line that is not a JSON object, or that escapes a lone
-    surrogate (text no UTF-8 output can hold), is BAD_JSON; one that
-    `parse` refuses with ValueError is BAD_RECORD, or the codes of a
-    RecordRejected. A blank line is skipped, or is EMPTY_LINE with
+    back as written. A line that is not a JSON object (nor is one nested past
+    the recursion limit, or holding an integer past int's digit limit), or
+    that escapes a lone surrogate (text no UTF-8 output can hold), is
+    BAD_JSON; one that `parse` refuses with ValueError is BAD_RECORD, or the
+    codes of a RecordRejected. A blank line is skipped, or is EMPTY_LINE with
     reject_blank. An unreadable file raises CorpusError, also after some
     lines were yielded, when it stops decoding part-way.
     """
@@ -453,7 +454,7 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], Any], rejections: list[
             continue
         try:
             raw = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
             rejections.append(Rejection(line_no, ("BAD_JSON",), str(exc)))
             continue
         if not isinstance(raw, dict):

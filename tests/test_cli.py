@@ -852,28 +852,37 @@ def test_corrupt_input_line_exits_3_with_rejection_report(corpus):
 
 
 FUZZ_VALUES = (None, True, 7, 1.5, "x", [], {})
+# JSON values that json.loads refuses with RecursionError or a plain
+# ValueError, not JSONDecodeError, and a word of each one's message.
+UNDECODABLE_VALUES = {"deep-nesting": ("[" * 100_000, "recursion"), "huge-integer": ("7" * 5_000, "digits")}
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(key=st.sampled_from(sorted(PROBE_STAGES)), data=st.data())
 def test_fuzzed_input_line_ends_in_a_report_never_a_traceback(key, data):
     # One line of one stage input loses a key, changes a type, is truncated,
-    # or gets an array or blank line inserted before it; every stage then
-    # exits 0, 2 or 3 with its report written and no partial output.
+    # has a value nested past the recursion limit or an integer past int's
+    # digit limit, or gets an array or blank line inserted before it; every
+    # stage then exits 0, 2 or 3 with its report written and no partial output.
     with tempfile.TemporaryDirectory() as tmp:
         cfg = load_config(build_integration_corpus(Path(tmp)))
         path = getattr(cfg, key)
         lines = path.read_text(encoding="utf-8").split("\n")[:-1]
         n = data.draw(st.integers(0, len(lines) - 1), label="line")
         record = json.loads(lines[n])
-        kind = data.draw(st.sampled_from(("drop-key", "change-type", "truncate", "array", "blank")), label="kind")
+        kinds = ("drop-key", "change-type", "truncate", "array", "blank", *UNDECODABLE_VALUES)
+        kind = data.draw(st.sampled_from(kinds), label="kind")
         field = data.draw(st.sampled_from(sorted(record)), label="field")
         if kind == "drop-key":
             del record[field]
         elif kind == "change-type":
             record[field] = data.draw(st.sampled_from([v for v in FUZZ_VALUES if type(v) is not type(record[field])]))
+        elif kind in UNDECODABLE_VALUES:
+            record[field] = "@undecodable@"
         lines[n] = json.dumps(record)
-        if kind == "truncate":
+        if kind in UNDECODABLE_VALUES:
+            lines[n] = lines[n].replace('"@undecodable@"', UNDECODABLE_VALUES[kind][0])
+        elif kind == "truncate":
             lines[n] = lines[n][: data.draw(st.integers(1, len(lines[n]) - 1), label="cut")]
         elif kind in ("array", "blank"):
             lines.insert(n, "[1, 2]" if kind == "array" else "")
@@ -1071,6 +1080,23 @@ def test_corrupt_state_file_reruns_every_stage(corpus):
     assert set(read(state)) == {stage.name for stage in cli.STAGES}
 
 
+@pytest.mark.parametrize("text", ["[]", '{"curate": 5}', '{"curate": {"outputs": []}}', "[" * 200_000],
+                         ids=["array", "stage-not-object", "outputs-not-object", "deep-nesting"])
+def test_state_file_of_another_shape_reruns_every_stage(corpus, text):
+    # A state file that is not an object of objects whose `outputs` is an
+    # object, or that nests past the recursion limit, counts as empty: every
+    # stage re-runs and the tree is the one the cold run left.
+    cfg = load_config(corpus)
+    assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+    cold = tree_bytes(cfg.out_dir)
+    (cfg.out_dir / ".forge_state.json").write_text(text, encoding="utf-8")
+    lines = []
+    assert run_pipeline(cfg, echo=lines.append) == EXIT_OK
+    assert lines == [f"[ok]   {stage.name}" for stage in cli.STAGES]
+    assert tree_bytes(cfg.out_dir) == cold
+    assert_run_state_empty()
+
+
 def test_corrupting_one_input_reruns_only_downstream(corpus):
     cfg = load_config(corpus)
     run_pipeline(cfg, echo=lambda s: None)
@@ -1163,19 +1189,20 @@ def test_cyclic_garbage_of_a_cold_run_does_not_grow_with_the_corpus(tmp_path, co
 def test_curated_records_equal_their_reload(corpus, monkeypatch):
     # Within a run the reader stages take curate's records as it writes
     # them, in place of a reload, so a reload must return exactly those records.
-    fed = []
-    real_feed = cli._feed
+    readers = [stage for stage in cli.STAGES if stage.reader]
+    taken = {stage.name: [] for stage in readers}
+    for stage in readers:
+        def capturing_take(self, traj, real_take=stage.run.take, name=stage.name):
+            taken[name].append(traj)
+            real_take(self, traj)
 
-    def capturing_feed(readers, traj):
-        readers = list(readers)
-        fed.append((len(readers), traj))
-        real_feed(readers, traj)
-
-    monkeypatch.setattr(cli, "_feed", capturing_feed)
+        monkeypatch.setattr(stage.run, "take", capturing_take)
     cfg = load_config(corpus)
     assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
-    assert [count for count, _ in fed] == [len(cli._READERS)] * 7
-    curated = [traj for _, traj in fed]
+    assert [stage.name for stage in readers] == ["mask", "curriculum", "classify-errors"]
+    curated = taken["mask"]
+    assert len(curated) == 7
+    assert all(len(fed) == 7 and all(a is b for a, b in zip(fed, curated)) for fed in taken.values())
     for traj in curated:
         assert Trajectory.from_record(traj.to_record()) == traj
     assert load_corpus(cfg.out_dir / "curated.jsonl", "trajectories").records == curated
@@ -1473,6 +1500,34 @@ def test_mask_raising_mid_pass_commits_curate_and_no_later_reader(tmp_path, monk
     assert sorted(read(cfg.out_dir / ".forge_state.json")) == ["build-tasks", "curate", "inject", "sanitize"]
 
 
+def test_failing_curated_writer_discards_every_fed_reader(corpus, monkeypatch):
+    # curated.jsonl's writer fails on its third line, after the readers took
+    # the first trajectories: the fold ends in GeneratorExit and discards
+    # them all, so no reader leaves an output or a temp file.
+    class FailingWriter(schema_mod.AtomicWriter):
+        def __init__(self, path):
+            super().__init__(path)
+            if self.path.name == "curated.jsonl":
+                written, write = [], self.write
+
+                def failing_write(text):
+                    written.append(text)
+                    if len(written) == 3:
+                        raise OSError(28, "No space left on device")
+                    write(text)
+
+                self.write = failing_write
+
+    monkeypatch.setattr(schema_mod, "AtomicWriter", FailingWriter)
+    cfg = load_config(corpus)
+    lines = []
+    assert run_pipeline(cfg, echo=lines.append) == EXIT_INTERNAL
+    assert lines[-1].startswith("[fail] curate: cannot write corpus")
+    assert not [p.name for p in cfg.out_dir.iterdir() if p.name.endswith(".tmp")]
+    assert not [name for name in ("curated.jsonl", *READER_OUTPUTS) if (cfg.out_dir / name).exists()]
+    assert_run_state_empty()
+
+
 def test_curate_rerun_with_the_same_output_skips_the_readers(tmp_path):
     # A final report for no trajectory re-runs curate, whose output keeps
     # its bytes: the readers' speculative outputs are dropped and they skip.
@@ -1654,6 +1709,34 @@ def test_bad_line_fails_a_worker_stage_in_stage_order(tmp_path, key, stage):
     tree = tree_bytes(cfg.out_dir)
     assert tree.pop(f"{stage.replace('-', '_')}_rejections.jsonl")
     assert tree == tree_bytes(tmp_path / "fresh" / "out")
+
+
+@pytest.mark.parametrize("kind", sorted(UNDECODABLE_VALUES))
+@pytest.mark.parametrize("key, stage", [("trajectories", "curate"), ("rollouts", "tts-select"),
+                                        ("real_inputs", "build-tasks")])
+def test_line_json_cannot_decode_is_bad_json_in_a_pipeline(tmp_path, key, stage, kind):
+    # json.loads raises RecursionError, or a plain ValueError, for these
+    # lines. Each is BAD_JSON in this process (trajectories), in the worker
+    # (rollouts) and where bad lines are skipped with their reason (real_inputs).
+    cfg = load_config(build_integration_corpus(tmp_path / "corpus"))
+    path = getattr(cfg, key)
+    text = path.read_text(encoding="utf-8")
+    value, reason = UNDECODABLE_VALUES[kind]
+    path.write_text(text + '{"x": ' + value + "}\n", encoding="utf-8")
+    lines = []
+    code = run_pipeline(cfg, echo=lines.append)
+    assert_no_child_left()
+    assert_run_state_empty()
+    if key == "real_inputs":
+        assert code == EXIT_OK and all(line.startswith("[ok]") for line in lines)
+        skipped = read(cfg.out_dir / "build_tasks_report.json")["skipped"]
+        assert [s["record"] for s in skipped if reason in s["reason"]] == [text.count("\n")]
+        return
+    assert code == EXIT_VALIDATION
+    assert lines[-1].startswith(f"[fail] {stage}:")
+    entries = read_jsonl(cfg.out_dir / f"{stage.replace('-', '_')}_rejections.jsonl")
+    assert [(e["line_no"], e["codes"]) for e in entries] == [(text.count("\n") + 1, ["BAD_JSON"])]
+    assert reason in entries[0]["message"]
 
 
 def test_parent_failure_leaves_the_worker_stage_unrecorded(corpus):
@@ -1921,8 +2004,12 @@ def test_rejected_corpus_is_never_kept(corpus, monkeypatch):
 
 def test_every_corpus_load_in_cli_goes_through_one_reader():
     # cli reads each instance corpus through _corpus, which keeps it for the
-    # run; curate folds over the trajectories as they are decoded, and the
-    # reader stages over curated.jsonl only where curate did not feed them.
+    # run. Every other stage input that fails its stage on a rejection is
+    # streamed through _stream: the trajectories into curate, curated.jsonl
+    # into the reader stages where curate did not feed them, and mutations,
+    # histories, rollouts and surface. Only build-tasks, which skips a bad
+    # line with its reason, and final_reports, whose rejection comes after
+    # the trajectories', load a whole file.
     calls = []
 
     class Finder(ast.NodeVisitor):
@@ -1935,12 +2022,25 @@ def test_every_corpus_load_in_cli_goes_through_one_reader():
 
         def visit_Call(self, node):
             func = node.func
-            if getattr(func, "id", getattr(func, "attr", None)) in ("load_corpus", "read_corpus"):
-                calls.append(".".join(self.scope))
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if name in ("load_corpus", "read_corpus", "load_jsonl", "read_jsonl", "_stream"):
+                calls.append((name, ".".join(self.scope)))
             self.generic_visit(node)
 
     Finder().visit(ast.parse(Path(cli.__file__).read_text(encoding="utf-8")))
-    assert calls == ["cli._corpus", "cli._stage_curate.curated", "cli._run_reader"]
+    assert calls == [
+        ("load_corpus", "cli._corpus"),
+        ("read_corpus", "cli._stream"),
+        ("read_jsonl", "cli._stream"),
+        ("load_jsonl", "cli._stage_build_tasks"),
+        ("_stream", "cli._stage_inject"),
+        ("_stream", "cli._stage_sanitize.sanitized"),
+        ("load_jsonl", "cli._stage_curate"),
+        ("_stream", "cli._stage_curate.curated"),
+        ("_stream", "cli._run_reader"),
+        ("_stream", "cli._stage_tts_select"),
+        ("_stream", "cli._stage_tts_select"),
+    ]
 
 
 def test_sanitize_parses_each_date_once(corpus, monkeypatch):

@@ -209,6 +209,19 @@ def test_load_jsonl_rejects_lone_surrogate_escapes(tmp_path):
     ]
 
 
+def test_load_jsonl_rejects_deep_nesting_and_huge_integers(tmp_path):
+    # json.loads raises RecursionError for a line nested past the recursion
+    # limit and a plain ValueError for an integer past int's digit limit;
+    # both are BAD_JSON, and the lines after them still load.
+    path = tmp_path / "input.jsonl"
+    write_lines(path, ["[" * 200_000, '{"n": 1}', '{"n": ' + "7" * 5_000 + "}", '{"x": ' + "[" * 100_000 + "}",
+                       '{"n": 2}'])
+    result = load_jsonl(path, lambda record: record["n"])
+    assert result.records == [1, 2]
+    assert [(r.line_no, r.codes) for r in result.rejections] == [(n, ("BAD_JSON",)) for n in (1, 3, 4)]
+    assert "recursion" in result.rejections[0].message and "digits" in result.rejections[1].message
+
+
 def test_lines_split_at_newline_only(tmp_path):
     # U+0085, U+2028 and U+2029 are written raw; CRLF line ends still read.
     traj = make_traj([bash_step(0, "ls", "a\x85b\u2028c\u2029d"), finish_step(1)])

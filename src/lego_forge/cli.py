@@ -33,17 +33,20 @@ index, label and score. The records hold no reference cycles, so a
 and leaves it as it found it.
 
 Exit codes: 0 success, 1 internal error, 2 missing input, 3 validation
-failure (a rejection report is written next to the stage outputs). Every
-JSON Lines input is read by `schema.read_jsonl`, so a malformed line is a
+failure (`errors.ValidationFailure`). `run_stage` stamps each report with
+its stage's name and writes every rejection report next to the stage
+outputs, so no stage body names its stage. Every JSON Lines input is read
+by `schema.read_jsonl`, so a malformed line (one not UTF-8 too) is a
 rejection, except in `real_inputs`, where it is skipped with its reason; a
-streamed input fails its stage after its last line. A state file of another
-shape than `pipeline` writes counts as empty, so every stage re-runs.
+streamed input fails its stage after its last line. A state file of
+another shape than `pipeline` writes counts as empty, so every stage re-runs.
 
 The config file is a plain `key = value` text file, the one source of run
-settings (the seed too); paths resolve relative to its directory. A value
-of the wrong type or that no stage can use (say, a `context_limit` that is
-not positive) fails at load with exit 1 and `path:line`; a config or
-registry file that is not UTF-8 fails with exit 1 and its path. Keys:
+settings (the seed too); paths resolve relative to its directory. Its
+lines, as a registry file's, end at "\n", "\r\n" or "\r" only. A value of
+the wrong type or that no stage can use (say, a `context_limit` that is not
+positive) fails at load with exit 1 and `path:line`; a config or registry
+file that is not UTF-8 fails with exit 1 and its path. Keys:
 
   out_dir            output directory (default: out; a file there fails at load)
   repo, base_commit  repository identity for the inject stage
@@ -81,10 +84,10 @@ import sys
 import threading
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import curriculum as curriculum_mod
-from .errors import ForgeError
+from .errors import ForgeError, ValidationFailure
 from .registries import content_lines, load_error_patterns, load_hack_patterns, load_phase_patterns
 from .schema import (
     DEFAULT_MAX_TURNS,
@@ -108,19 +111,11 @@ from .schema import (
 EXIT_OK = 0
 EXIT_INTERNAL = ForgeError.exit_code
 EXIT_MISSING_INPUT = 2
-EXIT_VALIDATION = 3
+EXIT_VALIDATION = ValidationFailure.exit_code
 
 
 class MissingInputError(ForgeError):
     exit_code = EXIT_MISSING_INPUT
-
-
-class ValidationFailure(ForgeError):
-    exit_code = EXIT_VALIDATION
-
-    def __init__(self, message: str, rejection_path: Path | None = None):
-        self.rejection_path = rejection_path
-        super().__init__(message)
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +270,10 @@ def _require_input(path: Path | None, what: str, directory: bool = False) -> Pat
     return path
 
 
-def _reject(cfg: PipelineConfig, stage: str, entries: list[dict], what: str) -> NoReturn:
-    """Fail `stage` with exit 3: write `entries` as its rejection report."""
-    path = cfg.out_dir / f"{stage.replace('-', '_')}_rejections.jsonl"
-    save_jsonl(entries, path)
-    raise ValidationFailure(f"{what}; see {path}", rejection_path=path)
-
-
-def _fail_on_rejections(
-    cfg: PipelineConfig, stage: str, source: Path, rejections: Sequence[Rejection]
-) -> None:
+def _fail_on_rejections(source: Path, rejections: Sequence[Rejection]) -> None:
     if rejections:
         entries = [{"file": str(source), **asdict(r)} for r in rejections]  # line_no, codes, message
-        _reject(cfg, stage, entries, f"{source}: {len(rejections)} rejected line(s)")
+        raise ValidationFailure(f"{source}: {len(rejections)} rejected line(s)", entries)
 
 
 # Per-run state of run_pipeline, emptied when the run ends: the sha256 of
@@ -316,28 +302,28 @@ def _hand_off(path: Path, instances: list[TaskInstance]) -> None:
     _handoff[(path, _hash_path(path))] = instances
 
 
-def _corpus(cfg: PipelineConfig, stage: str, path: Path) -> list[TaskInstance]:
+def _corpus(path: Path) -> list[TaskInstance]:
     """The instances of corpus `path`, loaded once per content within a run;
-    a load with rejections fails `stage` and is never kept."""
+    a load with rejections fails the stage and is never kept."""
     key = (path, _hash_path(path)) if _in_run else None
     records = _handoff.get(key)
     if records is None:
         result = load_corpus(path, "instances")
-        _fail_on_rejections(cfg, stage, path, result.rejections)
+        _fail_on_rejections(path, result.rejections)
         records = result.records
         if key is not None:
             _handoff[key] = records
     return records
 
 
-def _stream(cfg: PipelineConfig, stage: str, path: Path, parse: Callable[[dict], Any] | str) -> Iterator:
+def _stream(path: Path, parse: Callable[[dict], Any] | str) -> Iterator:
     """The records of stage input `path`, decoded one line at a time by
     `parse`, or as a corpus of that kind; once the last is yielded, any
-    rejected line fails `stage` with its rejection report."""
+    rejected line fails the stage with its rejection report."""
     rejections: list[Rejection] = []
     yield from (read_corpus(path, parse, rejections) if isinstance(parse, str)
                 else read_jsonl(path, parse, rejections))
-    _fail_on_rejections(cfg, stage, path, rejections)
+    _fail_on_rejections(path, rejections)
 
 
 def _instance_sources(cfg: PipelineConfig) -> list[Path]:
@@ -347,7 +333,7 @@ def _instance_sources(cfg: PipelineConfig) -> list[Path]:
     return sources
 
 
-def _load_instances_union(cfg: PipelineConfig, stage: str) -> dict[str, TaskInstance]:
+def _load_instances_union(cfg: PipelineConfig) -> dict[str, TaskInstance]:
     if cfg.instances is not None:
         _require_input(cfg.instances, "instances")
     existing = [p for p in _instance_sources(cfg) if p.exists()]
@@ -357,7 +343,7 @@ def _load_instances_union(cfg: PipelineConfig, stage: str) -> dict[str, TaskInst
         )
     by_id: dict[str, TaskInstance] = {}
     for source in existing:
-        for inst in _corpus(cfg, stage, source):
+        for inst in _corpus(source):
             by_id.setdefault(inst.instance_id, inst)
     return by_id
 
@@ -367,35 +353,26 @@ def _load_instances_union(cfg: PipelineConfig, stage: str) -> dict[str, TaskInst
 
 
 def _stage_build_tasks(cfg: PipelineConfig) -> dict:
+    from . import task_builder
+
     source = _require_input(cfg.real_inputs, "real_inputs")
-    result = load_jsonl(source, _real_instance)
+    result = load_jsonl(source, task_builder.build_real_instance)
     path = cfg.out_dir / "instances_real.jsonl"
     save_corpus(result.records, path)
     _hand_off(path, result.records)
     skipped = [{"record": r.line_no - 1, "reason": r.message} for r in result.rejections]
-    return {"stage": "build-tasks", "built": len(result.records), "skipped": skipped}
-
-
-def _real_instance(record: dict) -> TaskInstance:
-    """build_real_instance, whose build failures skip the line as field
-    errors do."""
-    from . import patch_analysis, task_builder
-
-    try:
-        return task_builder.build_real_instance(record)
-    except (task_builder.InvisibleBugError, patch_analysis.PatchParseError) as exc:
-        raise ValueError(str(exc)) from None
+    return {"built": len(result.records), "skipped": skipped}
 
 
 def _stage_inject(cfg: PipelineConfig) -> dict:
-    from . import patch_analysis, task_builder
+    from . import task_builder
 
     snapshot_dir = _require_input(cfg.snapshot_dir, "snapshot_dir", directory=True)
     mutations_path = _require_input(cfg.mutations, "mutations")
     if not cfg.repo or not cfg.base_commit:
         raise MissingInputError("inject needs `repo` and `base_commit` in the config")
     mutations = list(_stream(
-        cfg, "inject", mutations_path, lambda r: task_builder.MutationSpec.from_record(r, cfg.seed)
+        mutations_path, lambda r: task_builder.MutationSpec.from_record(r, cfg.seed)
     ))
     snapshot = task_builder.read_snapshot(snapshot_dir)
     statements = task_builder.TemplateStatementProvider()
@@ -418,15 +395,14 @@ def _stage_inject(cfg: PipelineConfig) -> dict:
             )
         except task_builder.InvisibleBugError as exc:
             invisible.append({"record": idx, "reason": str(exc)})
-        except (task_builder.LocatorError, task_builder.MutatorKindError, task_builder.MutationError,
-                patch_analysis.PatchParseError, ValueError) as exc:
+        except (task_builder.MutationError, ValueError) as exc:
             bad_specs.append({"record": idx, "reason": str(exc)})
     if bad_specs:
-        _reject(cfg, "inject", bad_specs, f"{len(bad_specs)} mutation spec(s) could not be applied")
+        raise ValidationFailure(f"{len(bad_specs)} mutation spec(s) could not be applied", bad_specs)
     path = cfg.out_dir / "instances_synth.jsonl"
     save_corpus(instances, path)
     _hand_off(path, instances)
-    return {"stage": "inject", "built": len(instances), "invisible_bugs": invisible}
+    return {"built": len(instances), "invisible_bugs": invisible}
 
 
 def _stage_sanitize(cfg: PipelineConfig) -> dict:
@@ -437,14 +413,14 @@ def _stage_sanitize(cfg: PipelineConfig) -> dict:
 
     def sanitized() -> Iterator[dict]:
         # Each history is written as it is read; a rejection fails the stage before the rename.
-        for line in _stream(cfg, "sanitize", source, repo_sanitizer.sanitize_record):
+        for line in _stream(source, repo_sanitizer.sanitize_record):
             if "reason" in line:
                 dropped.append(line)
             else:
                 yield line
 
     count = save_jsonl(sanitized(), cfg.out_dir / "sanitized_histories.jsonl")
-    return {"stage": "sanitize", "sanitized": count, "dropped": dropped}
+    return {"sanitized": count, "dropped": dropped}
 
 
 def _stage_curate(cfg: PipelineConfig) -> dict:
@@ -452,7 +428,7 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
 
     traj_path = _require_input(cfg.trajectories, "trajectories")
     reports_path = _require_input(cfg.final_reports, "final_reports")
-    instances = _load_instances_union(cfg, "curate")
+    instances = _load_instances_union(cfg)
     reports = load_jsonl(reports_path, _final_report)
     report: dict = {}
 
@@ -460,7 +436,7 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
         # Trajectories are decoded one at a time into curate; a rejection,
         # the trajectories' first, fails it before the rename.
         yield from trajectory_curation.curate(
-            _stream(cfg, "curate", traj_path, "trajectories"),
+            _stream(traj_path, "trajectories"),
             instances,
             dict(reports.records),
             load_hack_patterns(cfg.hack_patterns),
@@ -469,12 +445,12 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
             report,
             recycle_semi_resolved=cfg.recycle_semi_resolved,
         )
-        _fail_on_rejections(cfg, "curate", reports_path, reports.rejections)
+        _fail_on_rejections(reports_path, reports.rejections)
 
     # Within a run every reader stage takes each curated trajectory as it is
     # written; those planned to run commit their outputs at their turn.
     save_corpus(_fold(cfg, [s for s in STAGES if s.reader] if _in_run else [], curated()), _curated_path(cfg))
-    return {"stage": "curate", **report}
+    return report
 
 
 def _final_report(record: dict) -> tuple[str, TestReport]:
@@ -551,7 +527,6 @@ class _Mask(_Reader):
 
     def end(self) -> dict:
         return {
-            "stage": "mask",
             "emitted": self.emitted,
             "dropped": self.dropped,
             "context_limit": self.cfg.context_limit,
@@ -570,10 +545,7 @@ class _Curriculum(_Reader):
         selected = curriculum_mod.select_for_training(
             self.summaries, recycle_semi_resolved=cfg.recycle_semi_resolved
         )
-        try:
-            plan = curriculum_mod.build_stages(selected, cfg.bins())
-        except curriculum_mod.BinningError as exc:
-            raise ValidationFailure(str(exc)) from exc
+        plan = curriculum_mod.build_stages(selected, cfg.bins())
         # A stage names its members; their content is in curated.jsonl.
         for stage_no, stage_ids in enumerate(plan.stages, start=1):
             save_jsonl([{"trajectory_id": tid} for tid in stage_ids], cfg.out_dir / f"stage{stage_no}.jsonl")
@@ -591,7 +563,6 @@ class _Curriculum(_Reader):
             corr_report = {"r": None, "n": len(records), "error": str(exc)}
         atomic_write_text(cfg.out_dir / "correlation_report.json", _dump_report(corr_report))
         return {
-            "stage": "curriculum",
             "selected": len(selected),
             "stage_sizes": [len(s) for s in plan.stages],
         }
@@ -601,7 +572,7 @@ class _ClassifyErrors(_Reader):
     def start(self) -> None:
         from . import error_taxonomy
 
-        self.classifier = error_taxonomy.FailureClassifier(_load_instances_union(self.cfg, "classify-errors"))
+        self.classifier = error_taxonomy.FailureClassifier(_load_instances_union(self.cfg))
         self.write_failure = self.open("failures.jsonl")
 
     def take(self, traj: Trajectory) -> None:
@@ -612,7 +583,7 @@ class _ClassifyErrors(_Reader):
     def end(self) -> dict:
         distribution, report = self.classifier.summary()
         atomic_write_text(self.cfg.out_dir / "distribution.json", _dump_report(distribution))
-        return {"stage": "classify-errors", **report}
+        return report
 
 
 def _fold(cfg: PipelineConfig, stages: list[Stage], trajectories: Iterable[Trajectory]) -> Iterator[Trajectory]:
@@ -645,7 +616,7 @@ def _run_reader(cfg: PipelineConfig, stage: Stage) -> dict:
     if _readers.get(stage.name) is None:
         path = _require_input(_curated_path(cfg), "curated corpus (run the curate stage first)")
         waiting = [s for s in STAGES if s is stage or s.name in _readers]
-        for _ in _fold(cfg, waiting, _stream(cfg, stage.name, path, "trajectories")):
+        for _ in _fold(cfg, waiting, _stream(path, "trajectories")):
             pass
     return _readers.pop(stage.name).finish()
 
@@ -656,24 +627,21 @@ def _stage_tts_select(cfg: PipelineConfig) -> dict:
     rollouts_path = _require_input(cfg.rollouts, "rollouts")
     verifier = tts.StubVerifier(cfg.seed) if cfg.verifier == "stub" else tts.OracleVerifier()
     groups: dict[str, dict[int, tts.Scored]] = {}
-    for _ in _stream(cfg, "tts-select", rollouts_path, lambda record: tts.add_rollout(groups, record, verifier)):
+    for _ in _stream(rollouts_path, lambda record: tts.add_rollout(groups, record, verifier)):
         pass
     problems = tts.unrankable(groups, str(rollouts_path))
     if problems is not None:
-        _reject(cfg, "tts-select", *problems)
+        raise ValidationFailure(problems[1], problems[0])  # its summary, with its entries
     selection_lines, metrics = tts.best_of_k(groups)
     metrics_report = {**metrics, "verifier": cfg.verifier}
 
-    report = {"stage": "tts-select", "instances": metrics["instances"], "k": metrics["k"]}
+    report = {"instances": metrics["instances"], "k": metrics["k"]}
     # A bad surface fails the stage before it writes any output.
     if cfg.allocates():
         surface_path = _require_input(cfg.surface, "surface")
-        surface = dict(_stream(cfg, "tts-select", surface_path, tts.surface_point))
+        surface = dict(_stream(surface_path, tts.surface_point))
         model = tts.LatencyModel(c=cfg.latency_c, alpha=cfg.latency_alpha, beta=cfg.latency_beta)
-        try:
-            plan, contour = tts.allocate(model, cfg.latency_budget, surface)
-        except tts.InfeasibleBudgetError as exc:
-            raise ValidationFailure(str(exc)) from exc
+        plan, contour = tts.allocate(model, cfg.latency_budget, surface)
         allocation_report = {
             "budget": cfg.latency_budget,
             "plan": {
@@ -695,7 +663,7 @@ def _stage_tts_select(cfg: PipelineConfig) -> dict:
 def _stage_stats(cfg: PipelineConfig) -> dict:
     from . import patch_analysis
 
-    everyone = list(_load_instances_union(cfg, "stats").values())
+    everyone = list(_load_instances_union(cfg).values())
 
     def aggregate(group: list[TaskInstance]) -> dict:
         if not group:
@@ -714,7 +682,6 @@ def _stage_stats(cfg: PipelineConfig) -> dict:
         }
 
     report = {
-        "stage": "stats",
         "conventions": {
             "lines": "added + removed (a modified line counts twice)",
             "renames": "counted in files, not hunks or lines",
@@ -778,8 +745,10 @@ STAGES = (
 
 
 def run_stage(stage: str, cfg: PipelineConfig) -> tuple[int, dict]:
-    """Run one stage; returns (exit_code, report). The report is also
-    written to the stage's report file in out_dir."""
+    """Run one stage; returns (exit_code, report), stamped with the stage's
+    name. The report is also written to the stage's report file in out_dir;
+    a ValidationFailure's rejection entries, to `<stage>_rejections.jsonl`
+    there, which the report names."""
     spec = next((s for s in STAGES if s.name == stage), None)
     if spec is None:
         raise ValueError(f"unknown stage {stage!r}")
@@ -787,11 +756,13 @@ def run_stage(stage: str, cfg: PipelineConfig) -> tuple[int, dict]:
         report = _run_reader(cfg, spec) if spec.reader else spec.run(cfg)
         code = EXIT_OK
     except ForgeError as exc:
-        report = {"stage": stage, "error": str(exc)}
-        if isinstance(exc, ValidationFailure) and exc.rejection_path is not None:
-            report["rejection_report"] = str(exc.rejection_path)
+        report = {"error": str(exc)}
+        if isinstance(exc, ValidationFailure) and exc.rejections is not None:
+            path = cfg.out_dir / f"{stage.replace('-', '_')}_rejections.jsonl"
+            save_jsonl(exc.rejections, path)
+            report.update(error=f"{exc}; see {path}", rejection_report=str(path))
         code = exc.exit_code
-    report["exit_code"] = code
+    report.update(stage=stage, exit_code=code)
     atomic_write_text(cfg.out_dir / spec.report, _dump_report(report))
     return code, report
 
@@ -968,7 +939,7 @@ def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> in
                     speculative = _readers.pop(stage.name, None)
                     if speculative is not None:  # curate fed it, but its inputs are unchanged
                         speculative.discard()
-                    elif stage.name == "curate":  # so one pass over curated.jsonl feeds each reader that runs
+                    elif _curated_path(cfg).name in stage.outputs(cfg):  # one pass over it feeds each reader
                         for reader in (s for s in STAGES if s.reader):
                             plans[reader.name] = plan(reader)
                             if plans[reader.name]:

@@ -12,11 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ForgeError
+from .errors import ForgeError, ValidationFailure
 from .schema import DEFAULT_MAX_TURNS, Trajectory, TrajectorySummary
 
 
-class BinningError(ForgeError):
+class BinningError(ValidationFailure):
     """Turn count outside every interval, or malformed bin configuration."""
 
 

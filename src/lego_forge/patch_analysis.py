@@ -35,7 +35,7 @@ _GIT_HEADER_RE = re.compile(r"^diff --git (?:a/)?(\S+) (?:b/)?(\S+)")
 _NO_NEWLINE = "\\ No newline at end of file"
 
 
-class PatchParseError(ForgeError):
+class PatchParseError(ForgeError, ValueError):
     def __init__(self, message: str, line_no: int | None = None):
         self.line_no = line_no
         super().__init__(message if line_no is None else f"line {line_no}: {message}")

@@ -141,8 +141,9 @@ def _minimal(literals: list[str]) -> tuple[str, ...]:
 
 def content_lines(text: str) -> Iterator[tuple[int, str]]:
     """(line number, stripped line) for each line of a registry or config
-    text that is neither blank nor a `#` comment."""
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    text that is neither blank nor a `#` comment. Lines end at "\n", "\r\n"
+    or "\r" only, so a form feed or U+2028 is text within its line."""
+    for line_no, line in enumerate(re.split(r"\r\n?|\n", text), start=1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             yield line_no, stripped

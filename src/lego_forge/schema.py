@@ -420,15 +420,15 @@ def _encodes(raw: dict) -> bool:
     return True
 
 
-def _read_lines(file_path: Path) -> Iterator[str]:
-    """The lines of a UTF-8 file, split at "\n" only and without it, read one
-    at a time so that no more than one line of the text is held; what
-    follows the final newline is no line. CorpusError if it is unreadable."""
+def _read_lines(file_path: Path) -> Iterator[bytes]:
+    """The lines of a file, split at "\n" only and without it, read one at a
+    time so that no more than one line of the text is held; what follows
+    the final newline is no line. CorpusError if it is unreadable."""
     try:
-        with file_path.open(encoding="utf-8", newline="\n") as handle:
+        with file_path.open("rb") as handle:
             for line in handle:
-                yield line.removesuffix("\n")
-    except (OSError, UnicodeDecodeError) as exc:
+                yield line.removesuffix(b"\n")
+    except OSError as exc:
         raise CorpusError(f"cannot read {file_path}: {exc}") from exc
 
 
@@ -439,15 +439,20 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], Any], rejections: list[
     Rejection to `rejections`. The one JSON decoder of stage inputs.
 
     Lines split at "\n" only, so text that holds U+2028 and the like reads
-    back as written. A line that is not a JSON object (nor is one nested past
-    the recursion limit, or holding an integer past int's digit limit), or
-    that escapes a lone surrogate (text no UTF-8 output can hold), is
-    BAD_JSON; one that `parse` refuses with ValueError is BAD_RECORD, or the
-    codes of a RecordRejected. A blank line is skipped, or is EMPTY_LINE with
-    reject_blank. An unreadable file raises CorpusError, also after some
-    lines were yielded, when it stops decoding part-way.
+    back as written. A line that is not UTF-8, that is not a JSON object (nor
+    is one nested past the recursion limit, or holding an integer past int's
+    digit limit), or that escapes a lone surrogate (text no UTF-8 output can
+    hold), is BAD_JSON; one that `parse` refuses with ValueError is
+    BAD_RECORD, or the codes of a RecordRejected. A blank line is skipped,
+    or is EMPTY_LINE with reject_blank. An unreadable file raises
+    CorpusError, also after some lines were yielded.
     """
-    for line_no, line in enumerate(_read_lines(Path(path)), start=1):
+    for line_no, encoded in enumerate(_read_lines(Path(path)), start=1):
+        try:
+            line = encoded.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            rejections.append(Rejection(line_no, ("BAD_JSON",), f"not UTF-8: {exc}"))
+            continue
         if not line.strip():
             if reject_blank:
                 rejections.append(Rejection(line_no, ("EMPTY_LINE",), "blank line"))

@@ -73,20 +73,20 @@ _CMP_SYMBOLS = {ast.Lt: "<", ast.Gt: ">", ast.Eq: "==", ast.NotEq: "!=", ast.GtE
 _BOOL_SYMBOLS = {ast.And: "and", ast.Or: "or"}
 
 
-class LocatorError(ForgeError):
-    """The mutation target does not exist in the tree."""
-
-
-class MutatorKindError(ForgeError):
-    """The target exists but is not the mutator's node kind."""
-
-
 class MutationError(ForgeError):
     """The mutation could not be applied or produced no change."""
 
 
-class InvisibleBugError(ForgeError):
-    """The injected bug changes no test outcome; the instance is unusable."""
+class LocatorError(MutationError):
+    """The mutation target does not exist in the tree."""
+
+
+class MutatorKindError(MutationError):
+    """The target exists but is not the mutator's node kind."""
+
+
+class InvisibleBugError(ForgeError, ValueError):
+    """The injected or fixed bug changes no test outcome; the instance is unusable."""
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Protocol, Sequence, TypeVar
 
-from .errors import ForgeError
+from .errors import ForgeError, ValidationFailure
 from .schema import RecordRejected, require
 
 SCORE_PROVENANCES = ("generative", "regressive", "oracle", "stub")
@@ -30,7 +30,7 @@ class DegenerateScoreError(ForgeError):
     """Both yes/no probabilities are zero; no score is defined."""
 
 
-class InfeasibleBudgetError(ForgeError):
+class InfeasibleBudgetError(ValidationFailure):
     """No grid point fits under the latency budget."""
 
 

@@ -30,7 +30,7 @@ from lego_forge.cli import (
     run_stage,
 )
 from lego_forge.errors import ForgeError
-from lego_forge.registries import DEFAULT_ERROR_PATTERNS, load_error_patterns, load_phase_patterns
+from lego_forge.registries import DEFAULT_ERROR_PATTERNS, content_lines, load_error_patterns, load_phase_patterns
 from lego_forge import patch_analysis, sft_masking, task_builder
 from lego_forge import schema as schema_mod
 from lego_forge.schema import TaskInstance, ToolCall, Trajectory, load_corpus, save_jsonl
@@ -87,6 +87,20 @@ def test_config_rejects_unknown_key(tmp_path):
             bad.write_bytes(newline.join(["# comment", "  # indented", "", line, ""]).encode())
             with pytest.raises(ForgeError, match=re.escape(f"{bad.resolve()}:4: ")):
                 load_config(bad)
+
+
+def test_config_and_registry_lines_end_only_at_newlines(tmp_path):
+    # Config and registry lines end at \n, \r\n or \r; a form feed or U+2028
+    # is text within its line, as str.splitlines would not have it.
+    assert list(content_lines("a\rb\r\n# c\x0cd\ne\u2028f\n\n")) == [(1, "a"), (2, "b"), (4, "e\u2028f")]
+    (tmp_path / "errors.txt").write_text("X1 foo\u2028bar\r\n# x\x0c y\rX2 baz\n", encoding="utf-8")
+    config = tmp_path / "forge.cfg"
+    config.write_text("# section\x0c notes\nseed = 1\nout_dir = out\u2028x\nerror_patterns = errors.txt\n",
+                      encoding="utf-8")
+    cfg = load_config(config)
+    assert (cfg.seed, cfg.out_dir) == (1, tmp_path / "out\u2028x")
+    patterns = load_error_patterns(cfg.error_patterns)
+    assert [(p.pattern_id, p.regex.pattern) for p in patterns] == [("X1", "foo\u2028bar"), ("X2", "baz")]
 
 
 @pytest.mark.parametrize("key", [None, "hack_patterns", "error_patterns", "phase_patterns"])
@@ -857,37 +871,45 @@ FUZZ_VALUES = (None, True, 7, 1.5, "x", [], {})
 UNDECODABLE_VALUES = {"deep-nesting": ("[" * 100_000, "recursion"), "huge-integer": ("7" * 5_000, "digits")}
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(key=st.sampled_from(sorted(PROBE_STAGES)), data=st.data())
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(key=st.sampled_from([*sorted(PROBE_STAGES), "curated"]), data=st.data())
 def test_fuzzed_input_line_ends_in_a_report_never_a_traceback(key, data):
-    # One line of one stage input loses a key, changes a type, is truncated,
-    # has a value nested past the recursion limit or an integer past int's
-    # digit limit, or gets an array or blank line inserted before it; every
-    # stage then exits 0, 2 or 3 with its report written and no partial output.
+    # One line of one stage input, or of curated.jsonl under the single-stage
+    # reader runs, loses a key, changes a type, is truncated, has a value
+    # nested past the recursion limit, an integer past int's digit limit or a
+    # byte that is not UTF-8, or gets an array or blank line inserted before
+    # it; every stage then exits 0, 2 or 3 with its report written and no
+    # partial output.
     with tempfile.TemporaryDirectory() as tmp:
         cfg = load_config(build_integration_corpus(Path(tmp)))
-        path = getattr(cfg, key)
+        if key == "curated":
+            run_stages(cfg, "build-tasks", "inject", "curate")
+            path, stages = cfg.out_dir / "curated.jsonl", [stage for stage in cli.STAGES if stage.reader]
+        else:
+            path, stages = getattr(cfg, key), cli.STAGES
         lines = path.read_text(encoding="utf-8").split("\n")[:-1]
         n = data.draw(st.integers(0, len(lines) - 1), label="line")
         record = json.loads(lines[n])
-        kinds = ("drop-key", "change-type", "truncate", "array", "blank", *UNDECODABLE_VALUES)
+        kinds = ("drop-key", "change-type", "truncate", "array", "blank", "not-utf8", *UNDECODABLE_VALUES)
         kind = data.draw(st.sampled_from(kinds), label="kind")
         field = data.draw(st.sampled_from(sorted(record)), label="field")
         if kind == "drop-key":
             del record[field]
         elif kind == "change-type":
             record[field] = data.draw(st.sampled_from([v for v in FUZZ_VALUES if type(v) is not type(record[field])]))
-        elif kind in UNDECODABLE_VALUES:
+        elif kind in (*UNDECODABLE_VALUES, "not-utf8"):
             record[field] = "@undecodable@"
         lines[n] = json.dumps(record)
         if kind in UNDECODABLE_VALUES:
             lines[n] = lines[n].replace('"@undecodable@"', UNDECODABLE_VALUES[kind][0])
+        elif kind == "not-utf8":
+            lines[n] = lines[n].replace("@undecodable@", "\udcff")  # written as the byte 0xff
         elif kind == "truncate":
             lines[n] = lines[n][: data.draw(st.integers(1, len(lines[n]) - 1), label="cut")]
         elif kind in ("array", "blank"):
             lines.insert(n, "[1, 2]" if kind == "array" else "")
-        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        for stage in cli.STAGES:
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8", errors="surrogateescape")
+        for stage in stages:
             code, _ = run_stage(stage.name, cfg)
             assert code in (EXIT_OK, EXIT_MISSING_INPUT, EXIT_VALIDATION), stage.name
             assert (cfg.out_dir / stage.report).exists(), stage.name
@@ -1739,6 +1761,34 @@ def test_line_json_cannot_decode_is_bad_json_in_a_pipeline(tmp_path, key, stage,
     assert reason in entries[0]["message"]
 
 
+@pytest.mark.parametrize("key, stage", [*sorted(PROBE_STAGES.items()), ("curated", "mask")])
+def test_line_not_utf8_is_bad_json(corpus, key, stage):
+    # A line holding a byte that is not UTF-8 is BAD_JSON by its line number
+    # (exit 3), or, in real_inputs, skipped with its reason (exit 0); it
+    # never stops the read of the file.
+    cfg = load_config(corpus)
+    if key == "curated":
+        run_stages(cfg, "build-tasks", "inject", "curate")
+        path = cfg.out_dir / "curated.jsonl"
+    else:
+        path = getattr(cfg, key)
+        if stage == "curate":
+            run_stages(cfg, "build-tasks")
+    text = path.read_bytes()
+    line_no = text.count(b"\n") + 1
+    path.write_bytes(text + b'{"x": "\xff"}\n')
+    code = cli.main([stage, "--config", str(corpus)])
+    report = read(cfg.out_dir / next(s.report for s in cli.STAGES if s.name == stage))
+    if key == "real_inputs":
+        assert code == EXIT_OK
+        assert [s["record"] for s in report["skipped"] if s["reason"].startswith("not UTF-8")] == [line_no - 1]
+        return
+    assert code == EXIT_VALIDATION
+    entries = read_jsonl(Path(report["rejection_report"]))
+    assert [(e["line_no"], e["codes"]) for e in entries] == [(line_no, ["BAD_JSON"])]
+    assert entries[0]["message"].startswith("not UTF-8")
+
+
 def test_parent_failure_leaves_the_worker_stage_unrecorded(corpus):
     cfg = load_config(corpus)
     with open(cfg.mutations, "a", encoding="utf-8") as f:
@@ -1964,13 +2014,14 @@ def test_rejected_corpus_is_never_kept(corpus, monkeypatch):
         f.write("instances = external_instances.jsonl\n")
     cfg = load_config(corpus)
     held_at_reject = []
-    real_reject = cli._reject
+    real_save = cli.save_jsonl
 
-    def recording_reject(cfg, stage, entries, what):
-        held_at_reject.append([path.name for path, _ in cli._handoff])
-        real_reject(cfg, stage, entries, what)
+    def recording_save(records, path):
+        if Path(path).name.endswith("_rejections.jsonl"):  # run_stage writes a rejection report
+            held_at_reject.append([path.name for path, _ in cli._handoff])
+        return real_save(records, path)
 
-    monkeypatch.setattr(cli, "_reject", recording_reject)
+    monkeypatch.setattr(cli, "save_jsonl", recording_save)
     lines = []
     assert run_pipeline(cfg, echo=lines.append) == EXIT_VALIDATION
     assert lines[-1].startswith("[fail] curate:")
@@ -2041,6 +2092,18 @@ def test_every_corpus_load_in_cli_goes_through_one_reader():
         ("_stream", "cli._stage_tts_select"),
         ("_stream", "cli._stage_tts_select"),
     ]
+
+
+def test_each_stage_name_is_quoted_only_in_its_stage_entry():
+    # STAGES and run_stage are the only code that knows a stage's name: no
+    # stage body stamps its report with it or names its rejection report.
+    names = {stage.name for stage in cli.STAGES}
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    entries = [node.args[0] for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Stage"]
+    quoted = [node for node in ast.walk(tree) if isinstance(node, ast.Constant) and node.value in names]
+    assert sorted(node.value for node in quoted) == sorted(names)
+    assert all(any(node is entry for entry in entries) for node in quoted)
 
 
 def test_sanitize_parses_each_date_once(corpus, monkeypatch):

@@ -189,9 +189,14 @@ def test_load_jsonl_reports_each_bad_line_by_number(tmp_path):
     )
     with pytest.raises(CorpusError):
         load_jsonl(tmp_path / "absent.jsonl", parse)
-    path.write_bytes(b'{"n": 1}\n{"n": "\xff"}\n')
-    with pytest.raises(CorpusError, match="cannot read"):
-        load_jsonl(path, parse)
+    # A line that is not UTF-8 is BAD_JSON by its number; a U+2028 line is
+    # blank, as str.strip calls it.
+    path.write_bytes(b'{"n": 1}\n{"n": "\xff"}\n\xe2\x80\xa8\n{"n": 5}\n')
+    for reject_blank, blank in ((False, []), (True, [(3, ("EMPTY_LINE",))])):
+        result = load_jsonl(path, parse, reject_blank=reject_blank)
+        assert result.records == [1, 5]
+        assert [(r.line_no, r.codes) for r in result.rejections] == [(2, ("BAD_JSON",)), *blank]
+        assert result.rejections[0].message.startswith("not UTF-8: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_load_jsonl_rejects_lone_surrogate_escapes(tmp_path):

@@ -15,8 +15,9 @@ whole. As `curate` writes each curated record, it hands it to the reader
 stages, those whose `Stage.run` is a `_Reader` of `curated.jsonl`, which
 use it and let it go, so no stage holds the curated corpus; each commits its
 outputs at its own turn, and one whose inputs turn out unchanged drops them
-and is skipped. Where `curate` does not run, one pass over `curated.jsonl`
-feeds each of them that runs. Every JSON Lines output is encoded line by
+and is skipped. Where `curate` does not run, the first reader stage that
+runs feeds itself and every reader stage after it from one pass over
+`curated.jsonl`, by the same rule. Every JSON Lines output is encoded line by
 line into its temp file. A build output whose instance ids (or real image
 names) repeat is not passed on, so `curate` reloads and rejects it. A
 single-stage run (`forge curate`, `forge stats`) reads, parses and hashes
@@ -99,7 +100,6 @@ from .schema import (
     TrajectorySummary,
     atomic_write_text,
     dumps_record,
-    load_corpus,
     load_jsonl,
     read_corpus,
     read_jsonl,
@@ -205,7 +205,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     files, enums)."""
     config_path = Path(path).resolve()
     try:
-        text = config_path.read_text(encoding="utf-8")
+        text = config_path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise MissingInputError(f"cannot read config {config_path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -280,12 +280,12 @@ def _fail_on_rejections(source: Path, rejections: Sequence[Rejection]) -> None:
 # each path hashed so far, the records of each instance corpus read or
 # written, keyed by (path, sha256 of the file), and, by stage name, the
 # readers (the stages whose `Stage.run` is a `_Reader`) that curate, or one
-# pass over curated.jsonl, has fed. Where curate is skipped, each reader
-# planned to run waits for that pass as None. Outside a run nothing is kept.
+# pass over curated.jsonl, has fed and whose turn has not come. Outside a
+# run nothing is kept.
 _in_run = False
 _digests: dict[Path, str] = {}
 _handoff: dict[tuple[Path, str], list[TaskInstance]] = {}
-_readers: dict[str, _Reader | None] = {}
+_readers: dict[str, _Reader] = {}
 
 
 def _hand_off(path: Path, instances: list[TaskInstance]) -> None:
@@ -308,9 +308,7 @@ def _corpus(path: Path) -> list[TaskInstance]:
     key = (path, _hash_path(path)) if _in_run else None
     records = _handoff.get(key)
     if records is None:
-        result = load_corpus(path, "instances")
-        _fail_on_rejections(path, result.rejections)
-        records = result.records
+        records = list(_stream(path, "instances"))
         if key is not None:
             _handoff[key] = records
     return records
@@ -553,12 +551,7 @@ class _Curriculum(_Reader):
         records = [(t.turn_count, t.outcome == "resolved") for t in self.summaries]
         try:
             corr = curriculum_mod.turn_resolve_correlation(records, cfg.bucket_width)
-            corr_report = {
-                "r": round(corr.r, 6),
-                "n": corr.n,
-                "bucket_width": cfg.bucket_width,
-                "bins": [[mid, rate] for mid, rate in corr.bins],
-            }
+            corr_report = {**asdict(corr), "r": round(corr.r, 6), "bucket_width": cfg.bucket_width}
         except curriculum_mod.UndefinedCorrelationError as exc:
             corr_report = {"r": None, "n": len(records), "error": str(exc)}
         atomic_write_text(cfg.out_dir / "correlation_report.json", _dump_report(corr_report))
@@ -609,14 +602,14 @@ def _fold(cfg: PipelineConfig, stages: list[Stage], trajectories: Iterable[Traje
 
 
 def _run_reader(cfg: PipelineConfig, stage: Stage) -> dict:
-    """Finish reader `stage` as this run fed it; else feed it, and every
-    reader waiting with it (curate fed none of them), from one pass over
-    curated.jsonl first. A rejected line there fails `stage`, and no reader
-    writes its outputs."""
-    if _readers.get(stage.name) is None:
+    """Finish reader `stage` as this run fed it; else feed it first from one
+    pass over curated.jsonl, and within a run every reader stage after it
+    too, as curate feeds them all. A rejected line there fails `stage`, and
+    no reader writes its outputs."""
+    if stage.name not in _readers:
         path = _require_input(_curated_path(cfg), "curated corpus (run the curate stage first)")
-        waiting = [s for s in STAGES if s is stage or s.name in _readers]
-        for _ in _fold(cfg, waiting, _stream(path, "trajectories")):
+        fed = [s for s in STAGES[STAGES.index(stage):] if s.reader] if _in_run else [stage]
+        for _ in _fold(cfg, fed, _stream(path, "trajectories")):
             pass
     return _readers.pop(stage.name).finish()
 
@@ -629,11 +622,8 @@ def _stage_tts_select(cfg: PipelineConfig) -> dict:
     groups: dict[str, dict[int, tts.Scored]] = {}
     for _ in _stream(rollouts_path, lambda record: tts.add_rollout(groups, record, verifier)):
         pass
-    problems = tts.unrankable(groups, str(rollouts_path))
-    if problems is not None:
-        raise ValidationFailure(problems[1], problems[0])  # its summary, with its entries
+    tts.check_rankable(groups, str(rollouts_path))
     selection_lines, metrics = tts.best_of_k(groups)
-    metrics_report = {**metrics, "verifier": cfg.verifier}
 
     report = {"instances": metrics["instances"], "k": metrics["k"]}
     # A bad surface fails the stage before it writes any output.
@@ -644,19 +634,14 @@ def _stage_tts_select(cfg: PipelineConfig) -> dict:
         plan, contour = tts.allocate(model, cfg.latency_budget, surface)
         allocation_report = {
             "budget": cfg.latency_budget,
-            "plan": {
-                "turns": plan.turns,
-                "rollouts": plan.rollouts,
-                "predicted_latency": plan.predicted_latency,
-                "predicted_rate": plan.predicted_rate,
-            },
+            "plan": asdict(plan),
             # A K past the float range is null, so the file stays standard JSON.
             "contour": [[t, k_cont if k_cont < math.inf else None] for t, k_cont in contour],
         }
         atomic_write_text(cfg.out_dir / "allocation.json", _dump_report(allocation_report))
         report["allocation"] = allocation_report["plan"]
     save_jsonl(selection_lines, cfg.out_dir / "selection.jsonl")
-    atomic_write_text(cfg.out_dir / "tts_metrics.json", _dump_report(metrics_report))
+    atomic_write_text(cfg.out_dir / "tts_metrics.json", _dump_report({**metrics, "verifier": cfg.verifier}))
     return report
 
 
@@ -681,7 +666,7 @@ def _stage_stats(cfg: PipelineConfig) -> dict:
             },
         }
 
-    report = {
+    return {
         "conventions": {
             "lines": "added + removed (a modified line counts twice)",
             "renames": "counted in files, not hunks or lines",
@@ -690,7 +675,6 @@ def _stage_stats(cfg: PipelineConfig) -> dict:
         "synthetic": aggregate([i for i in everyone if i.origin == "synthetic"]),
         "combined": aggregate(everyone),
     }
-    return report
 
 
 @dataclass(frozen=True)
@@ -772,9 +756,7 @@ def _hash_path(path: Path) -> str:
     within a run each path is hashed once until a stage rewrites it."""
     digest = _digests.get(path)
     if digest is None:
-        digest = _sha256(path)
-        if _in_run:
-            _digests[path] = digest
+        digest = _digests[path] = _sha256(path)
     return digest
 
 
@@ -937,13 +919,8 @@ def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> in
                     plans[stage.name] = plan(stage)
                 if plans[stage.name] is None:
                     speculative = _readers.pop(stage.name, None)
-                    if speculative is not None:  # curate fed it, but its inputs are unchanged
+                    if speculative is not None:  # fed by an earlier pass, but its inputs are unchanged
                         speculative.discard()
-                    elif _curated_path(cfg).name in stage.outputs(cfg):  # one pass over it feeds each reader
-                        for reader in (s for s in STAGES if s.reader):
-                            plans[reader.name] = plan(reader)
-                            if plans[reader.name]:
-                                _readers[reader.name] = None
                     continue
                 code, report = run_stage(stage.name, cfg)
                 results[stage.name] = (code, report.get("error", "unknown error"))
@@ -979,8 +956,7 @@ def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> in
         _digests.clear()
         _handoff.clear()
         for reader in _readers.values():
-            if reader is not None:
-                reader.discard()
+            reader.discard()
         _readers.clear()
 
 

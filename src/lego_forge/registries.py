@@ -158,7 +158,7 @@ def _registry_entries(
     with too few fields."""
     file_path = Path(path) if path else default
     try:
-        text = file_path.read_text(encoding="utf-8")
+        text = file_path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise RegistryError(f"cannot read registry {file_path}: {exc}") from exc
     width = usage.count("<")

@@ -20,6 +20,7 @@ demand so that round-trips never reformat them.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import tempfile
@@ -411,6 +412,17 @@ class RecordRejected(ValueError):
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89abcdefABCDEF]")
 
 
+def _finite(text: str) -> float:
+    """A JSON number; ValueError for NaN, Infinity and past the float range."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+_DECODER = json.JSONDecoder(parse_constant=_finite, parse_float=_finite)  # built once, used per line
+
+
 def _encodes(raw: dict) -> bool:
     """Whether every string in a decoded record encodes as UTF-8."""
     try:
@@ -441,11 +453,11 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], Any], rejections: list[
     Lines split at "\n" only, so text that holds U+2028 and the like reads
     back as written. A line that is not UTF-8, that is not a JSON object (nor
     is one nested past the recursion limit, or holding an integer past int's
-    digit limit), or that escapes a lone surrogate (text no UTF-8 output can
-    hold), is BAD_JSON; one that `parse` refuses with ValueError is
-    BAD_RECORD, or the codes of a RecordRejected. A blank line is skipped,
-    or is EMPTY_LINE with reject_blank. An unreadable file raises
-    CorpusError, also after some lines were yielded.
+    digit limit or a number that is not finite), or that escapes a lone
+    surrogate (text no UTF-8 output can hold), is BAD_JSON; one that `parse`
+    refuses with ValueError is BAD_RECORD, or the codes of a RecordRejected.
+    A blank line is skipped, or is EMPTY_LINE with reject_blank. An
+    unreadable file raises CorpusError, also after some lines were yielded.
     """
     for line_no, encoded in enumerate(_read_lines(Path(path)), start=1):
         try:
@@ -458,7 +470,7 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], Any], rejections: list[
                 rejections.append(Rejection(line_no, ("EMPTY_LINE",), "blank line"))
             continue
         try:
-            raw = json.loads(line)
+            raw = _DECODER.decode(line)
         except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
             rejections.append(Rejection(line_no, ("BAD_JSON",), str(exc)))
             continue

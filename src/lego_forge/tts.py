@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Protocol, Sequence, TypeVar
 
 from .errors import ForgeError, ValidationFailure
-from .schema import RecordRejected, require
+from .schema import RecordRejected, of_type, require
 
 SCORE_PROVENANCES = ("generative", "regressive", "oracle", "stub")
 
@@ -162,8 +162,11 @@ def encode_score_request(candidate: Candidate) -> str:
 
 def decode_score_response(line: str) -> VerifierScore:
     """Parse a response line: either {"p_yes", "p_no"} (generative) or
-    {"score"} (regressive)."""
+    {"score"} (regressive), each a number (not a boolean); else ForgeError."""
     record = json.loads(line)
+    if not isinstance(record, dict) or not all(
+            of_type(record[key], (int, float)) for key in ("p_yes", "p_no", "score") if key in record):
+        raise ForgeError(f"verifier response is not an object of numbers: {line!r}")
     if "p_yes" in record or "p_no" in record:
         return generative_score(record.get("p_yes", 0.0), record.get("p_no", 0.0))
     if "score" in record:
@@ -230,24 +233,23 @@ def add_rollout(groups: dict[str, dict[int, Scored]], record: dict, verifier) ->
     seen[candidate.rollout_index] = Scored(candidate.rollout_index, candidate.resolved, score)
 
 
-def unrankable(groups: Mapping[str, Mapping[int, Scored]], source: str) -> tuple[list[dict], str] | None:
-    """The rejection report entries of rollouts read from `source` that
-    cannot be ranked, and a one-line summary; None when every instance
-    holds the same number of candidates. The entries name no candidates at
-    all (EMPTY_ROLLOUTS), or each instance whose count differs from the
-    most common one (RAGGED_ROLLOUTS)."""
+def check_rankable(groups: Mapping[str, Mapping[int, Scored]], source: str) -> None:
+    """Raise ValidationFailure, with its rejection report entries, unless
+    every instance of the rollouts read from `source` holds the same number
+    of candidates. The entries name no candidates at all (EMPTY_ROLLOUTS),
+    or each instance whose count differs from the most common one
+    (RAGGED_ROLLOUTS)."""
     if not groups:
-        return [{"file": source, "line_no": None, "instance_id": None, "codes": ["EMPTY_ROLLOUTS"],
-                 "message": "rollouts file holds no candidates"}], f"{source}: no candidates"
+        raise ValidationFailure(f"{source}: no candidates", [
+            {"file": source, "line_no": None, "instance_id": None, "codes": ["EMPTY_ROLLOUTS"],
+             "message": "rollouts file holds no candidates"}])
     sizes = Counter(len(seen) for seen in groups.values())
-    if len(sizes) == 1:
-        return None
-    k = sizes.most_common(1)[0][0]
-    return [
-        {"file": source, "line_no": None, "instance_id": iid, "codes": ["RAGGED_ROLLOUTS"],
-         "message": f"{len(seen)} candidate(s) where most instances have {k}"}
-        for iid, seen in groups.items() if len(seen) != k
-    ], f"{source}: ragged candidate counts per instance: {sorted(sizes)}"
+    if len(sizes) > 1:
+        k = sizes.most_common(1)[0][0]
+        raise ValidationFailure(f"{source}: ragged candidate counts per instance: {sorted(sizes)}", [
+            {"file": source, "line_no": None, "instance_id": iid, "codes": ["RAGGED_ROLLOUTS"],
+             "message": f"{len(seen)} candidate(s) where most instances have {k}"}
+            for iid, seen in groups.items() if len(seen) != k])
 
 
 def select_top1(candidates: Sequence[R], scores: Sequence[VerifierScore]) -> R:
@@ -291,7 +293,7 @@ def tts_at_k(
 def best_of_k(groups: Mapping[str, Mapping[int, Scored]]) -> tuple[list[dict], dict]:
     """Select each instance's top scored candidate. `groups` maps each
     instance id to its candidates by rollout_index, the same number K per
-    instance (as `add_rollout` fills it and `unrankable` accepts it).
+    instance (as `add_rollout` fills it and `check_rankable` accepts it).
     Returns one selection line per instance, in instance id order, and the
     metrics `{k, instances, tts, pass}`."""
     selection_lines = []

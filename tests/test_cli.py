@@ -30,7 +30,13 @@ from lego_forge.cli import (
     run_stage,
 )
 from lego_forge.errors import ForgeError
-from lego_forge.registries import DEFAULT_ERROR_PATTERNS, content_lines, load_error_patterns, load_phase_patterns
+from lego_forge.registries import (
+    DEFAULT_ERROR_PATTERNS,
+    content_lines,
+    load_error_patterns,
+    load_hack_patterns,
+    load_phase_patterns,
+)
 from lego_forge import patch_analysis, sft_masking, task_builder
 from lego_forge import schema as schema_mod
 from lego_forge.schema import TaskInstance, ToolCall, Trajectory, load_corpus, save_jsonl
@@ -113,6 +119,29 @@ def test_undecodable_config_or_registry_exits_1_with_its_path(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(config if key is None else bad) in err
     assert not (tmp_path / "out").exists()
+
+
+def test_config_and_registries_may_start_with_a_byte_order_mark(tmp_path):
+    # A UTF-8 byte-order mark before a config or registry file's first line
+    # is no part of its first key or entry. A JSON Lines input still refuses
+    # one: its first line is BAD_JSON.
+    bom = "\ufeff".encode()
+    (tmp_path / "hacks.txt").write_bytes(bom + b"H1 high \\bgit log\\b\n")
+    (tmp_path / "errors.txt").write_bytes(bom + b"E1 boom\n")
+    (tmp_path / "phases.txt").write_bytes(bom + b"testing pytest\n")
+    config = tmp_path / "forge.cfg"
+    config.write_bytes(bom + b"seed = 5\nhack_patterns = hacks.txt\nerror_patterns = errors.txt\n"
+                             b"phase_patterns = phases.txt\n")
+    cfg = load_config(config)
+    assert cfg.seed == 5
+    assert [p.pattern_id for p in load_hack_patterns(cfg.hack_patterns)] == ["H1"]
+    assert [p.pattern_id for p in load_error_patterns(cfg.error_patterns)] == ["E1"]
+    assert [r.phase for r in load_phase_patterns(cfg.phase_patterns)] == ["testing"]
+    lines = tmp_path / "input.jsonl"
+    lines.write_bytes(bom + b'{"n": 1}\n{"n": 2}\n')
+    rejections = []
+    assert list(schema_mod.read_jsonl(lines, lambda record: record["n"], rejections)) == [2]
+    assert [(r.line_no, r.codes) for r in rejections] == [(1, ("BAD_JSON",))]
 
 
 @pytest.mark.parametrize("line", ["", "out_dir = forge.cfg\n", "out_dir = forge.cfg/sub\n"])
@@ -578,6 +607,18 @@ def edited(**changes):
     return lambda first: json.dumps({**first, **changes})
 
 
+def raw_argument(number):
+    """A probe line: the first trajectory with `number` written raw as an
+    argument of its first action, where curate keeps whatever it finds."""
+    def line(first):
+        step = first["steps"][0]
+        action = {**step["action"], "arguments": {**step["action"]["arguments"], "limit": "@number@"}}
+        return json.dumps({**first, "steps": [{**step, "action": action}, *first["steps"][1:]]}).replace(
+            '"@number@"', number)
+
+    return line
+
+
 PROBE_STAGES = {
     "trajectories": "curate", "final_reports": "curate", "histories": "sanitize", "mutations": "inject",
     "rollouts": "tts-select", "surface": "tts-select", "real_inputs": "build-tasks",
@@ -613,7 +654,7 @@ def probes():
         ("mutations", edited(seed=True), ["BAD_RECORD"], "seed-true"),
         ("mutations", edited(mutator="swap"), ["BAD_RECORD"], "unknown-mutator"),
         ("surface", edited(rollouts=0), ["BAD_RECORD"], "rollouts-zero"),
-        ("surface", edited(rate=float("nan")), ["BAD_RECORD"], "rate-nan"),
+        ("surface", edited(rate=float("nan")), ["BAD_JSON"], "rate-nan"),  # NaN is no JSON number
         ("surface", edited(rate="0.9"), ["BAD_RECORD"], "rate-string"),
         ("surface", edited(rate=5), ["BAD_RECORD"], "rate-above-one"),
         ("surface", edited(turns=True), ["BAD_RECORD"], "turns-true"),
@@ -628,6 +669,8 @@ def probes():
          "bad-issue-created-at"),
         ("real_inputs", edited(issue_text="crash \ud800"), "lone surrogate", "issue-text-lone-surrogate"),
         ("trajectories", edited(final_patch="\udfff"), ["BAD_JSON"], "lone-surrogate"),
+        *(("trajectories", raw_argument(number), ["BAD_JSON"], f"argument-{number}")
+          for number in ("NaN", "-Infinity", "1e400")),
         ("histories", edited(instance_id="h-\ud800"), ["BAD_JSON"], "lone-surrogate"),
     ]
     for key, line, expected, name in edits:
@@ -869,17 +912,40 @@ FUZZ_VALUES = (None, True, 7, 1.5, "x", [], {})
 # JSON values that json.loads refuses with RecursionError or a plain
 # ValueError, not JSONDecodeError, and a word of each one's message.
 UNDECODABLE_VALUES = {"deep-nesting": ("[" * 100_000, "recursion"), "huge-integer": ("7" * 5_000, "digits")}
+# Numbers json.loads takes but strict JSON readers refuse.
+NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e400")
+FUZZ_KINDS = ("drop-key", "change-type", "nested-change-type", "truncate", "array", "blank", "not-utf8",
+              "non-finite", *UNDECODABLE_VALUES)
+
+
+def nested_slots(value):
+    """(container, key) of every value nested in `value`, depth first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield value, key
+        yield from nested_slots(child)
+
+
+def strict_json(text: str):
+    """json.loads, refusing the NaN and Infinity tokens that strict JSON readers refuse."""
+    def refuse(token):
+        raise AssertionError(f"{token} is not standard JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(key=st.sampled_from([*sorted(PROBE_STAGES), "curated"]), data=st.data())
-def test_fuzzed_input_line_ends_in_a_report_never_a_traceback(key, data):
+@given(key=st.sampled_from([*sorted(PROBE_STAGES), "curated"]), kind=st.sampled_from(FUZZ_KINDS), data=st.data())
+def test_fuzzed_input_line_ends_in_a_report_never_a_traceback(key, kind, data):
     # One line of one stage input, or of curated.jsonl under the single-stage
-    # reader runs, loses a key, changes a type, is truncated, has a value
-    # nested past the recursion limit, an integer past int's digit limit or a
+    # reader runs, loses a key, changes a type (of a field, or of a value
+    # nested in a step, an action's arguments, a test result or a commit), is
+    # truncated, has a value nested past the recursion limit, an integer past
+    # int's digit limit, NaN, Infinity, a number past the float range or a
     # byte that is not UTF-8, or gets an array or blank line inserted before
     # it; every stage then exits 0, 2 or 3 with its report written and no
-    # partial output.
+    # partial output, and every JSON output of a stage that exits 0 is
+    # standard JSON.
     with tempfile.TemporaryDirectory() as tmp:
         cfg = load_config(build_integration_corpus(Path(tmp)))
         if key == "curated":
@@ -890,18 +956,23 @@ def test_fuzzed_input_line_ends_in_a_report_never_a_traceback(key, data):
         lines = path.read_text(encoding="utf-8").split("\n")[:-1]
         n = data.draw(st.integers(0, len(lines) - 1), label="line")
         record = json.loads(lines[n])
-        kinds = ("drop-key", "change-type", "truncate", "array", "blank", "not-utf8", *UNDECODABLE_VALUES)
-        kind = data.draw(st.sampled_from(kinds), label="kind")
-        field = data.draw(st.sampled_from(sorted(record)), label="field")
+        top = [(record, field) for field in sorted(record)]
+        nested = [slot for _, field in top for slot in nested_slots(record[field])]
+        # A non-finite number goes over a value, or into a field no record type declares.
+        slots = {"nested-change-type": nested or top, "non-finite": [(record, "fuzzed"), *top, *nested]}.get(kind, top)
+        container, field = slots[data.draw(st.integers(0, len(slots) - 1), label="slot")]
         if kind == "drop-key":
-            del record[field]
-        elif kind == "change-type":
-            record[field] = data.draw(st.sampled_from([v for v in FUZZ_VALUES if type(v) is not type(record[field])]))
-        elif kind in (*UNDECODABLE_VALUES, "not-utf8"):
-            record[field] = "@undecodable@"
+            del container[field]
+        elif kind in ("change-type", "nested-change-type"):
+            container[field] = data.draw(
+                st.sampled_from([v for v in FUZZ_VALUES if type(v) is not type(container[field])]))
+        elif kind in (*UNDECODABLE_VALUES, "not-utf8", "non-finite"):
+            container[field] = "@undecodable@"
         lines[n] = json.dumps(record)
         if kind in UNDECODABLE_VALUES:
             lines[n] = lines[n].replace('"@undecodable@"', UNDECODABLE_VALUES[kind][0])
+        elif kind == "non-finite":
+            lines[n] = lines[n].replace('"@undecodable@"', data.draw(st.sampled_from(NON_FINITE), label="number"))
         elif kind == "not-utf8":
             lines[n] = lines[n].replace("@undecodable@", "\udcff")  # written as the byte 0xff
         elif kind == "truncate":
@@ -915,6 +986,11 @@ def test_fuzzed_input_line_ends_in_a_report_never_a_traceback(key, data):
             assert (cfg.out_dir / stage.report).exists(), stage.name
             if code != EXIT_OK:
                 assert not [name for name in stage.outputs(cfg) if (cfg.out_dir / name).exists()], stage.name
+                continue
+            for name in (*stage.outputs(cfg), stage.report):
+                text = (cfg.out_dir / name).read_text(encoding="utf-8")
+                for part in text.split("\n")[:-1] if name.endswith(".jsonl") else [text]:
+                    strict_json(part)
         assert not [p.name for p in cfg.out_dir.iterdir() if p.name.endswith(".tmp")]
 
 
@@ -1568,6 +1644,50 @@ def test_curate_rerun_with_the_same_output_skips_the_readers(tmp_path):
     assert after == before
 
 
+def test_first_reader_to_run_feeds_every_later_reader_from_one_pass(corpus, monkeypatch):
+    # curate is skipped and only mask's outputs are gone: mask decodes
+    # curated.jsonl once and feeds curriculum and classify-errors too, as
+    # curate would; both then find their inputs unchanged, drop what they
+    # took and skip, so their outputs stay the same files and no temp file
+    # is left.
+    cfg = load_config(corpus)
+    assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+    later = ("stage1.jsonl", "stage2.jsonl", "stage3.jsonl", "correlation_report.json",
+             "failures.jsonl", "distribution.json")
+    inodes = {name: (cfg.out_dir / name).stat().st_ino for name in later}
+    for name in ("samples.jsonl", "mask_drops.jsonl"):
+        (cfg.out_dir / name).unlink()
+    fed, decoded_in, running = [], [], [None]
+    real_fold, real_run_stage = cli._fold, cli.run_stage
+    real_traj_from_record = Trajectory.from_record.__func__
+
+    def recording_fold(cfg, stages, trajectories):
+        fed.append([stage.name for stage in stages])
+        return real_fold(cfg, stages, trajectories)
+
+    def recording_run_stage(stage, cfg):
+        running[0] = stage
+        return real_run_stage(stage, cfg)
+
+    def counting_traj_from_record(cls, record):
+        decoded_in.append(running[0])
+        return real_traj_from_record(cls, record)
+
+    monkeypatch.setattr(cli, "_fold", recording_fold)
+    monkeypatch.setattr(cli, "run_stage", recording_run_stage)
+    monkeypatch.setattr(Trajectory, "from_record", classmethod(counting_traj_from_record))
+    lines = []
+    assert run_pipeline(cfg, echo=lines.append) == EXIT_OK
+    assert lines == [f"[ok]   {s.name}" if s.name == "mask" else f"[skip] {s.name}: inputs unchanged"
+                     for s in cli.STAGES]
+    assert fed == [["mask", "curriculum", "classify-errors"]]
+    assert decoded_in == ["mask"] * 7
+    assert {name: (cfg.out_dir / name).stat().st_ino for name in later} == inodes
+    assert (cfg.out_dir / "samples.jsonl").exists()
+    assert not [p.name for p in cfg.out_dir.iterdir() if p.name.endswith(".tmp")]
+    assert_run_state_empty()
+
+
 def test_single_stage_mask_over_a_bad_last_curated_line_keeps_its_samples(corpus, capsys):
     cfg = load_config(corpus)
     assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
@@ -1873,7 +1993,7 @@ def test_rerun_records_the_digests_of_rewritten_outputs(corpus):
 
 
 def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, monkeypatch):
-    # Counts, not timings: within one run, nothing loads an instance corpus
+    # Counts, not timings: within one run, nothing reads an instance corpus
     # twice (a cold run takes the builders' instances), stats parses no
     # golden patch, and no file is hashed twice while its content is
     # unchanged. A cold run never decodes curated.jsonl: curate hands each
@@ -1881,17 +2001,13 @@ def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, mo
     # every reader that runs.
     loaded, read, decoded_in, hashed, built, parsed_in = [], [], [], [], [], []
     running = [None]
-    real_load, real_read, real_sha256, real_run_stage = cli.load_corpus, cli.read_corpus, cli._sha256, cli.run_stage
+    real_read, real_sha256, real_run_stage = cli.read_corpus, cli._sha256, cli.run_stage
     real_from_record = TaskInstance.from_record.__func__
     real_traj_from_record = Trajectory.from_record.__func__
     real_parse_patch = patch_analysis.parse_patch
 
-    def counting_load(path, kind):
-        loaded.append(Path(path))
-        return real_load(path, kind)
-
     def counting_read(path, kind, rejections):
-        read.append(Path(path))
+        (loaded if kind == "instances" else read).append(Path(path))
         return real_read(path, kind, rejections)
 
     def counting_sha256(path):
@@ -1918,7 +2034,6 @@ def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, mo
         finally:
             running[0] = None
 
-    monkeypatch.setattr(cli, "load_corpus", counting_load)
     monkeypatch.setattr(cli, "read_corpus", counting_read)
     monkeypatch.setattr(cli, "_sha256", counting_sha256)
     monkeypatch.setattr(cli, "run_stage", recording_run_stage)
@@ -2035,18 +2150,12 @@ def test_rejected_corpus_is_never_kept(corpus, monkeypatch):
     external.write_text(good, encoding="utf-8")
     assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
     loaded = []
-    real_load = cli.load_corpus
-
-    def counting_load(path, kind):
-        loaded.append(Path(path).name)
-        return real_load(path, kind)
 
     def counting_read(path, kind, rejections):
         loaded.append(Path(path).name)
         return real_read(path, kind, rejections)
 
     real_read = cli.read_corpus
-    monkeypatch.setattr(cli, "load_corpus", counting_load)
     monkeypatch.setattr(cli, "read_corpus", counting_read)
     assert cli.main(["classify-errors", "--config", str(corpus)]) == EXIT_OK
     assert loaded == ["instances_real.jsonl", "instances_synth.jsonl", external.name, "curated.jsonl"]
@@ -2054,9 +2163,10 @@ def test_rejected_corpus_is_never_kept(corpus, monkeypatch):
 
 
 def test_every_corpus_load_in_cli_goes_through_one_reader():
-    # cli reads each instance corpus through _corpus, which keeps it for the
-    # run. Every other stage input that fails its stage on a rejection is
-    # streamed through _stream: the trajectories into curate, curated.jsonl
+    # cli reads each instance corpus through _corpus, which streams it
+    # through _stream and keeps it for the run. Every other stage input that
+    # fails its stage on a rejection is streamed through _stream too: the
+    # trajectories into curate, curated.jsonl
     # into the reader stages where curate did not feed them, and mutations,
     # histories, rollouts and surface. Only build-tasks, which skips a bad
     # line with its reason, and final_reports, whose rejection comes after
@@ -2080,7 +2190,7 @@ def test_every_corpus_load_in_cli_goes_through_one_reader():
 
     Finder().visit(ast.parse(Path(cli.__file__).read_text(encoding="utf-8")))
     assert calls == [
-        ("load_corpus", "cli._corpus"),
+        ("_stream", "cli._corpus"),
         ("read_corpus", "cli._stream"),
         ("read_jsonl", "cli._stream"),
         ("load_jsonl", "cli._stage_build_tasks"),

@@ -227,6 +227,20 @@ def test_load_jsonl_rejects_deep_nesting_and_huge_integers(tmp_path):
     assert "recursion" in result.rejections[0].message and "digits" in result.rejections[1].message
 
 
+def test_load_jsonl_rejects_non_finite_numbers(tmp_path):
+    # json.loads takes NaN, Infinity and a number past the float range (as
+    # inf), and json.dumps would write them back raw, which strict JSON
+    # readers refuse; each is BAD_JSON, at any depth. A large finite number,
+    # or one that underflows to 0, still loads.
+    path = tmp_path / "input.jsonl"
+    write_lines(path, ['{"n": NaN}', '{"n": Infinity}', '{"n": [{"m": -Infinity}]}', '{"n": 1e400}',
+                       '{"n": -1E+309}', '{"n": 1.5e308}', '{"n": 1e-400}', '{"n": "NaN"}'])
+    result = load_jsonl(path, lambda record: record["n"])
+    assert result.records == [1.5e308, 0.0, "NaN"]
+    assert [(r.line_no, r.codes) for r in result.rejections] == [(n, ("BAD_JSON",)) for n in range(1, 6)]
+    assert all("is not a finite number" in r.message for r in result.rejections)
+
+
 def test_lines_split_at_newline_only(tmp_path):
     # U+0085, U+2028 and U+2029 are written raw; CRLF line ends still read.
     traj = make_traj([bash_step(0, "ls", "a\x85b\u2028c\u2029d"), finish_step(1)])
@@ -240,8 +254,9 @@ def test_lines_split_at_newline_only(tmp_path):
 
 
 def test_only_the_reader_decodes_json_lines():
-    # Every stage input is decoded by schema.read_jsonl; the state file and
-    # the verifier wire protocol are the only other JSON the program reads.
+    # Every stage input is decoded by schema.read_jsonl, with the one strict
+    # decoder schema builds; the state file and the verifier wire protocol
+    # are the only other JSON the program reads.
     found = []
 
     class Finder(ast.NodeVisitor):
@@ -256,7 +271,9 @@ def test_only_the_reader_decodes_json_lines():
         visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
 
         def visit_Attribute(self, node):
-            if isinstance(node.value, ast.Name) and node.value.id == "json" and node.attr in ("load", "loads"):
+            if isinstance(node.value, ast.Name) and (
+                    node.value.id == "json" and node.attr in ("load", "loads", "JSONDecoder")
+                    or node.value.id == "_DECODER"):
                 found.append(".".join(self.scope))
             self.generic_visit(node)
 
@@ -265,7 +282,7 @@ def test_only_the_reader_decodes_json_lines():
 
     for path in sorted(Path(lego_forge.__file__).parent.glob("*.py")):
         Finder(path.stem).visit(ast.parse(path.read_text(encoding="utf-8")))
-    assert sorted(found) == ["cli._read_state", "schema.read_jsonl", "tts.decode_score_response"]
+    assert sorted(found) == ["cli._read_state", "schema", "schema.read_jsonl", "tts.decode_score_response"]
 
 
 def test_duplicate_real_image_rejected(tmp_path):

@@ -17,6 +17,7 @@ from lego_forge.tts import (
     add_rollout,
     allocate,
     best_of_k,
+    check_rankable,
     decode_score_response,
     encode_score_request,
     generative_score,
@@ -26,10 +27,9 @@ from lego_forge.tts import (
     select_top1,
     surface_point,
     tts_at_k,
-    unrankable,
 )
 
-from lego_forge.errors import ForgeError
+from lego_forge.errors import ForgeError, ValidationFailure
 from lego_forge.schema import RecordRejected
 
 from conftest import assert_refuses_bad_fields
@@ -236,7 +236,7 @@ def test_add_rollout_keeps_only_index_label_and_score():
     groups = {}
     for cand in cands:
         add_rollout(groups, cand.to_record(), verifier)
-    assert unrankable(groups, "rollouts.jsonl") is None
+    assert check_rankable(groups, "rollouts.jsonl") is None
     assert all(type(s) is Scored for seen in groups.values() for s in seen.values())
     lines, metrics = best_of_k(groups)
     by_instance = {}
@@ -253,7 +253,9 @@ def test_add_rollout_keeps_only_index_label_and_score():
 
 def test_add_rollout_refuses_a_repeat_and_unrankable_names_the_causes():
     groups = {}
-    assert unrankable(groups, "r.jsonl") == ([
+    with pytest.raises(ValidationFailure) as empty:
+        check_rankable(groups, "r.jsonl")
+    assert (empty.value.rejections, str(empty.value)) == ([
         {"file": "r.jsonl", "line_no": None, "instance_id": None, "codes": ["EMPTY_ROLLOUTS"],
          "message": "rollouts file holds no candidates"},
     ], "r.jsonl: no candidates")
@@ -262,7 +264,9 @@ def test_add_rollout_refuses_a_repeat_and_unrankable_names_the_causes():
     with pytest.raises(RecordRejected) as repeat:
         add_rollout(groups, candidate("a", 1, True).to_record(), OracleVerifier())
     assert repeat.value.codes == ("DUPLICATE_ROLLOUT_INDEX",)
-    assert unrankable(groups, "r.jsonl") == ([
+    with pytest.raises(ValidationFailure) as ragged:
+        check_rankable(groups, "r.jsonl")
+    assert (ragged.value.rejections, str(ragged.value)) == ([
         {"file": "r.jsonl", "line_no": None, "instance_id": "c", "codes": ["RAGGED_ROLLOUTS"],
          "message": "1 candidate(s) where most instances have 2"},
     ], "r.jsonl: ragged candidate counts per instance: [1, 2]")
@@ -270,14 +274,20 @@ def test_add_rollout_refuses_a_repeat_and_unrankable_names_the_causes():
 
 def test_add_rollout_reports_a_failing_verifier_as_no_bad_line():
     # read_jsonl turns a ValueError from a line parser into a rejection of
-    # the line; a verifier's ValueError (here a malformed response) is a
-    # fault of the verifier, so it comes out as a ForgeError instead.
-    verifier = LineDelimitedVerifier(lambda request: "not json")
-    groups = {}
-    with pytest.raises(ForgeError) as failed:
-        add_rollout(groups, candidate("a", 0, True).to_record(), verifier)
-    assert not isinstance(failed.value, ValueError)
-    assert isinstance(failed.value.__cause__, json.JSONDecodeError)
+    # the line; a verifier's fault (here a malformed response: not JSON, not
+    # an object, or a probability or score that is not a number) comes out
+    # as a ForgeError instead, never a TypeError or AttributeError.
+    responses = ["not json", "5", '"p_yes"', "[0.5]", '{"score": null}', '{"score": true}',
+                 '{"score": "0.5"}', '{"p_yes": 0.5, "p_no": "0.5"}', '{"p_yes": [1]}', '{"p_no": false}']
+    for response in responses:
+        verifier = LineDelimitedVerifier(lambda request: response)
+        groups = {}
+        with pytest.raises(ForgeError) as failed:
+            add_rollout(groups, candidate("a", 0, True).to_record(), verifier)
+        assert not isinstance(failed.value, ValueError), response
+        if response == "not json":
+            assert isinstance(failed.value.__cause__, json.JSONDecodeError)
+        assert groups == {"a": {}}, response
 
 
 # ---------------------------------------------------------------------------

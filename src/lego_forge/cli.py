@@ -8,20 +8,22 @@ rename, so an interrupted stage leaves nothing partial), and are
 deterministic: identical inputs produce byte-identical outputs. The
 `pipeline` command runs every configured stage in dependency order and
 skips stages whose recorded input content hashes are unchanged. Within one
-`pipeline` run every instance corpus is read once per content and passed to
-later stages in memory, and each file is hashed once per content. The
-`trajectories` input is decoded one line at a time into `curate`, never held
-whole. As `curate` writes each curated record, it hands it to the reader
-stages, those whose `Stage.run` is a `_Reader` of `curated.jsonl`, which
-use it and let it go, so no stage holds the curated corpus; each commits its
-outputs at its own turn, and one whose inputs turn out unchanged drops them
-and is skipped. Where `curate` does not run, the first reader stage that
-runs feeds itself and every reader stage after it from one pass over
-`curated.jsonl`, by the same rule. Every JSON Lines output is encoded line by
-line into its temp file. A build output whose instance ids (or real image
-names) repeat is not passed on, so `curate` reloads and rejects it. A
-single-stage run (`forge curate`, `forge stats`) reads, parses and hashes
-from disk. A stage's modules are imported only when the stage runs,
+`pipeline` run each file is hashed, and each instance corpus indexed, once
+per content: `build-tasks` and `inject` index each instance as they write
+it, any other corpus is indexed by one validating read, and no stage holds
+an instance corpus (see `_handoff`). The `trajectories` input is decoded
+one line at a time into `curate`, never held whole. As `curate` writes
+each curated record, it hands it to the reader stages, those whose
+`Stage.run` is a `_Reader` of `curated.jsonl`, which use it and let it go,
+so no stage holds the curated corpus; each commits its outputs at its own
+turn, and one whose inputs turn out unchanged drops them and is skipped.
+Where `curate` does not run, the first reader stage that runs feeds itself
+and every reader stage after it from one pass over `curated.jsonl`, by the
+same rule. Every JSON Lines output is encoded line by line into its temp
+file. A build output whose instance ids (or real image
+names) repeat is not indexed for the later stages, so `curate` reads and
+rejects it. A single-stage run (`forge curate`, `forge stats`) reads and
+parses from disk. A stage's modules are imported only when the stage runs,
 so a re-run that skips every stage loads only the config, schema, registry
 and curriculum code. The stages that share no file with the rest (read no
 other stage's output, and no stage reads theirs) run in one forked worker
@@ -83,6 +85,7 @@ import math
 import os
 import sys
 import threading
+from collections import ChainMap
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -93,6 +96,8 @@ from .registries import content_lines, load_error_patterns, load_hack_patterns, 
 from .schema import (
     DEFAULT_MAX_TURNS,
     AtomicWriter,
+    IndexEntry,
+    InstanceLookup,
     Rejection,
     TaskInstance,
     TestReport,
@@ -277,49 +282,58 @@ def _fail_on_rejections(source: Path, rejections: Sequence[Rejection]) -> None:
 
 
 # Per-run state of run_pipeline, emptied when the run ends: the sha256 of
-# each path hashed so far, the records of each instance corpus read or
-# written, keyed by (path, sha256 of the file), and, by stage name, the
-# readers (the stages whose `Stage.run` is a `_Reader`) that curate, or one
-# pass over curated.jsonl, has fed and whose turn has not come. Outside a
-# run nothing is kept.
+# each path hashed so far, the index of each instance corpus read or written
+# (instance id -> IndexEntry, never the instance), keyed by (path, sha256 of
+# the file), and, by stage name, the readers (the stages whose `Stage.run`
+# is a `_Reader`) that curate, or one pass over curated.jsonl, has fed and
+# whose turn has not come. Outside a run nothing is kept.
 _in_run = False
 _digests: dict[Path, str] = {}
-_handoff: dict[tuple[Path, str], list[TaskInstance]] = {}
+_handoff: dict[tuple[Path, str], dict[str, IndexEntry]] = {}
 _readers: dict[str, _Reader] = {}
 
 
-def _hand_off(path: Path, instances: list[TaskInstance]) -> None:
-    """Within a run, pass the instances just written to `path` to the later
-    stages that read it, if reloading them would return the same instances
-    without a rejection. The builders return only instances that validate,
-    which leaves the duplicate rules."""
-    if not _in_run:
-        return
-    real_images = [i.image_name for i in instances if i.origin == "real"]
-    if (len({i.instance_id for i in instances}) < len(instances)
-            or len(set(real_images)) < len(real_images)):
-        return
-    _handoff[(path, _hash_path(path))] = instances
+def _save_instances(instances: Iterable[TaskInstance], path: Path) -> int:
+    """Write `instances` to corpus `path` and return their count. Within a
+    run, the index made as they are written is handed to later stages
+    unless a read would reject a line: the builders' instances validate, so
+    only a repeated id or real image name would."""
+    index: dict[str, IndexEntry] = {}
+    real_images: set[str] = set()
+    repeats: list[bool] = []  # per instance, whether a read would reject its line
+
+    def add(inst: TaskInstance, offset: int) -> None:
+        repeats.append(inst.instance_id in index or inst.origin == "real" and inst.image_name in real_images)
+        index[inst.instance_id] = IndexEntry.of(inst, path, offset)
+        if inst.origin == "real":
+            real_images.add(inst.image_name)
+
+    save_corpus(instances, path, on_write=add)
+    if _in_run and not any(repeats):
+        _handoff[(path, _hash_path(path))] = index
+    return len(repeats)
 
 
-def _corpus(path: Path) -> list[TaskInstance]:
-    """The instances of corpus `path`, loaded once per content within a run;
-    a load with rejections fails the stage and is never kept."""
+def _index(path: Path) -> dict[str, IndexEntry]:
+    """The index of instance corpus `path`, made by one validating read once
+    per content within a run; a read with rejections fails the stage and
+    is never kept."""
     key = (path, _hash_path(path)) if _in_run else None
-    records = _handoff.get(key)
-    if records is None:
-        records = list(_stream(path, "instances"))
+    index = _handoff.get(key)
+    if index is None:
+        index = {inst.instance_id: IndexEntry.of(inst, path, offset)
+                 for offset, inst in _stream(path, "instances", offsets=True)}
         if key is not None:
-            _handoff[key] = records
-    return records
+            _handoff[key] = index
+    return index
 
 
-def _stream(path: Path, parse: Callable[[dict], Any] | str) -> Iterator:
+def _stream(path: Path, parse: Callable[[dict], Any] | str, offsets: bool = False) -> Iterator:
     """The records of stage input `path`, decoded one line at a time by
-    `parse`, or as a corpus of that kind; once the last is yielded, any
-    rejected line fails the stage with its rejection report."""
+    `parse`, or as a corpus of that kind (`offsets` as read_corpus's); once
+    the last is yielded, a rejected line fails the stage with its report."""
     rejections: list[Rejection] = []
-    yield from (read_corpus(path, parse, rejections) if isinstance(parse, str)
+    yield from (read_corpus(path, parse, rejections, offsets=offsets) if isinstance(parse, str)
                 else read_jsonl(path, parse, rejections))
     _fail_on_rejections(path, rejections)
 
@@ -331,19 +345,14 @@ def _instance_sources(cfg: PipelineConfig) -> list[Path]:
     return sources
 
 
-def _load_instances_union(cfg: PipelineConfig) -> dict[str, TaskInstance]:
+def _indexes(cfg: PipelineConfig) -> list[dict[str, IndexEntry]]:
+    """The index of each instance corpus, in source order: the first to hold an id wins."""
     if cfg.instances is not None:
         _require_input(cfg.instances, "instances")
     existing = [p for p in _instance_sources(cfg) if p.exists()]
     if not existing:
-        raise MissingInputError(
-            "no instance corpus found (run build-tasks/inject or set `instances`)"
-        )
-    by_id: dict[str, TaskInstance] = {}
-    for source in existing:
-        for inst in _corpus(source):
-            by_id.setdefault(inst.instance_id, inst)
-    return by_id
+        raise MissingInputError("no instance corpus found (run build-tasks/inject or set `instances`)")
+    return [_index(source) for source in existing]
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +363,10 @@ def _stage_build_tasks(cfg: PipelineConfig) -> dict:
     from . import task_builder
 
     source = _require_input(cfg.real_inputs, "real_inputs")
-    result = load_jsonl(source, task_builder.build_real_instance)
-    path = cfg.out_dir / "instances_real.jsonl"
-    save_corpus(result.records, path)
-    _hand_off(path, result.records)
-    skipped = [{"record": r.line_no - 1, "reason": r.message} for r in result.rejections]
-    return {"built": len(result.records), "skipped": skipped}
+    rejections: list[Rejection] = []
+    built = _save_instances(read_jsonl(source, task_builder.build_real_instance, rejections),
+                            cfg.out_dir / "instances_real.jsonl")
+    return {"built": built, "skipped": [{"record": r.line_no - 1, "reason": r.message} for r in rejections]}
 
 
 def _stage_inject(cfg: PipelineConfig) -> dict:
@@ -369,38 +376,29 @@ def _stage_inject(cfg: PipelineConfig) -> dict:
     mutations_path = _require_input(cfg.mutations, "mutations")
     if not cfg.repo or not cfg.base_commit:
         raise MissingInputError("inject needs `repo` and `base_commit` in the config")
-    mutations = list(_stream(
-        mutations_path, lambda r: task_builder.MutationSpec.from_record(r, cfg.seed)
-    ))
+    mutations = list(_stream(mutations_path, lambda r: task_builder.MutationSpec.from_record(r, cfg.seed)))
     snapshot = task_builder.read_snapshot(snapshot_dir)
     statements = task_builder.TemplateStatementProvider()
     provider = task_builder.PythonAstProvider()  # parses each snapshot file once
-    instances: list[TaskInstance] = []
     invisible: list[dict] = []
     bad_specs: list[dict] = []
-    for idx, (spec, reports) in enumerate(mutations):
-        try:
-            instances.append(
-                task_builder.build_synthetic_instance(
-                    snapshot,
-                    spec,
-                    reports,
-                    statements,
-                    repo=cfg.repo,
-                    base_commit=cfg.base_commit,
-                    provider=provider,
-                )
-            )
-        except task_builder.InvisibleBugError as exc:
-            invisible.append({"record": idx, "reason": str(exc)})
-        except (task_builder.MutationError, ValueError) as exc:
-            bad_specs.append({"record": idx, "reason": str(exc)})
-    if bad_specs:
-        raise ValidationFailure(f"{len(bad_specs)} mutation spec(s) could not be applied", bad_specs)
-    path = cfg.out_dir / "instances_synth.jsonl"
-    save_corpus(instances, path)
-    _hand_off(path, instances)
-    return {"built": len(instances), "invisible_bugs": invisible}
+
+    def built() -> Iterator[TaskInstance]:
+        for idx, (spec, reports) in enumerate(mutations):
+            try:
+                instance = task_builder.build_synthetic_instance(
+                    snapshot, spec, reports, statements, repo=cfg.repo, base_commit=cfg.base_commit, provider=provider)
+            except task_builder.InvisibleBugError as exc:
+                invisible.append({"record": idx, "reason": str(exc)})
+            except (task_builder.MutationError, ValueError) as exc:
+                bad_specs.append({"record": idx, "reason": str(exc)})
+            else:
+                yield instance
+        # Raised inside the writer's input, so that it discards its temp file and writes nothing.
+        if bad_specs:
+            raise ValidationFailure(f"{len(bad_specs)} mutation spec(s) could not be applied", bad_specs)
+
+    return {"built": _save_instances(built(), cfg.out_dir / "instances_synth.jsonl"), "invisible_bugs": invisible}
 
 
 def _stage_sanitize(cfg: PipelineConfig) -> dict:
@@ -426,7 +424,7 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
 
     traj_path = _require_input(cfg.trajectories, "trajectories")
     reports_path = _require_input(cfg.final_reports, "final_reports")
-    instances = _load_instances_union(cfg)
+    instances = InstanceLookup(*_indexes(cfg))
     reports = load_jsonl(reports_path, _final_report)
     report: dict = {}
 
@@ -565,7 +563,7 @@ class _ClassifyErrors(_Reader):
     def start(self) -> None:
         from . import error_taxonomy
 
-        self.classifier = error_taxonomy.FailureClassifier(_load_instances_union(self.cfg))
+        self.classifier = error_taxonomy.FailureClassifier(InstanceLookup(*_indexes(self.cfg)))
         self.write_failure = self.open("failures.jsonl")
 
     def take(self, traj: Trajectory) -> None:
@@ -648,21 +646,20 @@ def _stage_tts_select(cfg: PipelineConfig) -> dict:
 def _stage_stats(cfg: PipelineConfig) -> dict:
     from . import patch_analysis
 
-    everyone = list(_load_instances_union(cfg).values())
+    everyone = list(ChainMap(*_indexes(cfg)).values())  # a fold over the index entries
 
-    def aggregate(group: list[TaskInstance]) -> dict:
+    def aggregate(group: list[IndexEntry]) -> dict:
         if not group:
             return {"instances": 0}
         n = len(group)
-        means = patch_analysis.mean_patch_stats([i.golden_stats for i in group])
         return {
             "instances": n,
-            "issue_words": sum(len(i.problem_statement.split()) for i in group) / n,
-            "golden_patch": means,
+            "issue_words": sum(e.issue_words for e in group) / n,
+            "golden_patch": patch_analysis.mean_patch_stats([e.golden_stats for e in group]),
             "tests": {
-                "fail_to_pass": sum(len(i.fail_to_pass) for i in group) / n,
-                "pass_to_pass": sum(len(i.pass_to_pass) for i in group) / n,
-                "total": sum(len(i.fail_to_pass) + len(i.pass_to_pass) for i in group) / n,
+                "fail_to_pass": sum(e.fail_to_pass for e in group) / n,
+                "pass_to_pass": sum(e.pass_to_pass for e in group) / n,
+                "total": sum(e.fail_to_pass + e.pass_to_pass for e in group) / n,
             },
         }
 

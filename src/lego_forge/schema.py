@@ -10,7 +10,8 @@ Every stage input is read by `read_jsonl`, which splits at "\n" only and
 turns each line into a record or a `Rejection`, one line at a time;
 `read_corpus` is that reader plus a corpus kind's record type, validator
 and duplicate rules; `load_jsonl` and `load_corpus` hold their whole
-result. Every writer encodes one line at a time into the temp file of an
+result, and an index of an instance corpus (`IndexEntry`s) holds none:
+an `InstanceLookup` decodes an instance from its line. Every writer encodes one line at a time into the temp file of an
 `AtomicWriter`, the one temp-file, sync and rename implementation.
 
 Timestamps are ISO-8601 UTC text. They are stored as strings and parsed on
@@ -24,9 +25,10 @@ import math
 import os
 import re
 import tempfile
+from collections import ChainMap
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -445,10 +447,11 @@ def _read_lines(file_path: Path) -> Iterator[bytes]:
 
 
 def read_jsonl(path: str | Path, parse: Callable[[dict], Any], rejections: list[Rejection], *,
-               reject_blank: bool = False) -> Iterator:
+               reject_blank: bool = False, offsets: bool = False) -> Iterator:
     """Yield `parse(record)` for each line of a JSON Lines file, in file
-    order, decoding one line at a time; append each refused line's
-    Rejection to `rejections`. The one JSON decoder of stage inputs.
+    order, decoding one line at a time, or with `offsets` (byte offset of
+    the line, parse(record)) pairs; append each refused line's Rejection to
+    `rejections`. The one JSON decoder of stage inputs.
 
     Lines split at "\n" only, so text that holds U+2028 and the like reads
     back as written. A line that is not UTF-8, that is not a JSON object (nor
@@ -459,7 +462,9 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], Any], rejections: list[
     A blank line is skipped, or is EMPTY_LINE with reject_blank. An
     unreadable file raises CorpusError, also after some lines were yielded.
     """
+    end = 0
     for line_no, encoded in enumerate(_read_lines(Path(path)), start=1):
+        start, end = end, end + len(encoded) + 1
         try:
             line = encoded.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -486,7 +491,7 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], Any], rejections: list[
             codes = exc.codes if isinstance(exc, RecordRejected) else ("BAD_RECORD",)
             rejections.append(Rejection(line_no, codes, str(exc)))
             continue
-        yield record
+        yield (start, record) if offsets else record
 
 
 def load_jsonl(path: str | Path, parse: Callable[[dict], Any], *, reject_blank: bool = False) -> LoadResult:
@@ -501,9 +506,9 @@ _KINDS = {
 }
 
 
-def read_corpus(path: str | Path, kind: str, rejections: list[Rejection]) -> Iterator:
-    """Read a JSON Lines corpus with `read_jsonl`, collecting malformed lines
-    instead of dropping them.
+def read_corpus(path: str | Path, kind: str, rejections: list[Rejection], *, offsets: bool = False) -> Iterator:
+    """Read a JSON Lines corpus with `read_jsonl` (`offsets` is its own),
+    collecting malformed lines instead of dropping them.
 
     `kind` selects the record type: "instances" or "trajectories". Records are
     yielded in file order. Every line either becomes a record or a rejection
@@ -535,13 +540,52 @@ def read_corpus(path: str | Path, kind: str, rejections: list[Rejection]) -> Ite
             seen_ids.add(record.instance_id)
         return record
 
-    return read_jsonl(path, parse, rejections, reject_blank=True)
+    return read_jsonl(path, parse, rejections, reject_blank=True, offsets=offsets)
 
 
 def load_corpus(path: str | Path, kind: str) -> LoadResult:
     """Every record and rejection of `read_corpus`, held whole."""
     rejections: list[Rejection] = []
     return LoadResult(list(read_corpus(path, kind, rejections)), rejections)
+
+
+class IndexEntry(NamedTuple):
+    """An instance corpus index's entry of one instance: where its line starts, and the counts stats sum."""
+
+    path: Path
+    offset: int
+    origin: str
+    issue_words: int
+    golden_stats: PatchStats
+    fail_to_pass: int
+    pass_to_pass: int
+
+    @classmethod
+    def of(cls, inst: TaskInstance, path: Path, offset: int) -> "IndexEntry":
+        return cls(path, offset, inst.origin, len(inst.problem_statement.split()), inst.golden_stats,
+                   len(inst.fail_to_pass), len(inst.pass_to_pass))
+
+
+def _read_instance(path: Path, offset: int) -> TaskInstance:
+    with open(path, "rb") as handle:
+        handle.seek(offset)
+        return TaskInstance.from_record(_DECODER.decode(handle.readline().decode("utf-8")))
+
+
+class InstanceLookup(ChainMap):
+    """Instances by id over instance corpus indexes (maps of id to `IndexEntry`), the first index's
+    where several hold an id, each decoded from its line when looked up, unless it is one of the
+    last `RECENT` this lookup decoded; no file stays open."""
+
+    RECENT = 64  # about 0.4 MB of instances, however large the corpus
+
+    def __init__(self, *indexes: dict[str, IndexEntry]):
+        super().__init__(*indexes)
+        self._read = lru_cache(maxsize=self.RECENT)(_read_instance)
+
+    def __getitem__(self, instance_id: str) -> TaskInstance:
+        entry = super().__getitem__(instance_id)
+        return self._read(entry.path, entry.offset)
 
 
 def dumps_record(record: dict) -> str:
@@ -596,15 +640,25 @@ def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
     writer.commit()
 
 
-def save_corpus(records: Iterable, path: str | Path) -> None:
+def save_corpus(records: Iterable, path: str | Path, on_write: Callable[[Any, int], None] | None = None) -> None:
     """Write records as JSON Lines with deterministic bytes.
 
     Identical inputs produce byte-identical files; an empty record list
     produces a zero-byte file. load_corpus(save_corpus(x)) round-trips to x.
-    Each record is encoded into the temp file as it is taken.
+    Each record is encoded into the temp file as it is taken, and passed
+    with the byte offset of its line to `on_write`, if given.
     """
+    def lines() -> Iterator[str]:
+        end = 0
+        for record in records:
+            line = dumps_record(record.to_record()) + "\n"
+            if on_write is not None:
+                on_write(record, end)
+                end += len(line.encode("utf-8"))
+            yield line
+
     try:
-        atomic_write_text(path, (dumps_record(r.to_record()) + "\n" for r in records))
+        atomic_write_text(path, lines())
     except OSError as exc:
         raise CorpusError(f"cannot write corpus {path}: {exc}") from exc
 

@@ -217,8 +217,8 @@ def add_rollout(groups: dict[str, dict[int, Scored]], record: dict, verifier) ->
     it in `groups` (instance id -> rollout_index -> Scored). Raises
     ValueError when a field is missing or has the wrong type, RecordRejected
     (DUPLICATE_ROLLOUT_INDEX) when the instance already holds that
-    rollout_index, and ForgeError when the verifier fails, so that a fault
-    of the verifier is never reported as a bad line."""
+    rollout_index, and ForgeError when the verifier raises ValueError or
+    OverflowError, so that its fault is never reported as a bad line."""
     candidate = Candidate.from_record(record)
     seen = groups.setdefault(candidate.instance_id, {})
     if candidate.rollout_index in seen:
@@ -228,7 +228,7 @@ def add_rollout(groups: dict[str, dict[int, Scored]], record: dict, verifier) ->
         )
     try:
         score = verifier.score(candidate)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ForgeError(str(exc)) from exc
     seen[candidate.rollout_index] = Scored(candidate.rollout_index, candidate.resolved, score)
 

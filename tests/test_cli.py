@@ -39,7 +39,7 @@ from lego_forge.registries import (
 )
 from lego_forge import patch_analysis, sft_masking, task_builder
 from lego_forge import schema as schema_mod
-from lego_forge.schema import TaskInstance, ToolCall, Trajectory, load_corpus, save_jsonl
+from lego_forge.schema import IndexEntry, TaskInstance, ToolCall, Trajectory, load_corpus, save_jsonl
 from lego_forge.sft_masking import assign_phases, detect_step_errors
 from lego_forge.trajectory_curation import UnrepairableCallError, prune_toolset, repair_tool_call
 
@@ -934,8 +934,12 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
+STATE = ".forge_state.json"
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(key=st.sampled_from([*sorted(PROBE_STAGES), "curated"]), kind=st.sampled_from(FUZZ_KINDS), data=st.data())
+@given(key=st.sampled_from([*sorted(PROBE_STAGES), "curated", STATE]), kind=st.sampled_from(FUZZ_KINDS),
+       data=st.data())
 def test_fuzzed_input_line_ends_in_a_report_never_a_traceback(key, kind, data):
     # One line of one stage input, or of curated.jsonl under the single-stage
     # reader runs, loses a key, changes a type (of a field, or of a value
@@ -945,15 +949,22 @@ def test_fuzzed_input_line_ends_in_a_report_never_a_traceback(key, kind, data):
     # byte that is not UTF-8, or gets an array or blank line inserted before
     # it; every stage then exits 0, 2 or 3 with its report written and no
     # partial output, and every JSON output of a stage that exits 0 is
-    # standard JSON.
+    # standard JSON. The state file of a finished run, taken as one line,
+    # gets the same edits; `forge pipeline` then exits 0 and writes every
+    # other output byte for byte as the clean run did.
     with tempfile.TemporaryDirectory() as tmp:
         cfg = load_config(build_integration_corpus(Path(tmp)))
-        if key == "curated":
+        if key == STATE:
+            assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+            clean = tree_bytes(cfg.out_dir)
+            path, stages = cfg.out_dir / STATE, []
+        elif key == "curated":
             run_stages(cfg, "build-tasks", "inject", "curate")
             path, stages = cfg.out_dir / "curated.jsonl", [stage for stage in cli.STAGES if stage.reader]
         else:
             path, stages = getattr(cfg, key), cli.STAGES
-        lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+        text = path.read_text(encoding="utf-8")
+        lines = [text.removesuffix("\n")] if key == STATE else text.split("\n")[:-1]
         n = data.draw(st.integers(0, len(lines) - 1), label="line")
         record = json.loads(lines[n])
         top = [(record, field) for field in sorted(record)]
@@ -980,6 +991,11 @@ def test_fuzzed_input_line_ends_in_a_report_never_a_traceback(key, kind, data):
         elif kind in ("array", "blank"):
             lines.insert(n, "[1, 2]" if kind == "array" else "")
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8", errors="surrogateescape")
+        if key == STATE:
+            assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+            after = tree_bytes(cfg.out_dir)
+            assert after.pop(STATE) and clean.pop(STATE)
+            assert after == clean
         for stage in stages:
             code, _ = run_stage(stage.name, cfg)
             assert code in (EXIT_OK, EXIT_MISSING_INPUT, EXIT_VALIDATION), stage.name
@@ -1417,18 +1433,27 @@ def test_hand_off_lives_from_its_writer_to_the_end_of_the_run(corpus, monkeypatc
     log = tmp_path / "held.log"
     real_run_stage = cli.run_stage
 
+    def assert_no_instance_held():
+        # The hand-off holds an index entry per instance, never the instance.
+        assert all(type(index) is dict and all(type(entry) is IndexEntry for entry in index.values())
+                   for index in cli._handoff.values())
+
     def recording_run_stage(stage, cfg):
+        assert_no_instance_held()
         held[stage] = names = [path.name for path, _ in cli._handoff]
         readers[stage] = list(cli._readers)
         with open(log, "a", encoding="utf-8") as f:
             f.write(json.dumps([stage, names]) + "\n")
-        return real_run_stage(stage, cfg)
+        try:
+            return real_run_stage(stage, cfg)
+        finally:
+            assert_no_instance_held()
 
     monkeypatch.setattr(cli, "run_stage", recording_run_stage)
     assert run_pipeline(load_config(corpus), echo=lambda s: None) == EXIT_OK
-    # build-tasks and inject keep the instances they wrote until the run
-    # ends; no stage holds the curated records. curate feeds every reader
-    # stage, and each holds its fold only until its turn.
+    # build-tasks and inject keep the index of what they wrote until the
+    # run ends; no stage holds the curated records. curate feeds every
+    # reader stage, and each holds its fold only until its turn.
     instances = ["instances_real.jsonl", "instances_synth.jsonl"]
     assert {stage: sorted(names) for stage, names in held.items()} == {
         "build-tasks": [],
@@ -1448,17 +1473,32 @@ def test_hand_off_lives_from_its_writer_to_the_end_of_the_run(corpus, monkeypatc
 
 
 def test_built_instances_equal_their_reload(corpus, monkeypatch):
-    # The hand-off gives later stages the builders' instances in place of a
-    # reload, so each must equal its own round trip, and the golden_stats a
-    # builder seeds must equal a fresh parse.
+    # The hand-off indexes the builders' instances as they are written, in
+    # place of a reload, so each must equal its own round trip, the
+    # golden_stats a builder seeds must equal a fresh parse, and the index
+    # must equal the one a validating read makes.
     written = {}
     real_save = cli.save_corpus
 
-    def capturing_save(records, path):
-        written[Path(path).name] = records
-        real_save(records, path)
+    def capturing_save(records, path, on_write=None):
+        kept = written[Path(path).name] = []
+
+        def keeping():
+            for record in records:
+                kept.append(record)
+                yield record
+
+        return real_save(keeping(), path, on_write)
+
+    real_index = cli._index
+    indexes = {}
+
+    def capturing_index(path):
+        indexes[path.name] = index = real_index(path)
+        return index
 
     monkeypatch.setattr(cli, "save_corpus", capturing_save)
+    monkeypatch.setattr(cli, "_index", capturing_index)
     cfg = load_config(corpus)
     assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
     for name in ("instances_real.jsonl", "instances_synth.jsonl"):
@@ -1469,16 +1509,28 @@ def test_built_instances_equal_their_reload(corpus, monkeypatch):
             assert "golden_stats" in vars(inst)
             assert inst.golden_stats == patch_analysis.patch_stats(patch_analysis.parse_patch(inst.golden_patch))
         assert load_corpus(cfg.out_dir / name, "instances").records == instances
+        assert cli._index(cfg.out_dir / name) == indexes[name]  # outside a run, a validating read
 
 
-def test_duplicate_built_ids_fail_curate_as_single_stage_runs_do(corpus, capsys):
-    # Instances a reload would reject are not handed off: curate reloads
-    # and rejects them exactly as `forge build-tasks` then `forge curate`.
+def test_duplicate_built_ids_fail_curate_as_single_stage_runs_do(corpus, capsys, monkeypatch):
+    # Instances a reload would reject are not indexed for the later stages:
+    # curate reloads and rejects them exactly as `forge build-tasks` then
+    # `forge curate`.
     cfg = load_config(corpus)
     first = cfg.real_inputs.read_text(encoding="utf-8").split("\n", 1)[0]
     cfg.real_inputs.write_text(f"{first}\n{first}\n", encoding="utf-8")
+    held = {}
+    real_run_stage = cli.run_stage
+
+    def recording_run_stage(stage, cfg):
+        held[stage] = [path.name for path, _ in cli._handoff]
+        return real_run_stage(stage, cfg)
+
+    monkeypatch.setattr(cli, "run_stage", recording_run_stage)
     lines = []
     assert run_pipeline(cfg, echo=lines.append) == EXIT_VALIDATION
+    assert held["curate"] == ["instances_synth.jsonl"]
+    monkeypatch.setattr(cli, "run_stage", real_run_stage)
     assert lines[-1].startswith("[fail] curate:")
     assert_run_state_empty()
     rejections = cfg.out_dir / "curate_rejections.jsonl"
@@ -1741,6 +1793,44 @@ def test_cold_pipeline_holds_one_curated_trajectory_at_a_time(tmp_path, monkeypa
     assert peaks["classify-errors"] < size / 2, (peaks, size)
 
 
+def test_cold_pipeline_holds_no_instance_corpus(tmp_path, monkeypatch):
+    # build-tasks writes each instance as it builds it and keeps an index
+    # entry in its place; curate and classify-errors decode an instance when
+    # a trajectory names it, and stats sums the entries. So the traced peak
+    # from build-tasks through stats stays far below instances_real.jsonl's
+    # size; a hand-off of the instances does not.
+    import tracemalloc
+
+    cfg = load_config(build_integration_corpus(tmp_path / "big"))
+    pad = " ".join(f"word{n}" for n in range(1200))  # about 9 KB
+    prs = read_jsonl(cfg.real_inputs)
+    # Copy n of a PR gets new PR numbers, so new instance ids and image names.
+    save_jsonl(({**pr, "number": pr["number"] + 1000 * n,
+                 "issue_text": f"{pr['issue_text']} {pad}" if n else pr["issue_text"]}
+                for n in range(300) for pr in prs), cfg.real_inputs)
+    peaks = {}
+    real_run_stage = cli.run_stage
+
+    def measuring_run_stage(stage, cfg):
+        if stage == "build-tasks":
+            tracemalloc.reset_peak()
+        result = real_run_stage(stage, cfg)
+        if stage == "stats":
+            peaks[stage] = tracemalloc.get_traced_memory()[1]
+        return result
+
+    monkeypatch.setattr(cli, "run_stage", measuring_run_stage)
+    tracemalloc.start()
+    try:
+        assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+    finally:
+        tracemalloc.stop()
+    size = (cfg.out_dir / "instances_real.jsonl").stat().st_size
+    assert size >= 4 << 20
+    assert json.loads((cfg.out_dir / "corpus_stats.json").read_text(encoding="utf-8"))["real"]["instances"] == 600
+    assert peaks["stats"] < size / 2, (peaks, size)
+
+
 # ---------------------------------------------------------------------------
 # Detached stages in one forked worker
 
@@ -1992,13 +2082,19 @@ def test_rerun_records_the_digests_of_rewritten_outputs(corpus):
     assert all(line.startswith("[skip]") for line in lines)
 
 
+SWAP, LOOP = "acme__calclib-01234567-operator_swap-0001-6f580924", "acme__calclib-01234567-loop_removal-0007-788c2105"
+PR7, PR9 = "acme__calclib-pr7", "acme__calclib-pr9"
+
+
 def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, monkeypatch):
     # Counts, not timings: within one run, nothing reads an instance corpus
-    # twice (a cold run takes the builders' instances), stats parses no
-    # golden patch, and no file is hashed twice while its content is
-    # unchanged. A cold run never decodes curated.jsonl: curate hands each
-    # record to the readers. With curate skipped, one pass decodes it for
-    # every reader that runs.
+    # twice (a cold run indexes the builders' instances as they are
+    # written), curate and classify-errors each decode an instance once
+    # (their lookups keep the last ones decoded) and stats never does, stats
+    # parses no golden patch, and
+    # no file is hashed twice while its content is unchanged. A cold run
+    # never decodes curated.jsonl: curate hands each record to the readers.
+    # With curate skipped, one pass decodes it for every reader that runs.
     loaded, read, decoded_in, hashed, built, parsed_in = [], [], [], [], [], []
     running = [None]
     real_read, real_sha256, real_run_stage = cli.read_corpus, cli._sha256, cli.run_stage
@@ -2006,9 +2102,9 @@ def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, mo
     real_traj_from_record = Trajectory.from_record.__func__
     real_parse_patch = patch_analysis.parse_patch
 
-    def counting_read(path, kind, rejections):
+    def counting_read(path, kind, rejections, **kwargs):
         (loaded if kind == "instances" else read).append(Path(path))
-        return real_read(path, kind, rejections)
+        return real_read(path, kind, rejections, **kwargs)
 
     def counting_sha256(path):
         digest = real_sha256(path)
@@ -2016,7 +2112,7 @@ def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, mo
         return digest
 
     def counting_from_record(cls, record):
-        built.append(record.get("instance_id"))
+        built.append((running[0], record.get("instance_id")))
         return real_from_record(cls, record)
 
     def counting_traj_from_record(cls, record):
@@ -2056,7 +2152,11 @@ def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, mo
         assert len(hashed) == len(set(hashed)), run
         assert_run_state_empty()
         if run == "cold":
-            assert not set(loaded) & set(instance_files) and built == []
+            assert not set(loaded) & set(instance_files)
+            # For each trajectory in turn, curate looks its instance up, then
+            # classify-errors where it failed (all but the 1st and 4th), both
+            # in curate's turn; only a lookup's first of an id decodes.
+            assert built == [("curate", iid) for iid in (SWAP, PR7, PR7, PR9, PR9, LOOP, SWAP)]
             assert curated_path not in read
             assert decoded_in == ["curate"] * 7
         elif run == "no-change":
@@ -2066,6 +2166,11 @@ def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, mo
                 "mask", "curriculum", "classify-errors"]
             assert read == [curated_path]
             assert decoded_in == ["mask"] * 7
+            # The instance files are indexed by one validating read each.
+            # The instance files are indexed by one validating read each, in
+            # mask's turn, which feeds classify-errors; then its lookups.
+            assert loaded == instance_files
+            assert built == [("mask", iid) for iid in (PR7, PR9, SWAP, LOOP, PR7, PR9, SWAP)]
     assert curated_path in {path for path, _ in hashed}
 
 
@@ -2118,6 +2223,49 @@ def test_run_pipeline_encodes_each_curated_trajectory_once_and_tokenizes_each_co
     assert_run_state_empty()
 
 
+def test_corpus_stats_equal_the_whole_instance_aggregate(corpus):
+    # stats sums index entries; its bytes must equal those of the aggregate
+    # over whole instances that it replaced, over the built corpora and an
+    # external one that repeats a built id (the built instance counts) and
+    # adds one.
+    from lego_forge.schema import save_corpus
+
+    cfg = run_stages(load_config(corpus), "build-tasks")
+    pr7, pr9 = load_corpus(cfg.out_dir / "instances_real.jsonl", "instances").records
+    external = corpus.parent / "external_instances.jsonl"
+    save_corpus([dataclasses.replace(pr7, problem_statement="a shorter text", pass_to_pass=()),
+                 dataclasses.replace(pr9, instance_id="extra", image_name="sandbox.extra")], external)
+    with open(corpus, "a", encoding="utf-8") as f:
+        f.write("instances = external_instances.jsonl\n")
+    cfg = load_config(corpus)
+    assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+    union = {}
+    for source in cli._instance_sources(cfg):
+        for inst in load_corpus(source, "instances").records:
+            union.setdefault(inst.instance_id, inst)
+    assert len(union) == 5 and union[PR7].pass_to_pass
+
+    def aggregate(group):
+        n = len(group)
+        return {
+            "instances": n,
+            "issue_words": sum(len(i.problem_statement.split()) for i in group) / n,
+            "golden_patch": patch_analysis.mean_patch_stats([i.golden_stats for i in group]),
+            "tests": {
+                "fail_to_pass": sum(len(i.fail_to_pass) for i in group) / n,
+                "pass_to_pass": sum(len(i.pass_to_pass) for i in group) / n,
+                "total": sum(len(i.fail_to_pass) + len(i.pass_to_pass) for i in group) / n,
+            },
+        }
+
+    text = (cfg.out_dir / "corpus_stats.json").read_text(encoding="utf-8")
+    everyone = list(union.values())
+    expected = {**json.loads(text), "combined": aggregate(everyone),
+                **{key: aggregate([i for i in everyone if i.origin == origin])
+                   for key, origin in (("real", "real"), ("synthetic", "synthetic"))}}
+    assert cli._dump_report(expected) == text
+
+
 def test_rejected_corpus_is_never_kept(corpus, monkeypatch):
     # A corpus with a bad line fails its first reader and is not kept for
     # later ones; outside a run every stage reads its corpora from disk.
@@ -2151,9 +2299,9 @@ def test_rejected_corpus_is_never_kept(corpus, monkeypatch):
     assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
     loaded = []
 
-    def counting_read(path, kind, rejections):
+    def counting_read(path, kind, rejections, **kwargs):
         loaded.append(Path(path).name)
-        return real_read(path, kind, rejections)
+        return real_read(path, kind, rejections, **kwargs)
 
     real_read = cli.read_corpus
     monkeypatch.setattr(cli, "read_corpus", counting_read)
@@ -2163,14 +2311,15 @@ def test_rejected_corpus_is_never_kept(corpus, monkeypatch):
 
 
 def test_every_corpus_load_in_cli_goes_through_one_reader():
-    # cli reads each instance corpus through _corpus, which streams it
-    # through _stream and keeps it for the run. Every other stage input that
-    # fails its stage on a rejection is streamed through _stream too: the
-    # trajectories into curate, curated.jsonl
-    # into the reader stages where curate did not feed them, and mutations,
-    # histories, rollouts and surface. Only build-tasks, which skips a bad
-    # line with its reason, and final_reports, whose rejection comes after
-    # the trajectories', load a whole file.
+    # cli indexes each instance corpus it did not write through _index,
+    # which streams it through _stream and keeps the index for the run.
+    # Every other stage input that fails its stage on a rejection is
+    # streamed through _stream too: the trajectories into curate,
+    # curated.jsonl into the reader stages where curate did not feed them,
+    # and mutations, histories, rollouts and surface. build-tasks, which
+    # skips a bad line with its reason, streams real_inputs through
+    # read_jsonl itself; only final_reports, whose rejection comes after
+    # the trajectories', is loaded whole.
     calls = []
 
     class Finder(ast.NodeVisitor):
@@ -2190,10 +2339,10 @@ def test_every_corpus_load_in_cli_goes_through_one_reader():
 
     Finder().visit(ast.parse(Path(cli.__file__).read_text(encoding="utf-8")))
     assert calls == [
-        ("_stream", "cli._corpus"),
+        ("_stream", "cli._index"),
         ("read_corpus", "cli._stream"),
         ("read_jsonl", "cli._stream"),
-        ("load_jsonl", "cli._stage_build_tasks"),
+        ("read_jsonl", "cli._stage_build_tasks"),
         ("_stream", "cli._stage_inject"),
         ("_stream", "cli._stage_sanitize.sanitized"),
         ("load_jsonl", "cli._stage_curate"),

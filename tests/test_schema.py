@@ -10,12 +10,16 @@ from lego_forge.schema import (
     DEFAULT_MAX_TURNS,
     AtomicWriter,
     CorpusError,
+    IndexEntry,
+    InstanceLookup,
     RecordRejected,
     Step,
+    TaskInstance,
     ToolCall,
     Trajectory,
     load_corpus,
     load_jsonl,
+    read_corpus,
     require,
     save_corpus,
     save_jsonl,
@@ -255,8 +259,9 @@ def test_lines_split_at_newline_only(tmp_path):
 
 def test_only_the_reader_decodes_json_lines():
     # Every stage input is decoded by schema.read_jsonl, with the one strict
-    # decoder schema builds; the state file and the verifier wire protocol
-    # are the only other JSON the program reads.
+    # decoder schema builds, which also decodes an instance's line again when
+    # it is looked up by its index entry; the state file and the verifier
+    # wire protocol are the only other JSON the program reads.
     found = []
 
     class Finder(ast.NodeVisitor):
@@ -282,7 +287,66 @@ def test_only_the_reader_decodes_json_lines():
 
     for path in sorted(Path(lego_forge.__file__).parent.glob("*.py")):
         Finder(path.stem).visit(ast.parse(path.read_text(encoding="utf-8")))
-    assert sorted(found) == ["cli._read_state", "schema", "schema.read_jsonl", "tts.decode_score_response"]
+    assert sorted(found) == ["cli._read_state", "schema", "schema._read_instance", "schema.read_jsonl",
+                             "tts.decode_score_response"]
+
+
+def index_of(path):
+    """The instances of corpus `path` and its index, both from one validating read."""
+    rejections = []
+    pairs = list(read_corpus(path, "instances", rejections, offsets=True))
+    assert rejections == []
+    return [inst for _, inst in pairs], {inst.instance_id: IndexEntry.of(inst, path, offset) for offset, inst in pairs}
+
+
+def test_lookup_by_offset_equals_read_corpus(tmp_path):
+    # Offsets count bytes, and lines split at "\n" only, so non-ASCII text,
+    # U+2028 and an escaped "\r" in one line, or a raw "\r" between its
+    # tokens, move no lookup of a later line.
+    texts = ["na\u00efve caf\u00e9 \u2014 \u4e2d\u6587", "line\u2028separator\u2029paragraph\x85", "carriage\rreturn\r\n", "plain"]
+    insts = [make_instance(instance_id=f"i{n}", problem_statement=text, extra={"note": text})
+             for n, text in enumerate(texts)]
+    path = tmp_path / "instances.jsonl"
+    written = []
+    save_corpus(insts, path, on_write=lambda inst, offset: written.append((inst, offset)))
+    read, index = index_of(path)
+    assert read == [inst for inst, _ in written] == insts
+    assert [entry.offset for entry in index.values()] == [offset for _, offset in written]
+    assert written[1][1] > len(path.read_text(encoding="utf-8").split("\n")[0]) + 1  # bytes, not characters
+    path.write_bytes(path.read_bytes().replace(b',"repo":', b',\r"repo":'))  # JSON whitespace
+    read, index = index_of(path)
+    lookup = InstanceLookup(index)
+    assert [lookup[inst.instance_id] for inst in read] == read == insts
+    assert [entry.issue_words for entry in index.values()] == [len(text.split()) for text in texts]
+    assert lookup.get("absent") is None
+
+
+def test_lookup_takes_an_id_from_the_first_index_that_holds_it(tmp_path):
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    save_corpus([make_instance(instance_id=i, problem_statement=f"first {i}") for i in "ab"], first)
+    save_corpus([make_instance(instance_id=i, problem_statement=f"second {i}") for i in "bc"], second)
+    lookup = InstanceLookup(index_of(first)[1], index_of(second)[1])
+    assert {i: lookup[i].problem_statement for i in sorted(lookup)} == {
+        "a": "first a", "b": "first b", "c": "second c"}
+
+
+def test_lookup_decodes_again_only_past_its_last_decoded_instances(tmp_path, monkeypatch):
+    ids = [f"i{n}" for n in range(InstanceLookup.RECENT + 1)]
+    path = tmp_path / "instances.jsonl"
+    save_corpus([make_instance(instance_id=i) for i in ids], path)
+    lookup = InstanceLookup(index_of(path)[1])
+    decoded = []
+    real_from_record = TaskInstance.from_record.__func__
+
+    def counting_from_record(cls, record):
+        decoded.append(record["instance_id"])
+        return real_from_record(cls, record)
+
+    monkeypatch.setattr(TaskInstance, "from_record", classmethod(counting_from_record))
+    first = [lookup[i] for i in ids]
+    assert [lookup[i] for i in ids[1:]] == first[1:]  # the last RECENT, kept
+    assert lookup[ids[0]] == first[0]
+    assert decoded == [*ids, ids[0]]
 
 
 def test_duplicate_real_image_rejected(tmp_path):

@@ -275,10 +275,12 @@ def test_add_rollout_refuses_a_repeat_and_unrankable_names_the_causes():
 def test_add_rollout_reports_a_failing_verifier_as_no_bad_line():
     # read_jsonl turns a ValueError from a line parser into a rejection of
     # the line; a verifier's fault (here a malformed response: not JSON, not
-    # an object, or a probability or score that is not a number) comes out
-    # as a ForgeError instead, never a TypeError or AttributeError.
+    # an object, a probability or score that is not a number, or an integer
+    # probability past the float range) comes out as a ForgeError instead,
+    # never a TypeError, AttributeError or OverflowError.
     responses = ["not json", "5", '"p_yes"', "[0.5]", '{"score": null}', '{"score": true}',
-                 '{"score": "0.5"}', '{"p_yes": 0.5, "p_no": "0.5"}', '{"p_yes": [1]}', '{"p_no": false}']
+                 '{"score": "0.5"}', '{"p_yes": 0.5, "p_no": "0.5"}', '{"p_yes": [1]}', '{"p_no": false}',
+                 '{"p_yes": 1' + "0" * 400 + ', "p_no": 0.5}']
     for response in responses:
         verifier = LineDelimitedVerifier(lambda request: response)
         groups = {}

@@ -387,7 +387,8 @@ def _stage_inject(cfg: PipelineConfig) -> dict:
         for idx, (spec, reports) in enumerate(mutations):
             try:
                 instance = task_builder.build_synthetic_instance(
-                    snapshot, spec, reports, statements, repo=cfg.repo, base_commit=cfg.base_commit, provider=provider)
+                    snapshot, spec, reports, statements,
+                    repo=cfg.repo, base_commit=cfg.base_commit, provider=provider)
             except task_builder.InvisibleBugError as exc:
                 invisible.append({"record": idx, "reason": str(exc)})
             except (task_builder.MutationError, ValueError) as exc:
@@ -398,7 +399,8 @@ def _stage_inject(cfg: PipelineConfig) -> dict:
         if bad_specs:
             raise ValidationFailure(f"{len(bad_specs)} mutation spec(s) could not be applied", bad_specs)
 
-    return {"built": _save_instances(built(), cfg.out_dir / "instances_synth.jsonl"), "invisible_bugs": invisible}
+    path = cfg.out_dir / "instances_synth.jsonl"
+    return {"built": _save_instances(built(), path), "invisible_bugs": invisible}
 
 
 def _stage_sanitize(cfg: PipelineConfig) -> dict:

@@ -11,8 +11,9 @@ turns each line into a record or a `Rejection`, one line at a time;
 `read_corpus` is that reader plus a corpus kind's record type, validator
 and duplicate rules; `load_jsonl` and `load_corpus` hold their whole
 result, and an index of an instance corpus (`IndexEntry`s) holds none:
-an `InstanceLookup` decodes an instance from its line. Every writer encodes one line at a time into the temp file of an
-`AtomicWriter`, the one temp-file, sync and rename implementation.
+an `InstanceLookup` decodes an instance from its line. Every writer
+encodes one line at a time into the temp file of an `AtomicWriter`, the
+one temp-file, sync and rename implementation.
 
 Timestamps are ISO-8601 UTC text. They are stored as strings and parsed on
 demand so that round-trips never reformat them.
@@ -550,7 +551,7 @@ def load_corpus(path: str | Path, kind: str) -> LoadResult:
 
 
 class IndexEntry(NamedTuple):
-    """An instance corpus index's entry of one instance: where its line starts, and the counts stats sum."""
+    """What an instance corpus index keeps of one instance: where its line starts, and what stats sums."""
 
     path: Path
     offset: int
@@ -640,7 +641,8 @@ def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
     writer.commit()
 
 
-def save_corpus(records: Iterable, path: str | Path, on_write: Callable[[Any, int], None] | None = None) -> None:
+def save_corpus(records: Iterable, path: str | Path,
+                on_write: Callable[[Any, int], None] | None = None) -> None:
     """Write records as JSON Lines with deterministic bytes.
 
     Identical inputs produce byte-identical files; an empty record list

@@ -14,9 +14,10 @@ it, any other corpus is indexed by one validating read, and no stage holds
 an instance corpus (see `_handoff`). The `trajectories` input is decoded
 one line at a time into `curate`, never held whole. As `curate` writes
 each curated record, it hands it to the reader stages, those whose
-`Stage.run` is a `_Reader` of `curated.jsonl`, which use it and let it go,
-so no stage holds the curated corpus; each commits its outputs at its own
-turn, and one whose inputs turn out unchanged drops them and is skipped.
+`Stage.run` is a generator function that a `_Reader` feeds, which use it
+and let it go, so no stage holds the curated corpus; each commits its
+outputs at its own turn, and one whose inputs turn out unchanged drops
+them and is skipped.
 Where `curate` does not run, the first reader stage that runs feeds itself
 and every reader stage after it from one pass over `curated.jsonl`, by the
 same rule. Every JSON Lines output is encoded line by line into its temp
@@ -43,6 +44,9 @@ by `schema.read_jsonl`, so a malformed line (one not UTF-8 too) is a
 rejection, except in `real_inputs`, where it is skipped with its reason; a
 streamed input fails its stage after its last line. A state file of
 another shape than `pipeline` writes counts as empty, so every stage re-runs.
+An output the file system refuses fails its stage with exit 1; a report or
+state file it refuses, or a missing `git`, ends `main` with one `error:`
+line and exit 1.
 
 The config file is a plain `key = value` text file, the one source of run
 settings (the seed too); paths resolve relative to its directory. Its
@@ -79,6 +83,7 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import inspect
 import json
 import marshal
 import math
@@ -88,7 +93,7 @@ import threading
 from collections import ChainMap
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Generator, Iterable, Iterator, Sequence
 
 from . import curriculum as curriculum_mod
 from .errors import ForgeError, ValidationFailure
@@ -284,9 +289,9 @@ def _fail_on_rejections(source: Path, rejections: Sequence[Rejection]) -> None:
 # Per-run state of run_pipeline, emptied when the run ends: the sha256 of
 # each path hashed so far, the index of each instance corpus read or written
 # (instance id -> IndexEntry, never the instance), keyed by (path, sha256 of
-# the file), and, by stage name, the readers (the stages whose `Stage.run`
-# is a `_Reader`) that curate, or one pass over curated.jsonl, has fed and
-# whose turn has not come. Outside a run nothing is kept.
+# the file), and, by stage name, the `_Reader` of each reader stage that
+# curate, or one pass over curated.jsonl, has fed and whose turn has not
+# come. Outside a run nothing is kept.
 _in_run = False
 _digests: dict[Path, str] = {}
 _handoff: dict[tuple[Path, str], dict[str, IndexEntry]] = {}
@@ -461,38 +466,41 @@ def _curated_path(cfg: PipelineConfig) -> Path:
 
 
 class _Reader:
-    """A stage that reads curated.jsonl, as a fold over its trajectories.
-    Subclasses define `start` (load what `take` needs, open the streamed
-    outputs), `take(traj)`, called for each trajectory in turn, and `end`
-    (write the outputs that need every trajectory, return the report).
-    `finish`, at the stage's turn, calls `end` and commits the streamed
-    outputs; `discard` removes them. A reader whose `start` or `take` raised
-    an Exception is detached: it takes nothing more, and `finish` raises it."""
+    """A reader stage's fold over curated.jsonl, run by its body: a generator
+    function of (cfg, output) that sets up, takes each trajectory sent to it
+    until None, then writes the outputs that need them all and returns the
+    report. `output(name)` writes JSON lines into `name` in out_dir, which
+    `finish` commits at the stage's turn. A reader whose body raised an
+    Exception is detached: it takes nothing more, and `finish` raises it."""
 
-    def __init__(self, cfg: PipelineConfig):
+    def __init__(self, cfg: PipelineConfig, body: Callable[..., Generator[None, Trajectory | None, dict]]):
         self.cfg = cfg
         self.writers: list[AtomicWriter] = []
         self.error: Exception | None = None
-        try:
-            self.start()
-        except Exception as exc:
-            self.detach(exc)
+        self.body = body(cfg, self.output)
+        self.take(None)  # runs the body's set-up
 
-    def open(self, name: str) -> Callable[[dict], None]:
-        """A writer of JSON lines into `name` in out_dir, committed by `finish`."""
+    def output(self, name: str) -> Callable[[dict], None]:
         writer = AtomicWriter(self.cfg.out_dir / name)
         self.writers.append(writer)
         return lambda record: writer.write(dumps_record(record) + "\n")
 
-    def detach(self, exc: Exception) -> None:
-        self.error = exc
-        self.discard()
+    def take(self, traj: Trajectory | None) -> None:
+        if self.error is None:
+            try:
+                self.body.send(traj)
+            except Exception as exc:
+                self.error = exc
+                self.discard()
 
     def finish(self) -> dict:
         if self.error is not None:
             raise self.error
         try:
-            report = self.end()
+            try:
+                self.body.send(None)
+            except StopIteration as done:
+                report = done.value
             for writer in self.writers:
                 writer.commit()
         except BaseException:
@@ -501,98 +509,74 @@ class _Reader:
         return report
 
     def discard(self) -> None:
+        self.body.close()  # else its frame and this reader keep each other alive
         for writer in self.writers:
             writer.discard()
 
 
-class _Mask(_Reader):
-    def start(self) -> None:
-        from . import sft_masking
+def _mask(cfg: PipelineConfig, output: Callable) -> Generator[None, Trajectory | None, dict]:
+    from . import sft_masking
 
-        self.mask_sample = sft_masking.mask_sample
-        self.write_sample, self.write_drop = self.open("samples.jsonl"), self.open("mask_drops.jsonl")
-        self.emitted = self.dropped = 0
-
-    def take(self, traj: Trajectory) -> None:
-        if curriculum_mod.selected_for_training(traj, recycle_semi_resolved=self.cfg.recycle_semi_resolved):
-            sample, drop = self.mask_sample(traj, self.cfg.context_limit)
+    write_sample, write_drop = output("samples.jsonl"), output("mask_drops.jsonl")
+    emitted = dropped = 0
+    while (traj := (yield)) is not None:
+        if curriculum_mod.selected_for_training(traj, recycle_semi_resolved=cfg.recycle_semi_resolved):
+            sample, drop = sft_masking.mask_sample(traj, cfg.context_limit)
             if sample is None:
-                self.write_drop(drop)
-                self.dropped += 1
+                write_drop(drop)
+                dropped += 1
             else:
-                self.write_sample(sample)
-                self.emitted += 1
-
-    def end(self) -> dict:
-        return {
-            "emitted": self.emitted,
-            "dropped": self.dropped,
-            "context_limit": self.cfg.context_limit,
-        }
+                write_sample(sample)
+                emitted += 1
+    return {"emitted": emitted, "dropped": dropped, "context_limit": cfg.context_limit}
 
 
-class _Curriculum(_Reader):
-    def start(self) -> None:
-        self.summaries: list[TrajectorySummary] = []
+def _curriculum(cfg: PipelineConfig, output: Callable) -> Generator[None, Trajectory | None, dict]:
+    summaries: list[TrajectorySummary] = []
+    while (traj := (yield)) is not None:
+        summaries.append(traj.summary())
+    selected = curriculum_mod.select_for_training(summaries, recycle_semi_resolved=cfg.recycle_semi_resolved)
+    plan = curriculum_mod.build_stages(selected, cfg.bins())
+    # A stage names its members; their content is in curated.jsonl.
+    for stage_no, stage_ids in enumerate(plan.stages, start=1):
+        save_jsonl([{"trajectory_id": tid} for tid in stage_ids], cfg.out_dir / f"stage{stage_no}.jsonl")
 
-    def take(self, traj: Trajectory) -> None:
-        self.summaries.append(traj.summary())
-
-    def end(self) -> dict:
-        cfg = self.cfg
-        selected = curriculum_mod.select_for_training(
-            self.summaries, recycle_semi_resolved=cfg.recycle_semi_resolved
-        )
-        plan = curriculum_mod.build_stages(selected, cfg.bins())
-        # A stage names its members; their content is in curated.jsonl.
-        for stage_no, stage_ids in enumerate(plan.stages, start=1):
-            save_jsonl([{"trajectory_id": tid} for tid in stage_ids], cfg.out_dir / f"stage{stage_no}.jsonl")
-
-        records = [(t.turn_count, t.outcome == "resolved") for t in self.summaries]
-        try:
-            corr = curriculum_mod.turn_resolve_correlation(records, cfg.bucket_width)
-            corr_report = {**asdict(corr), "r": round(corr.r, 6), "bucket_width": cfg.bucket_width}
-        except curriculum_mod.UndefinedCorrelationError as exc:
-            corr_report = {"r": None, "n": len(records), "error": str(exc)}
-        atomic_write_text(cfg.out_dir / "correlation_report.json", _dump_report(corr_report))
-        return {
-            "selected": len(selected),
-            "stage_sizes": [len(s) for s in plan.stages],
-        }
+    records = [(t.turn_count, t.outcome == "resolved") for t in summaries]
+    try:
+        corr = curriculum_mod.turn_resolve_correlation(records, cfg.bucket_width)
+        corr_report = {**asdict(corr), "r": round(corr.r, 6), "bucket_width": cfg.bucket_width}
+    except curriculum_mod.UndefinedCorrelationError as exc:
+        corr_report = {"r": None, "n": len(records), "error": str(exc)}
+    atomic_write_text(cfg.out_dir / "correlation_report.json", _dump_report(corr_report))
+    return {
+        "selected": len(selected),
+        "stage_sizes": [len(s) for s in plan.stages],
+    }
 
 
-class _ClassifyErrors(_Reader):
-    def start(self) -> None:
-        from . import error_taxonomy
+def _classify_errors(cfg: PipelineConfig, output: Callable) -> Generator[None, Trajectory | None, dict]:
+    from . import error_taxonomy
 
-        self.classifier = error_taxonomy.FailureClassifier(InstanceLookup(*_indexes(self.cfg)))
-        self.write_failure = self.open("failures.jsonl")
-
-    def take(self, traj: Trajectory) -> None:
-        line = self.classifier.label(traj)
+    classifier = error_taxonomy.FailureClassifier(InstanceLookup(*_indexes(cfg)))
+    write_failure = output("failures.jsonl")
+    while (traj := (yield)) is not None:
+        line = classifier.label(traj)
         if line is not None:
-            self.write_failure(line)
-
-    def end(self) -> dict:
-        distribution, report = self.classifier.summary()
-        atomic_write_text(self.cfg.out_dir / "distribution.json", _dump_report(distribution))
-        return report
+            write_failure(line)
+    distribution, report = classifier.summary()
+    atomic_write_text(cfg.out_dir / "distribution.json", _dump_report(distribution))
+    return report
 
 
 def _fold(cfg: PipelineConfig, stages: list[Stage], trajectories: Iterable[Trajectory]) -> Iterator[Trajectory]:
     """Yield each trajectory once a new reader of each of `stages` has taken
-    it; a reader whose `take` raises is detached. Any exception, a
-    GeneratorExit from a failing writer too, discards every reader; they
-    are handed to `_readers` only after the last trajectory has passed."""
-    readers = {stage.name: stage.run(cfg) for stage in stages}
+    it. Any exception, a GeneratorExit from a failing writer too, discards
+    every reader; they go to `_readers` once the last trajectory has passed."""
+    readers = {stage.name: _Reader(cfg, stage.run) for stage in stages}
     try:
         for traj in trajectories:
             for reader in readers.values():
-                if reader.error is None:
-                    try:
-                        reader.take(traj)
-                    except Exception as exc:
-                        reader.detach(exc)
+                reader.take(traj)
             yield traj
     except BaseException:
         for reader in readers.values():
@@ -679,19 +663,19 @@ def _stage_stats(cfg: PipelineConfig) -> dict:
 @dataclass(frozen=True)
 class Stage:
     """One pipeline stage: `run` returns its report, or, for a stage that
-    reads curated.jsonl, is the `_Reader` that folds over it; `inputs` are
-    the paths whose content decides a re-run; `outputs` are the file names
-    it writes in out_dir besides its `report`."""
+    reads curated.jsonl, is the generator function a `_Reader` runs as its
+    body; `inputs` are the paths whose content decides a re-run; `outputs`
+    are the file names it writes in out_dir besides its `report`."""
 
     name: str
-    run: Callable[[PipelineConfig], dict] | type[_Reader]
+    run: Callable[[PipelineConfig], dict] | Callable[..., Generator[None, Trajectory | None, dict]]
     inputs: Callable[[PipelineConfig], list[Path | None]]
     outputs: Callable[[PipelineConfig], list[str]]
     report: str
 
     @property
     def reader(self) -> bool:
-        return isinstance(self.run, type)
+        return inspect.isgeneratorfunction(self.run)
 
 
 # Dependency order: `pipeline` runs these top to bottom.
@@ -706,13 +690,13 @@ STAGES = (
           lambda cfg: [cfg.trajectories, cfg.final_reports, *_instance_sources(cfg),
                        cfg.hack_patterns, cfg.error_patterns, cfg.phase_patterns],
           lambda cfg: ["curated.jsonl"], "curation_report.json"),
-    Stage("mask", _Mask, lambda cfg: [_curated_path(cfg)],
+    Stage("mask", _mask, lambda cfg: [_curated_path(cfg)],
           lambda cfg: ["samples.jsonl", "mask_drops.jsonl"], "mask_report.json"),
-    Stage("curriculum", _Curriculum, lambda cfg: [_curated_path(cfg)],
+    Stage("curriculum", _curriculum, lambda cfg: [_curated_path(cfg)],
           lambda cfg: [*(f"stage{n}.jsonl" for n in range(1, len(cfg.bins()) + 1)),
                        "correlation_report.json"],
           "curriculum_report.json"),
-    Stage("classify-errors", _ClassifyErrors,
+    Stage("classify-errors", _classify_errors,
           lambda cfg: [_curated_path(cfg), *_instance_sources(cfg)],
           lambda cfg: ["failures.jsonl", "distribution.json"], "classify_errors_report.json"),
     Stage("tts-select", _stage_tts_select, lambda cfg: [cfg.rollouts, cfg.surface],
@@ -738,13 +722,13 @@ def run_stage(stage: str, cfg: PipelineConfig) -> tuple[int, dict]:
     try:
         report = _run_reader(cfg, spec) if spec.reader else spec.run(cfg)
         code = EXIT_OK
-    except ForgeError as exc:
+    except (ForgeError, OSError) as exc:  # an OSError: say, an output the file system refuses
         report = {"error": str(exc)}
         if isinstance(exc, ValidationFailure) and exc.rejections is not None:
             path = cfg.out_dir / f"{stage.replace('-', '_')}_rejections.jsonl"
             save_jsonl(exc.rejections, path)
             report.update(error=f"{exc}; see {path}", rejection_report=str(path))
-        code = exc.exit_code
+        code = exc.exit_code if isinstance(exc, ForgeError) else EXIT_INTERNAL
     report.update(stage=stage, exit_code=code)
     atomic_write_text(cfg.out_dir / spec.report, _dump_report(report))
     return code, report
@@ -766,7 +750,7 @@ def _sha256(path: Path) -> str:
         files = sorted(p for p in path.rglob("*") if p.is_file())
     for file_path in files:
         if file_path != path:
-            digest.update(file_path.relative_to(path).as_posix().encode())
+            digest.update(os.fsencode(file_path.relative_to(path).as_posix()))  # a name's bytes, UTF-8 or not
         with open(file_path, "rb") as f:  # 1 MiB at a time, so no whole file is held
             while chunk := f.read(1 << 20):
                 digest.update(chunk)
@@ -986,32 +970,27 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--out", help="output file (export-history only)")
     args = parser.parse_args(argv)
 
-    if args.stage == "export-history":
-        if not args.repo or not args.out:
-            parser.error("export-history requires --repo and --out")
-        from . import repo_sanitizer
-
-        try:
-            records = repo_sanitizer.export_history(args.repo)
-        except ForgeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return exc.exit_code
-        save_jsonl([r.to_record() for r in records], args.out)
-        print(f"exported {len(records)} commits to {args.out}")
-        return EXIT_OK
-
-    if not args.config:
+    if args.stage == "export-history" and not (args.repo and args.out):
+        parser.error("export-history requires --repo and --out")
+    if args.stage != "export-history" and not args.config:
         parser.error("--config is required")
+    # An OSError here is a report, the state file or an export's --out that
+    # cannot be read or written, or a git that cannot be run.
     try:
+        if args.stage == "export-history":
+            from . import repo_sanitizer
+
+            records = repo_sanitizer.export_history(_require_input(Path(args.repo), "repo", directory=True))
+            save_jsonl([r.to_record() for r in records], args.out)
+            print(f"exported {len(records)} commits to {args.out}")
+            return EXIT_OK
         cfg = load_config(args.config)
-    except ForgeError as exc:
+        if args.stage == "pipeline":
+            return run_pipeline(cfg)
+        code, report = run_stage(args.stage, cfg)
+    except (ForgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-
-    if args.stage == "pipeline":
-        return run_pipeline(cfg)
-
-    code, report = run_stage(args.stage, cfg)
+        return exc.exit_code if isinstance(exc, ForgeError) else EXIT_INTERNAL
     if code == EXIT_OK:
         print(f"[ok]   {args.stage} {_summarize(report)}".rstrip())
     else:

@@ -29,7 +29,7 @@ import tempfile
 from collections import ChainMap
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -575,18 +575,12 @@ def _read_instance(path: Path, offset: int) -> TaskInstance:
 
 class InstanceLookup(ChainMap):
     """Instances by id over instance corpus indexes (maps of id to `IndexEntry`), the first index's
-    where several hold an id, each decoded from its line when looked up, unless it is one of the
-    last `RECENT` this lookup decoded; no file stays open."""
-
-    RECENT = 64  # about 0.4 MB of instances, however large the corpus
-
-    def __init__(self, *indexes: dict[str, IndexEntry]):
-        super().__init__(*indexes)
-        self._read = lru_cache(maxsize=self.RECENT)(_read_instance)
+    where several hold an id, each decoded from its line whenever it is looked up, so a lookup
+    keeps no instance; no file stays open."""
 
     def __getitem__(self, instance_id: str) -> TaskInstance:
         entry = super().__getitem__(instance_id)
-        return self._read(entry.path, entry.offset)
+        return _read_instance(entry.path, entry.offset)
 
 
 def dumps_record(record: dict) -> str:

@@ -43,7 +43,7 @@ from lego_forge.schema import IndexEntry, TaskInstance, ToolCall, Trajectory, lo
 from lego_forge.sft_masking import assign_phases, detect_step_errors
 from lego_forge.trajectory_curation import UnrepairableCallError, prune_toolset, repair_tool_call
 
-from conftest import build_integration_corpus, read_jsonl
+from conftest import TOY_CALC, TOY_TESTS, build_integration_corpus, read_jsonl
 
 
 def read(path: Path):
@@ -1305,12 +1305,15 @@ def test_curated_records_equal_their_reload(corpus, monkeypatch):
     # them, in place of a reload, so a reload must return exactly those records.
     readers = [stage for stage in cli.STAGES if stage.reader]
     taken = {stage.name: [] for stage in readers}
-    for stage in readers:
-        def capturing_take(self, traj, real_take=stage.run.take, name=stage.name):
-            taken[name].append(traj)
-            real_take(self, traj)
+    name_of = {stage.run.__name__: stage.name for stage in readers}
+    real_take = cli._Reader.take
 
-        monkeypatch.setattr(stage.run, "take", capturing_take)
+    def capturing_take(self, traj):
+        if traj is not None:  # None starts the body
+            taken[name_of[self.body.__name__]].append(traj)
+        real_take(self, traj)
+
+    monkeypatch.setattr(cli._Reader, "take", capturing_take)
     cfg = load_config(corpus)
     assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
     assert [stage.name for stage in readers] == ["mask", "curriculum", "classify-errors"]
@@ -1694,6 +1697,36 @@ def test_curate_rerun_with_the_same_output_skips_the_readers(tmp_path):
     after = tree_bytes(cfg.out_dir)
     assert after.pop(".forge_state.json") != before.pop(".forge_state.json")
     assert after == before
+
+
+def test_readers_dropped_after_a_speculative_feed_are_freed_without_the_collector(corpus, monkeypatch):
+    # curate re-runs to the same output, so the readers it fed are dropped
+    # unfinished; with the collector off, each must be gone once the run
+    # returns, so no reader is kept alive by a reference cycle.
+    cfg = load_config(corpus)
+    assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+    with open(cfg.final_reports, "a", encoding="utf-8") as f:
+        f.write(json.dumps({"trajectory_id": "nobody", "code_state": "final", "results": {}}) + "\n")
+    made = []
+    real_init = cli._Reader.__init__
+
+    def tracking_init(self, *args):
+        made.append(weakref.ref(self))
+        real_init(self, *args)
+
+    monkeypatch.setattr(cli._Reader, "__init__", tracking_init)
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        lines = []
+        assert run_pipeline(cfg, echo=lines.append) == EXIT_OK
+        assert [line for line in lines if not line.startswith("[skip]")] == ["[ok]   curate"]
+        assert len(made) == 3
+        assert [ref() for ref in made] == [None] * 3
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def test_first_reader_to_run_feeds_every_later_reader_from_one_pass(corpus, monkeypatch):
@@ -2089,9 +2122,9 @@ PR7, PR9 = "acme__calclib-pr7", "acme__calclib-pr9"
 def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, monkeypatch):
     # Counts, not timings: within one run, nothing reads an instance corpus
     # twice (a cold run indexes the builders' instances as they are
-    # written), curate and classify-errors each decode an instance once
-    # (their lookups keep the last ones decoded) and stats never does, stats
-    # parses no golden patch, and
+    # written), curate and classify-errors decode an instance once per
+    # lookup (their lookups keep none) and stats never does, stats parses
+    # no golden patch, and
     # no file is hashed twice while its content is unchanged. A cold run
     # never decodes curated.jsonl: curate hands each record to the readers.
     # With curate skipped, one pass decodes it for every reader that runs.
@@ -2155,8 +2188,9 @@ def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, mo
             assert not set(loaded) & set(instance_files)
             # For each trajectory in turn, curate looks its instance up, then
             # classify-errors where it failed (all but the 1st and 4th), both
-            # in curate's turn; only a lookup's first of an id decodes.
-            assert built == [("curate", iid) for iid in (SWAP, PR7, PR7, PR9, PR9, LOOP, SWAP)]
+            # in curate's turn; each lookup decodes.
+            assert built == [("curate", iid) for iid in (SWAP, PR7, PR7, PR9, PR9, LOOP, SWAP, SWAP, SWAP, SWAP,
+                                                         PR9, PR9)]
             assert curated_path not in read
             assert decoded_in == ["curate"] * 7
         elif run == "no-change":
@@ -2168,10 +2202,43 @@ def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, mo
             assert decoded_in == ["mask"] * 7
             # The instance files are indexed by one validating read each.
             # The instance files are indexed by one validating read each, in
-            # mask's turn, which feeds classify-errors; then its lookups.
+            # mask's turn, which feeds classify-errors; then its lookups, one
+            # per failed trajectory.
             assert loaded == instance_files
-            assert built == [("mask", iid) for iid in (PR7, PR9, SWAP, LOOP, PR7, PR9, SWAP)]
+            assert built == [("mask", iid) for iid in (PR7, PR9, SWAP, LOOP, PR7, PR9, SWAP, SWAP, PR9)]
     assert curated_path in {path for path, _ in hashed}
+
+
+def test_snapshot_name_that_is_not_utf8_is_hashed_by_its_bytes(corpus):
+    # A directory's digest takes each relative name's bytes as the file
+    # system holds them, so a name that is not UTF-8 ends no pipeline.
+    snapshot = corpus.parent / "snapshot"
+    try:
+        (snapshot / os.fsdecode(b"bad\xffname.txt")).write_bytes(b"x\n")
+    except OSError:
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    assert run_pipeline(load_config(corpus), echo=lambda s: None) == EXIT_OK
+    assert cli._sha256(snapshot) == hashlib.sha256(
+        b"bad\xffname.txt" + b"x\n" + b"calc.py" + TOY_CALC.encode()
+        + b"tests/test_calc.py" + TOY_TESTS.encode()).hexdigest()
+
+
+def test_output_the_file_system_refuses_exits_1_and_leaves_no_temp_file(tmp_path, capsys):
+    # A directory where the pipeline writes a stage output, a stage report
+    # or the state file: the stage fails with exit 1 and writes its report,
+    # or main prints one error line and exits 1.
+    for name in ("samples.jsonl", "curation_report.json", ".forge_state.json"):
+        config = build_integration_corpus(tmp_path / name)
+        (config.parent / "out" / name).mkdir(parents=True)
+        capsys.readouterr()
+        assert cli.main(["pipeline", "--config", str(config)]) == EXIT_INTERNAL, name
+        out, err = capsys.readouterr()
+        if name == "samples.jsonl":
+            assert "[fail] mask: " in out and out.endswith("(exit 1)\n") and err == ""
+            assert json.loads((config.parent / "out" / "mask_report.json").read_text())["exit_code"] == 1
+        else:
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), (name, err)
+        assert not [p for p in (config.parent / "out").rglob("*") if p.name.endswith(".tmp")], name
 
 
 def test_chunked_digest_equals_a_whole_file_sha256(tmp_path):
@@ -2583,3 +2650,26 @@ def test_export_history_command(tmp_path, capsys):
     assert code == EXIT_OK
     records = read_jsonl(out_file)
     assert records[0]["message"] == "first"
+
+    # A repo that is not a directory exits 2; a missing git or an --out that
+    # cannot be written exits 1. Each prints one error line and writes nothing.
+    (tmp_path / "dir.jsonl").mkdir()
+    (tmp_path / "plain").write_text("x\n")
+    probes = [
+        (EXIT_MISSING_INPUT, tmp_path / "absent", out_file, None),
+        (EXIT_MISSING_INPUT, tmp_path / "plain", out_file, None),
+        (EXIT_INTERNAL, repo, out_file, str(tmp_path / "no-git")),
+        (EXIT_INTERNAL, repo, tmp_path / "dir.jsonl", None),
+        (EXIT_INTERNAL, repo, tmp_path / "plain" / "history.jsonl", None),
+    ]
+    for want, repo_arg, out_arg, path_env in probes:
+        before = tree_bytes(tmp_path)
+        capsys.readouterr()
+        with pytest.MonkeyPatch.context() as patch:
+            if path_env is not None:
+                patch.setenv("PATH", path_env)
+            code = cli.main(["export-history", "--repo", str(repo_arg), "--out", str(out_arg)])
+        out, err = capsys.readouterr()
+        assert code == want, (repo_arg, out_arg)
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert tree_bytes(tmp_path) == before

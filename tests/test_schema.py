@@ -330,8 +330,8 @@ def test_lookup_takes_an_id_from_the_first_index_that_holds_it(tmp_path):
         "a": "first a", "b": "first b", "c": "second c"}
 
 
-def test_lookup_decodes_again_only_past_its_last_decoded_instances(tmp_path, monkeypatch):
-    ids = [f"i{n}" for n in range(InstanceLookup.RECENT + 1)]
+def test_lookup_keeps_no_instance_and_decodes_each_lookup(tmp_path, monkeypatch):
+    ids = ["a", "b"]
     path = tmp_path / "instances.jsonl"
     save_corpus([make_instance(instance_id=i) for i in ids], path)
     lookup = InstanceLookup(index_of(path)[1])
@@ -343,10 +343,11 @@ def test_lookup_decodes_again_only_past_its_last_decoded_instances(tmp_path, mon
         return real_from_record(cls, record)
 
     monkeypatch.setattr(TaskInstance, "from_record", classmethod(counting_from_record))
-    first = [lookup[i] for i in ids]
-    assert [lookup[i] for i in ids[1:]] == first[1:]  # the last RECENT, kept
-    assert lookup[ids[0]] == first[0]
-    assert decoded == [*ids, ids[0]]
+    first = lookup["a"]
+    again = lookup["a"]
+    assert again == first and again is not first
+    assert lookup["b"].instance_id == "b"
+    assert decoded == ["a", "a", "b"]
 
 
 def test_duplicate_real_image_rejected(tmp_path):

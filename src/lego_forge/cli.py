@@ -31,10 +31,10 @@ other stage's output, and no stage reads theirs) run in one forked worker
 process alongside the others; stdout, state and the exit code stay in
 stage order, up to the first failing stage. Those stages hold one input
 line at a time: `sanitize` writes each history before it reads the next,
-and `tts-select` scores each candidate as it reads it and keeps only its
-index, label and score. The records hold no reference cycles, so a
-`pipeline` run turns the cyclic garbage collector off, worker included,
-and leaves it as it found it.
+and `tts-select` scores each candidate as it reads it and keeps one state
+per instance (`tts.Rollouts`), not the candidate. The records hold no
+reference cycles, so a `pipeline` run turns the cyclic garbage collector
+off, worker included, and leaves it as it found it.
 
 Exit codes: 0 success, 1 internal error, 2 missing input, 3 validation
 failure (`errors.ValidationFailure`). `run_stage` stamps each report with
@@ -603,7 +603,7 @@ def _stage_tts_select(cfg: PipelineConfig) -> dict:
 
     rollouts_path = _require_input(cfg.rollouts, "rollouts")
     verifier = tts.StubVerifier(cfg.seed) if cfg.verifier == "stub" else tts.OracleVerifier()
-    groups: dict[str, dict[int, tts.Scored]] = {}
+    groups: dict[str, tts.Rollouts] = {}
     for _ in _stream(rollouts_path, lambda record: tts.add_rollout(groups, record, verifier)):
         pass
     tts.check_rankable(groups, str(rollouts_path))
@@ -751,8 +751,8 @@ def _sha256(path: Path) -> str:
     for file_path in files:
         if file_path != path:
             digest.update(os.fsencode(file_path.relative_to(path).as_posix()))  # a name's bytes, UTF-8 or not
-        with open(file_path, "rb") as f:  # 1 MiB at a time, so no whole file is held
-            while chunk := f.read(1 << 20):
+        with open(file_path, "rb") as f:  # 64 KiB at a time, so no whole file is held
+            while chunk := f.read(1 << 16):
                 digest.update(chunk)
     return digest.hexdigest()
 
@@ -980,6 +980,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.stage == "export-history":
             from . import repo_sanitizer
 
+            blocker = next((p for p in Path(args.out).parents if p.exists() and not p.is_dir()), None)
+            if blocker is not None:
+                raise ForgeError(f"cannot write --out {args.out}: {blocker} is not a directory")
             records = repo_sanitizer.export_history(_require_input(Path(args.repo), "repo", directory=True))
             save_jsonl([r.to_record() for r in records], args.out)
             print(f"exported {len(records)} commits to {args.out}")

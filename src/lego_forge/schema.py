@@ -583,9 +583,12 @@ class InstanceLookup(ChainMap):
         return _read_instance(entry.path, entry.offset)
 
 
+_RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))  # built once, not per call
+
+
 def dumps_record(record: dict) -> str:
     """Canonical single-line JSON for one record (no trailing newline)."""
-    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+    return _RECORD_ENCODER.encode(record)
 
 
 class AtomicWriter:

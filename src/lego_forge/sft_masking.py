@@ -111,10 +111,12 @@ def has_execution_error(observation: str, patterns: Sequence[ErrorPattern]) -> b
 # Rendering
 
 
+_ARGUMENTS_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)  # built once, not per call
+
+
 def render_action(action: ToolCall | str) -> str:
     if isinstance(action, ToolCall):
-        args = json.dumps(action.arguments, ensure_ascii=False, sort_keys=True)
-        return f"{action.tool}({args})"
+        return f"{action.tool}({_ARGUMENTS_ENCODER.encode(action.arguments)})"
     return action
 
 

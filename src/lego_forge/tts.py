@@ -18,7 +18,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Protocol, Sequence, TypeVar
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import ForgeError, ValidationFailure
 from .schema import RecordRejected, of_type, require
@@ -189,39 +189,51 @@ class LineDelimitedVerifier:
 # Selection and metrics
 
 
-class Ranked(Protocol):
-    """What select_top1 and tts_at_k read of a candidate: a Candidate, or
-    the Scored that tts-select keeps in its place."""
-
-    @property
-    def rollout_index(self) -> int: ...
-
-    @property
-    def resolved(self) -> bool: ...
-
-
-R = TypeVar("R", bound=Ranked)
-
-
 class Scored(NamedTuple):
-    """What tts-select keeps of a candidate once its line is read and
-    scored: no summary or patch text."""
+    """What tts-select keeps of an instance's best candidate once its line
+    is read and scored: no summary or patch text."""
 
     rollout_index: int
     resolved: bool
     score: VerifierScore
 
 
-def add_rollout(groups: dict[str, dict[int, Scored]], record: dict, verifier) -> None:
-    """Parse one rollouts line, score its candidate with `verifier` and keep
-    it in `groups` (instance id -> rollout_index -> Scored). Raises
-    ValueError when a field is missing or has the wrong type, RecordRejected
-    (DUPLICATE_ROLLOUT_INDEX) when the instance already holds that
-    rollout_index, and ForgeError when the verifier raises ValueError or
-    OverflowError, so that its fault is never reported as a bad line."""
+def rank(score: VerifierScore, rollout_index: int) -> tuple[float, int]:
+    """The ranking key of a scored candidate; the lowest key is the top-1:
+    the maximal score, ties broken to the lowest rollout_index."""
+    return -score.score, rollout_index
+
+
+class Rollouts:
+    """What tts-select keeps of one instance's candidates once each is
+    scored: the rollout indices seen, the best candidate so far and whether
+    any candidate is resolved."""
+
+    __slots__ = ("indices", "best", "any_resolved")
+
+    def __init__(self, best: Scored):
+        self.indices = [best.rollout_index]
+        self.best = best
+        self.any_resolved = best.resolved
+
+    def add(self, scored: Scored) -> None:
+        self.indices.append(scored.rollout_index)
+        if rank(scored.score, scored.rollout_index) < rank(self.best.score, self.best.rollout_index):
+            self.best = scored
+        self.any_resolved |= scored.resolved
+
+
+def add_rollout(groups: dict[str, Rollouts], record: dict, verifier) -> None:
+    """Parse one rollouts line, score its candidate with `verifier` and fold
+    it into its instance's `Rollouts` in `groups` (instance id -> Rollouts).
+    Raises ValueError when a field is missing or has the wrong type,
+    RecordRejected (DUPLICATE_ROLLOUT_INDEX) when the instance already holds
+    that rollout_index, and ForgeError when the verifier raises ValueError or
+    OverflowError, so that its fault is never reported as a bad line; a
+    candidate that raises leaves `groups` as it was."""
     candidate = Candidate.from_record(record)
-    seen = groups.setdefault(candidate.instance_id, {})
-    if candidate.rollout_index in seen:
+    rollouts = groups.get(candidate.instance_id)
+    if rollouts is not None and candidate.rollout_index in rollouts.indices:
         raise RecordRejected(
             ("DUPLICATE_ROLLOUT_INDEX",),
             f"instance {candidate.instance_id!r} repeats rollout_index {candidate.rollout_index}",
@@ -230,10 +242,14 @@ def add_rollout(groups: dict[str, dict[int, Scored]], record: dict, verifier) ->
         score = verifier.score(candidate)
     except (ValueError, OverflowError) as exc:
         raise ForgeError(str(exc)) from exc
-    seen[candidate.rollout_index] = Scored(candidate.rollout_index, candidate.resolved, score)
+    scored = Scored(candidate.rollout_index, candidate.resolved, score)
+    if rollouts is None:
+        groups[candidate.instance_id] = Rollouts(scored)
+    else:
+        rollouts.add(scored)
 
 
-def check_rankable(groups: Mapping[str, Mapping[int, Scored]], source: str) -> None:
+def check_rankable(groups: Mapping[str, Rollouts], source: str) -> None:
     """Raise ValidationFailure, with its rejection report entries, unless
     every instance of the rollouts read from `source` holds the same number
     of candidates. The entries name no candidates at all (EMPTY_ROLLOUTS),
@@ -243,28 +259,28 @@ def check_rankable(groups: Mapping[str, Mapping[int, Scored]], source: str) -> N
         raise ValidationFailure(f"{source}: no candidates", [
             {"file": source, "line_no": None, "instance_id": None, "codes": ["EMPTY_ROLLOUTS"],
              "message": "rollouts file holds no candidates"}])
-    sizes = Counter(len(seen) for seen in groups.values())
+    sizes = Counter(len(rollouts.indices) for rollouts in groups.values())
     if len(sizes) > 1:
         k = sizes.most_common(1)[0][0]
         raise ValidationFailure(f"{source}: ragged candidate counts per instance: {sorted(sizes)}", [
             {"file": source, "line_no": None, "instance_id": iid, "codes": ["RAGGED_ROLLOUTS"],
-             "message": f"{len(seen)} candidate(s) where most instances have {k}"}
-            for iid, seen in groups.items() if len(seen) != k])
+             "message": f"{len(rollouts.indices)} candidate(s) where most instances have {k}"}
+            for iid, rollouts in groups.items() if len(rollouts.indices) != k])
 
 
-def select_top1(candidates: Sequence[R], scores: Sequence[VerifierScore]) -> R:
+def select_top1(candidates: Sequence[Candidate], scores: Sequence[VerifierScore]) -> Candidate:
     """The candidate with the maximal score; ties break to the lowest
     rollout_index, so selection is deterministic and permutation-stable."""
     if not candidates:
         raise ValueError("no candidates to select from")
     if len(candidates) != len(scores):
         raise ValueError("candidates and scores differ in length")
-    best = min(zip(candidates, scores), key=lambda pair: (-pair[1].score, pair[0].rollout_index))
+    best = min(zip(candidates, scores), key=lambda pair: rank(pair[1], pair[0].rollout_index))
     return best[0]
 
 
 def tts_at_k(
-    instances: Sequence[tuple[Sequence[Ranked], Sequence[VerifierScore]]],
+    instances: Sequence[tuple[Sequence[Candidate], Sequence[VerifierScore]]],
 ) -> dict[str, float]:
     """TTS@K and Pass@K over instances with exactly K candidates each.
 
@@ -290,19 +306,24 @@ def tts_at_k(
     return {"tts": resolved_by_selection / total, "pass": resolved_by_any / total}
 
 
-def best_of_k(groups: Mapping[str, Mapping[int, Scored]]) -> tuple[list[dict], dict]:
-    """Select each instance's top scored candidate. `groups` maps each
-    instance id to its candidates by rollout_index, the same number K per
-    instance (as `add_rollout` fills it and `check_rankable` accepts it).
-    Returns one selection line per instance, in instance id order, and the
-    metrics `{k, instances, tts, pass}`."""
+def best_of_k(groups: Mapping[str, Rollouts]) -> tuple[list[dict], dict]:
+    """Each instance's top-1 candidate as `select_top1` picks it, and the
+    metrics `tts_at_k` gives, read from the folded `groups` (as `add_rollout`
+    fills it and `check_rankable` accepts it: the same number K of candidates
+    per instance). Returns one selection line per instance, in instance id
+    order, and the metrics `{k, instances, tts, pass}`."""
+    if not groups:
+        raise ValueError("no instances")
+    instance_ids = sorted(groups)
+    k = len(groups[instance_ids[0]].indices)
     selection_lines = []
-    pairs = []
-    for instance_id in sorted(groups):
-        seen = groups[instance_id]
-        candidates = [seen[i] for i in sorted(seen)]
-        scores = [c.score for c in candidates]
-        chosen = select_top1(candidates, scores)
+    resolved_by_selection = 0
+    resolved_by_any = 0
+    for instance_id in instance_ids:
+        rollouts = groups[instance_id]
+        if len(rollouts.indices) != k:
+            raise ValueError(f"ragged candidate counts: expected {k}, got {len(rollouts.indices)}")
+        chosen = rollouts.best
         selection_lines.append(
             {
                 "instance_id": instance_id,
@@ -312,9 +333,11 @@ def best_of_k(groups: Mapping[str, Mapping[int, Scored]]) -> tuple[list[dict], d
                 "resolved": chosen.resolved,
             }
         )
-        pairs.append((candidates, scores))
-    metrics = tts_at_k(pairs)
-    return selection_lines, {"k": len(pairs[0][0]), "instances": len(pairs), **metrics}
+        resolved_by_selection += chosen.resolved
+        resolved_by_any += rollouts.any_resolved
+    total = len(selection_lines)
+    return selection_lines, {"k": k, "instances": total,
+                             "tts": resolved_by_selection / total, "pass": resolved_by_any / total}
 
 
 # ---------------------------------------------------------------------------

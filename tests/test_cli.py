@@ -2242,7 +2242,7 @@ def test_output_the_file_system_refuses_exits_1_and_leaves_no_temp_file(tmp_path
 
 
 def test_chunked_digest_equals_a_whole_file_sha256(tmp_path):
-    # The hash reads 1 MiB at a time; the digest must not depend on that,
+    # The hash reads 64 KiB at a time; the digest must not depend on that,
     # for a file longer than one chunk or for the files of a directory.
     big = bytes(range(256)) * (5 * 4096 + 3)  # 5 MiB and 768 bytes
     tree = tmp_path / "tree"
@@ -2253,6 +2253,23 @@ def test_chunked_digest_equals_a_whole_file_sha256(tmp_path):
     assert cli._sha256(tree / "sub" / "big.bin") == hashlib.sha256(big).hexdigest()
     whole = hashlib.sha256(b"a.txt" + b"a\n" + b"empty" + b"sub/big.bin" + big).hexdigest()
     assert cli._sha256(tree) == whole
+
+
+def test_digest_holds_one_small_chunk_at_a_time(tmp_path):
+    # Hashing a 5 MiB file allocates one 64 KiB chunk at a time, never the
+    # file or a large buffer: its traced peak stays far below the file.
+    import tracemalloc
+
+    big = tmp_path / "big.bin"
+    big.write_bytes(bytes(range(256)) * (5 * 4096))
+    tracemalloc.start()
+    try:
+        digest = cli._sha256(big)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(big.read_bytes()).hexdigest()
+    assert peak < 256 * 1024, peak
 
 
 def test_run_pipeline_encodes_each_curated_trajectory_once_and_tokenizes_each_command_once(
@@ -2672,4 +2689,20 @@ def test_export_history_command(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert code == want, (repo_arg, out_arg)
         assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert tree_bytes(tmp_path) == before
+
+
+def test_export_history_out_under_a_regular_file_says_its_parent_is_no_directory(tmp_path, capsys):
+    # As at config load for out_dir, the line names the parent that is a
+    # file, not the errno that creating the directory gave; nothing runs git.
+    (tmp_path / "blocker").write_text("x\n")
+    for out in (tmp_path / "blocker" / "h.jsonl", tmp_path / "blocker" / "sub" / "h.jsonl"):
+        before = tree_bytes(tmp_path)
+        capsys.readouterr()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("PATH", str(tmp_path / "no-git"))
+            code = cli.main(["export-history", "--repo", str(tmp_path), "--out", str(out)])
+        out_text, err = capsys.readouterr()
+        assert code == EXIT_INTERNAL and out_text == ""
+        assert err == f"error: cannot write --out {out}: {tmp_path / 'blocker'} is not a directory\n"
         assert tree_bytes(tmp_path) == before

@@ -1,8 +1,11 @@
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lego_forge.tts import (
     Candidate,
@@ -11,6 +14,7 @@ from lego_forge.tts import (
     LatencyModel,
     LineDelimitedVerifier,
     OracleVerifier,
+    Rollouts,
     Scored,
     StubVerifier,
     VerifierScore,
@@ -30,7 +34,7 @@ from lego_forge.tts import (
 )
 
 from lego_forge.errors import ForgeError, ValidationFailure
-from lego_forge.schema import RecordRejected
+from lego_forge.schema import RecordRejected, dumps_record
 
 from conftest import assert_refuses_bad_fields
 
@@ -237,7 +241,10 @@ def test_add_rollout_keeps_only_index_label_and_score():
     for cand in cands:
         add_rollout(groups, cand.to_record(), verifier)
     assert check_rankable(groups, "rollouts.jsonl") is None
-    assert all(type(s) is Scored for seen in groups.values() for s in seen.values())
+    # One state per instance: its rollout indices, its best candidate so far
+    # (a Scored) and whether any candidate resolved.
+    assert all(type(r) is Rollouts and type(r.best) is Scored and sorted(r.indices) == [0, 1, 2, 3]
+               for r in groups.values())
     lines, metrics = best_of_k(groups)
     by_instance = {}
     for cand in sorted(cands, key=lambda c: c.rollout_index):
@@ -289,7 +296,89 @@ def test_add_rollout_reports_a_failing_verifier_as_no_bad_line():
         assert not isinstance(failed.value, ValueError), response
         if response == "not json":
             assert isinstance(failed.value.__cause__, json.JSONDecodeError)
-        assert groups == {"a": {}}, response
+        assert groups == {}, response
+
+
+class PatchScore:
+    """A verifier that reads each candidate's score from its patch text."""
+
+    def score(self, cand):
+        return VerifierScore(score=float(cand.final_patch), provenance="stub")
+
+
+def fold_reference(records, verifier):
+    """Each line's rejection, and every candidate with its score by instance
+    and rollout_index, in the order the instances first arrive: what the
+    fold replaces."""
+    groups, rejections = {}, []
+    for line_no, record in enumerate(records, start=1):
+        cand = Candidate.from_record(record)
+        seen = groups.setdefault(cand.instance_id, {})
+        if cand.rollout_index in seen:
+            rejections.append({"line_no": line_no, "codes": ["DUPLICATE_ROLLOUT_INDEX"],
+                               "message": f"instance {cand.instance_id!r} repeats rollout_index {cand.rollout_index}"})
+        else:
+            seen[cand.rollout_index] = (cand, verifier.score(cand))
+    return groups, rejections
+
+
+def rankable_reference(groups, source):
+    if not groups:
+        return f"{source}: no candidates", [
+            {"file": source, "line_no": None, "instance_id": None, "codes": ["EMPTY_ROLLOUTS"],
+             "message": "rollouts file holds no candidates"}]
+    sizes = Counter(len(seen) for seen in groups.values())
+    if len(sizes) == 1:
+        return None
+    k = sizes.most_common(1)[0][0]
+    return f"{source}: ragged candidate counts per instance: {sorted(sizes)}", [
+        {"file": source, "line_no": None, "instance_id": iid, "codes": ["RAGGED_ROLLOUTS"],
+         "message": f"{len(seen)} candidate(s) where most instances have {k}"}
+        for iid, seen in groups.items() if len(seen) != k]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(lines=st.lists(st.tuples(st.sampled_from("abcd"), st.integers(0, 3),
+                                st.sampled_from(["0.0", "0.5", "1.0"]), st.booleans()), max_size=20))
+def test_fold_selects_and_rejects_as_select_top1_and_tts_at_k(lines):
+    # Candidates arrive in any order, with tied scores, repeated rollout
+    # indices and ragged or no instances. The fold keeps one state per
+    # instance; its rejections, selection lines and metrics are the same
+    # bytes as those of every candidate kept, select_top1 and tts_at_k.
+    records = [candidate(iid, j, resolved, patch=score).to_record() for iid, j, score, resolved in lines]
+    verifier = PatchScore()
+    groups, rejections = {}, []
+    for line_no, record in enumerate(records, start=1):
+        try:
+            add_rollout(groups, record, verifier)
+        except RecordRejected as exc:
+            rejections.append({"line_no": line_no, "codes": list(exc.codes), "message": str(exc)})
+    reference, expected_rejections = fold_reference(records, verifier)
+    assert dumps_record({"r": rejections}) == dumps_record({"r": expected_rejections})
+
+    expected_failure = rankable_reference(reference, "rollouts.jsonl")
+    if expected_failure is not None:
+        with pytest.raises(ValidationFailure) as failed:
+            check_rankable(groups, "rollouts.jsonl")
+        assert dumps_record({"error": str(failed.value), "entries": failed.value.rejections}) == dumps_record(
+            {"error": expected_failure[0], "entries": expected_failure[1]})
+        return
+    check_rankable(groups, "rollouts.jsonl")
+    selection, metrics = best_of_k(groups)
+    pairs = []
+    expected_selection = []
+    for iid in sorted(reference):
+        kept = [reference[iid][j] for j in sorted(reference[iid])]
+        cands, cand_scores = [c for c, _ in kept], [s for _, s in kept]
+        chosen = select_top1(cands, cand_scores)
+        score = cand_scores[cands.index(chosen)]
+        expected_selection.append({"instance_id": iid, "selected_rollout_index": chosen.rollout_index,
+                                   "score": score.score, "provenance": score.provenance,
+                                   "resolved": chosen.resolved})
+        pairs.append((cands, cand_scores))
+    assert [dumps_record(line) for line in selection] == [dumps_record(line) for line in expected_selection]
+    expected_metrics = {"k": len(pairs[0][0]), "instances": len(pairs), **tts_at_k(pairs)}
+    assert dumps_record(metrics) == dumps_record(expected_metrics)
 
 
 # ---------------------------------------------------------------------------

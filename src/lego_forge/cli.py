@@ -12,12 +12,13 @@ skips stages whose recorded input content hashes are unchanged. Within one
 per content: `build-tasks` and `inject` index each instance as they write
 it, any other corpus is indexed by one validating read, and no stage holds
 an instance corpus (see `_handoff`). The `trajectories` input is decoded
-one line at a time into `curate`, never held whole. As `curate` writes
-each curated record, it hands it to the reader stages, those whose
-`Stage.run` is a generator function that a `_Reader` feeds, which use it
-and let it go, so no stage holds the curated corpus; each commits its
-outputs at its own turn, and one whose inputs turn out unchanged drops
-them and is skipped.
+one line at a time into `curate`, never held whole, nor is `final_reports`:
+`curate` decodes each report from its line (`schema.OffsetLookup`). As
+`curate` writes each curated record, it hands it to the reader stages,
+those whose `Stage.run` is a generator function that a `_Reader` feeds,
+which use it and let it go, so no stage holds the curated corpus; each
+commits its outputs at its own turn, and one whose inputs turn out
+unchanged drops them and is skipped.
 Where `curate` does not run, the first reader stage that runs feeds itself
 and every reader stage after it from one pass over `curated.jsonl`, by the
 same rule. Every JSON Lines output is encoded line by line into its temp
@@ -102,7 +103,7 @@ from .schema import (
     DEFAULT_MAX_TURNS,
     AtomicWriter,
     IndexEntry,
-    InstanceLookup,
+    OffsetLookup,
     Rejection,
     TaskInstance,
     TestReport,
@@ -110,7 +111,6 @@ from .schema import (
     TrajectorySummary,
     atomic_write_text,
     dumps_record,
-    load_jsonl,
     read_corpus,
     read_jsonl,
     require,
@@ -289,7 +289,8 @@ def _fail_on_rejections(source: Path, rejections: Sequence[Rejection]) -> None:
 # Per-run state of run_pipeline, emptied when the run ends: the sha256 of
 # each path hashed so far, the index of each instance corpus read or written
 # (instance id -> IndexEntry, never the instance), keyed by (path, sha256 of
-# the file), and, by stage name, the `_Reader` of each reader stage that
+# the file; curate's index of final_reports is its own, made and dropped in
+# its stage), and, by stage name, the `_Reader` of each reader stage that
 # curate, or one pass over curated.jsonl, has fed and whose turn has not
 # come. Outside a run nothing is kept.
 _in_run = False
@@ -431,8 +432,11 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
 
     traj_path = _require_input(cfg.trajectories, "trajectories")
     reports_path = _require_input(cfg.final_reports, "final_reports")
-    instances = InstanceLookup(*_indexes(cfg))
-    reports = load_jsonl(reports_path, _final_report)
+    instances = OffsetLookup(TaskInstance.from_record, *_indexes(cfg))
+    rejections: list[Rejection] = []
+    reports = OffsetLookup(TestReport.from_record, {  # a repeated trajectory id means its last line
+        trajectory_id: (reports_path, offset)
+        for offset, (trajectory_id, _) in read_jsonl(reports_path, _final_report, rejections, offsets=True)})
     report: dict = {}
 
     def curated() -> Iterator[Trajectory]:
@@ -441,14 +445,14 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
         yield from trajectory_curation.curate(
             _stream(traj_path, "trajectories"),
             instances,
-            dict(reports.records),
+            reports,
             load_hack_patterns(cfg.hack_patterns),
             load_error_patterns(cfg.error_patterns),
             load_phase_patterns(cfg.phase_patterns),
             report,
             recycle_semi_resolved=cfg.recycle_semi_resolved,
         )
-        _fail_on_rejections(reports_path, reports.rejections)
+        _fail_on_rejections(reports_path, rejections)
 
     # Within a run every reader stage takes each curated trajectory as it is
     # written; those planned to run commit their outputs at their turn.
@@ -557,7 +561,7 @@ def _curriculum(cfg: PipelineConfig, output: Callable) -> Generator[None, Trajec
 def _classify_errors(cfg: PipelineConfig, output: Callable) -> Generator[None, Trajectory | None, dict]:
     from . import error_taxonomy
 
-    classifier = error_taxonomy.FailureClassifier(InstanceLookup(*_indexes(cfg)))
+    classifier = error_taxonomy.FailureClassifier(OffsetLookup(TaskInstance.from_record, *_indexes(cfg)))
     write_failure = output("failures.jsonl")
     while (traj := (yield)) is not None:
         line = classifier.label(traj)
@@ -606,8 +610,7 @@ def _stage_tts_select(cfg: PipelineConfig) -> dict:
     groups: dict[str, tts.Rollouts] = {}
     for _ in _stream(rollouts_path, lambda record: tts.add_rollout(groups, record, verifier)):
         pass
-    tts.check_rankable(groups, str(rollouts_path))
-    selection_lines, metrics = tts.best_of_k(groups)
+    selection_lines, metrics = tts.best_of_k(groups, str(rollouts_path))
 
     report = {"instances": metrics["instances"], "k": metrics["k"]}
     # A bad surface fails the stage before it writes any output.

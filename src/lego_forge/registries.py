@@ -93,13 +93,14 @@ def required_literals(regex: re.Pattern) -> tuple[str, ...] | None:
 
     Returns None when no such set is found: under IGNORECASE (global or
     inline), when the only literals sit in a branch with an empty or
-    literal-free alternative, or for any construct the walk does not handle.
+    literal-free alternative, for any construct the walk does not handle,
+    and for groups nested too deep to parse again where it is called.
     """
     if regex.flags & re.IGNORECASE:
         return None
     try:
         return _guards(_sre.parse(regex.pattern, regex.flags))
-    except _NoGuard:
+    except (_NoGuard, RecursionError):
         return None
 
 
@@ -176,7 +177,7 @@ def _registry_entries(
 def _compile(pattern: str, path: str | Path, line_no: int, flags: int = 0) -> re.Pattern:
     try:
         return re.compile(pattern, flags)
-    except re.error as exc:
+    except (re.error, RecursionError, OverflowError) as exc:  # nested past the limit; a huge repeat count
         raise RegistryError(f"{path}:{line_no}: bad regex {pattern!r}: {exc}") from exc
 
 

@@ -9,11 +9,13 @@ written back verbatim, in their original order, for forward compatibility.
 Every stage input is read by `read_jsonl`, which splits at "\n" only and
 turns each line into a record or a `Rejection`, one line at a time;
 `read_corpus` is that reader plus a corpus kind's record type, validator
-and duplicate rules; `load_jsonl` and `load_corpus` hold their whole
-result, and an index of an instance corpus (`IndexEntry`s) holds none:
-an `InstanceLookup` decodes an instance from its line. Every writer
-encodes one line at a time into the temp file of an `AtomicWriter`, the
-one temp-file, sync and rename implementation.
+and duplicate rules. An index (key -> path and byte offset of a line, as
+an instance corpus's `IndexEntry`s) holds no record: an `OffsetLookup`
+decodes a record from its line when it is looked up. `load_jsonl` and
+`load_corpus` hold their whole result; nothing in the package calls them,
+and they stay while `bench/tracing.py` wraps them. Every writer encodes
+one line at a time into the temp file of an `AtomicWriter`, the one
+temp-file, sync and rename implementation.
 
 Timestamps are ISO-8601 UTC text. They are stored as strings and parsed on
 demand so that round-trips never reformat them.
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from functools import cache, cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ForgeError
 
@@ -567,20 +569,21 @@ class IndexEntry(NamedTuple):
                    len(inst.fail_to_pass), len(inst.pass_to_pass))
 
 
-def _read_instance(path: Path, offset: int) -> TaskInstance:
-    with open(path, "rb") as handle:
-        handle.seek(offset)
-        return TaskInstance.from_record(_DECODER.decode(handle.readline().decode("utf-8")))
+class OffsetLookup(ChainMap):
+    """Records by key over offset indexes (maps of key to an entry that starts with the path
+    and byte offset of the record's line, such as an `IndexEntry`), the first index's where
+    several hold a key, each decoded from its line by `parse` whenever it is looked up, so a
+    lookup keeps no record; no file stays open."""
 
+    def __init__(self, parse: Callable[[dict], Any], *indexes: Mapping[str, Sequence]):
+        super().__init__(*indexes)
+        self.parse = parse
 
-class InstanceLookup(ChainMap):
-    """Instances by id over instance corpus indexes (maps of id to `IndexEntry`), the first index's
-    where several hold an id, each decoded from its line whenever it is looked up, so a lookup
-    keeps no instance; no file stays open."""
-
-    def __getitem__(self, instance_id: str) -> TaskInstance:
-        entry = super().__getitem__(instance_id)
-        return _read_instance(entry.path, entry.offset)
+    def __getitem__(self, key: str) -> Any:
+        path, offset = super().__getitem__(key)[:2]
+        with open(path, "rb") as handle:
+            handle.seek(offset)
+            return self.parse(_DECODER.decode(handle.readline().decode("utf-8")))
 
 
 _RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))  # built once, not per call

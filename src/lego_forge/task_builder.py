@@ -259,8 +259,8 @@ class PythonAstProvider:
             return kept
         try:
             root = ast.parse(source)
-        except SyntaxError as exc:
-            raise MutationError(f"{path}: cannot parse: {exc}") from exc
+        except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:  # NUL byte on 3.10; too deep
+            raise MutationError(f"{path}: cannot parse: {str(exc) or type(exc).__name__}") from exc
         tree = PythonSyntaxTree(path=path, source=source, root=root)
         self._first.setdefault(path, tree)
         return tree
@@ -338,14 +338,12 @@ def _operator_token_start(tree: PythonSyntaxTree, window: tuple[int, int], symbo
 
 
 def _swap_operator(tree: PythonSyntaxTree, node: ast.AST) -> str:
+    symbol = _operator_symbol(node)
     if isinstance(node, ast.BinOp):
-        symbol = _BINOP_SYMBOLS[type(node.op)]
         left, right = node.left, node.right
     elif isinstance(node, ast.Compare):
-        symbol = _CMP_SYMBOLS[type(node.ops[0])]
         left, right = node.left, node.comparators[0]
     else:
-        symbol = _BOOL_SYMBOLS[type(node.op)]
         left, right = node.values[0], node.values[1]
     window = (
         tree.offset(left.end_lineno, left.end_col_offset),

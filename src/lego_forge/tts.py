@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import ForgeError, ValidationFailure
-from .schema import RecordRejected, of_type, require
+from .schema import RecordRejected, dumps_record, of_type, require
 
 SCORE_PROVENANCES = ("generative", "regressive", "oracle", "stub")
 
@@ -148,16 +148,12 @@ class StubVerifier:
 
 def encode_score_request(candidate: Candidate) -> str:
     """One request line of the verifier wire protocol."""
-    return json.dumps(
-        {
-            "instance_id": candidate.instance_id,
-            "rollout_index": candidate.rollout_index,
-            "trajectory_summary": candidate.trajectory_summary,
-            "final_patch": candidate.final_patch,
-        },
-        ensure_ascii=False,
-        separators=(",", ":"),
-    )
+    return dumps_record({
+        "instance_id": candidate.instance_id,
+        "rollout_index": candidate.rollout_index,
+        "trajectory_summary": candidate.trajectory_summary,
+        "final_patch": candidate.final_patch,
+    })
 
 
 def decode_score_response(line: str) -> VerifierScore:
@@ -249,25 +245,6 @@ def add_rollout(groups: dict[str, Rollouts], record: dict, verifier) -> None:
         rollouts.add(scored)
 
 
-def check_rankable(groups: Mapping[str, Rollouts], source: str) -> None:
-    """Raise ValidationFailure, with its rejection report entries, unless
-    every instance of the rollouts read from `source` holds the same number
-    of candidates. The entries name no candidates at all (EMPTY_ROLLOUTS),
-    or each instance whose count differs from the most common one
-    (RAGGED_ROLLOUTS)."""
-    if not groups:
-        raise ValidationFailure(f"{source}: no candidates", [
-            {"file": source, "line_no": None, "instance_id": None, "codes": ["EMPTY_ROLLOUTS"],
-             "message": "rollouts file holds no candidates"}])
-    sizes = Counter(len(rollouts.indices) for rollouts in groups.values())
-    if len(sizes) > 1:
-        k = sizes.most_common(1)[0][0]
-        raise ValidationFailure(f"{source}: ragged candidate counts per instance: {sorted(sizes)}", [
-            {"file": source, "line_no": None, "instance_id": iid, "codes": ["RAGGED_ROLLOUTS"],
-             "message": f"{len(rollouts.indices)} candidate(s) where most instances have {k}"}
-            for iid, rollouts in groups.items() if len(rollouts.indices) != k])
-
-
 def select_top1(candidates: Sequence[Candidate], scores: Sequence[VerifierScore]) -> Candidate:
     """The candidate with the maximal score; ties break to the lowest
     rollout_index, so selection is deterministic and permutation-stable."""
@@ -306,23 +283,31 @@ def tts_at_k(
     return {"tts": resolved_by_selection / total, "pass": resolved_by_any / total}
 
 
-def best_of_k(groups: Mapping[str, Rollouts]) -> tuple[list[dict], dict]:
+def best_of_k(groups: Mapping[str, Rollouts], source: str) -> tuple[list[dict], dict]:
     """Each instance's top-1 candidate as `select_top1` picks it, and the
-    metrics `tts_at_k` gives, read from the folded `groups` (as `add_rollout`
-    fills it and `check_rankable` accepts it: the same number K of candidates
-    per instance). Returns one selection line per instance, in instance id
-    order, and the metrics `{k, instances, tts, pass}`."""
+    metrics `tts_at_k` gives, read from `groups` as `add_rollout` folds the
+    rollouts of `source` into it. Returns one selection line per instance,
+    in instance id order, and the metrics `{k, instances, tts, pass}`.
+    Raises ValidationFailure, with its rejection report entries, unless
+    every instance holds the same number K of candidates. The entries name
+    no candidates at all (EMPTY_ROLLOUTS), or each instance whose count
+    differs from the most common one (RAGGED_ROLLOUTS)."""
     if not groups:
-        raise ValueError("no instances")
-    instance_ids = sorted(groups)
-    k = len(groups[instance_ids[0]].indices)
+        raise ValidationFailure(f"{source}: no candidates", [
+            {"file": source, "line_no": None, "instance_id": None, "codes": ["EMPTY_ROLLOUTS"],
+             "message": "rollouts file holds no candidates"}])
+    sizes = Counter(len(rollouts.indices) for rollouts in groups.values())
+    k = sizes.most_common(1)[0][0]
+    if len(sizes) > 1:
+        raise ValidationFailure(f"{source}: ragged candidate counts per instance: {sorted(sizes)}", [
+            {"file": source, "line_no": None, "instance_id": iid, "codes": ["RAGGED_ROLLOUTS"],
+             "message": f"{len(rollouts.indices)} candidate(s) where most instances have {k}"}
+            for iid, rollouts in groups.items() if len(rollouts.indices) != k])
     selection_lines = []
     resolved_by_selection = 0
     resolved_by_any = 0
-    for instance_id in instance_ids:
+    for instance_id in sorted(groups):
         rollouts = groups[instance_id]
-        if len(rollouts.indices) != k:
-            raise ValueError(f"ragged candidate counts: expected {k}, got {len(rollouts.indices)}")
         chosen = rollouts.best
         selection_lines.append(
             {

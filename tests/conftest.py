@@ -207,6 +207,13 @@ def toy_snapshot() -> dict[str, str]:
     return {"calc.py": TOY_CALC, "tests/test_calc.py": TOY_TESTS}
 
 
+# Sources ast.parse refuses without a SyntaxError on some supported Python:
+# a NUL byte (ValueError on 3.10), a sum of 100,000 terms (RecursionError on
+# 3.11+; 3.10 parses it) and 100,000 unary minuses (MemoryError).
+PARSER_REFUSALS = {"nul-byte": "x = 1\0\n", "long-sum": "x = " + "+".join(["1"] * 100_000) + "\n",
+                   "deep-unary": "-" * 100_000 + "1\n"}
+
+
 T_ADD = "tests/test_calc.py::test_add"
 T_CLAMP = "tests/test_calc.py::test_clamp_low"
 T_TOTAL = "tests/test_calc.py::test_total"

@@ -32,6 +32,8 @@ from lego_forge.cli import (
 from lego_forge.errors import ForgeError
 from lego_forge.registries import (
     DEFAULT_ERROR_PATTERNS,
+    DEFAULT_HACK_PATTERNS,
+    DEFAULT_PHASE_PATTERNS,
     content_lines,
     load_error_patterns,
     load_hack_patterns,
@@ -43,7 +45,7 @@ from lego_forge.schema import IndexEntry, TaskInstance, ToolCall, Trajectory, lo
 from lego_forge.sft_masking import assign_phases, detect_step_errors
 from lego_forge.trajectory_curation import UnrepairableCallError, prune_toolset, repair_tool_call
 
-from conftest import TOY_CALC, TOY_TESTS, build_integration_corpus, read_jsonl
+from conftest import PARSER_REFUSALS, TOY_CALC, TOY_TESTS, build_integration_corpus, read_jsonl
 
 
 def read(path: Path):
@@ -459,6 +461,23 @@ def test_form_feed_near_an_injected_edit(corpus, monkeypatch, cut_at_form_feed):
     entries = read_jsonl(Path(report["rejection_report"]))
     assert [e["record"] for e in entries] == [0]
     assert "diff content outside any hunk" in entries[0]["reason"]
+
+
+@pytest.mark.parametrize("source", PARSER_REFUSALS.values(), ids=PARSER_REFUSALS)
+def test_snapshot_file_the_parser_refuses_is_no_wildcard_target(corpus, source):
+    # Whatever ast.parse raises for a snapshot file, a wildcard spec skips
+    # the file as it skips one with a syntax error, so inject builds the
+    # same instances, on every supported Python, as without the file.
+    cfg = load_config(corpus)
+    mutations = read_jsonl(cfg.mutations)
+    wildcard = {key: value for key, value in mutations[1].items() if key != "path"}  # loop_removal
+    save_jsonl([*mutations, wildcard], cfg.mutations)
+    run_stages(cfg, "inject")
+    built = (cfg.out_dir / "instances_synth.jsonl").read_bytes()
+    (cfg.snapshot_dir / "refused.py").write_text(source, encoding="utf-8")
+    code, report = run_stage("inject", cfg)
+    assert (code, report["built"]) == (EXIT_OK, 3), report
+    assert (cfg.out_dir / "instances_synth.jsonl").read_bytes() == built
 
 
 def test_inject_parses_and_tokenizes_each_snapshot_file_once(corpus, monkeypatch):
@@ -1056,6 +1075,74 @@ def test_any_config_value_exits_0_to_3_with_its_reports(integration_template, ke
         assert not [stage for stage in ran if not (out_dir / reports[stage]).exists()]
 
 
+# Regexes that re.compile refuses with RecursionError (groups nested past the
+# recursion limit) or OverflowError (a repeat count past the C range), not re.error.
+HUGE_REPEAT = "{99999999999999999999}"
+PAST_THE_PARSER = ("(" * 600 + "a" + ")" * 600, "a" + HUGE_REPEAT)
+
+
+@pytest.mark.parametrize("key, fields", [("hack_patterns", "H1 high"), ("error_patterns", "E1"),
+                                         ("phase_patterns", "testing")])
+@pytest.mark.parametrize("regex", PAST_THE_PARSER, ids=["deep-nesting", "huge-repeat"])
+def test_registry_regex_past_the_parser_limits_exits_1_with_one_line(tmp_path, capsys, key, fields, regex):
+    registry = tmp_path / "registry.txt"
+    registry.write_text(f"# a comment\n{fields} {regex}\n", encoding="utf-8")
+    config = tmp_path / "forge.cfg"
+    config.write_text(f"{key} = registry.txt\n", encoding="utf-8")
+    assert cli.main(["pipeline", "--config", str(config)]) == EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert not out and err.startswith(f"error: {registry}:2: bad regex ") and err.count("\n") == 1
+
+
+REGISTRIES = {"hack_patterns": DEFAULT_HACK_PATTERNS, "error_patterns": DEFAULT_ERROR_PATTERNS,
+              "phase_patterns": DEFAULT_PHASE_PATTERNS}
+REGISTRY_EDITS = ("drop-field", "unknown-name", "truncate-regex", "deep-nesting", "huge-repeat", "not-utf8")
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(key=st.sampled_from(sorted(REGISTRIES)), edit=st.sampled_from(REGISTRY_EDITS), data=st.data())
+def test_fuzzed_registry_line_exits_0_to_2_never_a_traceback(integration_template, key, edit, data):
+    # One entry of one registry file loses a field, gets an unknown severity
+    # or phase (an error pattern's id, which any word may be, is changed to
+    # one), has its regex truncated, nested past the recursion limit or given
+    # a repeat count past the C range, or gets a byte that is not UTF-8;
+    # `forge pipeline` then exits 0, 1 or 2 with at most one `error:` line,
+    # which names the registry file, and never raises.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = shutil.copytree(integration_template, Path(tmp) / "corpus")
+        registry = root / f"{key}.txt"
+        lines = REGISTRIES[key].read_bytes().split(b"\n")
+        entries = [n for n, line in enumerate(lines) if line.strip() and not line.startswith(b"#")]
+        n = entries[data.draw(st.integers(0, len(entries) - 1), label="entry")]
+        fields = lines[n].decode().split(None, 2 if key == "hack_patterns" else 1)
+        if edit == "drop-field":
+            del fields[data.draw(st.integers(0, len(fields) - 1), label="field")]
+        elif edit == "unknown-name":
+            fields[1 if key == "hack_patterns" else 0] = "critical"
+        elif edit == "truncate-regex":
+            fields[-1] = fields[-1][: data.draw(st.integers(0, len(fields[-1]) - 1), label="cut")]
+        elif edit == "deep-nesting":  # Hypothesis raises the recursion limit while a test runs
+            depth = sys.getrecursionlimit()
+            fields[-1] = "(" * depth + fields[-1] + ")" * depth
+        elif edit == "huge-repeat":
+            fields[-1] = f"({fields[-1]}){HUGE_REPEAT}"
+        lines[n] = " ".join(fields).encode()
+        if edit == "not-utf8":
+            at = data.draw(st.integers(0, len(lines[n])), label="at")
+            lines[n] = lines[n][:at] + b"\xff" + lines[n][at:]
+        registry.write_bytes(b"\n".join(lines))
+        config = root / "forge.cfg"
+        with config.open("a", encoding="utf-8") as f:
+            f.write(f"{key} = {registry.name}\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["pipeline", "--config", str(config)])
+        assert code in (EXIT_OK, EXIT_INTERNAL, EXIT_MISSING_INPUT), (code, out.getvalue(), err.getvalue())
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        assert len(errors) <= 1 and all(str(registry) in line for line in errors), errors
+        assert "Traceback (most recent call last)" not in out.getvalue() + err.getvalue()
+
+
 def test_unknown_stage_rejected(corpus):
     with pytest.raises(ValueError):
         run_stage("fabricate", load_config(corpus))
@@ -1394,6 +1481,58 @@ def test_curate_fails_on_trajectory_rejections_before_final_report_ones(corpus):
     text = cfg.trajectories.read_text(encoding="utf-8")
     cfg.trajectories.write_text(text.removesuffix("{not json\n"), encoding="utf-8")
     assert rejected() == [(str(cfg.final_reports), ["BAD_JSON"])]
+
+
+def test_curate_holds_no_more_than_two_final_reports_at_a_time(corpus, monkeypatch):
+    # final_reports is indexed by byte offset, and each report is decoded
+    # when its trajectory arrives, so the reports alive as each curated
+    # trajectory is written do not grow with the corpus; a dict of every
+    # report would hold all 70.
+    cfg = run_stages(load_config(corpus), "build-tasks", "inject")
+    trajectories, reports = read_jsonl(cfg.trajectories), read_jsonl(cfg.final_reports)
+    save_jsonl(({**t, "trajectory_id": f"{t['trajectory_id']}-{n}"} for n in range(10) for t in trajectories),
+               cfg.trajectories)
+    save_jsonl(({**r, "trajectory_id": f"{r['trajectory_id']}-{n}"} for n in range(10) for r in reports),
+               cfg.final_reports)
+    decoded = []
+    alive_at_write = []
+    real_from_record = schema_mod.TestReport.from_record.__func__
+    real_to_record = Trajectory.to_record
+
+    def tracking_from_record(cls, record):
+        report = real_from_record(cls, record)
+        decoded.append(weakref.ref(report))
+        return report
+
+    def counting_to_record(self):
+        alive_at_write.append(sum(ref() is not None for ref in decoded))
+        return real_to_record(self)
+
+    monkeypatch.setattr(schema_mod.TestReport, "from_record", classmethod(tracking_from_record))
+    monkeypatch.setattr(Trajectory, "to_record", counting_to_record)
+    code, report = run_stage("curate", cfg)
+    assert code == EXIT_OK, report
+    assert len(alive_at_write) == len(trajectories) * 10 == 70
+    assert len(decoded) >= 2 * len(reports) * 10  # read to index, then again to look up
+    assert 0 < max(alive_at_write) <= 2, alive_at_write
+
+
+def test_repeated_final_report_means_its_last_line(corpus):
+    # As in a dict of every line: the later of two lines for one trajectory id wins.
+    cfg = run_stages(load_config(corpus), "build-tasks", "inject")
+    run_stages(cfg, "curate")
+    before = {t["trajectory_id"]: t["outcome"] for t in read_jsonl(cfg.out_dir / "curated.jsonl")}
+    reports = read_jsonl(cfg.final_reports)
+    resolved = next(r for r in reports if r["trajectory_id"] == "traj-resolved")
+    failing = {**resolved, "results": {test: "fail" for test in resolved["results"]}}
+    save_jsonl([resolved, failing, *reports], cfg.final_reports)
+    run_stages(cfg, "curate")
+    after = {t["trajectory_id"]: t["outcome"] for t in read_jsonl(cfg.out_dir / "curated.jsonl")}
+    assert before["traj-resolved"] == "resolved" and after == before
+    save_jsonl([*reports, failing], cfg.final_reports)
+    run_stages(cfg, "curate")
+    after = {t["trajectory_id"]: t["outcome"] for t in read_jsonl(cfg.out_dir / "curated.jsonl")}
+    assert after == {**before, "traj-resolved": "semi_resolved"}
 
 
 def test_pipeline_tree_equals_single_stage_runs(tmp_path, capsys):
@@ -2402,8 +2541,8 @@ def test_every_corpus_load_in_cli_goes_through_one_reader():
     # curated.jsonl into the reader stages where curate did not feed them,
     # and mutations, histories, rollouts and surface. build-tasks, which
     # skips a bad line with its reason, streams real_inputs through
-    # read_jsonl itself; only final_reports, whose rejection comes after
-    # the trajectories', is loaded whole.
+    # read_jsonl itself, and so does curate's index of final_reports, whose
+    # rejections come after the trajectories'.
     calls = []
 
     class Finder(ast.NodeVisitor):
@@ -2429,7 +2568,7 @@ def test_every_corpus_load_in_cli_goes_through_one_reader():
         ("read_jsonl", "cli._stage_build_tasks"),
         ("_stream", "cli._stage_inject"),
         ("_stream", "cli._stage_sanitize.sanitized"),
-        ("load_jsonl", "cli._stage_curate"),
+        ("read_jsonl", "cli._stage_curate"),
         ("_stream", "cli._stage_curate.curated"),
         ("_stream", "cli._run_reader"),
         ("_stream", "cli._stage_tts_select"),

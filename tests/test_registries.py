@@ -91,6 +91,29 @@ def test_empty_registry_rejected(tmp_path):
         assert str(err.value) == f"{path}: registry is empty"
 
 
+def test_a_regex_too_deep_to_parse_again_deeper_in_the_stack_runs_unguarded():
+    # The deepest nesting that compiles here is walked for its guards deeper
+    # in the stack, as curate does; there it cannot be parsed again, so it
+    # runs its regex unguarded instead of raising RecursionError.
+    def compiled(depth):
+        try:
+            return re.compile("(" * depth + "boom" + ")" * depth)
+        except RecursionError:
+            return None
+
+    low, high = 1, 5_000
+    while low < high:
+        mid = (low + high + 1) // 2
+        low, high = (mid, high) if compiled(mid) is not None else (low, mid - 1)
+    pattern = ErrorPattern("DEEP", compiled(low))
+
+    def deeper(frames):
+        return (pattern.guards, pattern.search("a boom")) if frames == 0 else deeper(frames - 1)
+
+    guards, match = deeper(50)
+    assert guards is None and match is not None
+
+
 def test_comments_and_blanks_ignored(tmp_path):
     path = tmp_path / "errors.txt"
     for newline in ("\n", "\r\n"):

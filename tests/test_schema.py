@@ -11,7 +11,7 @@ from lego_forge.schema import (
     AtomicWriter,
     CorpusError,
     IndexEntry,
-    InstanceLookup,
+    OffsetLookup,
     RecordRejected,
     Step,
     TaskInstance,
@@ -259,9 +259,9 @@ def test_lines_split_at_newline_only(tmp_path):
 
 def test_only_the_reader_decodes_json_lines():
     # Every stage input is decoded by schema.read_jsonl, with the one strict
-    # decoder schema builds, which also decodes an instance's line again when
-    # it is looked up by its index entry; the state file and the verifier
-    # wire protocol are the only other JSON the program reads.
+    # decoder schema builds, which also decodes an instance's or a final
+    # report's line again when it is looked up by its offset; the state file
+    # and the verifier wire protocol are the only other JSON the program reads.
     found = []
 
     class Finder(ast.NodeVisitor):
@@ -287,8 +287,8 @@ def test_only_the_reader_decodes_json_lines():
 
     for path in sorted(Path(lego_forge.__file__).parent.glob("*.py")):
         Finder(path.stem).visit(ast.parse(path.read_text(encoding="utf-8")))
-    assert sorted(found) == ["cli._read_state", "schema", "schema._read_instance", "schema.read_jsonl",
-                             "tts.decode_score_response"]
+    assert sorted(found) == ["cli._read_state", "schema", "schema.OffsetLookup.__getitem__",
+                             "schema.read_jsonl", "tts.decode_score_response"]
 
 
 def index_of(path):
@@ -315,7 +315,7 @@ def test_lookup_by_offset_equals_read_corpus(tmp_path):
     assert written[1][1] > len(path.read_text(encoding="utf-8").split("\n")[0]) + 1  # bytes, not characters
     path.write_bytes(path.read_bytes().replace(b',"repo":', b',\r"repo":'))  # JSON whitespace
     read, index = index_of(path)
-    lookup = InstanceLookup(index)
+    lookup = OffsetLookup(TaskInstance.from_record, index)
     assert [lookup[inst.instance_id] for inst in read] == read == insts
     assert [entry.issue_words for entry in index.values()] == [len(text.split()) for text in texts]
     assert lookup.get("absent") is None
@@ -325,24 +325,26 @@ def test_lookup_takes_an_id_from_the_first_index_that_holds_it(tmp_path):
     first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
     save_corpus([make_instance(instance_id=i, problem_statement=f"first {i}") for i in "ab"], first)
     save_corpus([make_instance(instance_id=i, problem_statement=f"second {i}") for i in "bc"], second)
-    lookup = InstanceLookup(index_of(first)[1], index_of(second)[1])
+    lookup = OffsetLookup(TaskInstance.from_record, index_of(first)[1], index_of(second)[1])
     assert {i: lookup[i].problem_statement for i in sorted(lookup)} == {
+        "a": "first a", "b": "first b", "c": "second c"}
+    # An entry need only start with (path, offset), and the parse is the caller's.
+    pairs = [{i: entry[:2] for i, entry in index_of(path)[1].items()} for path in (first, second)]
+    assert dict(OffsetLookup(lambda record: record["problem_statement"], *pairs)) == {
         "a": "first a", "b": "first b", "c": "second c"}
 
 
-def test_lookup_keeps_no_instance_and_decodes_each_lookup(tmp_path, monkeypatch):
+def test_lookup_keeps_no_instance_and_decodes_each_lookup(tmp_path):
     ids = ["a", "b"]
     path = tmp_path / "instances.jsonl"
     save_corpus([make_instance(instance_id=i) for i in ids], path)
-    lookup = InstanceLookup(index_of(path)[1])
     decoded = []
-    real_from_record = TaskInstance.from_record.__func__
 
-    def counting_from_record(cls, record):
+    def counting_from_record(record):
         decoded.append(record["instance_id"])
-        return real_from_record(cls, record)
+        return TaskInstance.from_record(record)
 
-    monkeypatch.setattr(TaskInstance, "from_record", classmethod(counting_from_record))
+    lookup = OffsetLookup(counting_from_record, index_of(path)[1])
     first = lookup["a"]
     again = lookup["a"]
     assert again == first and again is not first

@@ -25,6 +25,7 @@ from lego_forge.task_builder import (
 )
 
 from conftest import (
+    PARSER_REFUSALS,
     T_ADD,
     T_CLAMP,
     T_TOTAL,
@@ -352,6 +353,17 @@ def test_provider_parses_a_changed_source_for_a_kept_path():
     assert [loc.detail for loc in provider.enumerate(changed, "operator")] == ["-"]
     # The first tree of a path stays the kept one.
     assert provider.parse("m.py", "x = a + b\n") is first
+
+
+@pytest.mark.parametrize("source", PARSER_REFUSALS.values(), ids=PARSER_REFUSALS)
+def test_provider_turns_every_parser_refusal_into_a_mutation_error(source):
+    try:
+        ast.parse(source)
+    except Exception:
+        with pytest.raises(MutationError, match=r"^m\.py: cannot parse: \w"):
+            PythonAstProvider().parse("m.py", source)
+    else:
+        assert PythonAstProvider().parse("m.py", source).source == source
 
 
 def _single_edit(source, kind, mutator, index=0):

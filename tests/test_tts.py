@@ -21,7 +21,6 @@ from lego_forge.tts import (
     add_rollout,
     allocate,
     best_of_k,
-    check_rankable,
     decode_score_response,
     encode_score_request,
     generative_score,
@@ -240,12 +239,11 @@ def test_add_rollout_keeps_only_index_label_and_score():
     groups = {}
     for cand in cands:
         add_rollout(groups, cand.to_record(), verifier)
-    assert check_rankable(groups, "rollouts.jsonl") is None
     # One state per instance: its rollout indices, its best candidate so far
     # (a Scored) and whether any candidate resolved.
     assert all(type(r) is Rollouts and type(r.best) is Scored and sorted(r.indices) == [0, 1, 2, 3]
                for r in groups.values())
-    lines, metrics = best_of_k(groups)
+    lines, metrics = best_of_k(groups, "rollouts.jsonl")
     by_instance = {}
     for cand in sorted(cands, key=lambda c: c.rollout_index):
         by_instance.setdefault(cand.instance_id, []).append(cand)
@@ -261,7 +259,7 @@ def test_add_rollout_keeps_only_index_label_and_score():
 def test_add_rollout_refuses_a_repeat_and_unrankable_names_the_causes():
     groups = {}
     with pytest.raises(ValidationFailure) as empty:
-        check_rankable(groups, "r.jsonl")
+        best_of_k(groups, "r.jsonl")
     assert (empty.value.rejections, str(empty.value)) == ([
         {"file": "r.jsonl", "line_no": None, "instance_id": None, "codes": ["EMPTY_ROLLOUTS"],
          "message": "rollouts file holds no candidates"},
@@ -272,7 +270,7 @@ def test_add_rollout_refuses_a_repeat_and_unrankable_names_the_causes():
         add_rollout(groups, candidate("a", 1, True).to_record(), OracleVerifier())
     assert repeat.value.codes == ("DUPLICATE_ROLLOUT_INDEX",)
     with pytest.raises(ValidationFailure) as ragged:
-        check_rankable(groups, "r.jsonl")
+        best_of_k(groups, "r.jsonl")
     assert (ragged.value.rejections, str(ragged.value)) == ([
         {"file": "r.jsonl", "line_no": None, "instance_id": "c", "codes": ["RAGGED_ROLLOUTS"],
          "message": "1 candidate(s) where most instances have 2"},
@@ -359,12 +357,11 @@ def test_fold_selects_and_rejects_as_select_top1_and_tts_at_k(lines):
     expected_failure = rankable_reference(reference, "rollouts.jsonl")
     if expected_failure is not None:
         with pytest.raises(ValidationFailure) as failed:
-            check_rankable(groups, "rollouts.jsonl")
+            best_of_k(groups, "rollouts.jsonl")
         assert dumps_record({"error": str(failed.value), "entries": failed.value.rejections}) == dumps_record(
             {"error": expected_failure[0], "entries": expected_failure[1]})
         return
-    check_rankable(groups, "rollouts.jsonl")
-    selection, metrics = best_of_k(groups)
+    selection, metrics = best_of_k(groups, "rollouts.jsonl")
     pairs = []
     expected_selection = []
     for iid in sorted(reference):

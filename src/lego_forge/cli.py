@@ -25,11 +25,15 @@ same rule. Every JSON Lines output is encoded line by line into its temp
 file. A build output whose instance ids (or real image
 names) repeat is not indexed for the later stages, so `curate` reads and
 rejects it. A single-stage run (`forge curate`, `forge stats`) reads and
-parses from disk. A stage's modules are imported only when the stage runs,
-so a re-run that skips every stage loads only the config, schema, registry
-and curriculum code. The stages that share no file with the rest (read no
-other stage's output, and no stage reads theirs) run in one forked worker
-process alongside the others; stdout, state and the exit code stay in
+parses from disk. Each module is imported where the code that uses it
+runs, so loading the config loads only `errors`, `registries` and this
+module, and a `forge pipeline` re-run that skips every stage adds only
+`argparse`, `hashlib` and `json`. The record layer (`schema`) loads with the first
+stage or state write that uses it, and before the fork where a worker will
+run stages, so that the worker and this process share that one import.
+The stages that share no file with the rest (read no other stage's output,
+and no stage reads theirs) run in one forked worker process alongside the
+others; stdout, state and the exit code stay in
 stage order, up to the first failing stage. Those stages hold one input
 line at a time: `sanitize` writes each history before it reads the next,
 and `tts-select` scores each candidate as it reads it and keeps one state
@@ -81,11 +85,8 @@ file that is not UTF-8 fails with exit 1 and its path. Keys:
 
 from __future__ import annotations
 
-import argparse
 import gc
-import hashlib
 import inspect
-import json
 import marshal
 import math
 import os
@@ -94,29 +95,15 @@ import threading
 from collections import ChainMap
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, Generator, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Iterator, Sequence
 
-from . import curriculum as curriculum_mod
+from . import DEFAULT_MAX_TURNS, EASY_UPPER, MEDIUM_UPPER
 from .errors import ForgeError, ValidationFailure
 from .registries import content_lines, load_error_patterns, load_hack_patterns, load_phase_patterns
-from .schema import (
-    DEFAULT_MAX_TURNS,
-    AtomicWriter,
-    IndexEntry,
-    OffsetLookup,
-    Rejection,
-    TaskInstance,
-    TestReport,
-    Trajectory,
-    TrajectorySummary,
-    atomic_write_text,
-    dumps_record,
-    read_corpus,
-    read_jsonl,
-    require,
-    save_corpus,
-    save_jsonl,
-)
+
+if TYPE_CHECKING:
+    from .schema import (AtomicWriter, IndexEntry, Rejection, TaskInstance, TestReport, Trajectory,
+                         TrajectorySummary)
 
 EXIT_OK = 0
 EXIT_INTERNAL = ForgeError.exit_code
@@ -152,8 +139,8 @@ class PipelineConfig:
     latency_budget: float | None = None
     max_turns: int = DEFAULT_MAX_TURNS
     context_limit: int = 128000
-    easy_upper: int = curriculum_mod.EASY_UPPER
-    medium_upper: int = curriculum_mod.MEDIUM_UPPER
+    easy_upper: int = EASY_UPPER
+    medium_upper: int = MEDIUM_UPPER
     bucket_width: int = 10
     latency_c: float = 1.0
     latency_alpha: float = 1.5
@@ -164,9 +151,6 @@ class PipelineConfig:
     hack_patterns: Path | None = None
     error_patterns: Path | None = None
     phase_patterns: Path | None = None
-
-    def bins(self) -> tuple[curriculum_mod.DifficultyBin, ...]:
-        return curriculum_mod.default_bins(self.max_turns, self.easy_upper, self.medium_upper)
 
     def allocates(self) -> bool:
         """tts-select plans a latency allocation only when both are set."""
@@ -262,6 +246,8 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def _dump_report(report: dict) -> str:
+    import json
+
     return json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
 
@@ -304,6 +290,8 @@ def _save_instances(instances: Iterable[TaskInstance], path: Path) -> int:
     run, the index made as they are written is handed to later stages
     unless a read would reject a line: the builders' instances validate, so
     only a repeated id or real image name would."""
+    from .schema import IndexEntry, save_corpus
+
     index: dict[str, IndexEntry] = {}
     real_images: set[str] = set()
     repeats: list[bool] = []  # per instance, whether a read would reject its line
@@ -324,6 +312,8 @@ def _index(path: Path) -> dict[str, IndexEntry]:
     """The index of instance corpus `path`, made by one validating read once
     per content within a run; a read with rejections fails the stage and
     is never kept."""
+    from .schema import IndexEntry
+
     key = (path, _hash_path(path)) if _in_run else None
     index = _handoff.get(key)
     if index is None:
@@ -338,6 +328,8 @@ def _stream(path: Path, parse: Callable[[dict], Any] | str, offsets: bool = Fals
     """The records of stage input `path`, decoded one line at a time by
     `parse`, or as a corpus of that kind (`offsets` as read_corpus's); once
     the last is yielded, a rejected line fails the stage with its report."""
+    from .schema import read_corpus, read_jsonl
+
     rejections: list[Rejection] = []
     yield from (read_corpus(path, parse, rejections, offsets=offsets) if isinstance(parse, str)
                 else read_jsonl(path, parse, rejections))
@@ -367,6 +359,7 @@ def _indexes(cfg: PipelineConfig) -> list[dict[str, IndexEntry]]:
 
 def _stage_build_tasks(cfg: PipelineConfig) -> dict:
     from . import task_builder
+    from .schema import read_jsonl
 
     source = _require_input(cfg.real_inputs, "real_inputs")
     rejections: list[Rejection] = []
@@ -411,6 +404,7 @@ def _stage_inject(cfg: PipelineConfig) -> dict:
 
 def _stage_sanitize(cfg: PipelineConfig) -> dict:
     from . import repo_sanitizer
+    from .schema import save_jsonl
 
     source = _require_input(cfg.histories, "histories")
     dropped: list[dict] = []
@@ -429,6 +423,11 @@ def _stage_sanitize(cfg: PipelineConfig) -> dict:
 
 def _stage_curate(cfg: PipelineConfig) -> dict:
     from . import trajectory_curation
+    from .schema import OffsetLookup, TaskInstance, TestReport, read_jsonl, require, save_corpus
+
+    def final_report(record: dict) -> tuple[str, TestReport]:
+        """One final_reports line: `{trajectory_id, code_state, results}`."""
+        return require(record, "trajectory_id", str), TestReport.from_record(record)
 
     traj_path = _require_input(cfg.trajectories, "trajectories")
     reports_path = _require_input(cfg.final_reports, "final_reports")
@@ -436,7 +435,7 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
     rejections: list[Rejection] = []
     reports = OffsetLookup(TestReport.from_record, {  # a repeated trajectory id means its last line
         trajectory_id: (reports_path, offset)
-        for offset, (trajectory_id, _) in read_jsonl(reports_path, _final_report, rejections, offsets=True)})
+        for offset, (trajectory_id, _) in read_jsonl(reports_path, final_report, rejections, offsets=True)})
     report: dict = {}
 
     def curated() -> Iterator[Trajectory]:
@@ -460,11 +459,6 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
     return report
 
 
-def _final_report(record: dict) -> tuple[str, TestReport]:
-    """One final_reports line: `{trajectory_id, code_state, results}`."""
-    return require(record, "trajectory_id", str), TestReport.from_record(record)
-
-
 def _curated_path(cfg: PipelineConfig) -> Path:
     return cfg.out_dir / "curated.jsonl"
 
@@ -485,6 +479,8 @@ class _Reader:
         self.take(None)  # runs the body's set-up
 
     def output(self, name: str) -> Callable[[dict], None]:
+        from .schema import AtomicWriter, dumps_record
+
         writer = AtomicWriter(self.cfg.out_dir / name)
         self.writers.append(writer)
         return lambda record: writer.write(dumps_record(record) + "\n")
@@ -519,12 +515,12 @@ class _Reader:
 
 
 def _mask(cfg: PipelineConfig, output: Callable) -> Generator[None, Trajectory | None, dict]:
-    from . import sft_masking
+    from . import curriculum, sft_masking
 
     write_sample, write_drop = output("samples.jsonl"), output("mask_drops.jsonl")
     emitted = dropped = 0
     while (traj := (yield)) is not None:
-        if curriculum_mod.selected_for_training(traj, recycle_semi_resolved=cfg.recycle_semi_resolved):
+        if curriculum.selected_for_training(traj, recycle_semi_resolved=cfg.recycle_semi_resolved):
             sample, drop = sft_masking.mask_sample(traj, cfg.context_limit)
             if sample is None:
                 write_drop(drop)
@@ -536,20 +532,24 @@ def _mask(cfg: PipelineConfig, output: Callable) -> Generator[None, Trajectory |
 
 
 def _curriculum(cfg: PipelineConfig, output: Callable) -> Generator[None, Trajectory | None, dict]:
+    from . import curriculum
+    from .schema import atomic_write_text, save_jsonl
+
     summaries: list[TrajectorySummary] = []
     while (traj := (yield)) is not None:
         summaries.append(traj.summary())
-    selected = curriculum_mod.select_for_training(summaries, recycle_semi_resolved=cfg.recycle_semi_resolved)
-    plan = curriculum_mod.build_stages(selected, cfg.bins())
+    selected = curriculum.select_for_training(summaries, recycle_semi_resolved=cfg.recycle_semi_resolved)
+    bins = curriculum.default_bins(cfg.max_turns, cfg.easy_upper, cfg.medium_upper)
+    plan = curriculum.build_stages(selected, bins)
     # A stage names its members; their content is in curated.jsonl.
     for stage_no, stage_ids in enumerate(plan.stages, start=1):
         save_jsonl([{"trajectory_id": tid} for tid in stage_ids], cfg.out_dir / f"stage{stage_no}.jsonl")
 
     records = [(t.turn_count, t.outcome == "resolved") for t in summaries]
     try:
-        corr = curriculum_mod.turn_resolve_correlation(records, cfg.bucket_width)
+        corr = curriculum.turn_resolve_correlation(records, cfg.bucket_width)
         corr_report = {**asdict(corr), "r": round(corr.r, 6), "bucket_width": cfg.bucket_width}
-    except curriculum_mod.UndefinedCorrelationError as exc:
+    except curriculum.UndefinedCorrelationError as exc:
         corr_report = {"r": None, "n": len(records), "error": str(exc)}
     atomic_write_text(cfg.out_dir / "correlation_report.json", _dump_report(corr_report))
     return {
@@ -560,6 +560,7 @@ def _curriculum(cfg: PipelineConfig, output: Callable) -> Generator[None, Trajec
 
 def _classify_errors(cfg: PipelineConfig, output: Callable) -> Generator[None, Trajectory | None, dict]:
     from . import error_taxonomy
+    from .schema import OffsetLookup, TaskInstance, atomic_write_text
 
     classifier = error_taxonomy.FailureClassifier(OffsetLookup(TaskInstance.from_record, *_indexes(cfg)))
     write_failure = output("failures.jsonl")
@@ -604,6 +605,7 @@ def _run_reader(cfg: PipelineConfig, stage: Stage) -> dict:
 
 def _stage_tts_select(cfg: PipelineConfig) -> dict:
     from . import tts
+    from .schema import atomic_write_text, save_jsonl
 
     rollouts_path = _require_input(cfg.rollouts, "rollouts")
     verifier = tts.StubVerifier(cfg.seed) if cfg.verifier == "stub" else tts.OracleVerifier()
@@ -696,7 +698,7 @@ STAGES = (
     Stage("mask", _mask, lambda cfg: [_curated_path(cfg)],
           lambda cfg: ["samples.jsonl", "mask_drops.jsonl"], "mask_report.json"),
     Stage("curriculum", _curriculum, lambda cfg: [_curated_path(cfg)],
-          lambda cfg: [*(f"stage{n}.jsonl" for n in range(1, len(cfg.bins()) + 1)),
+          lambda cfg: ["stage1.jsonl", "stage2.jsonl", "stage3.jsonl",  # easy, +medium, +hard
                        "correlation_report.json"],
           "curriculum_report.json"),
     Stage("classify-errors", _classify_errors,
@@ -719,6 +721,8 @@ def run_stage(stage: str, cfg: PipelineConfig) -> tuple[int, dict]:
     name. The report is also written to the stage's report file in out_dir;
     a ValidationFailure's rejection entries, to `<stage>_rejections.jsonl`
     there, which the report names."""
+    from .schema import atomic_write_text, save_jsonl
+
     spec = next((s for s in STAGES if s.name == stage), None)
     if spec is None:
         raise ValueError(f"unknown stage {stage!r}")
@@ -747,6 +751,8 @@ def _hash_path(path: Path) -> str:
 
 
 def _sha256(path: Path) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     files = [path]
     if path.is_dir():
@@ -761,6 +767,8 @@ def _sha256(path: Path) -> str:
 
 
 def _input_fingerprint(stage: Stage, cfg: PipelineConfig) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     digest.update(stage.name.encode())
     digest.update(cfg.config_path.read_bytes())
@@ -777,6 +785,8 @@ def _read_state(path: Path) -> tuple[bytes, dict]:
     undecodable (say, truncated, or nested past the recursion limit) state
     file counts as empty, so every stage re-runs; so does one that is not an
     object of objects whose `outputs`, where present, is an object."""
+    import json
+
     try:
         recorded = path.read_bytes()
     except FileNotFoundError:
@@ -795,17 +805,22 @@ def _write_state(path: Path, state: dict, state_bytes: bytes) -> None:
     run, are already what it would hold."""
     text = _dump_report(state)
     if text.encode("utf-8") != state_bytes:
+        from .schema import atomic_write_text
+
         atomic_write_text(path, text)
 
 
 def _detached_stages(cfg: PipelineConfig) -> list[Stage]:
     """The stages that read no other stage's output and whose outputs no
     other stage reads."""
-    written = {s.name: [cfg.out_dir / name for name in (*s.outputs(cfg), s.report)] for s in STAGES}
+    # A stage reads another's output where one of its inputs is that output
+    # or a directory above it; every output lies directly in out_dir.
+    above = {cfg.out_dir, *cfg.out_dir.parents}
+    written = {s.name: {*above, *(cfg.out_dir / name for name in (*s.outputs(cfg), s.report))} for s in STAGES}
+    inputs = {s.name: s.inputs(cfg) for s in STAGES}
 
     def reads(reader: Stage, writer: Stage) -> bool:
-        return any(path == out or path in out.parents
-                   for path in reader.inputs(cfg) if path is not None for out in written[writer.name])
+        return not written[writer.name].isdisjoint(inputs[reader.name])
 
     return [s for s in STAGES if not any(reads(s, o) or reads(o, s) for o in STAGES if o is not s)]
 
@@ -818,6 +833,9 @@ def _fork_worker(stages: list[Stage], cfg: PipelineConfig) -> tuple[int, int] | 
     forked while other threads run may deadlock on a lock one of them held."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return None
+    # The child's stages and this process's state write after _reap both use
+    # the record layer: imported once here, it is not imported on each side.
+    from . import schema  # noqa: F401
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -959,6 +977,8 @@ def _summarize(report: dict) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="forge",
         description="Build SWE task instances, curate trajectories, and run best-of-K selection.",
@@ -982,6 +1002,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.stage == "export-history":
             from . import repo_sanitizer
+            from .schema import save_jsonl
 
             blocker = next((p for p in Path(args.out).parents if p.exists() and not p.is_dir()), None)
             if blocker is not None:

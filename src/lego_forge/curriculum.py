@@ -12,8 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from . import DEFAULT_MAX_TURNS, EASY_UPPER, MEDIUM_UPPER
 from .errors import ForgeError, ValidationFailure
-from .schema import DEFAULT_MAX_TURNS, Trajectory, TrajectorySummary
+from .schema import Trajectory, TrajectorySummary
 
 
 class BinningError(ValidationFailure):
@@ -44,10 +45,6 @@ class CorrelationReport:
     r: float
     n: int
     bins: tuple[tuple[float, float], ...]  # (bucket midpoint, resolve rate)
-
-
-EASY_UPPER = 50
-MEDIUM_UPPER = 70
 
 
 def default_bins(

@@ -18,6 +18,7 @@ which then always runs its regex.
 from __future__ import annotations
 
 import re
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -37,6 +38,7 @@ DEFAULT_ERROR_PATTERNS = _DATA_DIR / "error_patterns.txt"
 DEFAULT_PHASE_PATTERNS = _DATA_DIR / "phase_patterns.txt"
 
 HACK_SEVERITIES = ("high", "medium")
+PHASES = ("reproduction", "exploration", "editing", "testing", "other")
 
 
 class RegistryError(ForgeError):
@@ -175,10 +177,17 @@ def _registry_entries(
 
 
 def _compile(pattern: str, path: str | Path, line_no: int, flags: int = 0) -> re.Pattern:
-    try:
-        return re.compile(pattern, flags)
-    except (re.error, RecursionError, OverflowError) as exc:  # nested past the limit; a huge repeat count
-        raise RegistryError(f"{path}:{line_no}: bad regex {pattern!r}: {exc}") from exc
+    """`re.compile`, whose errors become RegistryError and whose warnings
+    (say, FutureWarning for a possible nested set) name `path:line_no`."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            compiled = re.compile(pattern, flags)
+        except (re.error, RecursionError, OverflowError) as exc:  # nested past the limit; a huge repeat count
+            raise RegistryError(f"{path}:{line_no}: bad regex {pattern!r}: {exc}") from exc
+    for warning in caught:
+        warnings.warn_explicit(warning.message, warning.category, str(path), line_no)
+    return compiled
 
 
 def load_hack_patterns(path: str | Path | None = None) -> list[HackPattern]:
@@ -205,8 +214,6 @@ def load_error_patterns(path: str | Path | None = None) -> list[ErrorPattern]:
 
 def load_phase_patterns(path: str | Path | None = None) -> list[PhaseRule]:
     """Load `<phase> <regex>` lines that map bash commands to phases."""
-    from .schema import PHASES
-
     rules = []
     for file_path, line_no, (phase, regex) in _registry_entries(
         path, DEFAULT_PHASE_PATTERNS, "<phase> <regex>"

@@ -35,7 +35,9 @@ from functools import cache, cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from . import DEFAULT_MAX_TURNS
 from .errors import ForgeError
+from .registries import PHASES
 
 if TYPE_CHECKING:
     from .patch_analysis import PatchStats
@@ -43,12 +45,9 @@ if TYPE_CHECKING:
 ORIGINS = ("real", "synthetic")
 DIFFICULTIES = ("easy", "medium", "hard")
 OUTCOMES = ("resolved", "semi_resolved", "unresolved", "error", "empty_patch", "unclassified")
-PHASES = ("reproduction", "exploration", "editing", "testing", "other")
 ALLOWED_TOOLS = ("execute_bash", "str_replace_editor", "think", "finish")
 TEST_STATUSES = ("pass", "fail", "error")
 CODE_STATES = ("pre_patch", "post_patch", "buggy", "restored", "final")
-
-DEFAULT_MAX_TURNS = 100
 
 
 class CorpusError(ForgeError):

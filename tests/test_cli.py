@@ -1094,6 +1094,30 @@ def test_registry_regex_past_the_parser_limits_exits_1_with_one_line(tmp_path, c
     assert not out and err.startswith(f"error: {registry}:2: bad regex ") and err.count("\n") == 1
 
 
+def run_fresh(args: list, **kwargs) -> subprocess.CompletedProcess:
+    """Run `python *args` in a fresh process that imports this checkout's lego_forge."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True, text=True,
+                          timeout=120, **kwargs)
+
+
+def test_registry_regex_warning_names_its_registry_line(tmp_path):
+    # A regex that `re` warns about (a possible nested set) is reported at
+    # its registry file and line, not inside registries.py, and the run
+    # exits as it does with a regex that draws no warning.
+    registry, config = tmp_path / "registry.txt", tmp_path / "forge.cfg"
+    config.write_text("error_patterns = registry.txt\n", encoding="utf-8")
+    runs = {}
+    for regex in ("[[a]", "[a]"):
+        registry.write_text(f"E1 {regex}\n", encoding="utf-8")
+        runs[regex] = run_fresh(["-m", "lego_forge.cli", "pipeline", "--config", config])
+    warned, clean = runs["[[a]"], runs["[a]"]
+    assert warned.returncode == clean.returncode
+    assert f"{registry}:1: FutureWarning: Possible nested set" in warned.stderr
+    assert "registries.py" not in warned.stderr and "Warning" not in clean.stderr
+
+
 REGISTRIES = {"hack_patterns": DEFAULT_HACK_PATTERNS, "error_patterns": DEFAULT_ERROR_PATTERNS,
               "phase_patterns": DEFAULT_PHASE_PATTERNS}
 REGISTRY_EDITS = ("drop-field", "unknown-name", "truncate-regex", "deep-nesting", "huge-repeat", "not-utf8")
@@ -1202,7 +1226,8 @@ def test_state_file_is_left_alone_when_its_bytes_would_not_change(corpus):
 
 def test_skipping_rerun_imports_no_stage_module(corpus):
     # A fresh process that loads the config and re-runs a finished pipeline
-    # skips every stage, so it never imports a stage's modules.
+    # skips every stage, so it never imports a stage's modules, nor the
+    # record layer or the curriculum.
     assert run_pipeline(load_config(corpus), echo=lambda s: None) == EXIT_OK
     script = (
         "import json, sys\n"
@@ -1211,17 +1236,54 @@ def test_skipping_rerun_imports_no_stage_module(corpus):
         "code = cli.main(['pipeline', '--config', sys.argv[1]])\n"
         "print(json.dumps([code, sorted(sys.modules)]))\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script, str(corpus)], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    *lines, last = proc.stdout.splitlines()
+    *lines, last = run_fresh(["-c", script, corpus], check=True).stdout.splitlines()
     code, modules = json.loads(last)
     assert code == EXIT_OK and len(lines) == len(cli.STAGES)
     assert all(line.startswith("[skip]") for line in lines)
-    stage_modules = {"patch_analysis", "task_builder", "repo_sanitizer", "trajectory_curation",
-                     "sft_masking", "error_taxonomy", "tts"}
-    assert not [m for m in modules if m.removeprefix("lego_forge.") in stage_modules]
+    unwanted = {"patch_analysis", "task_builder", "repo_sanitizer", "trajectory_curation",
+                "sft_masking", "error_taxonomy", "tts", "schema", "curriculum"}
+    assert not [m for m in modules if m.removeprefix("lego_forge.") in unwanted]
+
+
+def test_loading_the_config_imports_only_errors_registries_and_cli(corpus):
+    # What `bench/run.py` times as set-up: a fresh process that loads the
+    # config imports no record, curriculum or stage code, nor hashlib,
+    # argparse or json, beyond what the bare interpreter had loaded.
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "from lego_forge.cli import load_config\n"
+        "load_config(sys.argv[1])\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    loaded = json.loads(run_fresh(["-c", script, corpus], check=True).stdout)
+    assert [m for m in loaded if m.startswith("lego_forge")] == [
+        "lego_forge", "lego_forge.cli", "lego_forge.errors", "lego_forge.registries"]
+    assert not {"hashlib", "argparse", "json"} & set(loaded)
+
+
+def test_worker_is_forked_after_the_record_layer_is_imported(corpus):
+    # A re-run with only rollouts edited runs tts-select alone, in the
+    # worker, and the parent then writes the state file: both use schema,
+    # which is imported once, before the fork.
+    cfg = load_config(corpus)
+    assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+    cfg.rollouts.write_text(cfg.rollouts.read_text(encoding="utf-8").replace("summary", "SUMMARY"),
+                            encoding="utf-8")
+    script = (
+        "import json, os, sys\n"
+        "from lego_forge import cli\n"
+        "real_fork, loaded = os.fork, []\n"
+        "def fork():\n"
+        "    loaded.append('lego_forge.schema' in sys.modules)\n"
+        "    return real_fork()\n"
+        "os.fork = fork\n"
+        "code = cli.main(['pipeline', '--config', sys.argv[1]])\n"
+        "print(json.dumps([code, loaded]))\n"
+    )
+    *lines, last = run_fresh(["-c", script, corpus], check=True).stdout.splitlines()
+    assert [line for line in lines if not line.startswith("[skip]")] == ["[ok]   tts-select"]
+    assert json.loads(last) == [EXIT_OK, [True]]
 
 
 def test_deleted_allocation_reruns_tts_select(corpus):
@@ -1454,7 +1516,7 @@ def test_mask_streams_its_samples_into_the_writer(corpus, monkeypatch):
             self.write = recording_write
 
     monkeypatch.setattr(Trajectory, "from_record", classmethod(recording_from_record))
-    monkeypatch.setattr(cli, "AtomicWriter", RecordingWriter)
+    monkeypatch.setattr(schema_mod, "AtomicWriter", RecordingWriter)
     code, report = run_stage("mask", cfg)
     assert code == EXIT_OK
     assert events.count("samples.jsonl") == report["emitted"] == len(read_jsonl(cfg.out_dir / "samples.jsonl")) > 0
@@ -1620,7 +1682,7 @@ def test_built_instances_equal_their_reload(corpus, monkeypatch):
     # golden_stats a builder seeds must equal a fresh parse, and the index
     # must equal the one a validating read makes.
     written = {}
-    real_save = cli.save_corpus
+    real_save = schema_mod.save_corpus
 
     def capturing_save(records, path, on_write=None):
         kept = written[Path(path).name] = []
@@ -1639,7 +1701,7 @@ def test_built_instances_equal_their_reload(corpus, monkeypatch):
         indexes[path.name] = index = real_index(path)
         return index
 
-    monkeypatch.setattr(cli, "save_corpus", capturing_save)
+    monkeypatch.setattr(schema_mod, "save_corpus", capturing_save)
     monkeypatch.setattr(cli, "_index", capturing_index)
     cfg = load_config(corpus)
     assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
@@ -2044,6 +2106,17 @@ def test_detached_stages_run_in_one_worker_process(corpus, monkeypatch, tmp_path
     assert_run_state_empty()
 
 
+@pytest.mark.parametrize("snapshot_dir", [".", "out"])
+def test_snapshot_dir_at_or_above_out_dir_detaches_no_stage(corpus, snapshot_dir):
+    # inject then reads every stage's outputs, so every stage shares a file
+    # with inject, and none runs in the worker.
+    with open(corpus, "a", encoding="utf-8") as f:
+        f.write(f"snapshot_dir = {snapshot_dir}\n")
+    cfg = load_config(corpus)
+    assert cfg.out_dir.is_relative_to(cfg.snapshot_dir)
+    assert cli._detached_stages(cfg) == []
+
+
 def test_skipping_rerun_never_forks(corpus, monkeypatch):
     cfg = load_config(corpus)
     assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
@@ -2269,7 +2342,7 @@ def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, mo
     # With curate skipped, one pass decodes it for every reader that runs.
     loaded, read, decoded_in, hashed, built, parsed_in = [], [], [], [], [], []
     running = [None]
-    real_read, real_sha256, real_run_stage = cli.read_corpus, cli._sha256, cli.run_stage
+    real_read, real_sha256, real_run_stage = schema_mod.read_corpus, cli._sha256, cli.run_stage
     real_from_record = TaskInstance.from_record.__func__
     real_traj_from_record = Trajectory.from_record.__func__
     real_parse_patch = patch_analysis.parse_patch
@@ -2302,7 +2375,7 @@ def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, mo
         finally:
             running[0] = None
 
-    monkeypatch.setattr(cli, "read_corpus", counting_read)
+    monkeypatch.setattr(schema_mod, "read_corpus", counting_read)
     monkeypatch.setattr(cli, "_sha256", counting_sha256)
     monkeypatch.setattr(cli, "run_stage", recording_run_stage)
     monkeypatch.setattr(TaskInstance, "from_record", classmethod(counting_from_record))
@@ -2500,14 +2573,14 @@ def test_rejected_corpus_is_never_kept(corpus, monkeypatch):
         f.write("instances = external_instances.jsonl\n")
     cfg = load_config(corpus)
     held_at_reject = []
-    real_save = cli.save_jsonl
+    real_save = schema_mod.save_jsonl
 
     def recording_save(records, path):
         if Path(path).name.endswith("_rejections.jsonl"):  # run_stage writes a rejection report
             held_at_reject.append([path.name for path, _ in cli._handoff])
         return real_save(records, path)
 
-    monkeypatch.setattr(cli, "save_jsonl", recording_save)
+    monkeypatch.setattr(schema_mod, "save_jsonl", recording_save)
     lines = []
     assert run_pipeline(cfg, echo=lines.append) == EXIT_VALIDATION
     assert lines[-1].startswith("[fail] curate:")
@@ -2526,8 +2599,8 @@ def test_rejected_corpus_is_never_kept(corpus, monkeypatch):
         loaded.append(Path(path).name)
         return real_read(path, kind, rejections, **kwargs)
 
-    real_read = cli.read_corpus
-    monkeypatch.setattr(cli, "read_corpus", counting_read)
+    real_read = schema_mod.read_corpus
+    monkeypatch.setattr(schema_mod, "read_corpus", counting_read)
     assert cli.main(["classify-errors", "--config", str(corpus)]) == EXIT_OK
     assert loaded == ["instances_real.jsonl", "instances_synth.jsonl", external.name, "curated.jsonl"]
     assert_run_state_empty()

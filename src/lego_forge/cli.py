@@ -7,18 +7,18 @@ function it calls. Stages write their outputs atomically (temp file plus
 rename, so an interrupted stage leaves nothing partial), and are
 deterministic: identical inputs produce byte-identical outputs. The
 `pipeline` command runs every configured stage in dependency order and
-skips stages whose recorded input content hashes are unchanged. Within one
-`pipeline` run each file is hashed, and each instance corpus indexed, once
-per content: `build-tasks` and `inject` index each instance as they write
-it, any other corpus is indexed by one validating read, and no stage holds
-an instance corpus (see `_handoff`). The `trajectories` input is decoded
-one line at a time into `curate`, never held whole, nor is `final_reports`:
-`curate` decodes each report from its line (`schema.OffsetLookup`). As
-`curate` writes each curated record, it hands it to the reader stages,
-those whose `Stage.run` is a generator function that a `_Reader` feeds,
-which use it and let it go, so no stage holds the curated corpus; each
-commits its outputs at its own turn, and one whose inputs turn out
-unchanged drops them and is skipped.
+skips each one whose outputs all exist and whose state entry is still its
+record (see below). Within one `pipeline` run each file is hashed, and
+each instance corpus indexed, once per content: `build-tasks` and
+`inject` index each instance as they write it, any other corpus is indexed
+by one validating read, and no stage holds an instance corpus (see
+`_handoff`). The `trajectories` input is decoded one line at a time into
+`curate`, never held whole, nor is `final_reports`: `curate` decodes each
+report from its line (`schema.OffsetLookup`). As `curate` writes each
+curated record, it hands it to the reader stages, those whose `Stage.run`
+is a generator function that a `_Reader` feeds, which use it and let it
+go, so no stage holds the curated corpus; each commits its outputs at its
+own turn, and one whose inputs turn out unchanged drops them and is skipped.
 Where `curate` does not run, the first reader stage that runs feeds itself
 and every reader stage after it from one pass over `curated.jsonl`, by the
 same rule. Every JSON Lines output is encoded line by line into its temp
@@ -47,11 +47,15 @@ its stage's name and writes every rejection report next to the stage
 outputs, so no stage body names its stage. Every JSON Lines input is read
 by `schema.read_jsonl`, so a malformed line (one not UTF-8 too) is a
 rejection, except in `real_inputs`, where it is skipped with its reason; a
-streamed input fails its stage after its last line. A state file of
-another shape than `pipeline` writes counts as empty, so every stage re-runs.
-An output the file system refuses fails its stage with exit 1; a report or
-state file it refuses, or a missing `git`, ends `main` with one `error:`
-line and exit 1.
+streamed input fails its stage after its last line. An output the file
+system refuses fails its stage with exit 1; a report or state file it
+refuses, or a missing `git`, ends `main` with one `error:` line and exit 1.
+
+`out_dir/.forge_state.json` maps each stage that succeeded to its record
+(`_record`): the [name, sha256] of the config file, of each input that
+exists and of each output that exists, in that order. A state file that is
+missing, undecodable or not a JSON object counts as empty, so every stage
+re-runs; an entry of any other value re-runs its own stage alone.
 
 The config file is a plain `key = value` text file, the one source of run
 settings (the seed too); paths resolve relative to its directory. Its
@@ -766,25 +770,23 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _input_fingerprint(stage: Stage, cfg: PipelineConfig) -> str:
-    import hashlib
+def _outputs(stage: Stage, cfg: PipelineConfig) -> list[Path]:
+    return [cfg.out_dir / name for name in (*stage.outputs(cfg), stage.report)]
 
-    digest = hashlib.sha256()
-    digest.update(stage.name.encode())
-    digest.update(cfg.config_path.read_bytes())
-    for path in stage.inputs(cfg):
-        # One that cannot be looked up counts as missing: _require_input then exits 2.
-        if path is not None and os.path.exists(path):
-            digest.update(path.name.encode())
-            digest.update(_hash_path(path).encode())
-    return digest.hexdigest()
+
+def _record(stage: Stage, cfg: PipelineConfig) -> list[list[str]]:
+    """`stage`'s state entry (see the module docstring): a list, not a dict
+    by name, as two inputs may share a file name."""
+    # An input that cannot be looked up counts as missing: _require_input then exits 2.
+    inputs = [path for path in stage.inputs(cfg) if path is not None and os.path.exists(path)]
+    paths = [cfg.config_path, *inputs, *(path for path in _outputs(stage, cfg) if path.exists())]
+    return [[path.name, _hash_path(path)] for path in paths]
 
 
 def _read_state(path: Path) -> tuple[bytes, dict]:
-    """The state file's bytes and its recorded fingerprints. A missing or
-    undecodable (say, truncated, or nested past the recursion limit) state
-    file counts as empty, so every stage re-runs; so does one that is not an
-    object of objects whose `outputs`, where present, is an object."""
+    """The state file's bytes and its entries by stage: none where it is
+    missing, undecodable (say, truncated, or nested past the recursion
+    limit) or not a JSON object."""
     import json
 
     try:
@@ -795,9 +797,7 @@ def _read_state(path: Path) -> tuple[bytes, dict]:
         state = json.loads(recorded.decode("utf-8"))
     except (ValueError, RecursionError):
         return recorded, {}
-    valid = isinstance(state, dict) and all(
-        isinstance(entry, dict) and isinstance(entry.get("outputs", {}), dict) for entry in state.values())
-    return recorded, state if valid else {}
+    return recorded, state if isinstance(state, dict) else {}
 
 
 def _write_state(path: Path, state: dict, state_bytes: bytes) -> None:
@@ -816,7 +816,7 @@ def _detached_stages(cfg: PipelineConfig) -> list[Stage]:
     # A stage reads another's output where one of its inputs is that output
     # or a directory above it; every output lies directly in out_dir.
     above = {cfg.out_dir, *cfg.out_dir.parents}
-    written = {s.name: {*above, *(cfg.out_dir / name for name in (*s.outputs(cfg), s.report))} for s in STAGES}
+    written = {s.name: {*above, *_outputs(s, cfg)} for s in STAGES}
     inputs = {s.name: s.inputs(cfg) for s in STAGES}
 
     def reads(reader: Stage, writer: Stage) -> bool:
@@ -878,31 +878,25 @@ def _reap(pid: int, read_fd: int) -> dict[str, tuple[int, str]]:
 
 
 def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> int:
-    """Run every stage in dependency order, skipping stages whose input
-    content hashes match the recorded state and whose outputs are intact.
-    The detached stages run in one forked worker alongside the others;
-    lines, state and the exit code still follow stage order, up to the
-    first failing stage, whose exit code is returned. The state file is
-    rewritten only when its bytes change."""
+    """Run every stage in dependency order, skipping each one whose outputs
+    all exist and whose state entry equals its `_record`. The detached
+    stages run in one forked worker alongside the others; lines, state and
+    the exit code still follow stage order, up to the first failing stage,
+    whose exit code is returned. The state file is rewritten only when its
+    bytes change."""
     global _in_run
     state_path = cfg.out_dir / ".forge_state.json"
     state_bytes, state = _read_state(state_path)
-    # Per stage decided so far: (input fingerprint, outputs) to run it, or None to skip it.
-    plans: dict[str, tuple[str, list[Path]] | None] = {}
+    plans: dict[str, bool] = {}  # per stage decided so far: whether it runs
 
-    def plan(stage: Stage) -> tuple[str, list[Path]] | None:
-        fingerprint = _input_fingerprint(stage, cfg)
-        recorded = state.get(stage.name, {})
-        outputs = [cfg.out_dir / name for name in (*stage.outputs(cfg), stage.report)]
-        intact = all(path.exists() for path in outputs) and all(
-            recorded.get("outputs", {}).get(path.name) == _hash_path(path) for path in outputs
-        )
-        if recorded.get("inputs") == fingerprint and intact:
-            return None
+    def plan(stage: Stage) -> bool:
+        outputs = _outputs(stage, cfg)
+        if all(path.exists() for path in outputs) and state.get(stage.name) == _record(stage, cfg):
+            return False
         # The stage rewrites its outputs; they are hashed only once written.
         for path in outputs:
             _digests.pop(path, None)
-        return fingerprint, outputs
+        return True
 
     _in_run = True
     collecting = gc.isenabled()  # off for the run (see the module docstring)
@@ -921,7 +915,7 @@ def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> in
                     continue
                 if stage.name not in plans:
                     plans[stage.name] = plan(stage)
-                if plans[stage.name] is None:
+                if not plans[stage.name]:
                     speculative = _readers.pop(stage.name, None)
                     if speculative is not None:  # fed by an earlier pass, but its inputs are unchanged
                         speculative.discard()
@@ -935,8 +929,7 @@ def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> in
                 results.update(_reap(*worker))
 
         for stage in STAGES:
-            planned = plans[stage.name]
-            if planned is None:
+            if not plans[stage.name]:
                 echo(f"[skip] {stage.name}: inputs unchanged")
                 continue
             code, error = results.get(stage.name, (EXIT_INTERNAL, "worker process ended before the stage did"))
@@ -945,11 +938,7 @@ def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> in
                 state.pop(stage.name, None)
                 _write_state(state_path, state, state_bytes)
                 return code
-            fingerprint, outputs = planned
-            state[stage.name] = {
-                "inputs": fingerprint,
-                "outputs": {path.name: _hash_path(path) for path in outputs if path.exists()},
-            }
+            state[stage.name] = _record(stage, cfg)
             echo(f"[ok]   {stage.name}")
         _write_state(state_path, state, state_bytes)
         return EXIT_OK

@@ -80,17 +80,25 @@ def sanitize_real_history(
 ) -> list[CommitRecord]:
     """Drop commits authored after the cutoff; rewrite dangling parents.
 
-    The input must be topologically ordered (parents before children).
-    Retained messages are unchanged. A removed commit's survivors point at
-    its nearest retained ancestor, found by walking parent chains in order.
-    A retained commit whose parents all survive is returned as it came.
+    The input lists each commit once, parents before children, else
+    ValueError; a parent id that names no commit of it (a shallow export's)
+    is allowed. Retained messages are unchanged. A removed commit's
+    survivors point at its nearest retained ancestor, found by walking
+    parent chains in order. A retained commit whose parents all survive is
+    returned as it came.
     """
     cutoff_dt = parse_timestamp(cutoff)
     # Maps every commit id to its retained stand-in (itself when kept,
     # nearest retained ancestor when dropped, None when no ancestor is kept).
     stand_in: dict[str, str | None] = {}
     retained: list[CommitRecord] = []
+    named: set[str] = set()  # every commit id and parent id met so far
     for commit in history:
+        if commit.commit_id in named:  # it repeats, or a commit before it names it as a parent
+            raise ValueError(f"commit {commit.commit_id!r} repeats or comes after a child of it: "
+                             "a history lists each commit once, parents first")
+        named.add(commit.commit_id)
+        named.update(commit.parent_ids)
         if parse_timestamp(commit.author_date) <= cutoff_dt:
             parents = []
             for parent in commit.parent_ids:
@@ -131,8 +139,9 @@ def sanitize_record(record: dict) -> dict:
     """One histories line, checked and sanitized as it is read, so only one
     history's commits are alive at a time: the output line, or
     `{instance_id, reason}` when a cutoff keeps no commit. Raises ValueError
-    when a field is missing or has the wrong type. Each commit is checked
-    once; only a cutoff history builds its CommitRecords."""
+    when a field is missing or has the wrong type, or a cutoff history is
+    not parents-first with unique ids. Each commit is checked once; only a
+    cutoff history builds its CommitRecords."""
     policy = require(record, "policy", str)
     anchor = {"cutoff": "cutoff", "single_snapshot": "snapshot_id"}.get(policy)
     if anchor is None:

@@ -186,7 +186,7 @@ def test_out_dir_that_cannot_be_looked_up_fails_at_load(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["trajectories", "instances"])
 def test_input_that_cannot_be_looked_up_is_missing_input(corpus, capsys, key):
-    # Such an input is no part of curate's fingerprint, and the stage exits 2
+    # Such an input is no part of curate's record, and the stage exits 2
     # from _require_input, as for a missing one.
     with corpus.open("a", encoding="utf-8") as f:
         f.write(f"{key} = {TOO_LONG}.jsonl\n")
@@ -262,6 +262,25 @@ def test_editing_a_configured_registry_reruns_curate(tmp_path):
     ]
     assert run_pipeline(load_config(fresh), echo=lambda s: None) == EXIT_OK
     assert tree_bytes(edited.parent / "out") == tree_bytes(fresh.parent / "out")
+
+
+@pytest.mark.parametrize("edited", ["a", "b"])
+def test_registries_of_one_file_name_are_recorded_apart(tmp_path, edited):
+    # Two registries named patterns.txt in different directories each keep
+    # their own digest in curate's entry, so a comment appended to either
+    # re-runs curate; the readers then find curated.jsonl unchanged.
+    config = build_integration_corpus(tmp_path / "corpus")
+    for sub, registry in (("a", DEFAULT_HACK_PATTERNS), ("b", DEFAULT_ERROR_PATTERNS)):
+        (config.parent / sub).mkdir()
+        (config.parent / sub / "patterns.txt").write_bytes(registry.read_bytes())
+    with config.open("a", encoding="utf-8") as f:
+        f.write("hack_patterns = a/patterns.txt\nerror_patterns = b/patterns.txt\n")
+    assert run_pipeline(load_config(config), echo=lambda s: None) == EXIT_OK
+    with (config.parent / edited / "patterns.txt").open("a", encoding="utf-8") as f:
+        f.write("\n# an edit\n")
+    lines = []
+    assert run_pipeline(load_config(config), echo=lines.append) == EXIT_OK
+    assert [line for line in lines if not line.startswith("[skip]")] == ["[ok]   curate"]
 
 
 def test_config_missing_registry_is_missing_input(tmp_path):
@@ -953,6 +972,37 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
+def fuzz_line(path: Path, lines: list[str], kind: str, data) -> None:
+    """Write `lines`, JSON texts, to `path` as JSON lines, with one of them
+    edited as fuzz `kind` says (see the fuzz tests below)."""
+    n = data.draw(st.integers(0, len(lines) - 1), label="line")
+    record = json.loads(lines[n])
+    top = [(record, field) for field in sorted(record)]
+    nested = [slot for _, field in top for slot in nested_slots(record[field])]
+    # A non-finite number goes over a value, or into a field no record type declares.
+    slots = {"nested-change-type": nested or top, "non-finite": [(record, "fuzzed"), *top, *nested]}.get(kind, top)
+    container, field = slots[data.draw(st.integers(0, len(slots) - 1), label="slot")]
+    if kind == "drop-key":
+        del container[field]
+    elif kind in ("change-type", "nested-change-type"):
+        container[field] = data.draw(
+            st.sampled_from([v for v in FUZZ_VALUES if type(v) is not type(container[field])]))
+    elif kind in (*UNDECODABLE_VALUES, "not-utf8", "non-finite"):
+        container[field] = "@undecodable@"
+    lines[n] = json.dumps(record)
+    if kind in UNDECODABLE_VALUES:
+        lines[n] = lines[n].replace('"@undecodable@"', UNDECODABLE_VALUES[kind][0])
+    elif kind == "non-finite":
+        lines[n] = lines[n].replace('"@undecodable@"', data.draw(st.sampled_from(NON_FINITE), label="number"))
+    elif kind == "not-utf8":
+        lines[n] = lines[n].replace("@undecodable@", "\udcff")  # written as the byte 0xff
+    elif kind == "truncate":
+        lines[n] = lines[n][: data.draw(st.integers(1, len(lines[n]) - 1), label="cut")]
+    elif kind in ("array", "blank"):
+        lines.insert(n, "[1, 2]" if kind == "array" else "")
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8", errors="surrogateescape")
+
+
 STATE = ".forge_state.json"
 
 
@@ -983,33 +1033,7 @@ def test_fuzzed_input_line_ends_in_a_report_never_a_traceback(key, kind, data):
         else:
             path, stages = getattr(cfg, key), cli.STAGES
         text = path.read_text(encoding="utf-8")
-        lines = [text.removesuffix("\n")] if key == STATE else text.split("\n")[:-1]
-        n = data.draw(st.integers(0, len(lines) - 1), label="line")
-        record = json.loads(lines[n])
-        top = [(record, field) for field in sorted(record)]
-        nested = [slot for _, field in top for slot in nested_slots(record[field])]
-        # A non-finite number goes over a value, or into a field no record type declares.
-        slots = {"nested-change-type": nested or top, "non-finite": [(record, "fuzzed"), *top, *nested]}.get(kind, top)
-        container, field = slots[data.draw(st.integers(0, len(slots) - 1), label="slot")]
-        if kind == "drop-key":
-            del container[field]
-        elif kind in ("change-type", "nested-change-type"):
-            container[field] = data.draw(
-                st.sampled_from([v for v in FUZZ_VALUES if type(v) is not type(container[field])]))
-        elif kind in (*UNDECODABLE_VALUES, "not-utf8", "non-finite"):
-            container[field] = "@undecodable@"
-        lines[n] = json.dumps(record)
-        if kind in UNDECODABLE_VALUES:
-            lines[n] = lines[n].replace('"@undecodable@"', UNDECODABLE_VALUES[kind][0])
-        elif kind == "non-finite":
-            lines[n] = lines[n].replace('"@undecodable@"', data.draw(st.sampled_from(NON_FINITE), label="number"))
-        elif kind == "not-utf8":
-            lines[n] = lines[n].replace("@undecodable@", "\udcff")  # written as the byte 0xff
-        elif kind == "truncate":
-            lines[n] = lines[n][: data.draw(st.integers(1, len(lines[n]) - 1), label="cut")]
-        elif kind in ("array", "blank"):
-            lines.insert(n, "[1, 2]" if kind == "array" else "")
-        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8", errors="surrogateescape")
+        fuzz_line(path, [text.removesuffix("\n")] if key == STATE else text.split("\n")[:-1], kind, data)
         if key == STATE:
             assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
             after = tree_bytes(cfg.out_dir)
@@ -1026,6 +1050,47 @@ def test_fuzzed_input_line_ends_in_a_report_never_a_traceback(key, kind, data):
                 text = (cfg.out_dir / name).read_text(encoding="utf-8")
                 for part in text.split("\n")[:-1] if name.endswith(".jsonl") else [text]:
                     strict_json(part)
+        assert not [p.name for p in cfg.out_dir.iterdir() if p.name.endswith(".tmp")]
+
+
+@pytest.fixture(scope="module")
+def finished_template(tmp_path_factory):
+    """The integration corpus with the out_dir of a finished `forge pipeline` run."""
+    config = build_integration_corpus(tmp_path_factory.mktemp("finished") / "corpus")
+    assert run_pipeline(load_config(config), echo=lambda s: None) == EXIT_OK
+    return config.parent
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(key=st.sampled_from(["histories", "rollouts"]), kind=st.sampled_from(FUZZ_KINDS), data=st.data())
+def test_fuzzed_worker_input_line_fails_its_stage_in_stage_order(finished_template, key, kind, data):
+    # One line of a finished run's `histories` or `rollouts` gets one of the
+    # edits above, and `forge pipeline` re-runs that input's stage in the
+    # forked worker. The run exits 0, 2 or 3. A failing stage prints its
+    # `[fail]` line last, writes its report (and its rejections at exit 3)
+    # and leaves no state entry; no temp file is left either way.
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = load_config(shutil.copytree(finished_template, Path(tmp) / "corpus") / "forge.cfg")
+        path = getattr(cfg, key)
+        stage = next(s for s in cli.STAGES if s.inputs(cfg)[0] == path)
+        fuzz_line(path, path.read_text(encoding="utf-8").split("\n")[:-1], kind, data)
+        lines, workers = [], []
+        with pytest.MonkeyPatch.context() as patch:
+            fork_worker = cli._fork_worker
+            patch.setattr(cli, "_fork_worker", lambda *args: workers.append(fork_worker(*args)) or workers[-1])
+            code = run_pipeline(cfg, echo=lines.append)
+        assert_no_child_left()
+        assert len(workers) == 1 and workers[0] is not None
+        assert code in (EXIT_OK, EXIT_MISSING_INPUT, EXIT_VALIDATION), lines
+        assert read(cfg.out_dir / stage.report)["exit_code"] == code
+        state = read(cfg.out_dir / STATE)
+        if code == EXIT_OK:
+            assert f"[ok]   {stage.name}" in lines and stage.name in state
+        else:
+            assert re.fullmatch(rf"\[fail\] {stage.name}: .+ \(exit {code}\)", lines[-1]), lines[-1]
+            rejections = cfg.out_dir / f"{stage.name.replace('-', '_')}_rejections.jsonl"
+            assert rejections.exists() == (code == EXIT_VALIDATION)
+            assert stage.name not in state
         assert not [p.name for p in cfg.out_dir.iterdir() if p.name.endswith(".tmp")]
 
 
@@ -1208,6 +1273,18 @@ def test_second_run_skips_every_stage(corpus, capsys):
     assert all(line.startswith("[skip]") for line in lines)
 
 
+def test_state_entry_is_the_stage_record(corpus):
+    # A stage's entry is the [name, sha256] of the config file, of each input
+    # that exists (no registry is configured here) and of each output.
+    cfg = load_config(corpus)
+    assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
+    out = cfg.out_dir
+    paths = [cfg.config_path, cfg.trajectories, cfg.final_reports, out / "instances_real.jsonl",
+             out / "instances_synth.jsonl", out / "curated.jsonl", out / "curation_report.json"]
+    assert read(out / ".forge_state.json")["curate"] == [
+        [path.name, hashlib.sha256(path.read_bytes()).hexdigest()] for path in paths]
+
+
 def test_state_file_is_left_alone_when_its_bytes_would_not_change(corpus):
     # A re-run that skips every stage keeps the state file as it is; one
     # after an edit rewrites it.
@@ -1343,21 +1420,55 @@ def test_corrupt_state_file_reruns_every_stage(corpus):
     assert set(read(state)) == {stage.name for stage in cli.STAGES}
 
 
-@pytest.mark.parametrize("text", ["[]", '{"curate": 5}', '{"curate": {"outputs": []}}', "[" * 200_000],
-                         ids=["array", "stage-not-object", "outputs-not-object", "deep-nesting"])
-def test_state_file_of_another_shape_reruns_every_stage(corpus, text):
-    # A state file that is not an object of objects whose `outputs` is an
-    # object, or that nests past the recursion limit, counts as empty: every
-    # stage re-runs and the tree is the one the cold run left.
+def parent_format(cfg, state: dict) -> str:
+    """`state` as the version before per-stage records wrote it: one
+    fingerprint of the inputs and, by name, the digests of the outputs."""
+    old = {}
+    for stage in cli.STAGES:
+        outputs = {*stage.outputs(cfg), stage.report}
+        old[stage.name] = {"inputs": hashlib.sha256(json.dumps(state[stage.name]).encode()).hexdigest(),
+                           "outputs": {name: digest for name, digest in state[stage.name] if name in outputs}}
+    return json.dumps(old)
+
+
+def curate_entry(value):
+    return lambda cfg, state: json.dumps({**state, "curate": value})
+
+
+EVERY_STAGE = [stage.name for stage in cli.STAGES]
+STATE_EDITS = {
+    "array": (lambda cfg, state: "[]", EVERY_STAGE),
+    "stage-not-object": (lambda cfg, state: '{"curate": 5}', EVERY_STAGE),
+    "outputs-not-object": (lambda cfg, state: '{"curate": {"outputs": []}}', EVERY_STAGE),
+    "deep-nesting": (lambda cfg, state: "[" * 200_000, EVERY_STAGE),
+    "parent-format": (parent_format, EVERY_STAGE),
+    **{f"curate-entry-{name}": (curate_entry(value), ["curate"])
+       for name, value in [("5", 5), ("array", []), ("null", None), ("outputs-array", {"outputs": []})]},
+}
+
+
+@pytest.mark.parametrize("edit", sorted(STATE_EDITS))
+def test_state_file_of_another_shape_reruns_every_stage(corpus, edit):
+    # A state file that is not a JSON object, or that nests past the
+    # recursion limit, counts as empty, and one that a version before the
+    # per-stage records wrote has no entry equal to a record: every stage
+    # re-runs. A single entry of another value re-runs its stage alone (the
+    # readers then find curated.jsonl unchanged). Either way the tree is the
+    # one the cold run left, and a further run skips every stage.
     cfg = load_config(corpus)
     assert run_pipeline(cfg, echo=lambda s: None) == EXIT_OK
     cold = tree_bytes(cfg.out_dir)
-    (cfg.out_dir / ".forge_state.json").write_text(text, encoding="utf-8")
+    rewrite, rerun = STATE_EDITS[edit]
+    (cfg.out_dir / STATE).write_text(rewrite(cfg, read(cfg.out_dir / STATE)), encoding="utf-8")
     lines = []
     assert run_pipeline(cfg, echo=lines.append) == EXIT_OK
-    assert lines == [f"[ok]   {stage.name}" for stage in cli.STAGES]
+    assert lines == [f"[ok]   {name}" if name in rerun else f"[skip] {name}: inputs unchanged"
+                     for name in EVERY_STAGE]
     assert tree_bytes(cfg.out_dir) == cold
     assert_run_state_empty()
+    lines = []
+    assert run_pipeline(cfg, echo=lines.append) == EXIT_OK
+    assert lines == [f"[skip] {name}: inputs unchanged" for name in EVERY_STAGE]
 
 
 def test_corrupting_one_input_reruns_only_downstream(corpus):
@@ -2693,6 +2804,26 @@ def test_sanitize_drops_a_history_the_cutoff_empties(corpus):
     kept = read_jsonl(cfg.out_dir / "sanitized_histories.jsonl")
     assert len(kept) == report["sanitized"] == len(read_jsonl(cfg.histories)) - 1
     assert "late" not in [line["instance_id"] for line in kept]
+
+
+@pytest.mark.parametrize("commits", [
+    [("B", "2023-01-01", ["A"]), ("A", "2023-01-01", []), ("C", "2023-09-01", ["B"]), ("D", "2023-02-01", ["C"])],
+    [("A", "2023-01-01", []), ("B", "2023-09-01", ["A"]), ("A", "2023-02-01", ["B"])],
+], ids=["child-first", "repeated-id"])
+def test_sanitize_rejects_a_history_not_parents_first_with_unique_ids(corpus, commits):
+    # Sanitized, either history would lose a link or repeat a commit; it is
+    # BAD_RECORD at its line instead, and the stage exits 3.
+    cfg = load_config(corpus)
+    history = {"instance_id": "disordered", "policy": "cutoff", "cutoff": "2023-03-01T00:00:00Z",
+               "commits": [{"commit_id": cid, "author_date": f"{day}T00:00:00Z", "message": "m",
+                            "parent_ids": parents} for cid, day, parents in commits]}
+    with open(cfg.histories, "a", encoding="utf-8") as f:
+        f.write(json.dumps(history) + "\n")
+    code, report = run_stage("sanitize", cfg)
+    assert code == EXIT_VALIDATION
+    assert [(e["line_no"], e["codes"]) for e in read_jsonl(Path(report["rejection_report"]))] == [
+        (len(read_jsonl(cfg.histories)), ["BAD_RECORD"])]
+    assert not (cfg.out_dir / "sanitized_histories.jsonl").exists()
 
 
 

@@ -118,6 +118,34 @@ def test_dangling_parent_rewritten_to_nearest_retained_ancestor():
     assert clean[1].parent_ids == ("a",)
 
 
+# Two histories out of order: B names A, which comes after it (the output
+# would drop B's link to the retained A); and A repeats, the second naming B,
+# which is after the cutoff (the output would hold two commits A).
+OUT_OF_ORDER = {
+    "child-first": [commit("B", "2023-01-01T00:00:00+00:00", parents=["A"]),
+                    commit("A", "2023-01-01T00:00:00+00:00"),
+                    commit("C", "2023-09-01T00:00:00+00:00", parents=["B"]),
+                    commit("D", "2023-02-01T00:00:00+00:00", parents=["C"])],
+    "repeated-id": [commit("A", "2023-01-01T00:00:00+00:00"),
+                    commit("B", "2023-09-01T00:00:00+00:00", parents=["A"]),
+                    commit("A", "2023-02-01T00:00:00+00:00", parents=["B"])],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_ORDER))
+def test_history_not_parents_first_with_unique_ids_is_refused(name):
+    with pytest.raises(ValueError, match="commit 'A' repeats or comes after a child of it"):
+        sanitize_real_history(OUT_OF_ORDER[name], "2023-03-01T00:00:00+00:00")
+
+
+def test_parent_outside_the_history_is_allowed():
+    # A shallow export names parents it does not hold.
+    history = [commit("b", "2023-01-01T00:00:00+00:00", parents=["a"]),
+               commit("c", "2023-02-01T00:00:00+00:00", parents=["b", "z"])]
+    clean = sanitize_real_history(history, "2023-03-01T00:00:00+00:00")
+    assert [(c.commit_id, c.parent_ids) for c in clean] == [("b", ()), ("c", ("b",))]
+
+
 def test_messages_of_retained_commits_unchanged():
     history = [
         commit("a", "2023-01-01T00:00:00+00:00", message="fix: handle empty input"),

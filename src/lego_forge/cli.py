@@ -14,11 +14,16 @@ each instance corpus indexed, once per content: `build-tasks` and
 by one validating read, and no stage holds an instance corpus (see
 `_handoff`). The `trajectories` input is decoded one line at a time into
 `curate`, never held whole, nor is `final_reports`: `curate` decodes each
-report from its line (`schema.OffsetLookup`). As `curate` writes each
-curated record, it hands it to the reader stages, those whose `Stage.run`
-is a generator function that a `_Reader` feeds, which use it and let it
-go, so no stage holds the curated corpus; each commits its outputs at its
-own turn, and one whose inputs turn out unchanged drops them and is skipped.
+report from its line (`schema.OffsetLookup`). On two CPUs or more a forked
+child, the shard, curates the lines from the first line start at or after
+the file's byte midpoint into a temp file, and hands back its report parts
+and rejections; its bytes are appended to `curated.jsonl` as they are, and
+the outputs are those of one pass. As `curate` writes each curated record,
+it hands it to the reader stages, those whose `Stage.run` is a generator
+function that a `_Reader` feeds, which use it and let it go (the shard's
+half from one pass over its file), so no stage holds the curated corpus;
+each commits its outputs at its own turn, and one whose inputs turn out
+unchanged drops them and is skipped.
 Where `curate` does not run, the first reader stage that runs feeds itself
 and every reader stage after it from one pass over `curated.jsonl`, by the
 same rule. Every JSON Lines output is encoded line by line into its temp
@@ -33,8 +38,9 @@ stage or state write that uses it, and before the fork where a worker will
 run stages, so that the worker and this process share that one import.
 The stages that share no file with the rest (read no other stage's output,
 and no stage reads theirs) run in one forked worker process alongside the
-others; stdout, state and the exit code stay in
-stage order, up to the first failing stage. Those stages hold one input
+others, and the shard is a second child (`_fork`); where this process
+cannot fork safely, it does their work itself. Stdout, state and the exit
+code stay in stage order, up to the first failing stage. Those stages hold one input
 line at a time: `sanitize` writes each history before it reads the next,
 and `tts-select` scores each candidate as it reads it and keeps one state
 per instance (`tts.Rollouts`), not the candidate. The records hold no
@@ -426,8 +432,11 @@ def _stage_sanitize(cfg: PipelineConfig) -> dict:
 
 
 def _stage_curate(cfg: PipelineConfig) -> dict:
+    import tempfile
+
     from . import trajectory_curation
-    from .schema import OffsetLookup, TaskInstance, TestReport, read_jsonl, require, save_corpus
+    from .schema import (OffsetLookup, Rejection, TaskInstance, TestReport, TrajectorySummary, corpus_line,
+                         read_corpus, read_jsonl, require, save_corpus)
 
     def final_report(record: dict) -> tuple[str, TestReport]:
         """One final_reports line: `{trajectory_id, code_state, results}`."""
@@ -436,31 +445,113 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
     traj_path = _require_input(cfg.trajectories, "trajectories")
     reports_path = _require_input(cfg.final_reports, "final_reports")
     instances = OffsetLookup(TaskInstance.from_record, *_indexes(cfg))
-    rejections: list[Rejection] = []
+    report_rejections: list[Rejection] = []
     reports = OffsetLookup(TestReport.from_record, {  # a repeated trajectory id means its last line
         trajectory_id: (reports_path, offset)
-        for offset, (trajectory_id, _) in read_jsonl(reports_path, final_report, rejections, offsets=True)})
-    report: dict = {}
+        for offset, (trajectory_id, _) in read_jsonl(reports_path, final_report, report_rejections, offsets=True)})
+    registries = (load_hack_patterns(cfg.hack_patterns), load_error_patterns(cfg.error_patterns),
+                  load_phase_patterns(cfg.phase_patterns))
 
-    def curated() -> Iterator[Trajectory]:
+    def share(rejections: list[Rejection], report: dict, start: int = 0, stop: int | None = None):
+        """Curate the trajectories whose lines start in bytes [start, stop), one at a time."""
+        return trajectory_curation.curate(read_corpus(traj_path, "trajectories", rejections, start=start, stop=stop),
+                                          instances, reports, *registries, report,
+                                          recycle_semi_resolved=cfg.recycle_semi_resolved)
+
+    def shard(send: Callable[[Any], None]) -> None:
+        """The child's share, from `mid` on: its lines go to the shard file, and its report parts,
+        summaries and rejections (numbered in the whole file), or its exit code and error, to `send`."""
+        rejections: list[Rejection] = []
+        report: dict = {}
+        summaries = []
+        try:
+            with open(shard_path, "w", encoding="utf-8") as out:
+                for traj in share(rejections, report, start=mid):
+                    out.write(corpus_line(traj))
+                    summaries.append(tuple(traj.summary()))
+            before = _lines_before(traj_path, mid) if rejections else 0
+            send((EXIT_OK, report, summaries, [(before + r.line_no, r.codes, r.message) for r in rejections]))
+        except Exception as exc:
+            send((exc.exit_code if isinstance(exc, ForgeError) else EXIT_INTERNAL, str(exc)))
+
+    rejections: list[Rejection] = []
+    report: dict = {}
+    summaries: list[TrajectorySummary] = []
+
+    def curated() -> Iterator[Trajectory | Path]:
         # Trajectories are decoded one at a time into curate; a rejection,
         # the trajectories' first, fails it before the rename.
-        yield from trajectory_curation.curate(
-            _stream(traj_path, "trajectories"),
-            instances,
-            reports,
-            load_hack_patterns(cfg.hack_patterns),
-            load_error_patterns(cfg.error_patterns),
-            load_phase_patterns(cfg.phase_patterns),
-            report,
-            recycle_semi_resolved=cfg.recycle_semi_resolved,
-        )
-        _fail_on_rejections(reports_path, rejections)
+        nonlocal child
+        for traj in share(rejections, report, stop=mid):
+            summaries.append(traj.summary())
+            yield traj
+        if child is not None:
+            sent, child = _reap(child), None
+            code, *parts = sent[0] if sent else (EXIT_INTERNAL, "curate's shard ended before its share did")
+            if code != EXIT_OK:
+                error = ForgeError(parts[0])
+                error.exit_code = code
+                raise error
+            shard_report, shard_summaries, shard_rejections = parts
+            summaries.extend(map(TrajectorySummary._make, shard_summaries))
+            report.update(trajectory_curation.rollout_stats(summaries, recycle_semi_resolved=cfg.recycle_semi_resolved))
+            for key in ("repaired_calls", "hack_invalidated", "unrepairable_calls", "notes"):
+                report[key] += shard_report[key]
+            rejections.extend(Rejection(*r) for r in shard_rejections)
+            yield Path(shard_path)  # its bytes follow as they are
+        _fail_on_rejections(traj_path, rejections)
+        _fail_on_rejections(reports_path, report_rejections)
 
-    # Within a run every reader stage takes each curated trajectory as it is
-    # written; those planned to run commit their outputs at their turn.
-    save_corpus(_fold(cfg, [s for s in STAGES if s.reader] if _in_run else [], curated()), _curated_path(cfg))
+    # This process's share is the whole file where the second half holds no
+    # line, or where no child can curate it alongside (one CPU, no safe fork).
+    mid = _split(traj_path) if _cpus() > 1 else None
+    shard_path = child = None
+    try:
+        if mid is not None:
+            cfg.out_dir.mkdir(parents=True, exist_ok=True)
+            fd, shard_path = tempfile.mkstemp(dir=cfg.out_dir, prefix=".curated.jsonl.", suffix=".tmp")
+            os.close(fd)
+            child = _fork(shard)
+            if child is None:
+                mid = None
+        # Within a run every reader stage takes each curated trajectory as it
+        # is written; those planned to run commit their outputs at their turn.
+        save_corpus(_fold(cfg, [s for s in STAGES if s.reader] if _in_run else [], curated()), _curated_path(cfg))
+    finally:
+        if child is not None:
+            _reap(child)
+        if shard_path is not None:
+            os.unlink(shard_path)
     return report
+
+
+def _split(path: Path) -> int | None:
+    """The byte offset of the first line start at or after half of `path`'s
+    size (past offset 0), where the shard's share begins; None where the
+    second half holds no line."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        f.seek(max(size // 2, 1) - 1)
+        f.readline()
+        mid = f.tell()
+    return mid if mid < size else None
+
+
+def _lines_before(path: Path, offset: int) -> int:
+    """How many lines of `path` end before byte `offset`, counted 64 KiB at a time."""
+    count = 0
+    with open(path, "rb") as f:
+        while offset > 0 and (chunk := f.read(min(offset, 1 << 16))):
+            count += chunk.count(b"\n")
+            offset -= len(chunk)
+    return count
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _curated_path(cfg: PipelineConfig) -> Path:
@@ -577,16 +668,26 @@ def _classify_errors(cfg: PipelineConfig, output: Callable) -> Generator[None, T
     return report
 
 
-def _fold(cfg: PipelineConfig, stages: list[Stage], trajectories: Iterable[Trajectory]) -> Iterator[Trajectory]:
+def _fold(cfg: PipelineConfig, stages: list[Stage], trajectories: Iterable[Trajectory | Path]) -> Iterator:
     """Yield each trajectory once a new reader of each of `stages` has taken
-    it. Any exception, a GeneratorExit from a failing writer too, discards
-    every reader; they go to `_readers` once the last trajectory has passed."""
+    it, and each path of a curated corpus once they have taken its
+    trajectories, read by one pass where there is a reader. Any exception, a
+    GeneratorExit from a failing writer too, discards every reader; they go
+    to `_readers` once the last trajectory has passed."""
     readers = {stage.name: _Reader(cfg, stage.run) for stage in stages}
+
+    def take(traj: Trajectory) -> None:
+        for reader in readers.values():
+            reader.take(traj)
+
     try:
-        for traj in trajectories:
-            for reader in readers.values():
-                reader.take(traj)
-            yield traj
+        for item in trajectories:
+            if not isinstance(item, Path):
+                take(item)
+            elif readers:
+                for traj in _stream(item, "trajectories"):
+                    take(traj)
+            yield item
     except BaseException:
         for reader in readers.values():
             reader.discard()
@@ -602,7 +703,7 @@ def _run_reader(cfg: PipelineConfig, stage: Stage) -> dict:
     if stage.name not in _readers:
         path = _require_input(_curated_path(cfg), "curated corpus (run the curate stage first)")
         fed = [s for s in STAGES[STAGES.index(stage):] if s.reader] if _in_run else [stage]
-        for _ in _fold(cfg, fed, _stream(path, "trajectories")):
+        for _ in _fold(cfg, fed, [path]):
             pass
     return _readers.pop(stage.name).finish()
 
@@ -785,16 +886,23 @@ def _record(stage: Stage, cfg: PipelineConfig) -> list[list[str]]:
 
 def _read_state(path: Path) -> tuple[bytes, dict]:
     """The state file's bytes and its entries by stage: none where it is
-    missing, undecodable (say, truncated, or nested past the recursion
-    limit) or not a JSON object."""
+    missing, undecodable (say, truncated, nested past the recursion limit,
+    or holding NaN, Infinity or a number past the float range, which the
+    rewritten file could not hold as standard JSON) or not a JSON object."""
     import json
+
+    def finite(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"{text} is not a finite number")
+        return value
 
     try:
         recorded = path.read_bytes()
     except FileNotFoundError:
         return b"", {}
     try:
-        state = json.loads(recorded.decode("utf-8"))
+        state = json.loads(recorded.decode("utf-8"), parse_constant=finite, parse_float=finite)
     except (ValueError, RecursionError):
         return recorded, {}
     return recorded, state if isinstance(state, dict) else {}
@@ -825,15 +933,15 @@ def _detached_stages(cfg: PipelineConfig) -> list[Stage]:
     return [s for s in STAGES if not any(reads(s, o) or reads(o, s) for o in STAGES if o is not s)]
 
 
-def _fork_worker(stages: list[Stage], cfg: PipelineConfig) -> tuple[int, int] | None:
-    """Fork a child that runs `stages` in order up to the first failure and
-    marshals (name, exit code, error) for each down a pipe; the child never
-    returns. Returns its pid and the pipe's read end, or None where this
-    process cannot fork safely, so that it runs the stages itself: a child
-    forked while other threads run may deadlock on a lock one of them held."""
+def _fork(body: Callable[[Callable[[Any], None]], None]) -> tuple[int, int] | None:
+    """Fork a child that runs `body(send)`, where `send` marshals a value
+    down a pipe, and then exits; the child never returns. Returns its pid and
+    the pipe's read end, for `_reap`, or None where this process cannot fork
+    safely, so that it does the work itself: a child forked while other
+    threads run may deadlock on a lock one of them held."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return None
-    # The child's stages and this process's state write after _reap both use
+    # The worker's stages and this process's state write after _reap both use
     # the record layer: imported once here, it is not imported on each side.
     from . import schema  # noqa: F401
     read_fd, write_fd = os.pipe()
@@ -849,32 +957,41 @@ def _fork_worker(stages: list[Stage], cfg: PipelineConfig) -> tuple[int, int] | 
     try:
         os.close(read_fd)
         with os.fdopen(write_fd, "wb") as pipe:
-            for stage in stages:
-                try:
-                    code, report = run_stage(stage.name, cfg)
-                    error = report.get("error", "unknown error")
-                except Exception as exc:
-                    code, error = EXIT_INTERNAL, str(exc)
-                marshal.dump((stage.name, code, error), pipe)
-                if code != EXIT_OK:
-                    break
+            body(lambda value: marshal.dump(value, pipe))
     finally:
         os._exit(0)
 
 
-def _reap(pid: int, read_fd: int) -> dict[str, tuple[int, str]]:
-    """The worker's (exit code, error) by stage, once it has exited."""
-    results = {}
+def _reap(child: tuple[int, int]) -> list:
+    """Every value `child` sent, once it has exited."""
+    pid, read_fd = child
+    sent = []
     try:
         with os.fdopen(read_fd, "rb") as pipe:
             while True:
-                name, code, error = marshal.load(pipe)
-                results[name] = (code, error)
+                sent.append(marshal.load(pipe))
     except (EOFError, ValueError):
-        pass  # the worker closed the pipe, or died mid-write
+        pass  # the child closed the pipe, or died mid-write
     finally:
         os.waitpid(pid, 0)
-    return results
+    return sent
+
+
+def _fork_worker(stages: list[Stage], cfg: PipelineConfig) -> tuple[int, int] | None:
+    """Fork the worker: a child that runs `stages` in order up to the first
+    failure and sends (name, exit code, error) for each; see `_fork`."""
+    def work(send: Callable[[Any], None]) -> None:
+        for stage in stages:
+            try:
+                code, report = run_stage(stage.name, cfg)
+                error = report.get("error", "unknown error")
+            except Exception as exc:
+                code, error = EXIT_INTERNAL, str(exc)
+            send((stage.name, code, error))
+            if code != EXIT_OK:
+                break
+
+    return _fork(work)
 
 
 def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> int:
@@ -926,7 +1043,7 @@ def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> in
                     break
         finally:
             if worker is not None:
-                results.update(_reap(*worker))
+                results.update((name, (code, error)) for name, code, error in _reap(worker))
 
         for stage in STAGES:
             if not plans[stage.name]:
@@ -958,6 +1075,8 @@ def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> in
 
 
 def _summarize(report: dict) -> str:
+    if "combined" in report:  # stats counts its instances by origin and combined
+        report = report["combined"]
     keys = [k for k in ("built", "sanitized", "emitted", "selected", "labeled", "instances") if k in report]
     parts = [f"{k}={report[k]}" for k in keys]
     if "valid_rate" in report and report["valid_rate"] is not None:

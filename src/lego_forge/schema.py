@@ -436,12 +436,14 @@ def _encodes(raw: dict) -> bool:
     return True
 
 
-def _read_lines(file_path: Path) -> Iterator[bytes]:
-    """The lines of a file, split at "\n" only and without it, read one at a
-    time so that no more than one line of the text is held; what follows
-    the final newline is no line. CorpusError if it is unreadable."""
+def _read_lines(file_path: Path, start: int = 0) -> Iterator[bytes]:
+    """The lines of a file from byte offset `start`, split at "\n" only and
+    without it, read one at a time so that no more than one line of the text
+    is held; what follows the final newline is no line. CorpusError if it is
+    unreadable."""
     try:
         with file_path.open("rb") as handle:
+            handle.seek(start)
             for line in handle:
                 yield line.removesuffix(b"\n")
     except OSError as exc:
@@ -449,11 +451,13 @@ def _read_lines(file_path: Path) -> Iterator[bytes]:
 
 
 def read_jsonl(path: str | Path, parse: Callable[[dict], Any], rejections: list[Rejection], *,
-               reject_blank: bool = False, offsets: bool = False) -> Iterator:
+               reject_blank: bool = False, offsets: bool = False, start: int = 0, stop: int | None = None) -> Iterator:
     """Yield `parse(record)` for each line of a JSON Lines file, in file
     order, decoding one line at a time, or with `offsets` (byte offset of
     the line, parse(record)) pairs; append each refused line's Rejection to
-    `rejections`. The one JSON decoder of stage inputs.
+    `rejections`. The one JSON decoder of stage inputs. Only the lines that
+    start in bytes [start, stop) are read, `start` a line start; line
+    numbers count from the line at `start`.
 
     Lines split at "\n" only, so text that holds U+2028 and the like reads
     back as written. A line that is not UTF-8, that is not a JSON object (nor
@@ -464,9 +468,11 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], Any], rejections: list[
     A blank line is skipped, or is EMPTY_LINE with reject_blank. An
     unreadable file raises CorpusError, also after some lines were yielded.
     """
-    end = 0
-    for line_no, encoded in enumerate(_read_lines(Path(path)), start=1):
-        start, end = end, end + len(encoded) + 1
+    end = start
+    for line_no, encoded in enumerate(_read_lines(Path(path), start), start=1):
+        if stop is not None and end >= stop:
+            break
+        offset, end = end, end + len(encoded) + 1
         try:
             line = encoded.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -493,7 +499,7 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], Any], rejections: list[
             codes = exc.codes if isinstance(exc, RecordRejected) else ("BAD_RECORD",)
             rejections.append(Rejection(line_no, codes, str(exc)))
             continue
-        yield (start, record) if offsets else record
+        yield (offset, record) if offsets else record
 
 
 def load_jsonl(path: str | Path, parse: Callable[[dict], Any], *, reject_blank: bool = False) -> LoadResult:
@@ -508,8 +514,9 @@ _KINDS = {
 }
 
 
-def read_corpus(path: str | Path, kind: str, rejections: list[Rejection], *, offsets: bool = False) -> Iterator:
-    """Read a JSON Lines corpus with `read_jsonl` (`offsets` is its own),
+def read_corpus(path: str | Path, kind: str, rejections: list[Rejection], *, offsets: bool = False,
+                start: int = 0, stop: int | None = None) -> Iterator:
+    """Read a JSON Lines corpus with `read_jsonl` (`offsets`, `start` and `stop` are its own),
     collecting malformed lines instead of dropping them.
 
     `kind` selects the record type: "instances" or "trajectories". Records are
@@ -542,7 +549,7 @@ def read_corpus(path: str | Path, kind: str, rejections: list[Rejection], *, off
             seen_ids.add(record.instance_id)
         return record
 
-    return read_jsonl(path, parse, rejections, reject_blank=True, offsets=offsets)
+    return read_jsonl(path, parse, rejections, reject_blank=True, offsets=offsets, start=start, stop=stop)
 
 
 def load_corpus(path: str | Path, kind: str) -> LoadResult:
@@ -593,6 +600,11 @@ def dumps_record(record: dict) -> str:
     return _RECORD_ENCODER.encode(record)
 
 
+def corpus_line(record) -> str:
+    """A corpus record's line, as `save_corpus` writes it."""
+    return dumps_record(record.to_record()) + "\n"
+
+
 class AtomicWriter:
     """A file written atomically, piece by piece: `write` strings into a temp
     file in the target's directory, then `commit` (sync, then rename over the
@@ -616,6 +628,13 @@ class AtomicWriter:
             self.discard()
             raise
 
+    def append(self, source: str | Path) -> None:
+        """Write the bytes of file `source` as they are, 64 KiB at a time."""
+        self._file.flush()
+        with open(source, "rb") as f:
+            while chunk := f.read(1 << 16):
+                self._file.buffer.write(chunk)
+
     def discard(self) -> None:
         self._file.close()
         try:
@@ -624,16 +643,19 @@ class AtomicWriter:
             pass
 
 
-def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
+def atomic_write_text(path: str | Path, text: str | Iterable[str | Path]) -> None:
     """`AtomicWriter` in one call: write `text`, or each string an iterable
-    yields as it yields it, then commit. An interrupted write (an exception
-    from the iterable too) leaves neither a partial file at `path` nor the
-    temp file."""
+    yields as it yields it (and the bytes of each file it names by a Path,
+    as they are), then commit. An interrupted write (an exception from the
+    iterable too) leaves neither a partial file at `path` nor the temp file."""
     writer = AtomicWriter(path)
     write = writer.write
     try:
         for piece in [text] if isinstance(text, str) else text:
-            write(piece)
+            if isinstance(piece, str):
+                write(piece)
+            else:
+                writer.append(piece)
     except BaseException:
         writer.discard()
         raise
@@ -647,12 +669,17 @@ def save_corpus(records: Iterable, path: str | Path,
     Identical inputs produce byte-identical files; an empty record list
     produces a zero-byte file. load_corpus(save_corpus(x)) round-trips to x.
     Each record is encoded into the temp file as it is taken, and passed
-    with the byte offset of its line to `on_write`, if given.
+    with the byte offset of its line to `on_write`, if given. A Path among
+    the records names a corpus whose lines were encoded so, and its bytes
+    are written as they are (not with `on_write`).
     """
-    def lines() -> Iterator[str]:
+    def lines() -> Iterator[str | Path]:
         end = 0
         for record in records:
-            line = dumps_record(record.to_record()) + "\n"
+            if isinstance(record, Path):
+                yield record
+                continue
+            line = corpus_line(record)
             if on_write is not None:
                 on_write(record, end)
                 end += len(line.encode("utf-8"))

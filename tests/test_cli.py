@@ -29,7 +29,7 @@ from lego_forge.cli import (
     run_pipeline,
     run_stage,
 )
-from lego_forge.errors import ForgeError
+from lego_forge.errors import ForgeError, ValidationFailure
 from lego_forge.registries import (
     DEFAULT_ERROR_PATTERNS,
     DEFAULT_HACK_PATTERNS,
@@ -39,7 +39,7 @@ from lego_forge.registries import (
     load_hack_patterns,
     load_phase_patterns,
 )
-from lego_forge import patch_analysis, sft_masking, task_builder
+from lego_forge import patch_analysis, sft_masking, task_builder, trajectory_curation
 from lego_forge import schema as schema_mod
 from lego_forge.schema import IndexEntry, TaskInstance, ToolCall, Trajectory, load_corpus, save_jsonl
 from lego_forge.sft_masking import assign_phases, detect_step_errors
@@ -858,14 +858,13 @@ def test_stats_stage_reports_paper_shaped_corpus_means(tmp_path):
     assert report["synthetic"]["golden_patch"]["lines"] == pytest.approx(18.8)
 
 
-def test_curate_fuzz_accounting_and_determinism(tmp_path):
-    # A randomized, messy corpus: the stage must account for every
-    # trajectory, emit only valid records, and be byte-deterministic.
+def build_fuzz_curate_corpus(root: Path) -> Path:
+    """A randomized, messy curate corpus of 40 trajectories in `root`; returns its config."""
     import random
 
     from conftest import make_instance, make_traj, random_trajectory, tracker_step
     from lego_forge.patch_analysis import make_patch
-    from lego_forge.schema import save_corpus, save_jsonl, validate_trajectory
+    from lego_forge.schema import save_corpus, save_jsonl
 
     rng = random.Random(86420)
     inst = make_instance(instance_id="fuzz-inst")
@@ -891,7 +890,6 @@ def test_curate_fuzz_accounting_and_determinism(tmp_path):
                     "tests/test_calc.py::test_mul": rng.choice(["pass", "fail"]),
                 },
             })
-    root = tmp_path / "fuzz"
     root.mkdir()
     save_corpus([inst], root / "instances.jsonl")
     save_corpus(trajs, root / "trajectories.jsonl")
@@ -902,7 +900,15 @@ def test_curate_fuzz_accounting_and_determinism(tmp_path):
         "final_reports = final_reports.jsonl\n",
         encoding="utf-8",
     )
-    cfg = load_config(root / "forge.cfg")
+    return root / "forge.cfg"
+
+
+def test_curate_fuzz_accounting_and_determinism(tmp_path):
+    # A randomized, messy corpus: the stage must account for every
+    # trajectory, emit only valid records, and be byte-deterministic.
+    from lego_forge.schema import validate_trajectory
+
+    cfg = load_config(build_fuzz_curate_corpus(tmp_path / "fuzz"))
     code, report = run_stage("curate", cfg)
     assert code == EXIT_OK
     assert sum(report["counts"].values()) == 40
@@ -1442,6 +1448,10 @@ STATE_EDITS = {
     "outputs-not-object": (lambda cfg, state: '{"curate": {"outputs": []}}', EVERY_STAGE),
     "deep-nesting": (lambda cfg, state: "[" * 200_000, EVERY_STAGE),
     "parent-format": (parent_format, EVERY_STAGE),
+    # Python's json reads these, but the rewritten file could not hold them as standard JSON.
+    **{f"non-finite-{name}": (lambda cfg, state, token=token: json.dumps(state)[:-1] + f', "fuzzed": {token}}}',
+                              EVERY_STAGE)
+       for name, token in [("nan", "NaN"), ("infinity", "-Infinity"), ("past-the-float-range", "1e999")]},
     **{f"curate-entry-{name}": (curate_entry(value), ["curate"])
        for name, value in [("5", 5), ("array", []), ("null", None), ("outputs-array", {"outputs": []})]},
 }
@@ -1464,6 +1474,7 @@ def test_state_file_of_another_shape_reruns_every_stage(corpus, edit):
     assert run_pipeline(cfg, echo=lines.append) == EXIT_OK
     assert lines == [f"[ok]   {name}" if name in rerun else f"[skip] {name}: inputs unchanged"
                      for name in EVERY_STAGE]
+    strict_json((cfg.out_dir / STATE).read_text(encoding="utf-8"))
     assert tree_bytes(cfg.out_dir) == cold
     assert_run_state_empty()
     lines = []
@@ -1660,7 +1671,9 @@ def test_curate_holds_no_more_than_two_final_reports_at_a_time(corpus, monkeypat
     # final_reports is indexed by byte offset, and each report is decoded
     # when its trajectory arrives, so the reports alive as each curated
     # trajectory is written do not grow with the corpus; a dict of every
-    # report would hold all 70.
+    # report would hold all 70. One CPU: curate's whole pass runs where the
+    # patches count.
+    set_cpus(monkeypatch, 1)
     cfg = run_stages(load_config(corpus), "build-tasks", "inject")
     trajectories, reports = read_jsonl(cfg.trajectories), read_jsonl(cfg.final_reports)
     save_jsonl(({**t, "trajectory_id": f"{t['trajectory_id']}-{n}"} for n in range(10) for t in trajectories),
@@ -2195,16 +2208,57 @@ def record_pids(monkeypatch, log: Path) -> None:
     monkeypatch.setattr(cli, "run_stage", recording_run_stage)
 
 
+def record_shares(monkeypatch, log: Path) -> None:
+    """Append the pid of each process that curates a share of the trajectories to `log`."""
+    real_curate = trajectory_curation.curate
+
+    def recording_curate(*args, **kwargs):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(json.dumps(os.getpid()) + "\n")
+        return real_curate(*args, **kwargs)
+
+    monkeypatch.setattr(trajectory_curation, "curate", recording_curate)
+
+
+def set_cpus(monkeypatch, cpus: int) -> None:
+    """Let curate see `cpus` CPUs: with one, its whole pass runs in this process."""
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+
+
+def split_at(monkeypatch, lines: int) -> None:
+    """Make curate's shard take the trajectories after the first `lines` lines, on any host."""
+    def split(path: Path) -> int:
+        with open(path, "rb") as f:
+            for _ in range(lines):
+                f.readline()
+            return f.tell()
+
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "_split", split)
+
+
+def refuse_fork(monkeypatch) -> None:
+    """Make os.fork fail: this process then runs every stage, and curate's whole pass, itself."""
+    def failing_fork():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_detached_stages_run_in_one_worker_process(corpus, monkeypatch, tmp_path):
+    # Curate's shard is a second child: it curates the trajectories from
+    # the fourth on, and runs no stage.
     cfg = load_config(corpus)
     assert [stage.name for stage in cli._detached_stages(cfg)] == list(WORKER_STAGES)
-    log = tmp_path / "pids.log"
+    log, shares = tmp_path / "pids.log", tmp_path / "shares.log"
     record_pids(monkeypatch, log)
+    record_shares(monkeypatch, shares)
+    split_at(monkeypatch, 3)
     lines = []
     assert run_pipeline(cfg, echo=lines.append) == EXIT_OK
     assert_no_child_left()
@@ -2214,6 +2268,8 @@ def test_detached_stages_run_in_one_worker_process(corpus, monkeypatch, tmp_path
     worker = {pids[stage] for stage in WORKER_STAGES}
     assert len(worker) == 1 and os.getpid() not in worker
     assert {pid for stage, pid in pids.items() if stage not in WORKER_STAGES} == {os.getpid()}
+    here, shard = sorted(read_jsonl(shares), key=lambda pid: pid != os.getpid())
+    assert here == os.getpid() and shard not in (os.getpid(), *worker)
     assert_run_state_empty()
 
 
@@ -2246,15 +2302,14 @@ def test_without_a_safe_fork_every_stage_runs_here_with_the_same_tree(tmp_path, 
     forked = build_integration_corpus(tmp_path / "forked")
     assert run_pipeline(load_config(forked), echo=lambda s: None) == EXIT_OK
     config = build_integration_corpus(tmp_path / "here")
-    log = tmp_path / "pids.log"
+    log, shares = tmp_path / "pids.log", tmp_path / "shares.log"
     record_pids(monkeypatch, log)
+    record_shares(monkeypatch, shares)
+    split_at(monkeypatch, 3)
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(60,))
     if why == "fork fails":
-        def failing_fork():
-            raise OSError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", failing_fork)
+        refuse_fork(monkeypatch)
     else:
         other.start()
     try:
@@ -2265,7 +2320,153 @@ def test_without_a_safe_fork_every_stage_runs_here_with_the_same_tree(tmp_path, 
             other.join(timeout=60)
     assert not other.is_alive()
     assert read_jsonl(log) == [[stage.name, os.getpid()] for stage in cli.STAGES]
+    assert read_jsonl(shares) == [os.getpid()]  # curate's whole pass too
     assert tree_bytes(tmp_path / "here" / "out") == tree_bytes(tmp_path / "forked" / "out")
+
+
+# ---------------------------------------------------------------------------
+# Curate's shard: a second child curates the second half of the trajectories
+
+
+def test_sharded_pipeline_leaves_the_tree_of_the_serial_one(tmp_path, monkeypatch):
+    # The shard curates the trajectories after the third. The tree, the
+    # curation report and the state file included, is the one a process
+    # that cannot fork leaves.
+    serial = build_integration_corpus(tmp_path / "serial")
+    with monkeypatch.context() as patch:
+        refuse_fork(patch)
+        assert run_pipeline(load_config(serial), echo=lambda s: None) == EXIT_OK
+    sharded = build_integration_corpus(tmp_path / "sharded")
+    shares = tmp_path / "shares.log"
+    record_shares(monkeypatch, shares)
+    split_at(monkeypatch, 3)
+    assert run_pipeline(load_config(sharded), echo=lambda s: None) == EXIT_OK
+    assert_no_child_left()
+    assert len(set(read_jsonl(shares))) == 2
+    assert not [p.name for p in (tmp_path / "sharded" / "out").iterdir() if p.name.endswith(".tmp")]
+    assert tree_bytes(tmp_path / "sharded" / "out") == tree_bytes(tmp_path / "serial" / "out")
+
+
+def test_curate_split_at_the_midpoint_leaves_the_serial_tree(tmp_path, monkeypatch):
+    # The fuzz corpus, split where curate splits it on two CPUs: its
+    # averages, counts and notes span both halves.
+    trees = {}
+    for name in ("serial", "sharded"):
+        cfg = load_config(build_fuzz_curate_corpus(tmp_path / name))
+        shares = tmp_path / f"{name}.log"
+        with monkeypatch.context() as patch:
+            record_shares(patch, shares)
+            refuse_fork(patch) if name == "serial" else set_cpus(patch, 2)
+            code, report = run_stage("curate", cfg)
+        assert code == EXIT_OK and len(set(read_jsonl(shares))) == (name == "sharded") + 1
+        assert sum(report["counts"].values()) == 40 and report["notes"]
+        trees[name] = tree_bytes(cfg.out_dir)
+    assert_no_child_left()
+    assert trees["sharded"] == trees["serial"]
+
+
+def test_bad_lines_in_both_halves_are_rejected_as_in_one_pass(tmp_path, monkeypatch):
+    # A bad line before the split, and a blank line at it and a bad record
+    # after it: the rejections keep their numbers in the whole file and
+    # their order, and fail the stage before final_reports' bad line does.
+    outputs = {}
+    for name in ("serial", "sharded"):
+        cfg = run_stages(load_config(build_integration_corpus(tmp_path / name)), "build-tasks", "inject")
+        lines = cfg.trajectories.read_text(encoding="utf-8").split("\n")[:-1]
+        lines[1:1] = ["not json"]
+        lines[4:4] = ["", '{"trajectory_id": 5}']
+        cfg.trajectories.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with open(cfg.final_reports, "a", encoding="utf-8") as f:
+            f.write("[]\n")
+        shares = tmp_path / f"{name}.log"
+        with monkeypatch.context() as patch:
+            record_shares(patch, shares)
+            refuse_fork(patch) if name == "serial" else split_at(patch, 4)
+            assert run_stage("curate", cfg)[0] == EXIT_VALIDATION
+        assert len(set(read_jsonl(shares))) == (name == "sharded") + 1
+        assert not (cfg.out_dir / "curated.jsonl").exists()
+        rejections = read_jsonl(cfg.out_dir / "curate_rejections.jsonl")
+        assert [(r["file"], r["line_no"]) for r in rejections] == [(str(cfg.trajectories), n) for n in (2, 5, 6)]
+        outputs[name] = [(cfg.out_dir / output).read_text(encoding="utf-8").replace(str(tmp_path / name), "<root>")
+                         for output in ("curation_report.json", "curate_rejections.jsonl")]
+    assert_no_child_left()
+    assert outputs["sharded"] == outputs["serial"]
+
+
+SHARD_FAILURES = {  # what the shard does, the exit code, the message its [fail] line carries
+    "exits": ("exit", EXIT_INTERNAL, "curate's shard ended before its share did"),
+    "raises": (Exception("the shard broke"), EXIT_INTERNAL, "the shard broke"),
+    "raises an OSError": (OSError(28, "No space left on device"), EXIT_INTERNAL, "[Errno 28] No space left on device"),
+    "refuses": (ValidationFailure("the shard refused"), EXIT_VALIDATION, "the shard refused"),
+    "misses an input": (cli.MissingInputError("the shard's input is gone"), EXIT_MISSING_INPUT,
+                        "the shard's input is gone"),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(SHARD_FAILURES))
+def test_failing_shard_fails_curate_and_leaves_nothing(corpus, monkeypatch, failure):
+    # A shard that dies, or raises, fails curate with one [fail] line: a
+    # ForgeError with its own exit code, anything else with exit 1. No
+    # temp file, no curated.jsonl and no child is left.
+    act, code, message = SHARD_FAILURES[failure]
+    here, real_curate = os.getpid(), trajectory_curation.curate
+
+    def failing_curate(*args, **kwargs):
+        if os.getpid() != here:
+            if act == "exit":
+                os._exit(1)
+            raise act
+        return real_curate(*args, **kwargs)
+
+    monkeypatch.setattr(trajectory_curation, "curate", failing_curate)
+    split_at(monkeypatch, 3)
+    cfg = load_config(corpus)
+    lines = []
+    assert run_pipeline(cfg, echo=lines.append) == code
+    assert_no_child_left()
+    assert [line for line in lines if not line.startswith("[ok]")] == [f"[fail] curate: {message} (exit {code})"]
+    assert lines[-1].startswith("[fail]")
+    assert not (cfg.out_dir / "curated.jsonl").exists()
+    assert not [p.name for p in cfg.out_dir.iterdir() if p.name.endswith(".tmp")]
+    assert "curate" not in read(cfg.out_dir / STATE)
+    assert read(cfg.out_dir / "curation_report.json")["exit_code"] == code
+
+
+WIDE = "é" * 10
+SPLIT_CASES = {  # a file's bytes, and where its shard's share begins (None: it has none)
+    "empty": (b"", None),
+    "one line": (b'{"n":0}\n', None),
+    "one line without a newline": (b'{"n":0}', None),
+    "last line without a newline": (b'{"n":0}\n{"n":1}', 8),
+    "midpoint at a line start": (b'{"n":0}\n{"n":1}\n', 8),
+    "midpoint inside a character": (f'{{"t":"{WIDE}"}}\n{{"n":12}}\n'.encode(), 29),
+    "blank line at the split": (b'{"n":10}\n\n{"n":1}\n', 9),
+    "bad lines in many reads": (b"".join(b'{"n":%d}\n' % n if n % 997 else b"[]\n" for n in range(30_000)), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_split_starts_the_shard_at_the_first_line_start_from_the_midpoint(tmp_path, case):
+    # The two shares, the second's rejections numbered from the lines
+    # before it, read as the whole file does.
+    data, mid = SPLIT_CASES[case]
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(data)
+    if case == "midpoint inside a character":
+        assert data[len(data) // 2] & 0xC0 == 0x80  # a UTF-8 continuation byte
+    if case == "bad lines in many reads":
+        mid = data.index(b"\n", len(data) // 2 - 1) + 1
+        assert mid > 1 << 16
+    assert cli._split(path) == mid
+    whole, first, second = [], [], []
+    records = list(schema_mod.read_jsonl(path, dict, whole, reject_blank=True))
+    if mid is not None:
+        shares = [*schema_mod.read_jsonl(path, dict, first, reject_blank=True, stop=mid),
+                  *schema_mod.read_jsonl(path, dict, second, reject_blank=True, start=mid)]
+        before = cli._lines_before(path, mid)
+        assert before == data[:mid].count(b"\n")
+        assert shares == records
+        assert first + [dataclasses.replace(r, line_no=before + r.line_no) for r in second] == whole
 
 
 @pytest.mark.parametrize("key, stage", [("histories", "sanitize"), ("rollouts", "tts-select")])
@@ -2451,6 +2652,8 @@ def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, mo
     # no file is hashed twice while its content is unchanged. A cold run
     # never decodes curated.jsonl: curate hands each record to the readers.
     # With curate skipped, one pass decodes it for every reader that runs.
+    # One CPU: curate's whole pass runs where the patches count.
+    set_cpus(monkeypatch, 1)
     loaded, read, decoded_in, hashed, built, parsed_in = [], [], [], [], [], []
     running = [None]
     real_read, real_sha256, real_run_stage = schema_mod.read_corpus, cli._sha256, cli.run_stage
@@ -2721,12 +2924,14 @@ def test_every_corpus_load_in_cli_goes_through_one_reader():
     # cli indexes each instance corpus it did not write through _index,
     # which streams it through _stream and keeps the index for the run.
     # Every other stage input that fails its stage on a rejection is
-    # streamed through _stream too: the trajectories into curate,
-    # curated.jsonl into the reader stages where curate did not feed them,
-    # and mutations, histories, rollouts and surface. build-tasks, which
-    # skips a bad line with its reason, streams real_inputs through
-    # read_jsonl itself, and so does curate's index of final_reports, whose
-    # rejections come after the trajectories'.
+    # streamed through _stream too: curated.jsonl into the reader stages
+    # (the shard's half of it where curate fed them the first half), and
+    # mutations, histories, rollouts and surface. build-tasks, which skips
+    # a bad line with its reason, streams real_inputs through read_jsonl
+    # itself, and so does curate's index of final_reports, whose rejections
+    # come after the trajectories'. Each share of the trajectories is read
+    # through read_corpus, since the shard's rejections join this
+    # process's before the stage fails.
     calls = []
 
     class Finder(ast.NodeVisitor):
@@ -2753,8 +2958,8 @@ def test_every_corpus_load_in_cli_goes_through_one_reader():
         ("_stream", "cli._stage_inject"),
         ("_stream", "cli._stage_sanitize.sanitized"),
         ("read_jsonl", "cli._stage_curate"),
-        ("_stream", "cli._stage_curate.curated"),
-        ("_stream", "cli._run_reader"),
+        ("read_corpus", "cli._stage_curate.share"),
+        ("_stream", "cli._fold"),
         ("_stream", "cli._stage_tts_select"),
         ("_stream", "cli._stage_tts_select"),
     ]
@@ -2961,6 +3166,14 @@ def test_main_runs_single_stage(corpus, capsys):
     assert cli.main(["build-tasks", "--config", str(corpus)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "[ok]" in out and "build-tasks" in out
+
+
+def test_stats_alone_prints_its_instance_count(corpus, capsys):
+    cfg = run_stages(load_config(corpus), "build-tasks", "inject")
+    assert cli.main(["stats", "--config", str(corpus)]) == EXIT_OK
+    instances = read(cfg.out_dir / "corpus_stats.json")["combined"]["instances"]
+    assert instances > 0
+    assert capsys.readouterr().out == f"[ok]   stats instances={instances}\n"
 
 
 def test_seed_comes_only_from_the_config(corpus, capsys):

@@ -16,13 +16,16 @@ by one validating read, and no stage holds an instance corpus (see
 `curate`, never held whole, nor is `final_reports`: `curate` decodes each
 report from its line (`schema.OffsetLookup`). On two CPUs or more a forked
 child, the shard, curates the lines from the first line start at or after
-the file's byte midpoint into a temp file, and hands back its report parts
-and rejections; its bytes are appended to `curated.jsonl` as they are, and
-the outputs are those of one pass. As `curate` writes each curated record,
-it hands it to the reader stages, those whose `Stage.run` is a generator
-function that a `_Reader` feeds, which use it and let it go (the shard's
-half from one pass over its file), so no stage holds the curated corpus;
-each commits its outputs at its own turn, and one whose inputs turn out
+the file's byte midpoint into a temp directory, and hands back its report
+parts and rejections; its bytes are appended to `curated.jsonl` as they
+are, and the outputs are those of one pass. As `curate` writes each curated
+record, it hands it to the reader stages, those whose `Stage.run` is a
+generator function that a `_Reader` feeds, which use it and let it go, so
+no stage holds the curated corpus. The shard feeds its half to readers of
+its own, which write their lines into its directory and hand back their
+state; each reader here appends those lines after its own and merges that
+state, so no line of the shard's half is decoded again. Each reader stage
+commits its outputs at its own turn, and one whose inputs turn out
 unchanged drops them and is skipped.
 Where `curate` does not run, the first reader stage that runs feeds itself
 and every reader stage after it from one pass over `curated.jsonl`, by the
@@ -112,8 +115,7 @@ from .errors import ForgeError, ValidationFailure
 from .registries import content_lines, load_error_patterns, load_hack_patterns, load_phase_patterns
 
 if TYPE_CHECKING:
-    from .schema import (AtomicWriter, IndexEntry, Rejection, TaskInstance, TestReport, Trajectory,
-                         TrajectorySummary)
+    from .schema import IndexEntry, Rejection, TaskInstance, TestReport, Trajectory, TrajectorySummary
 
 EXIT_OK = 0
 EXIT_INTERNAL = ForgeError.exit_code
@@ -432,6 +434,7 @@ def _stage_sanitize(cfg: PipelineConfig) -> dict:
 
 
 def _stage_curate(cfg: PipelineConfig) -> dict:
+    import shutil
     import tempfile
 
     from . import trajectory_curation
@@ -459,26 +462,28 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
                                           recycle_semi_resolved=cfg.recycle_semi_resolved)
 
     def shard(send: Callable[[Any], None]) -> None:
-        """The child's share, from `mid` on: its lines go to the shard file, and its report parts,
-        summaries and rejections (numbered in the whole file), or its exit code and error, to `send`."""
+        """The child's share, from `mid` on, fed to its own readers: its lines and theirs go to files in
+        `shard_dir`, and its report parts, summaries, rejections (numbered in the whole file) and each
+        reader's `state`, or its exit code and error, to `send`."""
         rejections: list[Rejection] = []
         report: dict = {}
         summaries = []
         try:
-            with open(shard_path, "w", encoding="utf-8") as out:
-                for traj in share(rejections, report, start=mid):
+            with open(shard_dir / "curated.jsonl", "w", encoding="utf-8") as out:
+                for traj in _fold(cfg, fed, share(rejections, report, start=mid), into=shard_dir):
                     out.write(corpus_line(traj))
                     summaries.append(tuple(traj.summary()))
             before = _lines_before(traj_path, mid) if rejections else 0
-            send((EXIT_OK, report, summaries, [(before + r.line_no, r.codes, r.message) for r in rejections]))
+            send((EXIT_OK, report, summaries, [(before + r.line_no, r.codes, r.message) for r in rejections],
+                  {name: reader.state() for name, reader in _readers.items()}))  # where _fold left them
         except Exception as exc:
-            send((exc.exit_code if isinstance(exc, ForgeError) else EXIT_INTERNAL, str(exc)))
+            send(_failure(exc))
 
     rejections: list[Rejection] = []
     report: dict = {}
     summaries: list[TrajectorySummary] = []
 
-    def curated() -> Iterator[Trajectory | Path]:
+    def curated() -> Iterator[Trajectory | tuple[Path, dict]]:
         # Trajectories are decoded one at a time into curate; a rejection,
         # the trajectories' first, fails it before the rename.
         nonlocal child
@@ -489,40 +494,51 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
             sent, child = _reap(child), None
             code, *parts = sent[0] if sent else (EXIT_INTERNAL, "curate's shard ended before its share did")
             if code != EXIT_OK:
-                error = ForgeError(parts[0])
-                error.exit_code = code
-                raise error
-            shard_report, shard_summaries, shard_rejections = parts
+                raise _error(code, parts[0])
+            shard_report, shard_summaries, shard_rejections, shard_readers = parts
             summaries.extend(map(TrajectorySummary._make, shard_summaries))
             report.update(trajectory_curation.rollout_stats(summaries, recycle_semi_resolved=cfg.recycle_semi_resolved))
             for key in ("repaired_calls", "hack_invalidated", "unrepairable_calls", "notes"):
                 report[key] += shard_report[key]
             rejections.extend(Rejection(*r) for r in shard_rejections)
-            yield Path(shard_path)  # its bytes follow as they are
+            yield shard_dir, shard_readers  # its lines, and its readers' shares (see _fold)
         _fail_on_rejections(traj_path, rejections)
         _fail_on_rejections(reports_path, report_rejections)
 
     # This process's share is the whole file where the second half holds no
     # line, or where no child can curate it alongside (one CPU, no safe fork).
+    # Within a run every reader stage takes each curated trajectory as it is
+    # written, in the process that curated it; those planned to run commit
+    # their outputs at their turn.
+    fed = [s for s in STAGES if s.reader] if _in_run else []
     mid = _split(traj_path) if _cpus() > 1 else None
-    shard_path = child = None
+    shard_dir = child = None
     try:
         if mid is not None:
             cfg.out_dir.mkdir(parents=True, exist_ok=True)
-            fd, shard_path = tempfile.mkstemp(dir=cfg.out_dir, prefix=".curated.jsonl.", suffix=".tmp")
-            os.close(fd)
+            shard_dir = Path(tempfile.mkdtemp(dir=cfg.out_dir, prefix=".curated.jsonl.", suffix=".tmp"))
             child = _fork(shard)
             if child is None:
                 mid = None
-        # Within a run every reader stage takes each curated trajectory as it
-        # is written; those planned to run commit their outputs at their turn.
-        save_corpus(_fold(cfg, [s for s in STAGES if s.reader] if _in_run else [], curated()), _curated_path(cfg))
+        save_corpus(_fold(cfg, fed, curated()), _curated_path(cfg))
     finally:
         if child is not None:
             _reap(child)
-        if shard_path is not None:
-            os.unlink(shard_path)
+        if shard_dir is not None:
+            shutil.rmtree(shard_dir)
     return report
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    """How a child sends `exc`: its exit code (1 for any but a ForgeError) and message; see `_error`."""
+    return (exc.exit_code if isinstance(exc, ForgeError) else EXIT_INTERNAL), str(exc)
+
+
+def _error(code: int, message: str) -> ForgeError:
+    """The error a child sent as `_failure`, to raise in this process."""
+    error = ForgeError(message)
+    error.exit_code = code
+    return error
 
 
 def _split(path: Path) -> int | None:
@@ -561,14 +577,22 @@ def _curated_path(cfg: PipelineConfig) -> Path:
 class _Reader:
     """A reader stage's fold over curated.jsonl, run by its body: a generator
     function of (cfg, output) that sets up, takes each trajectory sent to it
-    until None, then writes the outputs that need them all and returns the
+    until None, yields its state, is sent the list of states to merge after
+    its own, then writes the outputs that need them all and returns the
     report. `output(name)` writes JSON lines into `name` in out_dir, which
     `finish` commits at the stage's turn. A reader whose body raised an
-    Exception is detached: it takes nothing more, and `finish` raises it."""
+    Exception is detached: it takes nothing more, and `finish` raises it.
 
-    def __init__(self, cfg: PipelineConfig, body: Callable[..., Generator[None, Trajectory | None, dict]]):
+    A reader of curate's shard (`into` set) writes its lines into plain files
+    in directory `into`, and `state` ends it there. This process's reader of
+    the stage then `merge`s its share."""
+
+    def __init__(self, cfg: PipelineConfig, body: Callable[..., Generator[Any, Any, dict]],
+                 into: Path | None = None):
         self.cfg = cfg
-        self.writers: list[AtomicWriter] = []
+        self.into = into
+        self.writers: list = []  # AtomicWriters, or the shard's plain files
+        self.shards: list = []  # the states to merge, in file order
         self.error: Exception | None = None
         self.body = body(cfg, self.output)
         self.take(None)  # runs the body's set-up
@@ -576,7 +600,10 @@ class _Reader:
     def output(self, name: str) -> Callable[[dict], None]:
         from .schema import AtomicWriter, dumps_record
 
-        writer = AtomicWriter(self.cfg.out_dir / name)
+        if self.into is None:
+            writer = AtomicWriter(self.cfg.out_dir / name)
+        else:
+            writer = open(self.into / name, "w", encoding="utf-8")
         self.writers.append(writer)
         return lambda record: writer.write(dumps_record(record) + "\n")
 
@@ -588,12 +615,38 @@ class _Reader:
                 self.error = exc
                 self.discard()
 
+    def state(self) -> tuple:
+        """In the shard, once the last trajectory is taken: (EXIT_OK, the
+        body's state), or its error as `_failure`; its files are closed."""
+        result = _failure(self.error) if self.error is not None else (EXIT_OK, self.body.send(None))
+        self.discard()
+        return result
+
+    def merge(self, result: tuple, shard_dir: Path) -> None:
+        """Take the share of the shard's reader of this stage, whose `state`
+        was `result`: its lines in `shard_dir`, appended after this process's,
+        and its state, for `finish`. A failure there detaches this reader,
+        unless its own came first."""
+        if self.error is None:
+            code, state = result
+            try:
+                if code != EXIT_OK:
+                    raise _error(code, state)
+                for writer in self.writers:
+                    writer.append(shard_dir / writer.path.name)
+            except Exception as exc:
+                self.error = exc
+                self.discard()
+            else:
+                self.shards.append(state)
+
     def finish(self) -> dict:
         if self.error is not None:
             raise self.error
         try:
             try:
-                self.body.send(None)
+                self.body.send(None)  # yields its own state, which only the shard sends
+                self.body.send(self.shards)
             except StopIteration as done:
                 report = done.value
             for writer in self.writers:
@@ -606,10 +659,10 @@ class _Reader:
     def discard(self) -> None:
         self.body.close()  # else its frame and this reader keep each other alive
         for writer in self.writers:
-            writer.discard()
+            (writer.discard if self.into is None else writer.close)()
 
 
-def _mask(cfg: PipelineConfig, output: Callable) -> Generator[None, Trajectory | None, dict]:
+def _mask(cfg: PipelineConfig, output: Callable) -> Generator[Any, Any, dict]:
     from . import curriculum, sft_masking
 
     write_sample, write_drop = output("samples.jsonl"), output("mask_drops.jsonl")
@@ -623,16 +676,20 @@ def _mask(cfg: PipelineConfig, output: Callable) -> Generator[None, Trajectory |
             else:
                 write_sample(sample)
                 emitted += 1
+    for shard_emitted, shard_dropped in (yield emitted, dropped):
+        emitted, dropped = emitted + shard_emitted, dropped + shard_dropped
     return {"emitted": emitted, "dropped": dropped, "context_limit": cfg.context_limit}
 
 
-def _curriculum(cfg: PipelineConfig, output: Callable) -> Generator[None, Trajectory | None, dict]:
+def _curriculum(cfg: PipelineConfig, output: Callable) -> Generator[Any, Any, dict]:
     from . import curriculum
-    from .schema import atomic_write_text, save_jsonl
+    from .schema import TrajectorySummary, atomic_write_text, save_jsonl
 
     summaries: list[TrajectorySummary] = []
     while (traj := (yield)) is not None:
         summaries.append(traj.summary())
+    for shard in (yield [tuple(summary) for summary in summaries]):  # marshal takes no named tuple
+        summaries.extend(map(TrajectorySummary._make, shard))
     selected = curriculum.select_for_training(summaries, recycle_semi_resolved=cfg.recycle_semi_resolved)
     bins = curriculum.default_bins(cfg.max_turns, cfg.easy_upper, cfg.medium_upper)
     plan = curriculum.build_stages(selected, bins)
@@ -653,7 +710,7 @@ def _curriculum(cfg: PipelineConfig, output: Callable) -> Generator[None, Trajec
     }
 
 
-def _classify_errors(cfg: PipelineConfig, output: Callable) -> Generator[None, Trajectory | None, dict]:
+def _classify_errors(cfg: PipelineConfig, output: Callable) -> Generator[Any, Any, dict]:
     from . import error_taxonomy
     from .schema import OffsetLookup, TaskInstance, atomic_write_text
 
@@ -663,18 +720,23 @@ def _classify_errors(cfg: PipelineConfig, output: Callable) -> Generator[None, T
         line = classifier.label(traj)
         if line is not None:
             write_failure(line)
+    for shard in (yield classifier.state()):
+        classifier.merge(shard)
     distribution, report = classifier.summary()
     atomic_write_text(cfg.out_dir / "distribution.json", _dump_report(distribution))
     return report
 
 
-def _fold(cfg: PipelineConfig, stages: list[Stage], trajectories: Iterable[Trajectory | Path]) -> Iterator:
-    """Yield each trajectory once a new reader of each of `stages` has taken
-    it, and each path of a curated corpus once they have taken its
-    trajectories, read by one pass where there is a reader. Any exception, a
-    GeneratorExit from a failing writer too, discards every reader; they go
-    to `_readers` once the last trajectory has passed."""
-    readers = {stage.name: _Reader(cfg, stage.run) for stage in stages}
+def _fold(cfg: PipelineConfig, stages: list[Stage], trajectories: Iterable, into: Path | None = None) -> Iterator:
+    """Yield each trajectory once a new reader of each of `stages` (a
+    reader of the shard's, with `into`) has taken it, and each path of a
+    curated corpus once they have taken its trajectories, read by one pass
+    where there is a reader. The shard's share comes as its directory and
+    its readers' results: each reader merges its own, and the path of the
+    shard's curated lines is yielded. Any exception, a GeneratorExit from a
+    failing writer too, discards every reader; they go to `_readers` once
+    the last trajectory has passed."""
+    readers = {stage.name: _Reader(cfg, stage.run, into) for stage in stages}
 
     def take(traj: Trajectory) -> None:
         for reader in readers.values():
@@ -682,7 +744,12 @@ def _fold(cfg: PipelineConfig, stages: list[Stage], trajectories: Iterable[Traje
 
     try:
         for item in trajectories:
-            if not isinstance(item, Path):
+            if isinstance(item, tuple):
+                shard_dir, results = item
+                for name, reader in readers.items():
+                    reader.merge(results[name], shard_dir)
+                item = shard_dir / "curated.jsonl"
+            elif not isinstance(item, Path):
                 take(item)
             elif readers:
                 for traj in _stream(item, "trajectories"):
@@ -778,7 +845,7 @@ class Stage:
     are the file names it writes in out_dir besides its `report`."""
 
     name: str
-    run: Callable[[PipelineConfig], dict] | Callable[..., Generator[None, Trajectory | None, dict]]
+    run: Callable[[PipelineConfig], dict] | Callable[..., Generator[Any, Any, dict]]
     inputs: Callable[[PipelineConfig], list[Path | None]]
     outputs: Callable[[PipelineConfig], list[str]]
     report: str

@@ -206,7 +206,8 @@ def failure_distribution(labels: Sequence[str]) -> dict[str, float]:
 
 class FailureClassifier:
     """classify-errors as a fold over trajectories: `label` each in turn,
-    then `summary`. It keeps only the labels per `checkpoint` tag and the
+    `merge` the `state` of any fold over the trajectories after them, then
+    `summary`. It keeps only the labels per `checkpoint` tag and the
     counts, never a trajectory."""
 
     def __init__(self, instances: Mapping[str, TaskInstance]):
@@ -230,6 +231,17 @@ class FailureClassifier:
         label = evidence.pop("label")
         self.labels_by_tag.setdefault(str(traj.extra.get("checkpoint", "all")), []).append(label)
         return {"trajectory_id": traj.trajectory_id, "label": label, "evidence": evidence}
+
+    def state(self) -> tuple[int, list[dict], dict[str, list[str]]]:
+        return self.failed, self.skipped, self.labels_by_tag
+
+    def merge(self, state: Sequence) -> None:
+        """Add another fold's `state`, whose trajectories come after this one's."""
+        failed, skipped, labels_by_tag = state
+        self.failed += failed
+        self.skipped += skipped
+        for tag, labels in labels_by_tag.items():
+            self.labels_by_tag.setdefault(tag, []).extend(labels)
 
     def summary(self) -> tuple[dict[str, dict[str, float]], dict]:
         """The label distribution per `checkpoint` tag (`all` when a

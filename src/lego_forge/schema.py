@@ -1,7 +1,9 @@
 """Data model and JSON Lines I/O shared by every pipeline stage.
 
-All record types are immutable values: build them once and share them
-freely. Corpora are JSON Lines files (one record per line) with a
+Record types are values: build them once and share them freely. Most are
+frozen; `Step` and `ToolCall`, built by the thousand per corpus, are slotted
+and not frozen, which is cheaper to build, and no code assigns to their
+fields. Corpora are JSON Lines files (one record per line) with a
 canonical field order, so identical inputs always serialize to identical
 bytes. Unknown fields found on disk are kept on the record (`extra`) and
 written back verbatim, in their original order, for forward compatibility.
@@ -170,7 +172,7 @@ class TaskInstance:
         return patch_analysis.patch_stats(patch_analysis.parse_patch(self.golden_patch))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ToolCall:
     """A single tool invocation by the agent."""
 
@@ -186,7 +188,7 @@ class ToolCall:
         return {"tool": self.tool, "arguments": dict(self.arguments)}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Step:
     """One agent turn: an action plus the environment's reply."""
 

@@ -39,7 +39,7 @@ from lego_forge.registries import (
     load_hack_patterns,
     load_phase_patterns,
 )
-from lego_forge import patch_analysis, sft_masking, task_builder, trajectory_curation
+from lego_forge import error_taxonomy, patch_analysis, sft_masking, task_builder, trajectory_curation
 from lego_forge import schema as schema_mod
 from lego_forge.schema import IndexEntry, TaskInstance, ToolCall, Trajectory, load_corpus, save_jsonl
 from lego_forge.sft_masking import assign_phases, detect_step_errors
@@ -980,7 +980,8 @@ def strict_json(text: str):
 
 def fuzz_line(path: Path, lines: list[str], kind: str, data) -> None:
     """Write `lines`, JSON texts, to `path` as JSON lines, with one of them
-    edited as fuzz `kind` says (see the fuzz tests below)."""
+    edited as fuzz `kind` says (see the fuzz tests below); a kind not in
+    FUZZ_KINDS re-encodes it with json.dumps only."""
     n = data.draw(st.integers(0, len(lines) - 1), label="line")
     record = json.loads(lines[n])
     top = [(record, field) for field in sorted(record)]
@@ -2432,6 +2433,115 @@ def test_failing_shard_fails_curate_and_leaves_nothing(corpus, monkeypatch, fail
     assert read(cfg.out_dir / "curation_report.json")["exit_code"] == code
 
 
+READER_FAILURES = {  # the stage, the call that raises, the trajectories it raises on; the shard's start at the 4th
+    "mask in the shard's half": ("mask", sft_masking, "build_loss_mask", ("traj-semi",)),
+    "mask in both halves": ("mask", sft_masking, "build_loss_mask", ("traj-resolved", "traj-semi")),
+    "classify-errors in the shard's half": ("classify-errors", error_taxonomy, "explain_failure", ("traj-lost",)),
+    "classify-errors in both halves": ("classify-errors", error_taxonomy, "explain_failure",
+                                       ("traj-hack", "traj-lost")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READER_FAILURES))
+def test_reader_failing_in_the_shard_fails_its_stage_as_one_pass_does(tmp_path, monkeypatch, case):
+    # A reader stage that raises on a trajectory of the shard's half is
+    # detached there, and its stage fails with the first error in file
+    # order, this process's half first: the lines, exit code and tree,
+    # state included, are the serial run's; no temp file or child is left.
+    stage, module, function, raising_on = READER_FAILURES[case]
+    real = getattr(module, function)
+
+    def failing(traj, *args):
+        if traj.trajectory_id in raising_on:
+            raise ForgeError(f"boom at {traj.trajectory_id}")
+        return real(traj, *args)
+
+    runs = {}
+    for name in ("serial", "sharded"):
+        cfg = load_config(build_integration_corpus(tmp_path / name))
+        lines = []
+        with monkeypatch.context() as patch:
+            patch.setattr(module, function, failing)
+            set_cpus(patch, 1) if name == "serial" else split_at(patch, 3)  # the worker forks on both
+            code = run_pipeline(cfg, echo=lines.append)
+        assert_no_child_left()
+        assert not [p.name for p in cfg.out_dir.iterdir() if p.name.endswith(".tmp")]
+        runs[name] = code, lines, tree_bytes(cfg.out_dir)
+    assert runs["sharded"] == runs["serial"]
+    assert runs["sharded"][1][-1] == f"[fail] {stage}: boom at {raising_on[0]} (exit 1)"
+
+
+def test_shard_that_dies_while_its_readers_write_leaves_nothing(corpus, monkeypatch):
+    # The shard dies once its readers have written lines for its half:
+    # curate fails, and neither their files nor the shard's is left.
+    here, real_build = os.getpid(), sft_masking.build_loss_mask
+
+    def dying_build(traj, *args):
+        if os.getpid() != here and traj.trajectory_id == "traj-semi":
+            os._exit(1)
+        return real_build(traj, *args)
+
+    monkeypatch.setattr("lego_forge.sft_masking.build_loss_mask", dying_build)
+    split_at(monkeypatch, 3)
+    cfg = load_config(corpus)
+    lines = []
+    assert run_pipeline(cfg, echo=lines.append) == EXIT_INTERNAL
+    assert_no_child_left()
+    assert lines[-1] == "[fail] curate: curate's shard ended before its share did (exit 1)"
+    assert not [p for p in cfg.out_dir.rglob("*") if p.name.endswith(".tmp") or p.parent != cfg.out_dir]
+    assert not [name for name in ("curated.jsonl", *READER_OUTPUTS) if (cfg.out_dir / name).exists()]
+
+
+@pytest.fixture(scope="module")
+def fuzz_pipeline_template(tmp_path_factory):
+    """The integration corpus with the trajectories, final reports and
+    instance of `build_fuzz_curate_corpus` in place of its own trajectories
+    and final reports, and the out_dir of a finished `forge pipeline` run
+    without the reader stages' outputs, so that they run where curate does."""
+    root = tmp_path_factory.mktemp("fuzz-pipeline")
+    config = build_integration_corpus(root / "corpus")
+    fuzz = build_fuzz_curate_corpus(root / "fuzz").parent
+    for name in ("trajectories.jsonl", "final_reports.jsonl", "instances.jsonl"):
+        shutil.copy(fuzz / name, config.parent / name)
+    with open(config, "a", encoding="utf-8") as f:
+        f.write("instances = instances.jsonl\n")
+    assert run_pipeline(load_config(config), echo=lambda s: None) == EXIT_OK
+    for name in READER_OUTPUTS:
+        (config.parent / "out" / name).unlink()
+    return config.parent
+
+
+@pytest.mark.parametrize("kind", [*FUZZ_KINDS, "re-encode"])
+@pytest.mark.parametrize("key", ["trajectories", "final_reports"])
+@settings(max_examples=3, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_fuzzed_curate_input_leaves_the_serial_tree_when_sharded(fuzz_pipeline_template, key, kind, data):
+    # The finished fuzz corpus, one line of its trajectories or final
+    # reports edited as above or only re-encoded, on either side of a drawn
+    # split: `forge pipeline` sharded there and serial exit alike, print the
+    # same lines and leave the same tree (every output and report, the
+    # rejections and the state file), each root read as ROOT; no temp file
+    # or child is left.
+    with tempfile.TemporaryDirectory() as tmp:
+        fuzzed = shutil.copytree(fuzz_pipeline_template, Path(tmp) / "serial")
+        split = data.draw(st.integers(1, 39), label="split")
+        path = fuzzed / f"{key}.jsonl"
+        fuzz_line(path, path.read_text(encoding="utf-8").split("\n")[:-1], kind, data)
+        shutil.copytree(fuzzed, Path(tmp) / "sharded")
+        runs = {}
+        for name in ("serial", "sharded"):
+            root = Path(tmp) / name
+            lines = []
+            with pytest.MonkeyPatch.context() as patch:
+                refuse_fork(patch) if name == "serial" else split_at(patch, split)
+                code = run_pipeline(load_config(root / "forge.cfg"), echo=lines.append)
+            assert_no_child_left()
+            assert not [p.name for p in (root / "out").iterdir() if p.name.endswith(".tmp")]
+            tree = {rel: raw.replace(str(root).encode(), b"ROOT") for rel, raw in tree_bytes(root / "out").items()}
+            runs[name] = code, [line.replace(str(root), "ROOT") for line in lines], tree
+        assert runs["sharded"] == runs["serial"]
+
+
 WIDE = "é" * 10
 SPLIT_CASES = {  # a file's bytes, and where its shard's share begins (None: it has none)
     "empty": (b"", None),
@@ -2652,7 +2762,9 @@ def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, mo
     # no file is hashed twice while its content is unchanged. A cold run
     # never decodes curated.jsonl: curate hands each record to the readers.
     # With curate skipped, one pass decodes it for every reader that runs.
-    # One CPU: curate's whole pass runs where the patches count.
+    # One CPU: curate's whole pass runs where the patches count. Last, a
+    # cold run with the shard after the third trajectory: its readers take
+    # its half, so this process decodes and looks up for its own half only.
     set_cpus(monkeypatch, 1)
     loaded, read, decoded_in, hashed, built, parsed_in = [], [], [], [], [], []
     running = [None]
@@ -2698,12 +2810,15 @@ def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, mo
     cfg = load_config(corpus)
     curated_path = cfg.out_dir / "curated.jsonl"
     instance_files = [cfg.out_dir / "instances_real.jsonl", cfg.out_dir / "instances_synth.jsonl"]
-    for run in ("cold", "no-change", "readers only"):
+    for run in ("cold", "no-change", "readers only", "cold, sharded"):
         for seen in (loaded, read, decoded_in, hashed, built, parsed_in):
             seen.clear()
         if run == "readers only":
             for name in ("samples.jsonl", "stage1.jsonl", "failures.jsonl"):
                 (cfg.out_dir / name).unlink()
+        if run == "cold, sharded":
+            shutil.rmtree(cfg.out_dir)
+            split_at(monkeypatch, 3)
         lines = []
         assert run_pipeline(cfg, echo=lines.append) == EXIT_OK, run
         assert curated_path not in loaded and len(loaded) == len(set(loaded)), run
@@ -2721,6 +2836,10 @@ def test_run_pipeline_reads_curated_once_and_hashes_each_content_once(corpus, mo
             assert decoded_in == ["curate"] * 7
         elif run == "no-change":
             assert loaded == read == decoded_in == built == []
+        elif run == "cold, sharded":
+            assert not set(loaded) & set(instance_files) and curated_path not in read
+            assert decoded_in == ["curate"] * 3
+            assert built == [("curate", iid) for iid in (SWAP, PR7, PR7, PR9, PR9)]
         else:
             assert [line.split()[1].rstrip(":") for line in lines if line.startswith("[ok]")] == [
                 "mask", "curriculum", "classify-errors"]

@@ -291,6 +291,49 @@ def test_only_the_reader_decodes_json_lines():
                              "schema.read_jsonl", "tts.decode_score_response"]
 
 
+STEP_FIELDS = ("index", "action", "observation", "phase", "error_flag", "tool", "arguments")
+
+
+def test_no_code_assigns_to_a_step_or_tool_call_field():
+    # Step and ToolCall are not frozen, so that they are cheaper to build;
+    # they stay values because nothing in the package assigns to, deletes,
+    # setattr's or object.__setattr__'s an attribute of one of their field
+    # names (or of a name not known until run time), on any object.
+    import dataclasses
+
+    assert {f.name for cls in (Step, ToolCall) for f in dataclasses.fields(cls)} == set(STEP_FIELDS)
+    found = []
+
+    def targets(node):
+        if isinstance(node, (ast.Tuple, ast.List)):
+            for item in node.elts:
+                yield from targets(item)
+        elif isinstance(node, ast.Starred):
+            yield from targets(node.value)
+        else:
+            yield node
+
+    for path in sorted(Path(lego_forge.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                written = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For)):
+                written = [node.target]
+            elif isinstance(node, ast.withitem):
+                written = [node.optional_vars]
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in (
+                    "setattr", "__setattr__", "delattr", "__delattr__"):
+                name = node.args[1] if len(node.args) > 1 else None
+                if not (isinstance(name, ast.Constant) and name.value not in STEP_FIELDS):
+                    found.append(f"{path.name}:{node.lineno}")
+                continue
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for target in written if target is not None
+                      for leaf in targets(target) if isinstance(leaf, ast.Attribute) and leaf.attr in STEP_FIELDS]
+    assert found == []
+
+
 def index_of(path):
     """The instances of corpus `path` and its index, both from one validating read."""
     rejections = []

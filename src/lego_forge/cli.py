@@ -41,10 +41,11 @@ stage or state write that uses it, and before the fork where a worker will
 run stages, so that the worker and this process share that one import.
 The stages that share no file with the rest (read no other stage's output,
 and no stage reads theirs) run in one forked worker process alongside the
-others, and the shard is a second child (`_fork`); where this process
-cannot fork safely, it does their work itself. Stdout, state and the exit
-code stay in stage order, up to the first failing stage. Those stages hold one input
-line at a time: `sanitize` writes each history before it reads the next,
+others, through this process's stage loop (`_run_stages`), and the shard
+is a second child (`_fork`); where this process cannot fork safely, it
+does their work itself. Stdout, state and the exit code stay in stage
+order, up to the first failing stage. Those stages hold one input line at
+a time: `sanitize` writes each history before it reads the next,
 and `tts-select` scores each candidate as it reads it and keeps one state
 per instance (`tts.Rollouts`), not the candidate. The records hold no
 reference cycles, so a `pipeline` run turns the cyclic garbage collector
@@ -56,9 +57,10 @@ its stage's name and writes every rejection report next to the stage
 outputs, so no stage body names its stage. Every JSON Lines input is read
 by `schema.read_jsonl`, so a malformed line (one not UTF-8 too) is a
 rejection, except in `real_inputs`, where it is skipped with its reason; a
-streamed input fails its stage after its last line. An output the file
-system refuses fails its stage with exit 1; a report or state file it
-refuses, or a missing `git`, ends `main` with one `error:` line and exit 1.
+streamed input fails its stage after its last line. Any other error, say
+an output the file system refuses, fails its stage with exit 1 wherever it
+runs (`_failure`); a report or state file it refuses, or a missing `git`,
+ends `main` with one `error:` line and exit 1.
 
 `out_dir/.forge_state.json` maps each stage that succeeded to its record
 (`_record`): the [name, sha256] of the config file, of each input that
@@ -107,10 +109,11 @@ import sys
 import threading
 from collections import ChainMap
 from dataclasses import asdict, dataclass, fields
+from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Iterator, Sequence
 
-from . import DEFAULT_MAX_TURNS, EASY_UPPER, MEDIUM_UPPER
+from . import DEFAULT_MAX_TURNS, EASY_UPPER, MEDIUM_UPPER, finite
 from .errors import ForgeError, ValidationFailure
 from .registries import content_lines, load_error_patterns, load_hack_patterns, load_phase_patterns
 
@@ -301,23 +304,20 @@ def _save_instances(instances: Iterable[TaskInstance], path: Path) -> int:
     """Write `instances` to corpus `path` and return their count. Within a
     run, the index made as they are written is handed to later stages
     unless a read would reject a line: the builders' instances validate, so
-    only a repeated id or real image name would."""
-    from .schema import IndexEntry, save_corpus
+    only the repeat rule (`schema.InstanceRepeats`) would."""
+    from .schema import IndexEntry, InstanceRepeats, save_corpus
 
     index: dict[str, IndexEntry] = {}
-    real_images: set[str] = set()
-    repeats: list[bool] = []  # per instance, whether a read would reject its line
+    repeats, rejected = InstanceRepeats(), []  # per instance, what a read would reject its line with
 
     def add(inst: TaskInstance, offset: int) -> None:
-        repeats.append(inst.instance_id in index or inst.origin == "real" and inst.image_name in real_images)
+        rejected.append(repeats.rejection(inst))
         index[inst.instance_id] = IndexEntry.of(inst, path, offset)
-        if inst.origin == "real":
-            real_images.add(inst.image_name)
 
     save_corpus(instances, path, on_write=add)
-    if _in_run and not any(repeats):
+    if _in_run and not any(rejected):
         _handoff[(path, _hash_path(path))] = index
-    return len(repeats)
+    return len(rejected)
 
 
 def _index(path: Path) -> dict[str, IndexEntry]:
@@ -464,20 +464,17 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
     def shard(send: Callable[[Any], None]) -> None:
         """The child's share, from `mid` on, fed to its own readers: its lines and theirs go to files in
         `shard_dir`, and its report parts, summaries, rejections (numbered in the whole file) and each
-        reader's `state`, or its exit code and error, to `send`."""
+        reader's `state` to `send`; `_fork` sends an error as its exit code and message."""
         rejections: list[Rejection] = []
         report: dict = {}
         summaries = []
-        try:
-            with open(shard_dir / "curated.jsonl", "w", encoding="utf-8") as out:
-                for traj in _fold(cfg, fed, share(rejections, report, start=mid), into=shard_dir):
-                    out.write(corpus_line(traj))
-                    summaries.append(tuple(traj.summary()))
-            before = _lines_before(traj_path, mid) if rejections else 0
-            send((EXIT_OK, report, summaries, [(before + r.line_no, r.codes, r.message) for r in rejections],
-                  {name: reader.state() for name, reader in _readers.items()}))  # where _fold left them
-        except Exception as exc:
-            send(_failure(exc))
+        with open(shard_dir / "curated.jsonl", "w", encoding="utf-8") as out:
+            for traj in _fold(cfg, fed, share(rejections, report, start=mid), into=shard_dir):
+                out.write(corpus_line(traj))
+                summaries.append(tuple(traj.summary()))
+        before = _lines_before(traj_path, mid) if rejections else 0
+        send((EXIT_OK, report, summaries, [(before + r.line_no, r.codes, r.message) for r in rejections],
+              {name: reader.state() for name, reader in _readers.items()}))  # where _fold left them
 
     rejections: list[Rejection] = []
     report: dict = {}
@@ -530,7 +527,7 @@ def _stage_curate(cfg: PipelineConfig) -> dict:
 
 
 def _failure(exc: Exception) -> tuple[int, str]:
-    """How a child sends `exc`: its exit code (1 for any but a ForgeError) and message; see `_error`."""
+    """The exit code (1 for any but a ForgeError) and message `exc` ends a stage, `main` or a child with."""
     return (exc.exit_code if isinstance(exc, ForgeError) else EXIT_INTERNAL), str(exc)
 
 
@@ -634,11 +631,10 @@ class _Reader:
                     raise _error(code, state)
                 for writer in self.writers:
                     writer.append(shard_dir / writer.path.name)
+                self.shards.append(state)
             except Exception as exc:
                 self.error = exc
                 self.discard()
-            else:
-                self.shards.append(state)
 
     def finish(self) -> dict:
         if self.error is not None:
@@ -901,13 +897,13 @@ def run_stage(stage: str, cfg: PipelineConfig) -> tuple[int, dict]:
     try:
         report = _run_reader(cfg, spec) if spec.reader else spec.run(cfg)
         code = EXIT_OK
-    except (ForgeError, OSError) as exc:  # an OSError: say, an output the file system refuses
-        report = {"error": str(exc)}
+    except Exception as exc:  # say, an output the file system refuses, or a library's ValueError
+        code, message = _failure(exc)
+        report = {"error": message}
         if isinstance(exc, ValidationFailure) and exc.rejections is not None:
             path = cfg.out_dir / f"{stage.replace('-', '_')}_rejections.jsonl"
             save_jsonl(exc.rejections, path)
-            report.update(error=f"{exc}; see {path}", rejection_report=str(path))
-        code = exc.exit_code if isinstance(exc, ForgeError) else EXIT_INTERNAL
+            report.update(error=f"{message}; see {path}", rejection_report=str(path))
     report.update(stage=stage, exit_code=code)
     atomic_write_text(cfg.out_dir / spec.report, _dump_report(report))
     return code, report
@@ -958,12 +954,6 @@ def _read_state(path: Path) -> tuple[bytes, dict]:
     rewritten file could not hold as standard JSON) or not a JSON object."""
     import json
 
-    def finite(text: str) -> float:
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError(f"{text} is not a finite number")
-        return value
-
     try:
         recorded = path.read_bytes()
     except FileNotFoundError:
@@ -1001,11 +991,10 @@ def _detached_stages(cfg: PipelineConfig) -> list[Stage]:
 
 
 def _fork(body: Callable[[Callable[[Any], None]], None]) -> tuple[int, int] | None:
-    """Fork a child that runs `body(send)`, where `send` marshals a value
-    down a pipe, and then exits; the child never returns. Returns its pid and
-    the pipe's read end, for `_reap`, or None where this process cannot fork
-    safely, so that it does the work itself: a child forked while other
-    threads run may deadlock on a lock one of them held."""
+    """Fork a child that runs `body(send)`, where `send` marshals a value down a pipe, sends an
+    Exception escaping `body` as `_failure`, and then exits; the child never returns. Returns its pid
+    and the pipe's read end, for `_reap`, or None where this process cannot fork safely, so that it
+    does the work itself: a child forked while other threads run may deadlock on a lock one of them held."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return None
     # The worker's stages and this process's state write after _reap both use
@@ -1024,7 +1013,10 @@ def _fork(body: Callable[[Callable[[Any], None]], None]) -> tuple[int, int] | No
     try:
         os.close(read_fd)
         with os.fdopen(write_fd, "wb") as pipe:
-            body(lambda value: marshal.dump(value, pipe))
+            try:
+                body(lambda value: marshal.dump(value, pipe))
+            except Exception as exc:
+                marshal.dump(_failure(exc), pipe)
     finally:
         os._exit(0)
 
@@ -1044,21 +1036,25 @@ def _reap(child: tuple[int, int]) -> list:
     return sent
 
 
-def _fork_worker(stages: list[Stage], cfg: PipelineConfig) -> tuple[int, int] | None:
-    """Fork the worker: a child that runs `stages` in order up to the first
-    failure and sends (name, exit code, error) for each; see `_fork`."""
-    def work(send: Callable[[Any], None]) -> None:
-        for stage in stages:
-            try:
-                code, report = run_stage(stage.name, cfg)
-                error = report.get("error", "unknown error")
-            except Exception as exc:
-                code, error = EXIT_INTERNAL, str(exc)
-            send((stage.name, code, error))
-            if code != EXIT_OK:
-                break
-
-    return _fork(work)
+def _run_stages(stages: Iterable[Stage], cfg: PipelineConfig, plan: Callable[[Stage], bool],
+                send: Callable[[Any], None]) -> None:
+    """Run each of `stages` that `plan` runs, in order, up to the first failure, and `send` each one's
+    outcome: (name, exit code, error, whether `run_stage` raised it). This process and the worker run
+    their stages here; a reader stage that does not run drops what an earlier pass fed it."""
+    for stage in stages:
+        if not plan(stage):
+            speculative = _readers.pop(stage.name, None)
+            if speculative is not None:  # fed by an earlier pass, but its inputs are unchanged
+                speculative.discard()
+            continue
+        try:
+            code, report = run_stage(stage.name, cfg)
+            error, raised = report.get("error", "unknown error"), False
+        except Exception as exc:  # its report or rejections refused
+            (code, error), raised = _failure(exc), True
+        send((stage.name, code, error, raised))
+        if code != EXIT_OK:
+            break
 
 
 def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> int:
@@ -1071,8 +1067,8 @@ def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> in
     global _in_run
     state_path = cfg.out_dir / ".forge_state.json"
     state_bytes, state = _read_state(state_path)
-    plans: dict[str, bool] = {}  # per stage decided so far: whether it runs
 
+    @cache  # each stage is decided once
     def plan(stage: Stage) -> bool:
         outputs = _outputs(stage, cfg)
         if all(path.exists() for path in outputs) and state.get(stage.name) == _record(stage, cfg):
@@ -1088,39 +1084,29 @@ def run_pipeline(cfg: PipelineConfig, echo: Callable[[str], None] = print) -> in
     try:
         # No stage writes what a detached stage reads, so it is decided now,
         # and those to run are forked off before this process loads anything.
-        for stage in _detached_stages(cfg):
-            plans[stage.name] = plan(stage)
-        forked = [stage for stage in STAGES if plans.get(stage.name)]
-        worker = _fork_worker(forked, cfg) if forked else None
-        results: dict[str, tuple[int, str]] = {}
+        forked = [stage for stage in _detached_stages(cfg) if plan(stage)]
+        worker = _fork(lambda send: _run_stages(forked, cfg, plan, send)) if forked else None
+        ended: list[tuple] = []  # each stage's outcome, as _run_stages sends it
         try:
-            for stage in STAGES:
-                if worker is not None and stage in forked:
-                    continue
-                if stage.name not in plans:
-                    plans[stage.name] = plan(stage)
-                if not plans[stage.name]:
-                    speculative = _readers.pop(stage.name, None)
-                    if speculative is not None:  # fed by an earlier pass, but its inputs are unchanged
-                        speculative.discard()
-                    continue
-                code, report = run_stage(stage.name, cfg)
-                results[stage.name] = (code, report.get("error", "unknown error"))
-                if code != EXIT_OK:
-                    break
+            _run_stages([stage for stage in STAGES if worker is None or stage not in forked], cfg, plan, ended.append)
         finally:
             if worker is not None:
-                results.update((name, (code, error)) for name, code, error in _reap(worker))
+                ended += _reap(worker)
+        outcomes = {name: outcome for name, *outcome in ended}  # a `_failure` from `_fork` names no stage
 
         for stage in STAGES:
-            if not plans[stage.name]:
+            if not plan(stage):
                 echo(f"[skip] {stage.name}: inputs unchanged")
                 continue
-            code, error = results.get(stage.name, (EXIT_INTERNAL, "worker process ended before the stage did"))
+            code, error, raised = outcomes.get(stage.name, (EXIT_INTERNAL, "worker process ended before the stage did",
+                                                            False))
             if code != EXIT_OK:
-                echo(f"[fail] {stage.name}: {error} (exit {code})")
+                if not raised:
+                    echo(f"[fail] {stage.name}: {error} (exit {code})")
                 state.pop(stage.name, None)
                 _write_state(state_path, state, state_bytes)
+                if raised:
+                    raise _error(code, error)
                 return code
             state[stage.name] = _record(stage, cfg)
             echo(f"[ok]   {stage.name}")
@@ -1191,8 +1177,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             return run_pipeline(cfg)
         code, report = run_stage(args.stage, cfg)
     except (ForgeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code if isinstance(exc, ForgeError) else EXIT_INTERNAL
+        code, message = _failure(exc)
+        print(f"error: {message}", file=sys.stderr)
+        return code
     if code == EXIT_OK:
         print(f"[ok]   {args.stage} {_summarize(report)}".rstrip())
     else:

@@ -26,7 +26,6 @@ demand so that round-trips never reformat them.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 import tempfile
@@ -37,7 +36,7 @@ from functools import cache, cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from . import DEFAULT_MAX_TURNS
+from . import DEFAULT_MAX_TURNS, finite
 from .errors import ForgeError
 from .registries import PHASES
 
@@ -418,15 +417,7 @@ class RecordRejected(ValueError):
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89abcdefABCDEF]")
 
 
-def _finite(text: str) -> float:
-    """A JSON number; ValueError for NaN, Infinity and past the float range."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text} is not a finite number")
-    return value
-
-
-_DECODER = json.JSONDecoder(parse_constant=_finite, parse_float=_finite)  # built once, used per line
+_DECODER = json.JSONDecoder(parse_constant=finite, parse_float=finite)  # built once, used per line
 
 
 def _encodes(raw: dict) -> bool:
@@ -516,6 +507,26 @@ _KINDS = {
 }
 
 
+@dataclass
+class InstanceRepeats:
+    """The repeat rule of an instance corpus, in file order: an instance_id
+    seen before, or an image_name seen before among origin=real ones."""
+
+    ids: set[str] = field(default_factory=set)
+    real_images: dict[str, str] = field(default_factory=dict)  # image name -> the instance that holds it
+
+    def rejection(self, inst: TaskInstance) -> RecordRejected | None:
+        """Why `inst`'s line is rejected as a repeat; None where it is not, and it is kept."""
+        if inst.instance_id in self.ids:
+            return RecordRejected(("DUPLICATE_ID",), f"instance_id {inst.instance_id!r} already seen")
+        if inst.origin == "real":
+            holder = self.real_images.setdefault(inst.image_name, inst.instance_id)
+            if holder != inst.instance_id:
+                return RecordRejected(("DUPLICATE_IMAGE",), f"image_name {inst.image_name!r} already used by {holder}")
+        self.ids.add(inst.instance_id)
+        return None
+
+
 def read_corpus(path: str | Path, kind: str, rejections: list[Rejection], *, offsets: bool = False,
                 start: int = 0, stop: int | None = None) -> Iterator:
     """Read a JSON Lines corpus with `read_jsonl` (`offsets`, `start` and `stop` are its own),
@@ -524,31 +535,20 @@ def read_corpus(path: str | Path, kind: str, rejections: list[Rejection], *, off
     `kind` selects the record type: "instances" or "trajectories". Records are
     yielded in file order. Every line either becomes a record or a rejection
     entry carrying its line number and violation codes; a blank line is
-    EMPTY_LINE. For instances, a duplicate instance_id, or a duplicate
-    image_name among origin=real records, rejects the later line.
+    EMPTY_LINE. For instances, `InstanceRepeats` rejects a repeated line.
     """
     if kind not in _KINDS:
         raise CorpusError(f"unknown corpus kind {kind!r}")
     record_type, validator = _KINDS[kind]
-    real_images: dict[str, str] = {}
-    seen_ids: set[str] = set()
+    repeats = InstanceRepeats()
 
     def parse(raw: dict):
         record = record_type.from_record(raw)
         codes = validator(record)
         if codes:
             raise RecordRejected(codes, "; ".join(codes))
-        if kind == "instances":
-            if record.instance_id in seen_ids:
-                raise RecordRejected(("DUPLICATE_ID",), f"instance_id {record.instance_id!r} already seen")
-            if record.origin == "real":
-                holder = real_images.get(record.image_name)
-                if holder is not None:
-                    raise RecordRejected(
-                        ("DUPLICATE_IMAGE",), f"image_name {record.image_name!r} already used by {holder}"
-                    )
-                real_images[record.image_name] = record.instance_id
-            seen_ids.add(record.instance_id)
+        if kind == "instances" and (repeat := repeats.rejection(record)) is not None:
+            raise repeat
         return record
 
     return read_jsonl(path, parse, rejections, reject_blank=True, offsets=offsets, start=start, stop=stop)
@@ -625,7 +625,10 @@ class AtomicWriter:
             with self._file:
                 self._file.flush()
                 os.fsync(self._file.fileno())
-            os.replace(self._temp, self.path)
+            try:
+                os.replace(self._temp, self.path)
+            except OSError as exc:  # named by its target alone, not the temp file's random name
+                raise OSError(exc.errno, exc.strerror, str(self.path)) from None
         except BaseException:
             self.discard()
             raise

@@ -41,6 +41,7 @@ from lego_forge.registries import (
 )
 from lego_forge import error_taxonomy, patch_analysis, sft_masking, task_builder, trajectory_curation
 from lego_forge import schema as schema_mod
+from lego_forge import tts as tts_mod
 from lego_forge.schema import IndexEntry, TaskInstance, ToolCall, Trajectory, load_corpus, save_jsonl
 from lego_forge.sft_masking import assign_phases, detect_step_errors
 from lego_forge.trajectory_curation import UnrepairableCallError, prune_toolset, repair_tool_call
@@ -1083,8 +1084,8 @@ def test_fuzzed_worker_input_line_fails_its_stage_in_stage_order(finished_templa
         fuzz_line(path, path.read_text(encoding="utf-8").split("\n")[:-1], kind, data)
         lines, workers = [], []
         with pytest.MonkeyPatch.context() as patch:
-            fork_worker = cli._fork_worker
-            patch.setattr(cli, "_fork_worker", lambda *args: workers.append(fork_worker(*args)) or workers[-1])
+            fork = cli._fork  # curate is skipped, so only the worker forks
+            patch.setattr(cli, "_fork", lambda body: workers.append(fork(body)) or workers[-1])
             code = run_pipeline(cfg, echo=lines.append)
         assert_no_child_left()
         assert len(workers) == 1 and workers[0] is not None
@@ -2471,6 +2472,68 @@ def test_reader_failing_in_the_shard_fails_its_stage_as_one_pass_does(tmp_path, 
     assert runs["sharded"][1][-1] == f"[fail] {stage}: boom at {raising_on[0]} (exit 1)"
 
 
+BAD_STEPS = {  # the failing stage, the name patched to raise ValueError, the trajectory it raises on (None: any)
+    "sanitize in the worker": ("sanitize", cli, "STAGES", None),
+    "tts-select in the worker": ("tts-select", tts_mod, "best_of_k", None),
+    "curate in the shard": ("curate", trajectory_curation, "classify_outcome", "traj-semi"),
+    "curate in this process": ("curate", trajectory_curation, "classify_outcome", "traj-hack"),
+    "mask in the shard's half": ("mask", sft_masking, "build_loss_mask", "traj-semi"),
+    "classify-errors in the shard's half": ("classify-errors", error_taxonomy, "explain_failure", "traj-lost"),
+}
+
+
+def bad_step(module, name: str, trajectory_id: str | None):
+    """What `module.name` becomes: a function raising ValueError("bad step")
+    on `trajectory_id`, or sanitize's own body raising it (a ValueError of
+    its line parser would be a rejected line)."""
+    def failing(*args, **kwargs):
+        if trajectory_id is None or args[0].trajectory_id == trajectory_id:
+            raise ValueError("bad step")
+        return real(*args, **kwargs)
+
+    real = getattr(module, name)
+    if name == "STAGES":
+        return tuple(dataclasses.replace(s, run=failing) if s.name == "sanitize" else s for s in real)
+    return failing
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STEPS))
+def test_stage_body_raising_value_error_fails_it_forked_or_not(tmp_path, monkeypatch, capsys, finished_template,
+                                                             case):
+    # A stage body raises ValueError in the worker, in curate's shard or in
+    # this process. `forge pipeline` with both children forked (the shard
+    # after the third trajectory) and without a fork exits 1 alike, prints
+    # the same lines ending in `[fail] <stage>: bad step (exit 1)`, nothing
+    # on stderr and no traceback, and leaves the same state and report of
+    # that stage. Where curate and its readers run alone (the worker's
+    # stages are finished), the whole trees are the same.
+    stage, module, attribute, trajectory_id = BAD_STEPS[case]
+    alone = trajectory_id is not None
+    runs = {}
+    for name in ("forked", "serial"):
+        if alone:
+            root = shutil.copytree(finished_template, tmp_path / name)
+            for output in ("curated.jsonl", *READER_OUTPUTS):
+                (root / "out" / output).unlink()
+        else:
+            root = build_integration_corpus(tmp_path / name).parent
+        with monkeypatch.context() as patch:
+            patch.setattr(module, attribute, bad_step(module, attribute, trajectory_id))
+            refuse_fork(patch) if name == "serial" else split_at(patch, 3)
+            code = cli.main(["pipeline", "--config", str(root / "forge.cfg")])
+        assert_no_child_left()
+        out, err = capsys.readouterr()
+        assert not [p.name for p in (root / "out").iterdir() if p.name.endswith(".tmp")]
+        report = next(s.report for s in cli.STAGES if s.name == stage)
+        kept = tree_bytes(root / "out") if alone else {
+            rel: raw for rel, raw in tree_bytes(root / "out").items() if rel in (STATE, report)}
+        runs[name] = code, out, err, {rel: raw.replace(str(root).encode(), b"ROOT") for rel, raw in kept.items()}
+    assert runs["forked"] == runs["serial"]
+    code, out, err, kept = runs["forked"]
+    assert (code, out.splitlines()[-1], err) == (EXIT_INTERNAL, f"[fail] {stage}: bad step (exit 1)", "")
+    assert stage not in json.loads(kept[STATE]) and json.loads(kept[report])["error"] == "bad step"
+
+
 def test_shard_that_dies_while_its_readers_write_leaves_nothing(corpus, monkeypatch):
     # The shard dies once its readers have written lines for its half:
     # curate fails, and neither their files nor the shard's is left.
@@ -2870,9 +2933,10 @@ def test_snapshot_name_that_is_not_utf8_is_hashed_by_its_bytes(corpus):
 
 def test_output_the_file_system_refuses_exits_1_and_leaves_no_temp_file(tmp_path, capsys):
     # A directory where the pipeline writes a stage output, a stage report
-    # or the state file: the stage fails with exit 1 and writes its report,
-    # or main prints one error line and exits 1.
-    for name in ("samples.jsonl", "curation_report.json", ".forge_state.json"):
+    # (the worker's too) or the state file: the stage fails with exit 1 and
+    # writes its report, or main prints one error line and exits 1.
+    for name in ("samples.jsonl", "curation_report.json", "sanitize_report.json", "tts_select_report.json",
+                 ".forge_state.json"):
         config = build_integration_corpus(tmp_path / name)
         (config.parent / "out" / name).mkdir(parents=True)
         capsys.readouterr()
@@ -2884,6 +2948,31 @@ def test_output_the_file_system_refuses_exits_1_and_leaves_no_temp_file(tmp_path
         else:
             assert len(err.splitlines()) == 1 and err.startswith("error: "), (name, err)
         assert not [p for p in (config.parent / "out").rglob("*") if p.name.endswith(".tmp")], name
+
+
+@pytest.mark.parametrize("report", ["sanitize_report.json", "tts_select_report.json", "curation_report.json"])
+def test_refused_report_ends_main_alike_forked_or_not(tmp_path, monkeypatch, capsys, report):
+    # A directory where a stage report goes, in the worker or in this
+    # process: with the worker forked and without a fork, main prints the
+    # lines of the stages before it and one error line, exits 1 and
+    # records the same state.
+    runs = {}
+    for name in ("forked", "serial"):
+        root = build_integration_corpus(tmp_path / name).parent
+        (root / "out" / report).mkdir(parents=True)
+        with monkeypatch.context() as patch:
+            if name == "serial":
+                refuse_fork(patch)
+            code = cli.main(["pipeline", "--config", str(root / "forge.cfg")])
+        assert_no_child_left()
+        out, err = capsys.readouterr()
+        runs[name] = code, out, err.replace(str(root), "ROOT"), (root / "out" / STATE).read_bytes()
+    assert runs["forked"] == runs["serial"]
+    code, out, err, state = runs["forked"]
+    before = [s.name for s in cli.STAGES[:next(i for i, s in enumerate(cli.STAGES) if s.report == report)]]
+    assert (code, out, err) == (EXIT_INTERNAL, "".join(f"[ok]   {name}\n" for name in before),
+                                f"error: [Errno 21] Is a directory: 'ROOT/out/{report}'\n")
+    assert sorted(json.loads(state)) == sorted(before)
 
 
 def test_chunked_digest_equals_a_whole_file_sha256(tmp_path):
